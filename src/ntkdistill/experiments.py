@@ -37,9 +37,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .distillation import DistillParams, saturated_effective_logits
+from .distillation import DistillParams, UnboundedSolutionError, saturated_effective_logits
 from .kernel import analytic_ntk_diag, analytic_ntk_gram, empirical_ntk_diag, empirical_ntk_gram
-from .linalg import SingularKernelError
+from .linalg import DegenerateVectorError, SingularKernelError
 from .metrics import (
     alpha_n,
     angle_distribution,
@@ -52,12 +52,13 @@ from .metrics import (
     weight_change_norm,
 )
 from .network import (
+    DivergenceError,
     NetConfig,
     SquaredTargets,
     TrainConfig,
-    feature_dot,
     forward,
     init_params,
+    linear_logit,
     train_linearized,
     train_teacher,
     weighted_feature_sum,
@@ -522,23 +523,45 @@ def make_teacher_source(cfg: ExperimentConfig, task: Task, stop_epoch: int | Non
     }
 
 
+def train_zero_oracle(
+    cfg: ExperimentConfig, params0: np.ndarray, sampler, key: int
+) -> np.ndarray:
+    """Online-batch run for the zero-function weight change.
+
+    It depends only on ``params0`` and the stream ``unit_rng(seed, key, 2)``,
+    never on the distill point, so one run serves every distill point that
+    shares the initialization and key.
+    """
+    return train_linearized(
+        cfg.net, params0, SquaredTargets(lambda x: np.zeros(len(x))),
+        cfg.oracle.train_config(), sampler=sampler, rng=unit_rng(cfg.seed, key, 2),
+    ).delta
+
+
 def train_oracles(
-    cfg: ExperimentConfig, params0: np.ndarray, eff_fn, teacher_fn, sampler, key: int
+    cfg: ExperimentConfig,
+    params0: np.ndarray,
+    eff_fn,
+    teacher_fn,
+    sampler,
+    key: int,
+    delta_zero: np.ndarray,
 ) -> OracleBundle:
-    """Online-batch runs for the oracle and zero-function weight changes."""
-    tc = cfg.oracle.train_config()
+    """Online-batch run for the oracle weight change, bundled with the
+    zero-function weight change.
+
+    ``delta_zero`` comes from :func:`train_zero_oracle` with the same
+    ``params0`` and ``key``.  It is shared across distill points: the
+    runners train it once per initialization, not once per distill point.
+    """
     res_star = train_linearized(
-        cfg.net, params0, SquaredTargets(lambda x: eff_fn(x)), tc,
+        cfg.net, params0, SquaredTargets(lambda x: eff_fn(x)), cfg.oracle.train_config(),
         sampler=sampler, rng=unit_rng(cfg.seed, key, 1),
-    )
-    res_zero = train_linearized(
-        cfg.net, params0, SquaredTargets(lambda x: np.zeros(len(x))), tc,
-        sampler=sampler, rng=unit_rng(cfg.seed, key, 2),
     )
     return OracleBundle(
         params0=params0,
         delta_star=res_star.delta,
-        delta_zero=res_zero.delta,
+        delta_zero=delta_zero,
         eff_fn=eff_fn,
         teacher_fn=teacher_fn,
         label_seed=key,
@@ -575,13 +598,17 @@ def _run_risk(cfg: ExperimentConfig, threads: int, records: list) -> None:
     h = cfg.hash()
     task, label = _fig2_label_source(cfg)
     sampler = task.sample_inputs
+    inits = []
+    for rep in range(cfg.repeats):
+        params0 = init_params(cfg.net, unit_rng(cfg.seed, 90, rep))
+        inits.append((params0, train_zero_oracle(cfg, params0, sampler, key=91 + rep)))
     for dp in cfg.distill:
         eff_fn = _eff_fn_for(label, dp)
-        for rep in range(cfg.repeats):
+        for rep, (params0, delta_zero) in enumerate(inits):
             t0 = time.perf_counter()
-            params0 = init_params(cfg.net, unit_rng(cfg.seed, 90, rep))
             bundle = train_oracles(
-                cfg, params0, eff_fn, label.logits, sampler, key=91 + rep
+                cfg, params0, eff_fn, label.logits, sampler, key=91 + rep,
+                delta_zero=delta_zero,
             )
             curve = angle_distribution(
                 lambda x: bundle.eff_fn(x),
@@ -601,8 +628,7 @@ def _run_risk(cfg: ExperimentConfig, threads: int, records: list) -> None:
                 a_n = alpha_n(delta_hat, bundle.delta_star, bundle.delta_zero)
                 bound = risk_bound(curve, a_n)
                 est = empirical_risk(
-                    lambda xx: forward(cfg.net, bundle.params0, xx)
-                    + feature_dot(cfg.net, bundle.params0, delta_hat, xx),
+                    lambda xx: linear_logit(cfg.net, bundle.params0, delta_hat, xx),
                     label.logits,
                     sampler,
                     cfg.samples,
@@ -633,11 +659,14 @@ def _run_angle_dist(cfg: ExperimentConfig, threads: int, records: list) -> None:
     betas = default_beta_grid(cfg.beta_points)
     task, label = _fig2_label_source(cfg)
     sampler = task.sample_inputs
+    params0 = init_params(cfg.net, unit_rng(cfg.seed, 90, 0))
+    delta_zero = train_zero_oracle(cfg, params0, sampler, key=91)
     for dp in cfg.distill:
         t0 = time.perf_counter()
         eff_fn = _eff_fn_for(label, dp)
-        params0 = init_params(cfg.net, unit_rng(cfg.seed, 90, 0))
-        bundle = train_oracles(cfg, params0, eff_fn, label.logits, sampler, key=91)
+        bundle = train_oracles(
+            cfg, params0, eff_fn, label.logits, sampler, key=91, delta_zero=delta_zero
+        )
         curve = angle_distribution(
             lambda x: bundle.eff_fn(x),
             lambda x: empirical_ntk_diag(cfg.net, bundle.params0, x),
@@ -662,8 +691,10 @@ def _run_zero_norm(cfg: ExperimentConfig, threads: int, records: list) -> None:
     t0 = time.perf_counter()
     task, label = _fig2_label_source(cfg)
     params0 = init_params(cfg.net, unit_rng(cfg.seed, 90, 0))
+    sampler = task.sample_inputs
     bundle = train_oracles(
-        cfg, params0, _eff_fn_for(label, dp), label.logits, task.sample_inputs, key=91
+        cfg, params0, _eff_fn_for(label, dp), label.logits, sampler, key=91,
+        delta_zero=train_zero_oracle(cfg, params0, sampler, key=91),
     )
     wall = (time.perf_counter() - t0) * 1e3
     common = dict(experiment=cfg.experiment, config_hash=h, seed=cfg.seed,
@@ -808,7 +839,14 @@ def run(
     try:
         _RUNNERS[cfg.experiment](cfg, threads, records)
         status = 0
-    except (SingularKernelError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (
+        SingularKernelError,
+        FloatingPointError,
+        np.linalg.LinAlgError,
+        DivergenceError,
+        UnboundedSolutionError,
+        DegenerateVectorError,
+    ) as exc:
         errors.append(f"{type(exc).__name__}: {exc}")
         status = 2
 

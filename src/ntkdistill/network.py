@@ -23,6 +23,11 @@ Three views of the parameter gradient drive everything downstream:
 The combination makes kernel solves, linearized-model training, and
 linearized evaluation affordable at widths where explicit features would
 not fit in memory.
+
+Every entry point builds one sweep object, ``_Cache``, whose forward sweep
+runs at construction.  Its reverse sweep (``deltas``) is computed on first
+use, so ``forward``, ``feature_dot`` and ``linear_logit``, which read only
+logits and forward tangents, never pay for it.
 """
 
 from __future__ import annotations
@@ -120,6 +125,11 @@ class _Cache:
     activations; ``masks[l]`` are the ReLU derivative masks of layer l + 1's
     pre-activations; ``deltas[l]`` is the per-sample gradient of the logit
     with respect to pre-activation h^(l+1).
+
+    Construction runs the forward sweep only.  ``deltas`` comes from the
+    reverse sweep, which runs on first access and is then kept, so callers
+    that read only ``logits`` or ``tangent`` never pay for it, and
+    ``weighted_gradient`` and the Gram builders pay for it once per cache.
     """
 
     def __init__(self, cfg: NetConfig, params: np.ndarray, x: np.ndarray):
@@ -140,16 +150,24 @@ class _Cache:
             self.acts.append(a)
         w_out, b_out = layers[-1]
         self.logits = (a @ w_out.T * (sw / np.sqrt(m)) + sb * b_out)[:, 0]
+        self._deltas = None
 
-        # reverse sweep: deltas[l] = d f / d h^(l+1), per sample
-        n = x.shape[0]
+    @property
+    def deltas(self) -> list[np.ndarray]:
+        """Reverse sweep, run on first access: deltas[l] = d f / d h^(l+1)."""
+        if self._deltas is not None:
+            return self._deltas
+        layers = self.layers
+        sw, m = self.cfg.weight_scale, self.cfg.width
+        n = self.acts[0].shape[0]
         deltas = [None] * len(self.masks)
-        v = np.broadcast_to(w_out * (sw / np.sqrt(m)), (n, m))
+        v = np.broadcast_to(layers[-1][0] * (sw / np.sqrt(m)), (n, m))
         for l in range(len(self.masks) - 1, -1, -1):
             deltas[l] = np.where(self.masks[l], v, 0.0)
             if l > 0:
                 v = deltas[l] @ layers[l][0] * (sw / np.sqrt(m))
-        self.deltas = deltas
+        self._deltas = deltas
+        return deltas
 
     def weighted_gradient(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_i coeffs[i] * phi(x_i), assembled layer by layer."""

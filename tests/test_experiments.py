@@ -255,3 +255,91 @@ def test_estimate_cost_scales():
         }
     )
     assert estimate_cost(cfg) == pytest.approx((1000 + 8000) * 3)
+
+
+ORACLE_TASKS = [{"kind": "mixture", "modes": 3, "seed": 1}]
+ORACLE_COMMON = {
+    "seed": 4,
+    "net": {"input_dim": 2, "hidden_layers": 2, "width": 8},
+    "tasks": ORACLE_TASKS,
+    "teacher": {"epochs": 8, "batch_size": 16, "seed": 2},
+    "oracle": {"epochs": 6, "batch_size": 8},
+    "samples": 64,
+}
+TINY_RISK = ORACLE_COMMON | {
+    "experiment": "risk",
+    "distill": [
+        {"soft_ratio": 1.0, "temperature": 2.0},
+        {"soft_ratio": 0.5, "temperature": 2.0},
+    ],
+    "n_grid": [4, 8, 16],
+    "repeats": 2,
+}
+TINY_ANGLE = ORACLE_COMMON | {
+    "experiment": "angle-dist",
+    "distill": [
+        {"soft_ratio": 1.0, "temperature": 2.0},
+        {"soft_ratio": 0.5, "temperature": 2.0},
+        {"soft_ratio": 0.0, "temperature": 2.0},
+    ],
+    "beta_points": 5,
+}
+
+
+@pytest.mark.parametrize(
+    "data, expected_runs",
+    [
+        (TINY_RISK, TINY_RISK["repeats"] * (len(TINY_RISK["distill"]) + 1)),
+        (TINY_ANGLE, len(TINY_ANGLE["distill"]) + 1),
+    ],
+    ids=["risk", "angle-dist"],
+)
+def test_zero_oracle_trained_once_per_initialization(tmp_path, monkeypatch, data, expected_runs):
+    import ntkdistill.experiments as exp
+
+    calls = []
+    original = exp.train_linearized
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(exp, "train_linearized", counting)
+    path = write_config(tmp_path, data)
+    outputs = []
+    for name in ("a", "b"):
+        calls.clear()
+        status, paths = run(path, out_dir=tmp_path / name)
+        assert status == 0
+        assert len(calls) == expected_runs
+        outputs.append(paths[0])
+
+    def without_wall_ms(path):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        wall = rows[0].index("wall_ms")
+        return [row[:wall] + row[wall + 1:] for row in rows]
+
+    first = without_wall_ms(outputs[0])
+    assert len(first) > 1
+    assert first == without_wall_ms(outputs[1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_exits_numerical_and_keeps_manifest(tmp_path):
+    data = {
+        "experiment": "zero-norm",
+        "seed": 1,
+        "net": {"input_dim": 2, "hidden_layers": 1, "width": 8},
+        "tasks": ORACLE_TASKS,
+        "teacher": {"epochs": 4, "learning_rate": 1e200, "batch_size": 16},
+        "oracle": {"epochs": 2, "batch_size": 8},
+    }
+    out = tmp_path / "out"
+    path = write_config(tmp_path, data)
+    assert main(["zero-norm", "--config", str(path), "--out", str(out)]) == 2
+    header, rows = read_rows(out / "zero_norm.csv")
+    assert header == list(CSV_COLUMNS) and rows == []
+    manifest = json.loads((out / "zero_norm_manifest.json").read_text())
+    assert manifest["incomplete"] is True
+    assert manifest["errors"][0].startswith("DivergenceError")

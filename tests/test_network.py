@@ -24,6 +24,7 @@ from ntkdistill.network import (
     unflatten,
     weighted_feature_sum,
 )
+from ntkdistill.network import _Cache
 from ntkdistill.distillation import DistillParams
 
 
@@ -161,6 +162,39 @@ def test_linear_logit_trivial_cases():
     c = 2.5
     delta = c * phi / (phi @ phi)
     assert linear_logit(CFG, p, delta, x) == pytest.approx(z0 + c, rel=1e-12)
+
+
+def test_linear_logit_is_bitwise_forward_plus_feature_dot():
+    rng = np.random.default_rng(11)
+    p = init_params(CFG, 4)
+    xs = rng.normal(scale=3.0, size=(64, 2))
+    delta = rng.normal(size=p.size)
+    assert np.array_equal(
+        linear_logit(CFG, p, delta, xs),
+        forward(CFG, p, xs) + feature_dot(CFG, p, delta, xs),
+    )
+
+
+def test_cache_skips_reverse_sweep_for_logits_and_tangents():
+    rng = np.random.default_rng(12)
+    p = init_params(CFG, 5)
+    cache = _Cache(CFG, p, rng.normal(size=(16, 2)))
+    cache.logits
+    cache.tangent(rng.normal(size=p.size))
+    assert cache._deltas is None
+    deltas = cache.deltas
+    assert cache.deltas is deltas  # computed once, then kept
+
+
+def test_weighted_gradient_independent_of_prior_tangent():
+    rng = np.random.default_rng(13)
+    p = init_params(CFG, 6)
+    xs = rng.normal(size=(16, 2))
+    c = rng.normal(size=16)
+    fresh = _Cache(CFG, p, xs).weighted_gradient(c)
+    used = _Cache(CFG, p, xs)
+    used.tangent(rng.normal(size=p.size))
+    assert np.array_equal(fresh, used.weighted_gradient(c))
 
 
 def test_linearization_fidelity_at_large_width():
