@@ -486,8 +486,6 @@ class OracleBundle:
     delta_star: np.ndarray
     delta_zero: np.ndarray
     eff_fn: object
-    teacher_fn: object
-    label_seed: int
 
     @property
     def norm_star(self) -> float:
@@ -542,7 +540,6 @@ def train_oracles(
     cfg: ExperimentConfig,
     params0: np.ndarray,
     eff_fn,
-    teacher_fn,
     sampler,
     key: int,
     delta_zero: np.ndarray,
@@ -563,8 +560,6 @@ def train_oracles(
         delta_star=res_star.delta,
         delta_zero=delta_zero,
         eff_fn=eff_fn,
-        teacher_fn=teacher_fn,
-        label_seed=key,
     )
 
 
@@ -594,6 +589,23 @@ def _eff_fn_for(label, dp: DistillParams):
     return eff_fn
 
 
+def _memo_ntk_diag(net: NetConfig, params0: np.ndarray):
+    """``empirical_ntk_diag`` at ``params0``, recomputed only when the inputs change.
+
+    Every distill point of a repeat draws the same Monte Carlo inputs for
+    ``angle_distribution`` from one stream, so the diagonal on them is
+    computed once per initialization instead of once per distill point.
+    """
+    last = []
+
+    def ntk_diag(x):
+        if not last or not np.array_equal(last[0], x):
+            last[:] = [x, empirical_ntk_diag(net, params0, x)]
+        return last[1]
+
+    return ntk_diag
+
+
 def _run_risk(cfg: ExperimentConfig, threads: int, records: list) -> None:
     h = cfg.hash()
     task, label = _fig2_label_source(cfg)
@@ -601,18 +613,18 @@ def _run_risk(cfg: ExperimentConfig, threads: int, records: list) -> None:
     inits = []
     for rep in range(cfg.repeats):
         params0 = init_params(cfg.net, unit_rng(cfg.seed, 90, rep))
-        inits.append((params0, train_zero_oracle(cfg, params0, sampler, key=91 + rep)))
+        inits.append((params0, train_zero_oracle(cfg, params0, sampler, key=91 + rep),
+                      _memo_ntk_diag(cfg.net, params0)))
     for dp in cfg.distill:
         eff_fn = _eff_fn_for(label, dp)
-        for rep, (params0, delta_zero) in enumerate(inits):
+        for rep, (params0, delta_zero, ntk_diag) in enumerate(inits):
             t0 = time.perf_counter()
             bundle = train_oracles(
-                cfg, params0, eff_fn, label.logits, sampler, key=91 + rep,
-                delta_zero=delta_zero,
+                cfg, params0, eff_fn, sampler, key=91 + rep, delta_zero=delta_zero
             )
             curve = angle_distribution(
                 lambda x: bundle.eff_fn(x),
-                lambda x: empirical_ntk_diag(cfg.net, bundle.params0, x),
+                ntk_diag,
                 bundle.norm_diff,
                 sampler,
                 cfg.samples,
@@ -661,15 +673,16 @@ def _run_angle_dist(cfg: ExperimentConfig, threads: int, records: list) -> None:
     sampler = task.sample_inputs
     params0 = init_params(cfg.net, unit_rng(cfg.seed, 90, 0))
     delta_zero = train_zero_oracle(cfg, params0, sampler, key=91)
+    ntk_diag = _memo_ntk_diag(cfg.net, params0)
     for dp in cfg.distill:
         t0 = time.perf_counter()
         eff_fn = _eff_fn_for(label, dp)
         bundle = train_oracles(
-            cfg, params0, eff_fn, label.logits, sampler, key=91, delta_zero=delta_zero
+            cfg, params0, eff_fn, sampler, key=91, delta_zero=delta_zero
         )
         curve = angle_distribution(
             lambda x: bundle.eff_fn(x),
-            lambda x: empirical_ntk_diag(cfg.net, bundle.params0, x),
+            ntk_diag,
             bundle.norm_diff,
             sampler,
             cfg.samples,
@@ -693,7 +706,7 @@ def _run_zero_norm(cfg: ExperimentConfig, threads: int, records: list) -> None:
     params0 = init_params(cfg.net, unit_rng(cfg.seed, 90, 0))
     sampler = task.sample_inputs
     bundle = train_oracles(
-        cfg, params0, _eff_fn_for(label, dp), label.logits, sampler, key=91,
+        cfg, params0, _eff_fn_for(label, dp), sampler, key=91,
         delta_zero=train_zero_oracle(cfg, params0, sampler, key=91),
     )
     wall = (time.perf_counter() - t0) * 1e3

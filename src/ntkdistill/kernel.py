@@ -14,6 +14,9 @@ arccos(S(x,x') / sqrt(S(x,x) S(x',x'))),
     Sdot    = sw^2 * (pi - t) / (2 pi)
     K_next  = S_next + Sdot * K_prev,           K_0 = S.
 
+``analytic_ntk_gram`` evaluates the recursion on the upper triangle packed
+into vectors, which is exact because each step is symmetric entrywise.
+
 At finite width the same object is the Gram matrix of the parameter
 gradients; ``empirical_ntk_gram`` assembles it from one batched
 forward/backward sweep using per-layer activation and delta inner products,
@@ -82,16 +85,23 @@ def analytic_ntk_gram(
     batch, _ = _as_batch(cfg, x)
     sw, sb = cfg.weight_scale, cfg.bias_scale
     s = sw**2 * (batch @ batch.T) / cfg.input_dim + sb**2
+    # exact symmetry here is what lets the packed upper triangle carry the
+    # whole recursion: every step maps (i, j) and (j, i) alike
     s = 0.5 * (s + s.T)
+    n = s.shape[0]
+    ia, ib = np.triu_indices(n)
+    on_diag = np.flatnonzero(ia == ib)
+    s = s[ia, ib]
     k = s.copy()
     for _ in range(cfg.hidden_layers):
-        diag = np.diag(s)
+        diag = s[on_diag]
         if np.any(diag < 0):
             raise RuntimeError("negative variance in kernel recursion")
-        s, k = _recursion_step(s, diag[:, None], diag[None, :], k, sw, sb)
-        s = 0.5 * (s + s.T)
-        k = 0.5 * (k + k.T)
-    return KernelMatrix(k, jitter=jitter)
+        s, k = _recursion_step(s, diag[ia], diag[ib], k, sw, sb)
+    gram = np.empty((n, n))
+    gram[ia, ib] = k
+    gram[ib, ia] = k
+    return KernelMatrix(gram, jitter=jitter)
 
 
 def empirical_kernel(feats: np.ndarray, jitter: float | None = None) -> KernelMatrix:

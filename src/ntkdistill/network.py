@@ -408,9 +408,11 @@ def train_teacher(
         if train_cfg.online_batch and epoch > 1:
             x = task.sample_inputs(train_cfg.batch_size, data_rng)
             y = task.hard_labels(x, data_rng)
-        cache = _Cache(cfg, params, x)
-        if not np.all(np.isfinite(cache.logits)):
-            raise DivergenceError(f"teacher logits non-finite at epoch {epoch}")
+        # an overflowing sweep is reported once, by the DivergenceError
+        with np.errstate(over="ignore", invalid="ignore"):
+            cache = _Cache(cfg, params, x)
+            if not np.all(np.isfinite(cache.logits)):
+                raise DivergenceError(f"teacher logits non-finite at epoch {epoch}")
         coeffs = (expit(cache.logits) - y) / len(y)
         params = adam.step(params, cache.weighted_gradient(coeffs))
         if epoch in wanted:

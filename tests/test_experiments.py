@@ -325,6 +325,30 @@ def test_zero_oracle_trained_once_per_initialization(tmp_path, monkeypatch, data
     assert first == without_wall_ms(outputs[1])
 
 
+@pytest.mark.parametrize(
+    "data, expected_calls",
+    [(TINY_RISK, TINY_RISK["repeats"]), (TINY_ANGLE, 1)],
+    ids=["risk", "angle-dist"],
+)
+def test_mc_kernel_diagonal_computed_once_per_initialization(
+    tmp_path, monkeypatch, data, expected_calls
+):
+    # every distill point of an initialization reuses the Monte Carlo inputs
+    import ntkdistill.experiments as exp
+
+    rows = []
+    original = exp.empirical_ntk_diag
+
+    def counting(net, params, x):
+        rows.append(len(x))
+        return original(net, params, x)
+
+    monkeypatch.setattr(exp, "empirical_ntk_diag", counting)
+    status, _ = run(write_config(tmp_path, data), out_dir=tmp_path / "out")
+    assert status == 0
+    assert rows == [data["samples"]] * expected_calls
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_numerical_and_keeps_manifest(tmp_path):
     data = {

@@ -85,6 +85,39 @@ def test_gram_matches_scalar_and_permutes():
     assert np.allclose(gram_p.entries, gram.entries[np.ix_(perm, perm)], atol=1e-12)
 
 
+def _full_matrix_gram(cfg, xs):
+    # the whole-matrix recursion, re-symmetrized at every layer: an
+    # independent reference for the packed upper-triangle evaluation
+    sw, sb = cfg.weight_scale, cfg.bias_scale
+    s = sw**2 * (xs @ xs.T) / cfg.input_dim + sb**2
+    s = 0.5 * (s + s.T)
+    k = s.copy()
+    for _ in range(cfg.hidden_layers):
+        diag = np.diag(s)
+        norm = np.sqrt(diag[:, None] * diag[None, :])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            c = np.where(norm > 0, s / np.where(norm > 0, norm, 1.0), 1.0)
+        c = np.clip(c, -1.0, 1.0)
+        theta = np.arccos(c)
+        j = np.sqrt(np.maximum(0.0, 1.0 - c**2)) + (np.pi - theta) * c
+        s = sw**2 * norm * j / (2 * np.pi) + sb**2
+        k = s + sw**2 * (np.pi - theta) / (2 * np.pi) * k
+        s = 0.5 * (s + s.T)
+        k = 0.5 * (k + k.T)
+    return k
+
+
+@pytest.mark.parametrize("scales", [(1.0, 1.0), (1.3, 0.4)])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_gram_bitwise_equals_full_matrix_recursion(d, n, scales):
+    cfg = NetConfig(d, 4, 8, weight_scale=scales[0], bias_scale=scales[1])
+    xs = np.random.default_rng(100 * d + n).normal(scale=5.0, size=(n, d))
+    gram = analytic_ntk_gram(cfg, xs, jitter=0.0).entries
+    assert np.array_equal(gram, _full_matrix_gram(cfg, xs))
+    assert np.array_equal(gram, gram.T)
+
+
 def test_gram_single_input():
     cfg = NetConfig(2, 2, 4)
     x = np.array([[0.5, -1.0]])

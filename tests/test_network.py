@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ntkdistill.kernel import empirical_ntk_diag, empirical_ntk_gram
 from ntkdistill.network import (
     Checkpoint,
     DistillTargets,
+    DivergenceError,
     NetConfig,
     SquaredTargets,
     TrainConfig,
@@ -247,6 +250,15 @@ def test_train_teacher_learns_separable_task():
     y = (x[:, 0] + x[:, 1] > 0).astype(float)
     acc = np.mean((forward(cfg, final, x) > 0) == (y > 0.5))
     assert acc >= 0.99
+
+
+def test_diverging_teacher_reports_only_divergence():
+    # the overflowing forward sweep must not also print numpy RuntimeWarnings
+    tc = TrainConfig(learning_rate=1e200, batch_size=16, epochs=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            train_teacher(NetConfig(2, 2, 16), _ToyTask(), tc, seed=0)
 
 
 def test_default_checkpoint_epochs():
