@@ -5,7 +5,9 @@ online-batch oracle runs; the invariants checked against them are the ones
 that need real weight-change vectors rather than synthetic algebra.
 """
 
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,30 +138,68 @@ def _tiny_fig2_config(kind, **extra):
     return base
 
 
-@pytest.mark.parametrize(
-    "kind,extra",
-    [
-        ("risk", {"n_grid": [4, 8, 16], "repeats": 1,
-                  "distill": [{"soft_ratio": 1.0, "temperature": 2.0}]}),
-        ("angle-dist", {"beta_points": 17,
-                        "distill": [{"soft_ratio": 0.5, "temperature": 2.0}]}),
-        ("zero-norm", {"distill": [{"soft_ratio": 1.0, "temperature": 2.0}]}),
-        ("hard-label-effect", {"n_grid": [32], "repeats": 2,
-                               "teacher": {"epochs": 128, "learning_rate": 0.01,
-                                           "batch_size": 64, "seed": 5,
-                                           "stop_epochs": [16, 128],
-                                           "temperature": 2.0, "reduction": 0.5}}),
-    ],
-)
-def test_runner_smoke(tmp_path, kind, extra):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_tiny_fig2_config(kind, **extra)))
-    status, paths = run(path, out_dir=tmp_path / "out")
+SMOKE_CASES = {
+    "effective-logits": {"distill": [{"soft_ratio": 1.0, "temperature": 2.0},
+                                     {"soft_ratio": 0.0, "temperature": 2.0}],
+                         "z_t_grid": [-3.0, -0.5, 0.5, 3.0]},
+    "ntk-check": {"width_grid": [16, 64], "kernel_inputs": 6, "repeats": 2,
+                  "norm_grid": [10.0, 50.0]},
+    "inefficiency": {"tasks": [{"kind": "mixture", "modes": 5, "seed": 1},
+                               {"kind": "flipped-mixture", "modes": 5, "p_flip": 0.3,
+                                "seed": 1}],
+                     "distill": [{"soft_ratio": 1.0, "temperature": 2.0},
+                                 {"soft_ratio": 0.0, "temperature": 2.0}],
+                     "n_grid": [8, 16], "repeats": 2, "extra_points": 2},
+    "risk": {"n_grid": [4, 8, 16], "repeats": 1,
+             "distill": [{"soft_ratio": 1.0, "temperature": 2.0}]},
+    "angle-dist": {"beta_points": 17,
+                   "distill": [{"soft_ratio": 0.5, "temperature": 2.0}]},
+    "zero-norm": {"distill": [{"soft_ratio": 1.0, "temperature": 2.0}]},
+    "hard-label-effect": {"n_grid": [32], "repeats": 2,
+                          "teacher": {"epochs": 128, "learning_rate": 0.01,
+                                      "batch_size": 64, "seed": 5,
+                                      "stop_epochs": [16, 128],
+                                      "temperature": 2.0, "reduction": 0.5}},
+}
+
+# Golden CSVs (wall_ms dropped) of the smoke runs.  They pin every value, so a
+# refactor of the runners must reproduce them; a change that moves numbers on
+# purpose re-records them with ``PYTHONPATH=src python tests/test_pipeline.py``
+# and says why.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _csv_without_wall_ms(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if "wall_ms" not in rows[0]:
+        return rows
+    wall = rows[0].index("wall_ms")
+    return [row[:wall] + row[wall + 1:] for row in rows]
+
+
+def _run_smoke(kind, out_dir):
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "cfg.json"
+    path.write_text(json.dumps(_tiny_fig2_config(kind, **SMOKE_CASES[kind])))
+    return run(path, out_dir=out_dir / "out")
+
+
+@pytest.mark.parametrize("kind", list(SMOKE_CASES))
+def test_runner_smoke(tmp_path, kind):
+    status, paths = _run_smoke(kind, tmp_path)
     assert status == 0
-    rows = open(paths[0]).read().splitlines()
-    assert len(rows) > 1  # header plus records
     manifest = json.loads(open(paths[-1]).read())
     assert not manifest["incomplete"]
+
+    got = _csv_without_wall_ms(paths[0])
+    want = _csv_without_wall_ms(GOLDEN / f"{kind}.csv")
+    assert len(got) > 1  # header plus records
+    value = got[0].index("value")
+    keys = lambda rows: [row[:value] + row[value + 1:] for row in rows]
+    assert keys(got) == keys(want)  # every coordinate, name and flag
+    for g, w in zip(got[1:], want[1:]):
+        assert float(g[value]) == pytest.approx(float(w[value]), rel=1e-9, abs=0)
 
 
 def test_risk_runner_emits_bound_and_slope(tmp_path):
@@ -170,8 +210,6 @@ def test_risk_runner_emits_bound_and_slope(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     _, paths = run(path, out_dir=tmp_path / "out")
-    import csv
-
     with open(paths[0]) as fh:
         rows = list(csv.DictReader(fh))
     names = {r["value_name"] for r in rows}
@@ -183,3 +221,15 @@ def test_risk_runner_emits_bound_and_slope(tmp_path):
                 if b["value_name"] == "risk_bound" and b["n"] == r["n"]
             )
             assert float(r["value"]) <= bound + 0.1  # tiny-sample slack
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind in SMOKE_CASES:
+            status, paths = _run_smoke(kind, Path(tmp) / kind)
+            assert status == 0, kind
+            with open(GOLDEN / f"{kind}.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows(_csv_without_wall_ms(paths[0]))
