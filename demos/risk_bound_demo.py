@@ -27,7 +27,7 @@ from ntkdistill import (
     train_teacher,
     weighted_feature_sum,
 )
-from ntkdistill.tasks import MixtureSpec, realize_mixture, teacher_labels
+from ntkdistill.tasks import LabelSource, MixtureSpec, realize_mixture
 
 rng = np.random.default_rng(0)
 mixture = realize_mixture(MixtureSpec(modes=6, dim=2, amplitude=2.0), np.random.default_rng(11))
@@ -47,8 +47,8 @@ ckpt = train_teacher(
     teacher_net, MixtureTask(), TrainConfig(0.01, 256, 4096), seed=5,
     checkpoint_epochs=[4096],
 )[-1]
-label = teacher_labels(ckpt, temperature=10.0, reduction=0.3,
-                       ground_truth=mixture.values)
+label = LabelSource(ckpt, temperature=10.0, reduction=0.3,
+                    ground_truth=mixture.values)
 
 
 def sampler(n, r):

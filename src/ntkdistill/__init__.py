@@ -45,7 +45,6 @@ from .linalg import (
     SingularKernelError,
     acute_angle,
     kernel_inner,
-    spd_solve,
 )
 from .metrics import (
     AngleCurve,

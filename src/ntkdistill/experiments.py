@@ -23,6 +23,24 @@ Per-record seeds derive from the root seed and the record's own grid
 coordinates (see :func:`ntkdistill.metrics.unit_rng`), so extending a grid
 never perturbs existing rows, and units may be dispatched concurrently
 without affecting results.
+
+Each runner is a thin composition of four private pieces:
+
+* ``_teacher_sources`` — the one teacher setup: trains the teacher network
+  with the teacher recipe on a task and wraps each checkpoint as a
+  :class:`~ntkdistill.tasks.LabelSource` with a given ground truth (the
+  perfect teacher, the imperfect teacher's ground-truth network and its
+  early-stopped sweep all come from it);
+* ``_train_oracle`` — the one online-batch oracle run of the linearized
+  student on a target function (distilled, zero-function, or ground-truth
+  targets), returning the weight change;
+* ``_perfect_teacher_init`` — a repeat's initialization for the
+  perfect-teacher runners (risk, angle-dist, zero-norm): the initial
+  parameters, the zero-function weight change, and a memo of the NTK
+  diagonal and teacher evaluations on the Monte Carlo inputs, so each
+  initialization evaluates them once whatever the number of distill points;
+* ``_emitter`` — the row emitter: fills experiment, config hash and the
+  default seed of every record.
 """
 
 from __future__ import annotations
@@ -49,7 +67,6 @@ from .metrics import (
     fit_power_law,
     risk_bound,
     unit_rng,
-    weight_change_norm,
 )
 from .network import (
     DivergenceError,
@@ -63,7 +80,7 @@ from .network import (
     train_teacher,
     weighted_feature_sum,
 )
-from .tasks import Task, TaskSpec, teacher_labels
+from .tasks import LabelSource, Task, TaskSpec
 
 EXPERIMENT_KINDS = (
     "effective-logits",
@@ -335,35 +352,104 @@ def _pmap(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
+# --- the four pieces the runners are composed of ---------------------------
+
+
+def _emitter(cfg: ExperimentConfig):
+    """The row emitter of one run.
+
+    ``emit({value_name: value, ...}, **coords)`` returns one RunRecord per
+    pair, all sharing ``coords``; it fills the experiment and the config hash,
+    and the root seed unless ``coords`` names a ``seed``.
+    """
+    h = cfg.hash()
+
+    def emit(values: dict, **coords) -> list[RunRecord]:
+        coords.setdefault("seed", cfg.seed)
+        return [RunRecord(cfg.experiment, h, value_name=name, value=value, **coords)
+                for name, value in values.items()]
+
+    return emit
+
+
+def _teacher_sources(
+    cfg: ExperimentConfig, task, seed: int, epochs: int, checkpoints, ground_truth
+) -> dict:
+    """Train ``cfg.teacher_net or cfg.net`` with the teacher recipe on the
+    task's hard labels; returns ``{epoch: LabelSource}`` for the checkpoints
+    (epoch 0, the initialization, included), each with the recipe's
+    temperature and logit reduction and hard labels from ``ground_truth``."""
+    recipe = cfg.teacher
+    ckpts = train_teacher(
+        cfg.teacher_net or cfg.net,
+        task,
+        TrainConfig(recipe.learning_rate, recipe.batch_size, epochs),
+        seed=seed,
+        checkpoint_epochs=checkpoints,
+    )
+    return {
+        c.epoch: LabelSource(c, recipe.temperature, recipe.reduction, ground_truth)
+        for c in ckpts
+    }
+
+
+def _train_oracle(cfg: ExperimentConfig, params0: np.ndarray, target_fn, sampler, rng):
+    """Online-batch oracle run of the linearized student at ``params0`` on
+    squared-loss targets ``target_fn(x)``; returns the weight change."""
+    return train_linearized(
+        cfg.net, params0, SquaredTargets(target_fn), cfg.oracle.train_config(),
+        sampler=sampler, rng=rng,
+    ).delta
+
+
+def _perfect_teacher_init(cfg: ExperimentConfig, sampler, label, rep: int):
+    """Repeat ``rep``'s initialization for the perfect-teacher runners (risk,
+    angle-dist, zero-norm): ``(params0, delta_zero, memo)``.
+
+    ``params0`` comes from ``unit_rng(seed, 90, rep)``.  ``delta_zero``, the
+    zero-function weight change, runs on the oracle stream
+    ``unit_rng(seed, 91 + rep, 2)``; it never depends on the distill point,
+    so one run serves every distill point (whose own oracle runs on
+    ``unit_rng(seed, 91 + rep, 1)``).  ``memo(x)`` gives the NTK diagonal at
+    ``params0`` and the teacher's logits and hard labels on ``x``, recomputed
+    only when ``x`` changes: every distill point of a repeat draws the same
+    Monte Carlo inputs for ``angle_distribution``, so they are evaluated once
+    per initialization instead of once per distill point.
+    """
+    params0 = init_params(cfg.net, unit_rng(cfg.seed, 90, rep))
+    delta_zero = _train_oracle(cfg, params0, lambda x: np.zeros(len(x)), sampler,
+                               unit_rng(cfg.seed, 91 + rep, 2))
+    last = []
+
+    def memo(x):
+        if not last or not np.array_equal(last[0], x):
+            last[:] = [x, (empirical_ntk_diag(cfg.net, params0, x), label.logits(x),
+                           label.hard(x))]
+        return last[1]
+
+    return params0, delta_zero, memo
+
+
 # --- experiment implementations -------------------------------------------
 
 
 def _run_effective_logits(cfg: ExperimentConfig, threads: int, records: list) -> None:
-    h = cfg.hash()
-    dps = cfg.distill or [DistillParams(1.0, 1.0)]
-    for dp in dps:
+    emit = _emitter(cfg)
+    for dp in cfg.distill or [DistillParams(1.0, 1.0)]:
         t0 = time.perf_counter()
         for z_t in cfg.z_t_grid:
             for y_g in (0.0, 1.0):
                 val, sat = saturated_effective_logits(z_t, y_g, dp)
-                records.append(
-                    RunRecord(
-                        experiment=cfg.experiment,
-                        config_hash=h,
-                        seed=cfg.seed,
-                        value_name=f"z_s_eff_y{int(y_g)}",
-                        value=float(val),
-                        rho=dp.soft_ratio,
-                        temperature=dp.temperature,
-                        beta=float(z_t),
-                        flag="saturated" if sat else "",
-                        wall_ms=(time.perf_counter() - t0) * 1e3,
-                    )
-                )
+                records.extend(emit(
+                    {f"z_s_eff_y{int(y_g)}": float(val)},
+                    rho=dp.soft_ratio, temperature=dp.temperature, beta=float(z_t),
+                    flag="saturated" if sat else "",
+                    wall_ms=(time.perf_counter() - t0) * 1e3,
+                ))
 
 
 def _run_ntk_check(cfg: ExperimentConfig, threads: int, records: list) -> None:
-    h = cfg.hash()
+    emit = _emitter(cfg)
     x = unit_rng(cfg.seed, 0).normal(scale=5.0, size=(cfg.kernel_inputs, cfg.net.input_dim))
 
     def one(width_rep):
@@ -380,37 +466,22 @@ def _run_ntk_check(cfg: ExperimentConfig, threads: int, records: list) -> None:
         target = analytic_ntk_gram(net, x, jitter=0.0).entries
         gram = empirical_ntk_gram(net, init_params(net, seed), x, jitter=0.0).entries
         err = float(np.linalg.norm(gram - target) / np.linalg.norm(target))
-        return RunRecord(
-            experiment=cfg.experiment,
-            config_hash=h,
-            seed=seed,
-            value_name="frob_rel_err",
-            value=err,
-            n=width,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-        )
+        return emit({"frob_rel_err": err}, seed=seed, n=width,
+                    wall_ms=(time.perf_counter() - t0) * 1e3)
 
     units = [(w, r) for w in cfg.width_grid for r in range(cfg.repeats)]
-    records.extend(_pmap(one, units, threads))
+    done = [rec for chunk in _pmap(one, units, threads) for rec in chunk]
+    records.extend(done)
     for width in cfg.width_grid:
-        errs = [
-            r.value
-            for r in records
-            if r.n == width and r.value_name == "frob_rel_err"
-        ]
-        records.append(
-            RunRecord(cfg.experiment, h, cfg.seed, "frob_rel_err_mean",
-                      float(np.mean(errs)), n=width)
-        )
+        errs = [r.value for r in done if r.n == width]
+        records.extend(emit({"frob_rel_err_mean": float(np.mean(errs))}, n=width))
     # kernel-diagonal growth against the squared input norm
     rng = unit_rng(cfg.seed, 2)
     for norm in cfg.norm_grid:
         direction = rng.normal(size=cfg.net.input_dim)
         point = norm * direction / np.linalg.norm(direction)
         ratio = float(analytic_ntk_diag(cfg.net, point[None, :])[0] / norm**2)
-        records.append(
-            RunRecord(cfg.experiment, h, cfg.seed, "diag_ratio", ratio, beta=float(norm))
-        )
+        records.extend(emit({"diag_ratio": ratio}, beta=float(norm)))
 
 
 def distilled_target_fn(task: Task, dp: DistillParams):
@@ -427,7 +498,7 @@ def distilled_target_fn(task: Task, dp: DistillParams):
 
 
 def _run_inefficiency(cfg: ExperimentConfig, threads: int, records: list) -> None:
-    h = cfg.hash()
+    emit = _emitter(cfg)
     dps: list[DistillParams | None] = list(cfg.distill) or [None]
 
     def one(unit):
@@ -447,26 +518,21 @@ def _run_inefficiency(cfg: ExperimentConfig, threads: int, records: list) -> Non
             extra_points=cfg.extra_points,
         )
         wall = (time.perf_counter() - t0) * 1e3
-        out = []
         is_mix = task_spec.kind in ("mixture", "flipped-mixture")
+        saturated = ";saturated" if dp is not None and dp.soft_ratio == 0.0 else ""
+        out = []
         for j, n in enumerate(curve.ns):
-            common = dict(
-                experiment=cfg.experiment,
-                config_hash=h,
-                seed=cfg.seed,
+            out.extend(emit(
+                {"inefficiency": float(curve.inefficiency[j]),
+                 "log_mean_norm": float(curve.log_mean_norm[j])},
                 n=int(n),
                 rho=dp.soft_ratio if dp else None,
                 temperature=dp.temperature if dp else None,
                 q=task_spec.modes if is_mix else None,
                 p_flip=task_spec.p_flip if task_spec.kind == "flipped-mixture" else None,
-                flag=("unreliable" if curve.unreliable[j] else "")
-                + (";saturated" if dp is not None and dp.soft_ratio == 0.0 else ""),
+                flag=("unreliable" if curve.unreliable[j] else "") + saturated,
                 wall_ms=wall / len(curve.ns),
-            )
-            out.append(RunRecord(value_name="inefficiency",
-                                 value=float(curve.inefficiency[j]), **common))
-            out.append(RunRecord(value_name="log_mean_norm",
-                                 value=float(curve.log_mean_norm[j]), **common))
+            ))
         return out
 
     units = [
@@ -478,91 +544,6 @@ def _run_inefficiency(cfg: ExperimentConfig, threads: int, records: list) -> Non
         records.extend(chunk)
 
 
-@dataclass
-class OracleBundle:
-    """Trained reference weight changes for one (student, teacher) pairing."""
-
-    params0: np.ndarray
-    delta_star: np.ndarray
-    delta_zero: np.ndarray
-    eff_fn: object
-
-    @property
-    def norm_star(self) -> float:
-        return float(np.linalg.norm(self.delta_star))
-
-    @property
-    def norm_zero(self) -> float:
-        return float(np.linalg.norm(self.delta_zero))
-
-    @property
-    def norm_diff(self) -> float:
-        return float(np.linalg.norm(self.delta_star - self.delta_zero))
-
-
-def make_teacher_source(cfg: ExperimentConfig, task: Task, stop_epoch: int | None = None):
-    """Train the teacher network on the task's hard labels and wrap it as a
-    label source (reduced logits, ground truth from the task)."""
-    recipe = cfg.teacher
-    net = cfg.teacher_net or cfg.net
-    epochs = recipe.epochs if stop_epoch is None else stop_epoch
-    wanted = [epochs] if stop_epoch is not None else list(recipe.stop_epochs) or None
-    ckpts = train_teacher(
-        net,
-        task,
-        TrainConfig(recipe.learning_rate, recipe.batch_size, epochs),
-        seed=recipe.seed,
-        checkpoint_epochs=wanted,
-    )
-    return {
-        c.epoch: teacher_labels(c, recipe.temperature, recipe.reduction,
-                                ground_truth=lambda x: task.target_logits(x))
-        for c in ckpts
-    }
-
-
-def train_zero_oracle(
-    cfg: ExperimentConfig, params0: np.ndarray, sampler, key: int
-) -> np.ndarray:
-    """Online-batch run for the zero-function weight change.
-
-    It depends only on ``params0`` and the stream ``unit_rng(seed, key, 2)``,
-    never on the distill point, so one run serves every distill point that
-    shares the initialization and key.
-    """
-    return train_linearized(
-        cfg.net, params0, SquaredTargets(lambda x: np.zeros(len(x))),
-        cfg.oracle.train_config(), sampler=sampler, rng=unit_rng(cfg.seed, key, 2),
-    ).delta
-
-
-def train_oracles(
-    cfg: ExperimentConfig,
-    params0: np.ndarray,
-    eff_fn,
-    sampler,
-    key: int,
-    delta_zero: np.ndarray,
-) -> OracleBundle:
-    """Online-batch run for the oracle weight change, bundled with the
-    zero-function weight change.
-
-    ``delta_zero`` comes from :func:`train_zero_oracle` with the same
-    ``params0`` and ``key``.  It is shared across distill points: the
-    runners train it once per initialization, not once per distill point.
-    """
-    res_star = train_linearized(
-        cfg.net, params0, SquaredTargets(lambda x: eff_fn(x)), cfg.oracle.train_config(),
-        sampler=sampler, rng=unit_rng(cfg.seed, key, 1),
-    )
-    return OracleBundle(
-        params0=params0,
-        delta_star=res_star.delta,
-        delta_zero=delta_zero,
-        eff_fn=eff_fn,
-    )
-
-
 def student_closed_form(net: NetConfig, params0, x, targets):
     """Kernel-solve weight change for fixed data (finite-width Gram)."""
     z0 = forward(net, params0, x)
@@ -572,230 +553,155 @@ def student_closed_form(net: NetConfig, params0, x, targets):
     return delta, dz, gram
 
 
-def _fig2_label_source(cfg: ExperimentConfig):
-    """The shared perfect-teacher setup: one task, one trained teacher."""
-    task = Task(cfg.tasks[0])
-    source = make_teacher_source(cfg, task)
-    label = source[max(source)]
-    return task, label
-
-
 def _eff_fn_for(label, dp: DistillParams):
+    """Distilled targets: the effective logits of the label source's teacher
+    logits and hard labels at the distill point."""
+
     def eff_fn(x, rng=None):
-        z_t = label.logits(x)
-        vals, _ = saturated_effective_logits(z_t, label.hard(x), dp)
+        vals, _ = saturated_effective_logits(label.logits(x), label.hard(x), dp)
         return vals
 
     return eff_fn
 
 
-def _memo_ntk_diag(net: NetConfig, params0: np.ndarray):
-    """``empirical_ntk_diag`` at ``params0``, recomputed only when the inputs change.
+def _perfect_teacher(cfg: ExperimentConfig):
+    """The perfect-teacher setup: the first task's input sampler and the final
+    checkpoint of a teacher trained on it, with the task's own labels as
+    ground truth."""
+    task = Task(cfg.tasks[0])
+    recipe = cfg.teacher
+    teachers = _teacher_sources(cfg, task, recipe.seed, recipe.epochs,
+                                list(recipe.stop_epochs) or None, task.target_logits)
+    return task.sample_inputs, teachers[max(teachers)]
 
-    Every distill point of a repeat draws the same Monte Carlo inputs for
-    ``angle_distribution`` from one stream, so the diagonal on them is
-    computed once per initialization instead of once per distill point.
-    """
-    last = []
 
-    def ntk_diag(x):
-        if not last or not np.array_equal(last[0], x):
-            last[:] = [x, empirical_ntk_diag(net, params0, x)]
-        return last[1]
-
-    return ntk_diag
+def _angle_curve(cfg: ExperimentConfig, memo, dp: DistillParams, oracle_diff: np.ndarray,
+                 sampler, rng, betas):
+    """``angle_distribution`` of one distill point, with |dw_* - dw_z| from the
+    oracle runs and every evaluation on the inputs taken from the
+    initialization's memo."""
+    return angle_distribution(
+        lambda x: saturated_effective_logits(memo(x)[1], memo(x)[2], dp)[0],
+        lambda x: memo(x)[0],
+        float(np.linalg.norm(oracle_diff)), sampler, cfg.samples, rng, betas=betas,
+    )
 
 
 def _run_risk(cfg: ExperimentConfig, threads: int, records: list) -> None:
-    h = cfg.hash()
-    task, label = _fig2_label_source(cfg)
-    sampler = task.sample_inputs
-    inits = []
-    for rep in range(cfg.repeats):
-        params0 = init_params(cfg.net, unit_rng(cfg.seed, 90, rep))
-        inits.append((params0, train_zero_oracle(cfg, params0, sampler, key=91 + rep),
-                      _memo_ntk_diag(cfg.net, params0)))
+    emit = _emitter(cfg)
+    sampler, label = _perfect_teacher(cfg)
+    inits = [_perfect_teacher_init(cfg, sampler, label, rep) for rep in range(cfg.repeats)]
     for dp in cfg.distill:
         eff_fn = _eff_fn_for(label, dp)
-        for rep, (params0, delta_zero, ntk_diag) in enumerate(inits):
+        for rep, (params0, delta_zero, memo) in enumerate(inits):
             t0 = time.perf_counter()
-            bundle = train_oracles(
-                cfg, params0, eff_fn, sampler, key=91 + rep, delta_zero=delta_zero
-            )
-            curve = angle_distribution(
-                lambda x: bundle.eff_fn(x),
-                ntk_diag,
-                bundle.norm_diff,
-                sampler,
-                cfg.samples,
-                unit_rng(cfg.seed, 92, rep),
-            )
+            delta_star = _train_oracle(cfg, params0, eff_fn, sampler,
+                                       unit_rng(cfg.seed, 91 + rep, 1))
+            curve = _angle_curve(cfg, memo, dp, delta_star - delta_zero, sampler,
+                                 unit_rng(cfg.seed, 92, rep), None)
             risks = []
             for n in cfg.n_grid:
                 rng = unit_rng(cfg.seed, 93, rep, n)
                 x = sampler(int(n), rng)
-                delta_hat, dz, gram = student_closed_form(
-                    cfg.net, bundle.params0, x, bundle.eff_fn(x)
-                )
-                a_n = alpha_n(delta_hat, bundle.delta_star, bundle.delta_zero)
-                bound = risk_bound(curve, a_n)
+                delta_hat, _, _ = student_closed_form(cfg.net, params0, x, eff_fn(x))
+                a_n = alpha_n(delta_hat, delta_star, delta_zero)
                 est = empirical_risk(
-                    lambda xx: linear_logit(cfg.net, bundle.params0, delta_hat, xx),
+                    lambda xx: linear_logit(cfg.net, params0, delta_hat, xx),
                     label.logits,
                     sampler,
                     cfg.samples,
                     rng,
                 )
-                wall = (time.perf_counter() - t0) * 1e3
-                common = dict(experiment=cfg.experiment, config_hash=h,
-                              seed=rep, n=int(n), rho=dp.soft_ratio,
-                              temperature=dp.temperature, wall_ms=wall)
-                records.append(RunRecord(value_name="empirical_risk",
-                                         value=est.risk, **common))
-                records.append(RunRecord(value_name="risk_std_error",
-                                         value=est.std_error, **common))
-                records.append(RunRecord(value_name="risk_bound",
-                                         value=bound, **common))
-                records.append(RunRecord(value_name="alpha_n",
-                                         value=a_n, **common))
+                records.extend(emit(
+                    {"empirical_risk": est.risk, "risk_std_error": est.std_error,
+                     "risk_bound": risk_bound(curve, a_n), "alpha_n": a_n},
+                    seed=rep, n=int(n), rho=dp.soft_ratio, temperature=dp.temperature,
+                    wall_ms=(time.perf_counter() - t0) * 1e3,
+                ))
                 risks.append(max(est.risk, 1.0 / cfg.samples))
             fit = fit_power_law(cfg.n_grid, risks)
-            records.append(
-                RunRecord(cfg.experiment, h, rep, "risk_slope", fit.exponent,
-                          rho=dp.soft_ratio, temperature=dp.temperature)
-            )
+            records.extend(emit({"risk_slope": fit.exponent}, seed=rep,
+                                rho=dp.soft_ratio, temperature=dp.temperature))
 
 
 def _run_angle_dist(cfg: ExperimentConfig, threads: int, records: list) -> None:
-    h = cfg.hash()
+    emit = _emitter(cfg)
     betas = default_beta_grid(cfg.beta_points)
-    task, label = _fig2_label_source(cfg)
-    sampler = task.sample_inputs
-    params0 = init_params(cfg.net, unit_rng(cfg.seed, 90, 0))
-    delta_zero = train_zero_oracle(cfg, params0, sampler, key=91)
-    ntk_diag = _memo_ntk_diag(cfg.net, params0)
+    sampler, label = _perfect_teacher(cfg)
+    params0, delta_zero, memo = _perfect_teacher_init(cfg, sampler, label, 0)
     for dp in cfg.distill:
         t0 = time.perf_counter()
-        eff_fn = _eff_fn_for(label, dp)
-        bundle = train_oracles(
-            cfg, params0, eff_fn, sampler, key=91, delta_zero=delta_zero
-        )
-        curve = angle_distribution(
-            lambda x: bundle.eff_fn(x),
-            ntk_diag,
-            bundle.norm_diff,
-            sampler,
-            cfg.samples,
-            unit_rng(cfg.seed, 95),
-            betas=betas,
-        )
+        delta_star = _train_oracle(cfg, params0, _eff_fn_for(label, dp), sampler,
+                                   unit_rng(cfg.seed, 91, 1))
+        curve = _angle_curve(cfg, memo, dp, delta_star - delta_zero, sampler,
+                             unit_rng(cfg.seed, 95), betas)
         wall = (time.perf_counter() - t0) * 1e3
         for beta, p in zip(curve.betas, curve.survival):
-            records.append(
-                RunRecord(cfg.experiment, h, cfg.seed, "survival", float(p),
-                          rho=dp.soft_ratio, temperature=dp.temperature,
-                          beta=float(beta), wall_ms=wall / len(betas))
-            )
+            records.extend(emit({"survival": float(p)}, rho=dp.soft_ratio,
+                                temperature=dp.temperature, beta=float(beta),
+                                wall_ms=wall / len(betas)))
 
 
 def _run_zero_norm(cfg: ExperimentConfig, threads: int, records: list) -> None:
-    h = cfg.hash()
     dp = cfg.distill[0] if cfg.distill else DistillParams(1.0, cfg.teacher.temperature)
     t0 = time.perf_counter()
-    task, label = _fig2_label_source(cfg)
-    params0 = init_params(cfg.net, unit_rng(cfg.seed, 90, 0))
-    sampler = task.sample_inputs
-    bundle = train_oracles(
-        cfg, params0, _eff_fn_for(label, dp), sampler, key=91,
-        delta_zero=train_zero_oracle(cfg, params0, sampler, key=91),
-    )
+    sampler, label = _perfect_teacher(cfg)
+    params0, delta_zero, _ = _perfect_teacher_init(cfg, sampler, label, 0)
+    delta_star = _train_oracle(cfg, params0, _eff_fn_for(label, dp), sampler,
+                               unit_rng(cfg.seed, 91, 1))
+    norm_star = float(np.linalg.norm(delta_star))
+    norm_zero = float(np.linalg.norm(delta_zero))
     wall = (time.perf_counter() - t0) * 1e3
-    common = dict(experiment=cfg.experiment, config_hash=h, seed=cfg.seed,
-                  rho=dp.soft_ratio, temperature=dp.temperature, wall_ms=wall / 3)
-    records.extend([
-        RunRecord(value_name="norm_oracle", value=bundle.norm_star, **common),
-        RunRecord(value_name="norm_zero", value=bundle.norm_zero, **common),
-        RunRecord(value_name="norm_ratio",
-                  value=bundle.norm_zero / bundle.norm_star, **common),
-    ])
+    records.extend(_emitter(cfg)(
+        {"norm_oracle": norm_star, "norm_zero": norm_zero, "norm_ratio": norm_zero / norm_star},
+        rho=dp.soft_ratio, temperature=dp.temperature, wall_ms=wall / 3,
+    ))
 
 
 class _SignTask:
-    """Hard labels from the sign of a fixed logit function."""
+    """The base task's inputs, hard-labelled by the sign of a logit function."""
 
-    def __init__(self, logits_fn, base_task: Task):
+    def __init__(self, base: Task, logits_fn):
+        self.sample_inputs = base.sample_inputs
         self.logits_fn = logits_fn
-        self._base = base_task
-        self.subtract_init = True
-
-    def sample_inputs(self, n, rng):
-        return self._base.sample_inputs(n, rng)
-
-    def target_logits(self, x, rng=None):
-        return self.logits_fn(x)
 
     def hard_labels(self, x, rng=None):
         return (self.logits_fn(x) > 0).astype(float)
-
-
-def ground_truth_chain(cfg: ExperimentConfig):
-    """The imperfect-teacher setup: the ground truth is itself a trained
-    network (fit long on the base task's labels), and the swept teacher
-    trains on that network's signs with early-stopped checkpoints."""
-    base = Task(cfg.tasks[0])
-    net = cfg.teacher_net or cfg.net
-    recipe = cfg.teacher
-    gt_ckpt = train_teacher(
-        net,
-        base,
-        TrainConfig(recipe.learning_rate, recipe.batch_size, recipe.epochs),
-        seed=recipe.seed,
-        checkpoint_epochs=[recipe.epochs],
-    )[-1]
-    gt_fn = lambda x: forward(gt_ckpt.config, gt_ckpt.params, x)
-    sweep_task = _SignTask(gt_fn, base)
-    epochs = max(recipe.stop_epochs) if recipe.stop_epochs else recipe.epochs
-    ckpts = train_teacher(
-        net,
-        sweep_task,
-        TrainConfig(recipe.learning_rate, recipe.batch_size, epochs),
-        seed=recipe.seed + 1,
-        checkpoint_epochs=list(recipe.stop_epochs) or None,
-    )
-    sources = {
-        c.epoch: teacher_labels(c, recipe.temperature, recipe.reduction, ground_truth=gt_fn)
-        for c in ckpts
-        if c.epoch > 0
-    }
-    return sweep_task, gt_fn, sources
 
 
 def _run_hard_label_effect(cfg: ExperimentConfig, threads: int, records: list) -> None:
     from .distillation import correction_logit
     from .hardlabel import correction_projection, hard_label_derivative
 
-    h = cfg.hash()
-    task, gt_fn, sources = ground_truth_chain(cfg)
-    sampler = task.sample_inputs
-    temp = cfg.teacher.temperature
+    emit = _emitter(cfg)
+    recipe = cfg.teacher
+    temp = recipe.temperature
+    base = Task(cfg.tasks[0])
+    sampler = base.sample_inputs
+    # the ground truth is itself a trained network, fit long on the base
+    # task's labels; the swept teacher trains on that network's signs, and
+    # its early-stopped checkpoints are the imperfect teachers
+    gt = _teacher_sources(cfg, base, recipe.seed, recipe.epochs, [recipe.epochs], None)
+    gt_ckpt = gt[max(gt)].checkpoint
+    gt_fn = lambda x: forward(gt_ckpt.config, gt_ckpt.params, x)
+    sweep = _teacher_sources(
+        cfg, _SignTask(base, gt_fn), recipe.seed + 1,
+        max(recipe.stop_epochs) if recipe.stop_epochs else recipe.epochs,
+        list(recipe.stop_epochs) or None, gt_fn,
+    )
+    teachers = sorted((epoch, label) for epoch, label in sweep.items() if epoch > 0)
 
     for rep in range(cfg.repeats):
         params0 = init_params(cfg.net, unit_rng(cfg.seed, 80, rep))
         # ground-truth oracle norm from one online run on the true targets
-        res_g = train_linearized(
-            cfg.net, params0,
-            SquaredTargets(lambda x: task.target_logits(x)),
-            cfg.oracle.train_config(),
-            sampler=sampler, rng=unit_rng(cfg.seed, 81, rep),
-        )
-        norm_wg = float(np.linalg.norm(res_g.delta))
+        delta_g = _train_oracle(cfg, params0, gt_fn, sampler, unit_rng(cfg.seed, 81, rep))
+        norm_wg = float(np.linalg.norm(delta_g))
         for n in cfg.n_grid or [256]:
-            rng = unit_rng(cfg.seed, 82, rep, n)
-            x = sampler(int(n), rng)
+            x = sampler(int(n), unit_rng(cfg.seed, 82, rep, n))
             z0 = forward(cfg.net, params0, x)
-            dz_g = task.target_logits(x) - z0
+            dz_g = gt_fn(x) - z0
             gram = empirical_ntk_gram(cfg.net, params0, x)
-            for epoch, label in sorted(sources.items()):
+            for epoch, label in teachers:
                 t0 = time.perf_counter()
                 z_t = label.logits(x)
                 y_g = label.hard(x)
@@ -804,13 +710,11 @@ def _run_hard_label_effect(cfg: ExperimentConfig, threads: int, records: list) -
                 proj = correction_projection(gram, dz_g, dz_t, dz_h)
                 deriv = hard_label_derivative(gram, dz_g, dz_t, dz_h, norm_wg)
                 wall = (time.perf_counter() - t0) * 1e3
-                common = dict(experiment=cfg.experiment, config_hash=h, seed=rep,
-                              n=int(n), temperature=temp, epoch=epoch,
-                              wall_ms=wall / 3)
-                records.append(RunRecord(value_name="projection", value=proj, **common))
-                records.append(RunRecord(value_name="derivative", value=deriv, **common))
-                records.append(RunRecord(value_name="projection_sign",
-                                         value=float(np.sign(proj)), **common))
+                records.extend(emit(
+                    {"projection": proj, "derivative": deriv,
+                     "projection_sign": float(np.sign(proj))},
+                    seed=rep, n=int(n), temperature=temp, epoch=epoch, wall_ms=wall / 3,
+                ))
 
 
 _RUNNERS = {

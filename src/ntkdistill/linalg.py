@@ -118,11 +118,6 @@ class KernelMatrix:
         return solve_triangular(self.cholesky(), b, lower=True)
 
 
-def spd_solve(kernel: KernelMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve the jittered SPD system K v = b."""
-    return kernel.solve(b)
-
-
 def kernel_inner(kernel: KernelMatrix, a: np.ndarray, b: np.ndarray) -> float:
     """Kernel inner product a^T K^{-1} b.
 

@@ -160,12 +160,6 @@ class LabelSource:
         return (np.asarray(self.ground_truth(x)) > 0).astype(float)
 
 
-def teacher_labels(
-    checkpoint: Checkpoint, temperature: float, reduction: float, ground_truth=None
-) -> LabelSource:
-    return LabelSource(checkpoint, temperature, reduction, ground_truth)
-
-
 @dataclass(frozen=True)
 class TaskSpec:
     """Config-file description of a synthetic task.
@@ -234,7 +228,7 @@ class Task:
             from .network import load_checkpoint
 
             ckpt = load_checkpoint(spec.checkpoint)
-            self._ground = teacher_labels(ckpt, spec.temperature, spec.reduction)
+            self._ground = LabelSource(ckpt, spec.temperature, spec.reduction)
 
     @property
     def subtract_init(self) -> bool:

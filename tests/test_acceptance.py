@@ -49,7 +49,7 @@ from ntkdistill.network import (
     train_teacher,
     weighted_feature_sum,
 )
-from ntkdistill.tasks import MixtureSpec, Task, TaskSpec, realize_mixture, teacher_labels
+from ntkdistill.tasks import LabelSource, MixtureSpec, Task, TaskSpec, realize_mixture
 from ntkdistill.experiments import distilled_target_fn
 
 
@@ -86,8 +86,8 @@ def confident_teacher():
         seed=5,
         checkpoint_epochs=[16384],
     )[-1]
-    return teacher_labels(ckpt, temperature=10.0, reduction=0.3,
-                          ground_truth=GROUND_MIXTURE.values)
+    return LabelSource(ckpt, temperature=10.0, reduction=0.3,
+                       ground_truth=GROUND_MIXTURE.values)
 
 
 # ------------------------------------------------------------ criterion 1
@@ -489,7 +489,7 @@ def test_criterion_10_hard_label_sign_flip():
         for ckpt in checkpoints:
             if ckpt.epoch == 0:
                 continue
-            label = teacher_labels(ckpt, temp, reduction, ground_truth=gt_fn)
+            label = LabelSource(ckpt, temp, reduction, ground_truth=gt_fn)
             z_t = label.logits(x)
             proj = correction_projection(
                 gram, dz_g, z_t - z0, correction_logit(z_t, y_g, temp)

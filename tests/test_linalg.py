@@ -7,7 +7,6 @@ from ntkdistill.linalg import (
     SingularKernelError,
     acute_angle,
     kernel_inner,
-    spd_solve,
 )
 
 
@@ -19,12 +18,12 @@ def random_spd(n, rng, scale=1.0):
 def test_solve_identity():
     k = KernelMatrix(np.eye(3), jitter=0.0)
     b = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(spd_solve(k, b), b, rtol=0, atol=1e-12)
+    assert np.allclose(k.solve(b), b, rtol=0, atol=1e-12)
 
 
 def test_solve_diagonal():
     k = KernelMatrix(np.diag([2.0, 2.0]), jitter=0.0)
-    assert np.allclose(spd_solve(k, np.array([1.0, 1.0])), [0.5, 0.5])
+    assert np.allclose(k.solve(np.array([1.0, 1.0])), [0.5, 0.5])
 
 
 def test_solve_matches_explicit_inverse():
@@ -34,7 +33,7 @@ def test_solve_matches_explicit_inverse():
     k = KernelMatrix(m, jitter=0.0)
     b = rng.standard_normal(5)
     expected = np.linalg.inv(m) @ b
-    assert np.allclose(spd_solve(k, b), expected, rtol=1e-8, atol=1e-10)
+    assert np.allclose(k.solve(b), expected, rtol=1e-8, atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 16, 128, 512])
@@ -43,7 +42,7 @@ def test_solve_residual(n):
     m = random_spd(n, rng)
     k = KernelMatrix(m)
     b = rng.standard_normal(n)
-    v = spd_solve(k, b)
+    v = k.solve(b)
     assert np.linalg.norm(m @ v - b) / np.linalg.norm(b) <= 1e-6
 
 
@@ -94,7 +93,7 @@ def test_jitter_escalation_recovers_semidefinite():
     v = np.array([1.0, 1.0])
     k = KernelMatrix(np.outer(v, v), jitter=0.0)
     b = np.array([1.0, 1.0])
-    sol = spd_solve(k, b)
+    sol = k.solve(b)
     assert np.all(np.isfinite(sol))
     assert k.jitter_used > 0
 

@@ -27,7 +27,7 @@ from ntkdistill.network import (
     train_teacher,
     weighted_feature_sum,
 )
-from ntkdistill.tasks import MixtureSpec, realize_mixture, teacher_labels
+from ntkdistill.tasks import LabelSource, MixtureSpec, realize_mixture
 
 STUDENT = NetConfig(2, 2, 128)
 MIXTURE = realize_mixture(MixtureSpec(modes=6, dim=2, amplitude=2.0),
@@ -54,8 +54,8 @@ def oracle_setup():
         NetConfig(2, 3, 64), MixtureHardTask(), TrainConfig(0.01, 256, 16384),
         seed=5, checkpoint_epochs=[16384],
     )[-1]
-    label = teacher_labels(ckpt, temperature=10.0, reduction=1.0,
-                           ground_truth=MIXTURE.values)
+    label = LabelSource(ckpt, temperature=10.0, reduction=1.0,
+                        ground_truth=MIXTURE.values)
     params0 = init_params(STUDENT, 7)
     dp = DistillParams(1.0, 10.0)
 

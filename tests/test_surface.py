@@ -1,0 +1,50 @@
+"""Guards on the public surface: the shipped configs and the demos.
+
+The configs and demos are not exercised end to end by the suite (they take
+minutes), so these checks catch a renamed field or a deleted function that
+would break them.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+from ntkdistill.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_validates(path, capsys):
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("OK")
+
+
+def _ntkdistill_imports(path):
+    """(module, name) for every name a file imports from ntkdistill; name is
+    None for a plain ``import ntkdistill.x``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ntkdistill":
+            for alias in node.names:
+                yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "ntkdistill":
+                    yield alias.name, None
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_resolve(path):
+    imports = list(_ntkdistill_imports(path))
+    assert imports  # every demo drives the library
+    for module, name in imports:
+        mod = importlib.import_module(module)
+        assert name is None or hasattr(mod, name), f"{module}.{name}"
+
+
+def test_configs_and_demos_found():
+    assert CONFIGS and DEMOS

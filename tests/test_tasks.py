@@ -3,6 +3,7 @@ import pytest
 
 from ntkdistill.network import Checkpoint, NetConfig, forward, init_params
 from ntkdistill.tasks import (
+    LabelSource,
     MixtureSpec,
     Task,
     TaskSpec,
@@ -11,7 +12,6 @@ from ntkdistill.tasks import (
     mixture_value,
     realize_mixture,
     sample_inputs,
-    teacher_labels,
 )
 
 
@@ -130,8 +130,8 @@ def test_teacher_labels_scaling():
     ck = _toy_checkpoint()
     x = np.random.default_rng(1).normal(size=(12, 2))
     raw = forward(ck.config, ck.params, x)
-    src1 = teacher_labels(ck, temperature=4.0, reduction=1.0)
-    src2 = teacher_labels(ck, temperature=4.0, reduction=2.0)
+    src1 = LabelSource(ck, temperature=4.0, reduction=1.0)
+    src2 = LabelSource(ck, temperature=4.0, reduction=2.0)
     assert np.allclose(src1.logits(x), raw)
     assert np.allclose(src2.logits(x), 2.0 * raw)
     # soft label at zero logit is 1/2 at any temperature
@@ -143,10 +143,10 @@ def test_teacher_labels_scaling():
 
 def test_teacher_hard_labels_from_ground_truth():
     ck = _toy_checkpoint()
-    src = teacher_labels(ck, 1.0, 1.0, ground_truth=lambda x: x[:, 0] - 1.0)
+    src = LabelSource(ck, 1.0, 1.0, ground_truth=lambda x: x[:, 0] - 1.0)
     x = np.array([[2.0, 0.0], [0.0, 0.0]])
     assert np.array_equal(src.hard(x), [1.0, 0.0])
-    bare = teacher_labels(ck, 1.0, 1.0)
+    bare = LabelSource(ck, 1.0, 1.0)
     with pytest.raises(ValueError):
         bare.hard(x)
 
