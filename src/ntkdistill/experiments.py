@@ -373,8 +373,9 @@ def _emitter(cfg: ExperimentConfig):
 
 
 def _teacher_sources(
-    cfg: ExperimentConfig, task, seed: int, epochs: int, checkpoints, ground_truth
-) -> dict:
+    cfg: ExperimentConfig, task, seed: int, epochs: int, checkpoints: list[int] | None,
+    ground_truth,
+) -> dict[int, LabelSource]:
     """Train ``cfg.teacher_net or cfg.net`` with the teacher recipe on the
     task's hard labels; returns ``{epoch: LabelSource}`` for the checkpoints
     (epoch 0, the initialization, included), each with the recipe's
@@ -581,7 +582,7 @@ def _angle_curve(cfg: ExperimentConfig, memo, dp: DistillParams, oracle_diff: np
     oracle runs and every evaluation on the inputs taken from the
     initialization's memo."""
     return angle_distribution(
-        lambda x: saturated_effective_logits(memo(x)[1], memo(x)[2], dp)[0],
+        lambda x: saturated_effective_logits(*memo(x)[1:], dp)[0],
         lambda x: memo(x)[0],
         float(np.linalg.norm(oracle_diff)), sampler, cfg.samples, rng, betas=betas,
     )

@@ -349,6 +349,33 @@ def test_mc_kernel_diagonal_computed_once_per_initialization(
     assert rows == [data["samples"]] * expected_calls
 
 
+@pytest.mark.parametrize(
+    "data, expected_calls",
+    [(TINY_RISK, TINY_RISK["repeats"]), (TINY_ANGLE, 1)],
+    ids=["risk", "angle-dist"],
+)
+def test_mc_teacher_evaluated_once_per_initialization(
+    tmp_path, monkeypatch, data, expected_calls
+):
+    # the teacher's logits and hard labels on the Monte Carlo inputs are
+    # evaluated together, once per initialization; no other hard-label call
+    # in these runs sees that many inputs (oracle batches and the risk grid
+    # are smaller, and empirical_risk reads only logits)
+    from ntkdistill.tasks import LabelSource
+
+    rows = []
+    original = LabelSource.hard
+
+    def counting(self, x):
+        rows.append(len(x))
+        return original(self, x)
+
+    monkeypatch.setattr(LabelSource, "hard", counting)
+    status, _ = run(write_config(tmp_path, data), out_dir=tmp_path / "out")
+    assert status == 0
+    assert rows.count(data["samples"]) == expected_calls
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_numerical_and_keeps_manifest(tmp_path):
     data = {

@@ -138,7 +138,18 @@ def _tiny_fig2_config(kind, **extra):
     return base
 
 
+# in the order that keeps the first four cases' test ids
 SMOKE_CASES = {
+    "risk": {"n_grid": [4, 8, 16], "repeats": 1,
+             "distill": [{"soft_ratio": 1.0, "temperature": 2.0}]},
+    "angle-dist": {"beta_points": 17,
+                   "distill": [{"soft_ratio": 0.5, "temperature": 2.0}]},
+    "zero-norm": {"distill": [{"soft_ratio": 1.0, "temperature": 2.0}]},
+    "hard-label-effect": {"n_grid": [32], "repeats": 2,
+                          "teacher": {"epochs": 128, "learning_rate": 0.01,
+                                      "batch_size": 64, "seed": 5,
+                                      "stop_epochs": [16, 128],
+                                      "temperature": 2.0, "reduction": 0.5}},
     "effective-logits": {"distill": [{"soft_ratio": 1.0, "temperature": 2.0},
                                      {"soft_ratio": 0.0, "temperature": 2.0}],
                          "z_t_grid": [-3.0, -0.5, 0.5, 3.0]},
@@ -150,16 +161,6 @@ SMOKE_CASES = {
                      "distill": [{"soft_ratio": 1.0, "temperature": 2.0},
                                  {"soft_ratio": 0.0, "temperature": 2.0}],
                      "n_grid": [8, 16], "repeats": 2, "extra_points": 2},
-    "risk": {"n_grid": [4, 8, 16], "repeats": 1,
-             "distill": [{"soft_ratio": 1.0, "temperature": 2.0}]},
-    "angle-dist": {"beta_points": 17,
-                   "distill": [{"soft_ratio": 0.5, "temperature": 2.0}]},
-    "zero-norm": {"distill": [{"soft_ratio": 1.0, "temperature": 2.0}]},
-    "hard-label-effect": {"n_grid": [32], "repeats": 2,
-                          "teacher": {"epochs": 128, "learning_rate": 0.01,
-                                      "batch_size": 64, "seed": 5,
-                                      "stop_epochs": [16, 128],
-                                      "temperature": 2.0, "reduction": 0.5}},
 }
 
 # Golden CSVs (wall_ms dropped) of the smoke runs.  They pin every value, so a
@@ -178,16 +179,16 @@ def _csv_without_wall_ms(path):
     return [row[:wall] + row[wall + 1:] for row in rows]
 
 
-def _run_smoke(kind, out_dir):
+def _run_smoke(kind, extra, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "cfg.json"
-    path.write_text(json.dumps(_tiny_fig2_config(kind, **SMOKE_CASES[kind])))
+    path.write_text(json.dumps(_tiny_fig2_config(kind, **extra)))
     return run(path, out_dir=out_dir / "out")
 
 
-@pytest.mark.parametrize("kind", list(SMOKE_CASES))
-def test_runner_smoke(tmp_path, kind):
-    status, paths = _run_smoke(kind, tmp_path)
+@pytest.mark.parametrize("kind,extra", list(SMOKE_CASES.items()))
+def test_runner_smoke(tmp_path, kind, extra):
+    status, paths = _run_smoke(kind, extra, tmp_path)
     assert status == 0
     manifest = json.loads(open(paths[-1]).read())
     assert not manifest["incomplete"]
@@ -228,8 +229,8 @@ if __name__ == "__main__":
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for kind in SMOKE_CASES:
-            status, paths = _run_smoke(kind, Path(tmp) / kind)
+        for kind, extra in SMOKE_CASES.items():
+            status, paths = _run_smoke(kind, extra, Path(tmp) / kind)
             assert status == 0, kind
             with open(GOLDEN / f"{kind}.csv", "w", newline="") as fh:
                 csv.writer(fh).writerows(_csv_without_wall_ms(paths[0]))
