@@ -197,6 +197,72 @@ def _solve_root(z_t, y, rho, temp):
     return 0.5 * (lo + hi)
 
 
+# the grid of the solver tests below: soft ratios, temperatures and teacher
+# logits from the pure-soft end to nearly pure hard labels
+SOLVER_RHOS = (1.0, 0.5, 0.05, 0.01)
+SOLVER_TEMPS = (1.0, 4.0, 10.0, 30.0)
+SOLVER_Z_T = np.linspace(-50.0, 50.0, 41)
+
+
+def _root_uncertainty(z, z_t, y, rho, temp):
+    # how far a root at z can move while the residual stays within its own
+    # rounding error: eps times the size of the residual's pieces, over the
+    # slope
+    u = z / temp
+    pieces = (rho / temp) * np.maximum(expit(u), expit(z_t / temp)) + (1 - rho) * np.maximum(
+        expit(z), y
+    )
+    slope = (rho / temp**2) * expit(u) * expit(-u) + (1 - rho) * expit(z) * expit(-z)
+    return np.finfo(float).eps * pieces / slope
+
+
+@pytest.mark.parametrize("rho", SOLVER_RHOS)
+def test_effective_logits_entries_solved_independently(rho):
+    # an entry's root does not depend on the batch it is solved in; every
+    # residual is below 1e-12, and the root agrees with an independent
+    # bisection wherever the residual's rounding pins it that closely
+    compared = 0
+    for temp in SOLVER_TEMPS:
+        p = DistillParams(soft_ratio=rho, temperature=temp)
+        for y in (0.0, 1.0):
+            batch = effective_logits(SOLVER_Z_T, y, p)
+            alone = np.array([effective_logits(z_t, y, p) for z_t in SOLVER_Z_T])
+            assert np.array_equal(batch, alone)
+            assert np.all(np.abs(loss_gradient(batch, SOLVER_Z_T, y, p)) < 1e-12)
+            ref = np.array([_solve_root(z_t, y, rho, temp) for z_t in SOLVER_Z_T])
+            tol = 1e-9 * np.maximum(1.0, np.abs(ref))
+            # flat roots (sigmoid' tiny at the root next to a sigmoid near 1)
+            # are pinned only to within the residual's rounding error
+            pinned = 4 * _root_uncertainty(ref, SOLVER_Z_T, y, rho, temp) <= tol
+            assert np.all(np.abs(batch - ref)[pinned] <= tol[pinned])
+            compared += pinned.sum()
+    assert compared >= len(SOLVER_TEMPS) * len(SOLVER_Z_T)  # half the entries
+
+
+def test_effective_logits_residual_budget(monkeypatch):
+    # each entry stops on its own test, so a 128-entry solve costs a bounded
+    # number of residual evaluations (bisection to rounding level took ~58)
+    import ntkdistill.distillation as distillation
+
+    calls = []
+    original = distillation.loss_gradient
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(distillation, "loss_gradient", counting)
+    rng = np.random.default_rng(3)
+    for rho in (1.0, 0.5, 0.05):
+        p = DistillParams(soft_ratio=rho, temperature=10.0)
+        for _ in range(20):
+            z_t = rng.normal(scale=3.0, size=128)
+            y = (z_t + rng.normal(size=128) > 0).astype(float)
+            calls.clear()
+            effective_logits(z_t, y, p)
+            assert len(calls) <= 30
+
+
 def test_correction_logit_matches_solver_derivative():
     # central finite difference of the root across rho = 1 (the residual
     # stays strictly monotone slightly beyond rho = 1)
