@@ -19,6 +19,12 @@ the integer coordinate (sample size; network width for ntk-check) and
 effective-logits, input norm for the ntk-check diagonal rows).  Reruns with
 the same config and seed are byte-identical except for wall_ms.
 
+The ``seed`` column means one of three things: the root seed on most rows;
+the derived seed that initialized the network on ntk-check's per-repeat
+``frob_rel_err`` rows; and the repeat index (0, 1, ...) on risk and
+hard-label-effect rows, whose streams derive from the root seed in the
+manifest and that index.
+
 Per-record seeds derive from the root seed and the record's own grid
 coordinates (see :func:`ntkdistill.metrics.unit_rng`), so extending a grid
 never perturbs existing rows, and units may be dispatched concurrently
@@ -31,9 +37,10 @@ Each runner is a thin composition of four private pieces:
   :class:`~ntkdistill.tasks.LabelSource` with a given ground truth (the
   perfect teacher, the imperfect teacher's ground-truth network and its
   early-stopped sweep all come from it);
-* ``_train_oracle`` — the one online-batch oracle run of the linearized
-  student on a target function (distilled, zero-function, or ground-truth
-  targets), returning the weight change;
+* ``_train_oracles`` — the one online-batch oracle run of the linearized
+  student on a list of target functions (distilled, zero-function, or
+  ground-truth targets), trained in lockstep on one batch stream, returning
+  one weight change per target;
 * ``_perfect_teacher_init`` — a repeat's initialization for the
   perfect-teacher runners (risk, angle-dist, zero-norm): the initial
   parameters, the zero-function weight change, and a memo of the NTK
@@ -41,6 +48,25 @@ Each runner is a thin composition of four private pieces:
   initialization evaluates them once whatever the number of distill points;
 * ``_emitter`` — the row emitter: fills experiment, config hash and the
   default seed of every record.
+
+The distill points of a perfect-teacher repeat share their oracle batch
+stream, so risk and angle-dist train their distill-point oracles in
+lockstep: each step draws one batch, sweeps it once and evaluates the
+teacher on it once (``_distilled_targets``).  Each (repeat, n) point of the
+risk study likewise shares, across distill points, its training sample's
+sweep and Gram factorization, its Monte Carlo inputs, the teacher's logits
+on them and the student's sweep over them (``_risk_point``).  The risk
+runner therefore works repeat by repeat, and still writes its rows in
+distill point -> repeat -> n order, including when a later repeat fails.
+
+``wall_ms`` spans, per kind: on a risk row, the repeat's work from its
+initialization (zero-function and lockstep oracle runs, angle passes) up to
+and including grid point ``n`` for all distill points (``risk_slope`` rows
+carry 0); on angle-dist rows, the distill point's equal share of the
+lockstep oracle run plus its own angle pass, spread over its beta rows; on
+effective-logits rows, the time since the distill point's first solve; on
+the other kinds, the unit of work that produced the rows, spread evenly
+over them (ntk-check's summary rows carry 0).
 """
 
 from __future__ import annotations
@@ -75,10 +101,10 @@ from .network import (
     TrainConfig,
     forward,
     init_params,
-    linear_logit,
+    _as_batch,
+    _Cache,
     train_linearized,
     train_teacher,
-    weighted_feature_sum,
 )
 from .tasks import LabelSource, Task, TaskSpec
 
@@ -394,13 +420,28 @@ def _teacher_sources(
     }
 
 
-def _train_oracle(cfg: ExperimentConfig, params0: np.ndarray, target_fn, sampler, rng):
-    """Online-batch oracle run of the linearized student at ``params0`` on
-    squared-loss targets ``target_fn(x)``; returns the weight change."""
-    return train_linearized(
-        cfg.net, params0, SquaredTargets(target_fn), cfg.oracle.train_config(),
-        sampler=sampler, rng=rng,
-    ).delta
+def _train_oracles(cfg: ExperimentConfig, params0: np.ndarray, target_fns, sampler, rng):
+    """Online-batch oracle runs of the linearized student at ``params0``, one
+    per squared-loss target function ``target_fns[i](x)``, trained in lockstep
+    on one batch stream; returns the weight changes in the same order."""
+    results = train_linearized(
+        cfg.net, params0, [SquaredTargets(fn) for fn in target_fns],
+        cfg.oracle.train_config(), sampler=sampler, rng=rng,
+    )
+    return [r.delta for r in results]
+
+
+def _memo_last(fn):
+    """``fn`` of an input array, recomputed only when the input differs in
+    value from the previous call's."""
+    last = []
+
+    def memo(x):
+        if not last or not np.array_equal(last[0], x):
+            last[:] = [x, fn(x)]
+        return last[1]
+
+    return memo
 
 
 def _perfect_teacher_init(cfg: ExperimentConfig, sampler, label, rep: int):
@@ -410,24 +451,18 @@ def _perfect_teacher_init(cfg: ExperimentConfig, sampler, label, rep: int):
     ``params0`` comes from ``unit_rng(seed, 90, rep)``.  ``delta_zero``, the
     zero-function weight change, runs on the oracle stream
     ``unit_rng(seed, 91 + rep, 2)``; it never depends on the distill point,
-    so one run serves every distill point (whose own oracle runs on
-    ``unit_rng(seed, 91 + rep, 1)``).  ``memo(x)`` gives the NTK diagonal at
-    ``params0`` and the teacher's logits and hard labels on ``x``, recomputed
-    only when ``x`` changes: every distill point of a repeat draws the same
-    Monte Carlo inputs for ``angle_distribution``, so they are evaluated once
-    per initialization instead of once per distill point.
+    so one run serves every distill point (whose own oracles run in lockstep
+    on ``unit_rng(seed, 91 + rep, 1)``).  ``memo(x)`` gives the NTK diagonal
+    at ``params0`` and the teacher's logits and hard labels on ``x``,
+    recomputed only when ``x`` changes: every distill point of a repeat draws
+    the same Monte Carlo inputs for ``angle_distribution``, so they are
+    evaluated once per initialization instead of once per distill point.
     """
     params0 = init_params(cfg.net, unit_rng(cfg.seed, 90, rep))
-    delta_zero = _train_oracle(cfg, params0, lambda x: np.zeros(len(x)), sampler,
-                               unit_rng(cfg.seed, 91 + rep, 2))
-    last = []
-
-    def memo(x):
-        if not last or not np.array_equal(last[0], x):
-            last[:] = [x, (empirical_ntk_diag(cfg.net, params0, x), label.logits(x),
-                           label.hard(x))]
-        return last[1]
-
+    [delta_zero] = _train_oracles(cfg, params0, [lambda x: np.zeros(len(x))], sampler,
+                                  unit_rng(cfg.seed, 91 + rep, 2))
+    memo = _memo_last(lambda x: (empirical_ntk_diag(cfg.net, params0, x), label.logits(x),
+                                 label.hard(x)))
     return params0, delta_zero, memo
 
 
@@ -545,24 +580,26 @@ def _run_inefficiency(cfg: ExperimentConfig, threads: int, records: list) -> Non
         records.extend(chunk)
 
 
-def student_closed_form(net: NetConfig, params0, x, targets):
-    """Kernel-solve weight change for fixed data (finite-width Gram)."""
-    z0 = forward(net, params0, x)
-    dz = np.asarray(targets, dtype=float) - z0
+def student_closed_form(net: NetConfig, params0, x, targets) -> list[np.ndarray]:
+    """Kernel-solve weight changes for fixed data (finite-width Gram), one per
+    target vector in ``targets``.  The sweep of ``x``, its Gram and the Gram's
+    factorization are computed once and shared by all of them."""
+    batch, _ = _as_batch(net, x)
+    sweep = _Cache(net, np.asarray(params0, dtype=float), batch)
     gram = empirical_ntk_gram(net, params0, x)
-    delta = weighted_feature_sum(net, params0, x, gram.solve(dz))
-    return delta, dz, gram
+    return [sweep.weighted_gradient(gram.solve(np.asarray(t, dtype=float) - sweep.logits))
+            for t in targets]
 
 
-def _eff_fn_for(label, dp: DistillParams):
-    """Distilled targets: the effective logits of the label source's teacher
-    logits and hard labels at the distill point."""
-
-    def eff_fn(x, rng=None):
-        vals, _ = saturated_effective_logits(label.logits(x), label.hard(x), dp)
-        return vals
-
-    return eff_fn
+def _distilled_targets(label, dps):
+    """Distilled target functions, one per distill point: the effective
+    logits of the label source's teacher logits and hard labels.  They share
+    one teacher evaluation per input set, so oracles trained in lockstep and
+    closed-form students fit on one sample evaluate the teacher once for all
+    distill points."""
+    teacher = _memo_last(lambda x: (label.logits(x), label.hard(x)))
+    return [lambda x, rng=None, dp=dp: saturated_effective_logits(*teacher(x), dp)[0]
+            for dp in dps]
 
 
 def _perfect_teacher(cfg: ExperimentConfig):
@@ -588,41 +625,72 @@ def _angle_curve(cfg: ExperimentConfig, memo, dp: DistillParams, oracle_diff: np
     )
 
 
+def _risk_point(cfg: ExperimentConfig, params0, sampler, label, targets, rep: int, n: int,
+                deltas_star, delta_zero):
+    """Grid point ``n`` of repeat ``rep`` for every distill point:
+    ``[(alpha_n, RiskEstimate), ...]`` in distill order.
+
+    The n training inputs and the Monte Carlo inputs come from
+    ``unit_rng(seed, 93, rep, n)`` whatever the distill point, so the
+    closed-form student's sweep and Gram factorization, the teacher on both
+    input sets and the student's sweep over the Monte Carlo inputs are
+    computed once and shared; only the targets, the solve and the tangent
+    pass are per distill point.  The Monte Carlo sweep is released when this
+    returns, before the next repeat's angle pass allocates its own.
+    """
+    rng = unit_rng(cfg.seed, 93, rep, n)
+    x = sampler(int(n), rng)
+    x_mc = sampler(cfg.samples, rng)
+    deltas_hat = student_closed_form(cfg.net, params0, x, [fn(x) for fn in targets])
+    # the first distill point's empirical_risk builds the Monte Carlo sweep
+    # and teacher logits; the others reuse them
+    sweep = _memo_last(lambda xx: _Cache(cfg.net, params0, xx))
+    teacher = _memo_last(label.logits)
+    point = []
+    for delta_hat, delta_star in zip(deltas_hat, deltas_star):
+        est = empirical_risk(lambda xx: sweep(xx).logits + sweep(xx).tangent(delta_hat),
+                             teacher, lambda m, _: x_mc, cfg.samples, rng)
+        point.append((alpha_n(delta_hat, delta_star, delta_zero), est))
+    return point
+
+
 def _run_risk(cfg: ExperimentConfig, threads: int, records: list) -> None:
     emit = _emitter(cfg)
     sampler, label = _perfect_teacher(cfg)
-    inits = [_perfect_teacher_init(cfg, sampler, label, rep) for rep in range(cfg.repeats)]
-    for dp in cfg.distill:
-        eff_fn = _eff_fn_for(label, dp)
-        for rep, (params0, delta_zero, memo) in enumerate(inits):
+    targets = _distilled_targets(label, cfg.distill)
+    # rows[d][rep] are written in distill -> repeat -> n order, also when a
+    # later repeat fails
+    rows = [[[] for _ in range(cfg.repeats)] for _ in cfg.distill]
+    try:
+        for rep in range(cfg.repeats):
             t0 = time.perf_counter()
-            delta_star = _train_oracle(cfg, params0, eff_fn, sampler,
-                                       unit_rng(cfg.seed, 91 + rep, 1))
-            curve = _angle_curve(cfg, memo, dp, delta_star - delta_zero, sampler,
-                                 unit_rng(cfg.seed, 92, rep), None)
-            risks = []
+            params0, delta_zero, memo = _perfect_teacher_init(cfg, sampler, label, rep)
+            deltas_star = _train_oracles(cfg, params0, targets, sampler,
+                                         unit_rng(cfg.seed, 91 + rep, 1))
+            curves = [
+                _angle_curve(cfg, memo, dp, delta_star - delta_zero, sampler,
+                             unit_rng(cfg.seed, 92, rep), None)
+                for dp, delta_star in zip(cfg.distill, deltas_star)
+            ]
+            risks = [[] for _ in cfg.distill]
             for n in cfg.n_grid:
-                rng = unit_rng(cfg.seed, 93, rep, n)
-                x = sampler(int(n), rng)
-                delta_hat, _, _ = student_closed_form(cfg.net, params0, x, eff_fn(x))
-                a_n = alpha_n(delta_hat, delta_star, delta_zero)
-                est = empirical_risk(
-                    lambda xx: linear_logit(cfg.net, params0, delta_hat, xx),
-                    label.logits,
-                    sampler,
-                    cfg.samples,
-                    rng,
-                )
-                records.extend(emit(
-                    {"empirical_risk": est.risk, "risk_std_error": est.std_error,
-                     "risk_bound": risk_bound(curve, a_n), "alpha_n": a_n},
-                    seed=rep, n=int(n), rho=dp.soft_ratio, temperature=dp.temperature,
-                    wall_ms=(time.perf_counter() - t0) * 1e3,
-                ))
-                risks.append(max(est.risk, 1.0 / cfg.samples))
-            fit = fit_power_law(cfg.n_grid, risks)
-            records.extend(emit({"risk_slope": fit.exponent}, seed=rep,
-                                rho=dp.soft_ratio, temperature=dp.temperature))
+                point = _risk_point(cfg, params0, sampler, label, targets, rep, n,
+                                    deltas_star, delta_zero)
+                wall = (time.perf_counter() - t0) * 1e3
+                for d, (dp, curve, (a_n, est)) in enumerate(zip(cfg.distill, curves, point)):
+                    rows[d][rep].extend(emit(
+                        {"empirical_risk": est.risk, "risk_std_error": est.std_error,
+                         "risk_bound": risk_bound(curve, a_n), "alpha_n": a_n},
+                        seed=rep, n=int(n), rho=dp.soft_ratio, temperature=dp.temperature,
+                        wall_ms=wall,
+                    ))
+                    risks[d].append(max(est.risk, 1.0 / cfg.samples))
+            for d, dp in enumerate(cfg.distill):
+                fit = fit_power_law(cfg.n_grid, risks[d])
+                rows[d][rep].extend(emit({"risk_slope": fit.exponent}, seed=rep,
+                                         rho=dp.soft_ratio, temperature=dp.temperature))
+    finally:
+        records.extend(row for per_dp in rows for per_rep in per_dp for row in per_rep)
 
 
 def _run_angle_dist(cfg: ExperimentConfig, threads: int, records: list) -> None:
@@ -630,13 +698,15 @@ def _run_angle_dist(cfg: ExperimentConfig, threads: int, records: list) -> None:
     betas = default_beta_grid(cfg.beta_points)
     sampler, label = _perfect_teacher(cfg)
     params0, delta_zero, memo = _perfect_teacher_init(cfg, sampler, label, 0)
-    for dp in cfg.distill:
+    t0 = time.perf_counter()
+    deltas_star = _train_oracles(cfg, params0, _distilled_targets(label, cfg.distill),
+                                 sampler, unit_rng(cfg.seed, 91, 1))
+    oracle_share = (time.perf_counter() - t0) / len(cfg.distill)
+    for dp, delta_star in zip(cfg.distill, deltas_star):
         t0 = time.perf_counter()
-        delta_star = _train_oracle(cfg, params0, _eff_fn_for(label, dp), sampler,
-                                   unit_rng(cfg.seed, 91, 1))
         curve = _angle_curve(cfg, memo, dp, delta_star - delta_zero, sampler,
                              unit_rng(cfg.seed, 95), betas)
-        wall = (time.perf_counter() - t0) * 1e3
+        wall = (oracle_share + time.perf_counter() - t0) * 1e3
         for beta, p in zip(curve.betas, curve.survival):
             records.extend(emit({"survival": float(p)}, rho=dp.soft_ratio,
                                 temperature=dp.temperature, beta=float(beta),
@@ -648,8 +718,8 @@ def _run_zero_norm(cfg: ExperimentConfig, threads: int, records: list) -> None:
     t0 = time.perf_counter()
     sampler, label = _perfect_teacher(cfg)
     params0, delta_zero, _ = _perfect_teacher_init(cfg, sampler, label, 0)
-    delta_star = _train_oracle(cfg, params0, _eff_fn_for(label, dp), sampler,
-                               unit_rng(cfg.seed, 91, 1))
+    [delta_star] = _train_oracles(cfg, params0, _distilled_targets(label, [dp]), sampler,
+                                  unit_rng(cfg.seed, 91, 1))
     norm_star = float(np.linalg.norm(delta_star))
     norm_zero = float(np.linalg.norm(delta_zero))
     wall = (time.perf_counter() - t0) * 1e3
@@ -695,7 +765,7 @@ def _run_hard_label_effect(cfg: ExperimentConfig, threads: int, records: list) -
     for rep in range(cfg.repeats):
         params0 = init_params(cfg.net, unit_rng(cfg.seed, 80, rep))
         # ground-truth oracle norm from one online run on the true targets
-        delta_g = _train_oracle(cfg, params0, gt_fn, sampler, unit_rng(cfg.seed, 81, rep))
+        [delta_g] = _train_oracles(cfg, params0, [gt_fn], sampler, unit_rng(cfg.seed, 81, rep))
         norm_wg = float(np.linalg.norm(delta_g))
         for n in cfg.n_grid or [256]:
             x = sampler(int(n), unit_rng(cfg.seed, 82, rep, n))

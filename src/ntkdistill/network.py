@@ -27,7 +27,9 @@ not fit in memory.
 Every entry point builds one sweep object, ``_Cache``, whose forward sweep
 runs at construction.  Its reverse sweep (``deltas``) is computed on first
 use, so ``forward``, ``feature_dot`` and ``linear_logit``, which read only
-logits and forward tangents, never pay for it.
+logits and forward tangents, never pay for it.  ``train_linearized`` trains
+a list of objectives in lockstep on one such sweep per step, each objective
+with its own weight change and Adam state.
 """
 
 from __future__ import annotations
@@ -469,7 +471,7 @@ def train_linearized(
     sampler=None,
     rng: np.random.Generator | None = None,
     grad_tol: float | None = None,
-) -> TrainResult:
+) -> TrainResult | list[TrainResult]:
     """Gradient training of the model z(x) = f(x; w0) + delta . phi(x).
 
     Features are frozen at ``params0``.  Fixed-data mode (``data`` given)
@@ -477,12 +479,22 @@ def train_linearized(
     (``sampler`` given) draws a fresh batch of ``batch_size`` inputs per
     step, emulating training on unlimited samples.  Non-convergence is
     reported through ``converged`` when ``grad_tol`` is set, never raised.
+
+    ``objective`` is one objective, giving one :class:`TrainResult`, or a
+    list or tuple of objectives, giving a list of results in the same order.
+    The objectives of a list train in lockstep: each step draws one batch
+    and runs one forward/reverse sweep that all of them share, while each
+    keeps its own weight change and Adam state.  Every result is therefore
+    bitwise the one a separate run on an identically seeded ``rng`` gives,
+    and a single objective is the one-element case of the same loop.
     """
     if (data is None) == (sampler is None):
         raise ValueError("provide exactly one of data or sampler")
+    objectives = list(objective) if isinstance(objective, (list, tuple)) else [objective]
     params0 = np.asarray(params0, dtype=float)
-    delta = np.zeros(param_count(cfg))
-    adam = _Adam(delta.size, train_cfg)
+    deltas = [np.zeros(param_count(cfg)) for _ in objectives]
+    adams = [_Adam(delta.size, train_cfg) for delta in deltas]
+    grad_norms = [0.0] * len(objectives)
 
     cache = None
     if data is not None:
@@ -491,20 +503,24 @@ def train_linearized(
     elif rng is None:
         raise ValueError("online mode needs an rng")
 
-    grad_norm = 0.0
     for _ in range(train_cfg.epochs):
         if cache is None:
             batch = sampler(train_cfg.batch_size, rng)
             step_cache = _Cache(cfg, params0, batch)
         else:
             step_cache = cache
-        z = step_cache.logits + step_cache.tangent(delta)
-        if not np.all(np.isfinite(z)):
-            raise DivergenceError("linearized logits became non-finite")
-        coeffs = objective.grad(z, step_cache.acts[0]) / len(z)
-        grad = step_cache.weighted_gradient(coeffs)
-        grad_norm = float(np.linalg.norm(grad))
-        delta = adam.step(delta, grad)
+        for j, obj in enumerate(objectives):
+            z = step_cache.logits + step_cache.tangent(deltas[j])
+            if not np.all(np.isfinite(z)):
+                raise DivergenceError("linearized logits became non-finite")
+            coeffs = obj.grad(z, step_cache.acts[0]) / len(z)
+            grad = step_cache.weighted_gradient(coeffs)
+            grad_norms[j] = float(np.linalg.norm(grad))
+            deltas[j] = adams[j].step(deltas[j], grad)
 
-    converged = True if grad_tol is None else grad_norm <= grad_tol
-    return TrainResult(delta=delta, grad_norm=grad_norm, converged=converged)
+    results = [
+        TrainResult(delta=delta, grad_norm=norm,
+                    converged=True if grad_tol is None else norm <= grad_tol)
+        for delta, norm in zip(deltas, grad_norms)
+    ]
+    return results if isinstance(objective, (list, tuple)) else results[0]

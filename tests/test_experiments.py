@@ -301,7 +301,9 @@ def test_zero_oracle_trained_once_per_initialization(tmp_path, monkeypatch, data
     original = exp.train_linearized
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        # a lockstep call trains one oracle per objective in its list
+        objective = args[2]
+        calls.append(len(objective) if isinstance(objective, (list, tuple)) else 1)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(exp, "train_linearized", counting)
@@ -311,7 +313,7 @@ def test_zero_oracle_trained_once_per_initialization(tmp_path, monkeypatch, data
         calls.clear()
         status, paths = run(path, out_dir=tmp_path / name)
         assert status == 0
-        assert len(calls) == expected_runs
+        assert sum(calls) == expected_runs
         outputs.append(paths[0])
 
     def without_wall_ms(path):
@@ -374,6 +376,44 @@ def test_mc_teacher_evaluated_once_per_initialization(
     status, _ = run(write_config(tmp_path, data), out_dir=tmp_path / "out")
     assert status == 0
     assert rows.count(data["samples"]) == expected_calls
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_risk_divergence_in_second_repeat_keeps_first_repeat_rows(tmp_path, monkeypatch):
+    # the risk runner works repeat by repeat; a repeat that diverges leaves
+    # every row of the repeats before it, for every distill point, in the
+    # distill -> repeat -> n order of a successful run
+    import ntkdistill.experiments as exp
+
+    def without_wall_ms(path):
+        _, rows = read_rows(path)
+        return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+
+    path = write_config(tmp_path, TINY_RISK)
+    status, paths = run(path, out_dir=tmp_path / "full")
+    assert status == 0
+    full = without_wall_ms(paths[0])
+
+    draws = []
+    original = exp.init_params
+
+    def second_repeat_diverges(net, rng):
+        # params0 is drawn once per repeat; blown-up weights overflow the
+        # linearized logits of the second repeat's first oracle step
+        draws.append(1)
+        params = original(net, rng)
+        return params * 1e200 if len(draws) > 1 else params
+
+    monkeypatch.setattr(exp, "init_params", second_repeat_diverges)
+    status, paths = run(path, out_dir=tmp_path / "failed")
+    assert status == 2
+    kept = without_wall_ms(paths[0])
+    first_repeat = [r for r in full if r["seed"] == "0"]
+    assert {r["rho"] for r in first_repeat} == {"1.0", "0.5"}
+    assert kept == first_repeat
+    manifest = json.loads((tmp_path / "failed" / "risk_manifest.json").read_text())
+    assert manifest["incomplete"] and manifest["records"] == len(kept)
+    assert manifest["errors"][0].startswith("DivergenceError")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -338,6 +338,40 @@ def test_train_linearized_distill_objective_reaches_effective_logits():
     assert np.allclose(z, effective_logits(z_t, y, dp), atol=5e-3)
 
 
+@pytest.mark.parametrize("online", [True, False], ids=["online", "fixed-data"])
+def test_lockstep_objectives_match_separate_runs(online):
+    # k objectives trained in lockstep share each step's batch and sweep but
+    # keep their own weight change and Adam state: bitwise the k separate
+    # runs on identically seeded rngs, a saturated rho = 0 target included
+    from ntkdistill.distillation import saturated_effective_logits
+
+    cfg = NetConfig(2, 2, 16)
+    p0 = init_params(cfg, 3)
+    teacher = init_params(cfg, 4)
+    z_t = lambda x: 0.3 * forward(cfg, teacher, x)
+    hard = lambda x: (x[:, 0] > 0).astype(float)
+    objectives = [
+        SquaredTargets(lambda x, dp=dp: saturated_effective_logits(z_t(x), hard(x), dp)[0])
+        for dp in (DistillParams(1.0, 10.0), DistillParams(0.5, 10.0), DistillParams(0.0, 10.0))
+    ]
+    objectives.append(DistillTargets(DistillParams(0.7, 2.0), z_t, hard))
+    sampler = lambda n, rng: rng.normal(scale=5.0, size=(n, 2))
+    tc = TrainConfig(learning_rate=0.01, batch_size=8, epochs=40, online_batch=online)
+    if online:
+        mode = lambda: dict(sampler=sampler, rng=np.random.default_rng(9))
+    else:
+        x = sampler(8, np.random.default_rng(9))
+        mode = lambda: dict(data=x)
+
+    together = train_linearized(cfg, p0, objectives, tc, grad_tol=1e-3, **mode())
+    assert len(together) == len(objectives)
+    for obj, res in zip(objectives, together):
+        alone = train_linearized(cfg, p0, obj, tc, grad_tol=1e-3, **mode())
+        assert np.array_equal(res.delta, alone.delta)
+        assert (res.grad_norm, res.converged) == (alone.grad_norm, alone.converged)
+    assert not np.array_equal(together[0].delta, together[2].delta)
+
+
 def test_train_linearized_online_needs_rng():
     cfg = NetConfig(2, 2, 8)
     tc = TrainConfig(learning_rate=0.01, batch_size=4, epochs=2)
