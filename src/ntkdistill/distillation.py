@@ -7,7 +7,8 @@ a plain cross-entropy against the hard label,
 
 and an over-parameterized student drives each training logit to the unique
 stationary point of this per-sample loss.  That root, the effective student
-logit, is what this module solves for, together with its closed form at
+logit, is what this module solves for (by safeguarded Newton, entry by
+entry; see :func:`effective_logits`), together with its closed form at
 T = 1, the label-smoothing limit, and the first-order response to mixing in
 hard labels near the pure-soft end.
 """
