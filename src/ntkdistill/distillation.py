@@ -101,6 +101,15 @@ def _slope_and_rounding(z_s, soft_target, y_g, params: DistillParams):
     return slope, rounding
 
 
+def _finite_inputs(z_t, y_g) -> tuple[np.ndarray, np.ndarray]:
+    """Teacher logits and hard labels as broadcast float arrays; a non-finite
+    entry raises FloatingPointError instead of yielding a made-up root."""
+    z_t, y_g = np.broadcast_arrays(np.asarray(z_t, dtype=float), np.asarray(y_g, dtype=float))
+    if not (np.isfinite(z_t).all() and np.isfinite(y_g).all()):
+        raise FloatingPointError("effective logits need finite teacher logits and hard labels")
+    return z_t, y_g
+
+
 def effective_logits(z_t, y_g, params: DistillParams) -> np.ndarray:
     """Vectorized root of loss_gradient in z_s, by safeguarded Newton.
 
@@ -110,7 +119,8 @@ def effective_logits(z_t, y_g, params: DistillParams) -> np.ndarray:
     teacher logit clipped to the bracket, which is the exact root at
     rho = 1.  Every residual evaluation narrows the entry's bracket, and a
     Newton step that does not land strictly inside it is replaced by the
-    bracket midpoint, so the iterate never leaves the bracket.
+    bracket midpoint, so the iterate never leaves the bracket.  A non-finite
+    teacher logit or hard label raises FloatingPointError.
 
     Each entry stops on its own, whatever the rest of the batch does, so its
     result does not depend on which entries it is solved with.  It stops when
@@ -133,9 +143,7 @@ def effective_logits(z_t, y_g, params: DistillParams) -> np.ndarray:
             "pure hard labels (soft_ratio = 0) drive the student logit to "
             "+/- infinity; use saturated_effective_logits for a clamped value"
         )
-    z_t = np.asarray(z_t, dtype=float)
-    y_g = np.asarray(y_g, dtype=float)
-    z_t, y_g = np.broadcast_arrays(z_t, y_g)
+    z_t, y_g = _finite_inputs(z_t, y_g)
     shape = z_t.shape
     z_t = z_t.ravel()
     y_g = y_g.ravel()
@@ -192,11 +200,10 @@ def saturated_effective_logits(z_t, y_g, params: DistillParams):
     """Effective logits with the rho = 0 divergence clamped to +/- z_max.
 
     Returns (values, saturated) where ``saturated`` flags entries that were
-    substituted rather than solved.
+    substituted rather than solved.  Non-finite inputs raise
+    FloatingPointError, as in :func:`effective_logits`.
     """
-    z_t = np.asarray(z_t, dtype=float)
-    y_g = np.asarray(y_g, dtype=float)
-    z_t, y_g = np.broadcast_arrays(z_t, y_g)
+    z_t, y_g = _finite_inputs(z_t, y_g)
     if params.soft_ratio == 0.0:
         values = np.sign(2.0 * y_g - 1.0) * z_max(params.temperature)
         return values, np.ones(values.shape, dtype=bool)

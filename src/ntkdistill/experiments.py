@@ -76,7 +76,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -101,8 +101,10 @@ from .network import (
     TrainConfig,
     forward,
     init_params,
+    param_count,
     _as_batch,
     _Cache,
+    _linear_logits,
     train_linearized,
     train_teacher,
 )
@@ -135,8 +137,8 @@ CSV_COLUMNS = (
     "wall_ms",
 )
 
-# kernel-solve work estimate (sum of n^3 over grid x repeats) above which
-# validate() warns; roughly a laptop-hour
+# work estimate (estimate_cost) above which validate() warns; roughly a
+# laptop-hour
 COST_BUDGET = 5e12
 
 
@@ -344,10 +346,43 @@ def load_config(path) -> ExperimentConfig:
 
 
 def estimate_cost(cfg: ExperimentConfig) -> float:
-    """Rough kernel-solve flop count: sum of n^3 over grid x repeats x tasks."""
-    grid = cfg.n_grid or [cfg.samples if cfg.experiment == "ntk-check" else 0]
-    per_task = sum(float(n) ** 3 for n in grid) * cfg.repeats
-    return per_task * max(len(cfg.tasks), 1) * max(len(cfg.distill), 1)
+    """Rough flop count of the work that dominates a run, the sum of
+
+    * kernel solves: n^3 per grid point, repeat, task and distill point;
+    * ntk-check's empirical Grams: kernel inputs x parameters per width and
+      repeat;
+    * teacher Adam steps: epochs x teacher parameters x batch;
+    * oracle Adam steps: epochs x objectives x repeats x parameters x batch;
+    * Monte Carlo passes: samples x parameters per pass, of the student
+      (NTK diagonal, linearized student) and of the teacher (its logits).
+    """
+    kind = cfg.experiment
+    if kind == "ntk-check":
+        return float(sum(cfg.kernel_inputs * param_count(replace(cfg.net, width=w))
+                         for w in cfg.width_grid) * cfg.repeats)
+    cost = sum(float(n) ** 3 for n in cfg.n_grid) * cfg.repeats
+    cost *= max(len(cfg.tasks), 1) * max(len(cfg.distill), 1)
+    k, grid = len(cfg.distill), len(cfg.n_grid)
+    # per trained kind: (oracle objectives per repeat, oracle repeats,
+    # student Monte Carlo passes, teacher Monte Carlo passes)
+    shape = {
+        "risk": (k + 1, cfg.repeats, cfg.repeats * (1 + grid * k), cfg.repeats * (1 + grid)),
+        "angle-dist": (k + 1, 1, 1, 1),
+        "zero-norm": (2, 1, 0, 0),
+        "hard-label-effect": (1, cfg.repeats, 0, 0),
+    }.get(kind)
+    if shape is None:
+        return cost
+    objectives, repeats, student_passes, teacher_passes = shape
+    recipe, oracle = cfg.teacher, cfg.oracle
+    p, p_teacher = param_count(cfg.net), param_count(cfg.teacher_net or cfg.net)
+    teacher_epochs = recipe.epochs
+    if kind == "hard-label-effect":  # the ground truth, then the early-stopped sweep
+        teacher_epochs += max(recipe.stop_epochs, default=recipe.epochs)
+    cost += float(teacher_epochs) * p_teacher * recipe.batch_size
+    cost += float(oracle.epochs) * objectives * repeats * p * oracle.batch_size
+    cost += float(cfg.samples) * (student_passes * p + teacher_passes * p_teacher)
+    return cost
 
 
 def validate(path) -> str:
@@ -361,7 +396,7 @@ def validate(path) -> str:
         f"n grid: {cfg.n_grid or '-'}, repeats: {cfg.repeats}",
     ]
     cost = estimate_cost(cfg)
-    lines.append(f"estimated kernel-solve cost: {cost:.2e} flop")
+    lines.append(f"estimated cost: {cost:.2e} flop")
     if cost > COST_BUDGET:
         lines.append(
             f"WARNING: estimated cost exceeds the desk budget ({COST_BUDGET:.0e}); "
@@ -635,21 +670,22 @@ def _risk_point(cfg: ExperimentConfig, params0, sampler, label, targets, rep: in
     closed-form student's sweep and Gram factorization, the teacher on both
     input sets and the student's sweep over the Monte Carlo inputs are
     computed once and shared; only the targets, the solve and the tangent
-    pass are per distill point.  The Monte Carlo sweep is released when this
-    returns, before the next repeat's angle pass allocates its own.
+    pass are per distill point.  The student's Monte Carlo sweep runs in row
+    blocks, so no full-size sweep of the Monte Carlo inputs is ever held.
     """
     rng = unit_rng(cfg.seed, 93, rep, n)
     x = sampler(int(n), rng)
     x_mc = sampler(cfg.samples, rng)
     deltas_hat = student_closed_form(cfg.net, params0, x, [fn(x) for fn in targets])
-    # the first distill point's empirical_risk builds the Monte Carlo sweep
-    # and teacher logits; the others reuse them
-    sweep = _memo_last(lambda xx: _Cache(cfg.net, params0, xx))
+    # the first distill point's empirical_risk sweeps the Monte Carlo inputs
+    # block by block for every distill point's student, and evaluates the
+    # teacher logits; the others reuse both
+    students = _memo_last(lambda xx: _linear_logits(cfg.net, params0, deltas_hat, xx))
     teacher = _memo_last(label.logits)
     point = []
-    for delta_hat, delta_star in zip(deltas_hat, deltas_star):
-        est = empirical_risk(lambda xx: sweep(xx).logits + sweep(xx).tangent(delta_hat),
-                             teacher, lambda m, _: x_mc, cfg.samples, rng)
+    for j, (delta_hat, delta_star) in enumerate(zip(deltas_hat, deltas_star)):
+        est = empirical_risk(lambda xx, j=j: students(xx)[j], teacher, lambda m, _: x_mc,
+                             cfg.samples, rng)
         point.append((alpha_n(delta_hat, delta_star, delta_zero), est))
     return point
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import KernelMatrix
-from .network import NetConfig, _as_batch, _Cache
+from .network import NetConfig, _as_batch, _Cache, _row_blocks
 
 
 def _recursion_step(s_cross, s_diag_a, s_diag_b, k_prev, sw, sb):
@@ -139,20 +139,23 @@ def empirical_ntk_gram(
 
 
 def empirical_ntk_diag(cfg: NetConfig, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Diagonal of the finite-width Gram, |phi(x)|^2 per sample."""
+    """Diagonal of the finite-width Gram, |phi(x)|^2 per sample, swept in row
+    blocks (bitwise the single-sweep values)."""
     batch, _ = _as_batch(cfg, x)
-    cache = _Cache(cfg, np.asarray(params, dtype=float), batch)
     sw, sb = cfg.weight_scale, cfg.bias_scale
     d, m = cfg.input_dim, cfg.width
 
-    diag = np.zeros(batch.shape[0])
-    for l, delta in enumerate(cache.deltas):
-        dd = np.einsum("ij,ij->i", delta, delta)
-        aa = np.einsum("ij,ij->i", cache.acts[l], cache.acts[l])
-        diag += (sw**2 / (d if l == 0 else m)) * dd * aa + sb**2 * dd
-    a_out = cache.acts[-1]
-    diag += (sw**2 / m) * np.einsum("ij,ij->i", a_out, a_out) + sb**2
-    return diag
+    def diag(sweep):
+        out = np.zeros(sweep.logits.shape[0])
+        for l, delta in enumerate(sweep.deltas):
+            dd = np.einsum("ij,ij->i", delta, delta)
+            aa = np.einsum("ij,ij->i", sweep.acts[l], sweep.acts[l])
+            out += (sw**2 / (d if l == 0 else m)) * dd * aa + sb**2 * dd
+        a_out = sweep.acts[-1]
+        out += (sw**2 / m) * np.einsum("ij,ij->i", a_out, a_out) + sb**2
+        return out
+
+    return _row_blocks(cfg, params, batch, diag)
 
 
 def save_kernel_csv(kernel: KernelMatrix, path) -> None:

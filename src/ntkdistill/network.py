@@ -24,17 +24,44 @@ The combination makes kernel solves, linearized-model training, and
 linearized evaluation affordable at widths where explicit features would
 not fit in memory.
 
-Every entry point builds one sweep object, ``_Cache``, whose forward sweep
+Every entry point builds sweep objects, ``_Cache``, whose forward sweep
 runs at construction.  Its reverse sweep (``deltas``) is computed on first
-use, so ``forward``, ``feature_dot`` and ``linear_logit``, which read only
-logits and forward tangents, never pay for it.  ``train_linearized`` trains
-a list of objectives in lockstep on one such sweep per step, each objective
-with its own weight change and Adam state.
+use, so callers that read only logits and forward tangents never pay for
+it.  The per-layer offsets of the flat parameter vector are computed once
+per :class:`NetConfig`.
+
+A sweep gives delta . phi(x_i) in two forms:
+
+* ``tangent``, the forward tangent pass: two matmuls per hidden layer (the
+  direct term a_l dW_l^T and the propagated tangent t_l W_l^T).  The
+  forward-only callers use it: ``feature_dot``, ``linear_logit`` and the
+  Monte Carlo student of the risk study.
+* ``reverse_tangent``, read off the reverse sweep's deltas as
+  sum_l rowsum(deltas[l] * (scale_l a_l dW_l^T + sb db_l)) plus the output
+  layer's terms: one matmul per layer.  ``train_linearized`` uses it, since
+  every step needs the deltas for its gradient anyway.  The two forms agree
+  to rounding (about 1e-16 relative), not bitwise.
+
+Batch evaluations that need no cross-row sum (``forward``, ``feature_dot``,
+``linear_logit`` and the kernel diagonal) sweep their inputs in row blocks
+of ``_BLOCK_ROWS`` rows, so the memory of a 10,000-sample Monte Carlo pass
+is set by the block size, not by the sample count.  Blocks start every
+``_BLOCK_ROWS`` rows and the last one also takes the remainder, so every
+block of a long batch keeps at least ``_BLOCK_ROWS`` rows.  A BLAS routes a
+one-row or few-row product through other kernels that sum in another
+order, while every long block has the same inner dimension and sums each
+row exactly as the unblocked sweep does; the tests check that blocked
+results are bitwise the unblocked ones.  Sweeps whose results sum over
+rows (gradients, Gram matrices, training steps) stay whole.
+
+``train_linearized`` trains a list of objectives in lockstep on one sweep
+per step, each objective with its own weight change and Adam state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit
@@ -42,6 +69,9 @@ from scipy.special import expit
 from .distillation import DistillParams, loss_gradient
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+# rows per sweep of a blocked batch evaluation (see _row_blocks)
+_BLOCK_ROWS = 1024
 
 
 class DivergenceError(RuntimeError):
@@ -76,27 +106,30 @@ def layer_shapes(cfg: NetConfig) -> list[tuple[tuple[int, int], tuple[int]]]:
     return shapes
 
 
+@lru_cache(maxsize=None)
+def _layout(cfg: NetConfig) -> tuple[tuple, int]:
+    """Per affine layer ``(w_shape, w_start, b_start, b_end)`` in the flat
+    vector, and the vector's length; computed once per config."""
+    spans = []
+    offset = 0
+    for (rows, cols), (b_len,) in layer_shapes(cfg):
+        b_start = offset + rows * cols
+        spans.append(((rows, cols), offset, b_start, b_start + b_len))
+        offset = b_start + b_len
+    return tuple(spans), offset
+
+
 def param_count(cfg: NetConfig) -> int:
-    return sum(np.prod(w) + np.prod(b) for w, b in layer_shapes(cfg))
+    return _layout(cfg)[1]
 
 
 def unflatten(cfg: NetConfig, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split a flat parameter vector into per-layer (W, b) views."""
     params = np.asarray(params)
-    if params.shape != (param_count(cfg),):
-        raise ValueError(
-            f"expected flat vector of length {param_count(cfg)}, got {params.shape}"
-        )
-    layers = []
-    offset = 0
-    for w_shape, b_shape in layer_shapes(cfg):
-        w_size = int(np.prod(w_shape))
-        w = params[offset : offset + w_size].reshape(w_shape)
-        offset += w_size
-        b = params[offset : offset + b_shape[0]]
-        offset += b_shape[0]
-        layers.append((w, b))
-    return layers
+    spans, count = _layout(cfg)
+    if params.shape != (count,):
+        raise ValueError(f"expected flat vector of length {count}, got {params.shape}")
+    return [(params[w0:b0].reshape(w_shape), params[b0:b1]) for w_shape, w0, b0, b1 in spans]
 
 
 def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -131,7 +164,8 @@ class _Cache:
     Construction runs the forward sweep only.  ``deltas`` comes from the
     reverse sweep, which runs on first access and is then kept, so callers
     that read only ``logits`` or ``tangent`` never pay for it, and
-    ``weighted_gradient`` and the Gram builders pay for it once per cache.
+    ``weighted_gradient``, ``reverse_tangent`` and the Gram builders pay for
+    it once per cache.
     """
 
     def __init__(self, cfg: NetConfig, params: np.ndarray, x: np.ndarray):
@@ -187,6 +221,24 @@ class _Cache:
         pieces.append(np.array([sb * c.sum()]))
         return np.concatenate(pieces)
 
+    def reverse_tangent(self, delta: np.ndarray) -> np.ndarray:
+        """delta . phi(x_i) for every sample, from the reverse sweep's deltas.
+
+        Layer l contributes rowsum(deltas[l] * (scale_l a_l dW_l^T + sb db_l)),
+        one matmul; equal to ``tangent`` up to rounding.
+        """
+        cfg = self.cfg
+        sw, sb = cfg.weight_scale, cfg.bias_scale
+        d, m = cfg.input_dim, cfg.width
+        dlayers = unflatten(cfg, delta)
+        dw_out, db_out = dlayers[-1]
+        out = self.acts[-1] @ dw_out[0] * (sw / np.sqrt(m)) + sb * db_out[0]
+        for l, (dw, db) in enumerate(dlayers[:-1]):
+            scale = sw / np.sqrt(d if l == 0 else m)
+            dl = self.deltas[l]
+            out += np.einsum("ij,ij->i", dl, self.acts[l] @ dw.T) * scale + sb * (dl @ db)
+        return out
+
     def tangent(self, delta: np.ndarray) -> np.ndarray:
         """delta . phi(x_i) for every sample, via a forward tangent pass."""
         cfg = self.cfg
@@ -206,10 +258,35 @@ class _Cache:
         return out[:, 0]
 
 
+def _row_blocks(cfg: NetConfig, params: np.ndarray, batch: np.ndarray, fn) -> np.ndarray:
+    """``fn(sweep)`` of every row block of ``batch``, joined along the last
+    axis; ``fn`` returns one entry per row in that axis.
+
+    Blocks start every ``_BLOCK_ROWS`` rows and the last also takes the
+    remainder, so a long batch never ends in a short block (see the module
+    docstring); a batch of at most ``2 * _BLOCK_ROWS - 1`` rows is one sweep.
+    """
+    params = np.asarray(params, dtype=float)
+    n = batch.shape[0]
+    starts = list(range(0, max(n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS))
+    ends = starts[1:] + [n]
+    parts = [fn(_Cache(cfg, params, batch[a:b])) for a, b in zip(starts, ends)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
+def _linear_logits(cfg: NetConfig, params0: np.ndarray, deltas, batch: np.ndarray) -> np.ndarray:
+    """First-order logits f(x; w0) + deltas[j] . phi(x) as a (k, n) array,
+    every weight change of ``deltas`` evaluated on each row block's sweep."""
+    deltas = [np.asarray(delta, dtype=float) for delta in deltas]
+    return _row_blocks(cfg, params0, batch,
+                       lambda sweep: np.stack([sweep.logits + sweep.tangent(delta)
+                                               for delta in deltas]))
+
+
 def forward(cfg: NetConfig, params: np.ndarray, x: np.ndarray):
     """Network logit(s); accepts a single input (d,) or a batch (n, d)."""
     batch, single = _as_batch(cfg, x)
-    logits = _Cache(cfg, np.asarray(params, dtype=float), batch).logits
+    logits = _row_blocks(cfg, params, batch, lambda sweep: sweep.logits)
     return float(logits[0]) if single else logits
 
 
@@ -246,16 +323,15 @@ def weighted_feature_sum(
 def feature_dot(cfg: NetConfig, params0: np.ndarray, delta: np.ndarray, x: np.ndarray):
     """delta . phi(x) for one input or a batch, via the tangent pass."""
     batch, single = _as_batch(cfg, x)
-    cache = _Cache(cfg, np.asarray(params0, dtype=float), batch)
-    out = cache.tangent(np.asarray(delta, dtype=float))
+    delta = np.asarray(delta, dtype=float)
+    out = _row_blocks(cfg, params0, batch, lambda sweep: sweep.tangent(delta))
     return float(out[0]) if single else out
 
 
 def linear_logit(cfg: NetConfig, params0: np.ndarray, delta: np.ndarray, x: np.ndarray):
     """First-order model f(x; w0) + delta . phi(x)."""
     batch, single = _as_batch(cfg, x)
-    cache = _Cache(cfg, np.asarray(params0, dtype=float), batch)
-    out = cache.logits + cache.tangent(np.asarray(delta, dtype=float))
+    out = _linear_logits(cfg, params0, [delta], batch)[0]
     return float(out[0]) if single else out
 
 
@@ -486,7 +562,9 @@ def train_linearized(
     and runs one forward/reverse sweep that all of them share, while each
     keeps its own weight change and Adam state.  Every result is therefore
     bitwise the one a separate run on an identically seeded ``rng`` gives,
-    and a single objective is the one-element case of the same loop.
+    and a single objective is the one-element case of the same loop.  Each
+    objective's logits come from the sweep's deltas
+    (``_Cache.reverse_tangent``), which its gradient needs anyway.
     """
     if (data is None) == (sampler is None):
         raise ValueError("provide exactly one of data or sampler")
@@ -510,7 +588,7 @@ def train_linearized(
         else:
             step_cache = cache
         for j, obj in enumerate(objectives):
-            z = step_cache.logits + step_cache.tangent(deltas[j])
+            z = step_cache.logits + step_cache.reverse_tangent(deltas[j])
             if not np.all(np.isfinite(z)):
                 raise DivergenceError("linearized logits became non-finite")
             coeffs = obj.grad(z, step_cache.acts[0]) / len(z)

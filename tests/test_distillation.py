@@ -305,3 +305,19 @@ def test_params_validation():
         DistillParams(soft_ratio=1.5)
     with pytest.raises(ValueError):
         DistillParams(soft_ratio=0.5, temperature=0.0)
+
+
+@pytest.mark.parametrize("z_t, y_g", [
+    ([np.nan, 1.0], 1.0),
+    ([0.5, np.inf], 1.0),
+    ([0.5, -1.0], [1.0, np.nan]),
+], ids=["nan-logit", "inf-logit", "nan-label"])
+def test_non_finite_inputs_fail_loudly(z_t, y_g):
+    # a non-finite input must raise, not come back as a made-up root beside
+    # the solved entries, also on the saturated rho = 0 path
+    for rho in (0.5, 1.0):
+        with pytest.raises(FloatingPointError):
+            effective_logits(z_t, y_g, DistillParams(rho, 10.0))
+    for rho in (0.0, 0.5):
+        with pytest.raises(FloatingPointError):
+            saturated_effective_logits(z_t, y_g, DistillParams(rho, 10.0))

@@ -286,6 +286,18 @@ TINY_ANGLE = ORACLE_COMMON | {
 }
 
 
+def test_estimate_cost_counts_adam_steps():
+    # oracle and teacher epochs dominate the trained kinds; kinds that train
+    # nothing keep their estimate whatever the recipes say
+    def cost(data, **oracle):
+        return estimate_cost(parse_config(data | {"oracle": data.get("oracle", {}) | oracle}))
+
+    assert cost(TINY_RISK, epochs=12) > cost(TINY_RISK, epochs=6)
+    longer_teacher = TINY_RISK | {"teacher": TINY_RISK["teacher"] | {"epochs": 16}}
+    assert cost(longer_teacher) > cost(TINY_RISK)
+    assert cost(MINIMAL, epochs=6000) == cost(MINIMAL) == estimate_cost(parse_config(MINIMAL))
+
+
 @pytest.mark.parametrize(
     "data, expected_runs",
     [
@@ -434,3 +446,65 @@ def test_divergence_exits_numerical_and_keeps_manifest(tmp_path):
     manifest = json.loads((out / "zero_norm_manifest.json").read_text())
     assert manifest["incomplete"] is True
     assert manifest["errors"][0].startswith("DivergenceError")
+
+
+def test_nan_teacher_logits_exit_numerical_and_keep_manifest(tmp_path, monkeypatch):
+    # a teacher that returns NaN must stop the run at the effective-logit
+    # solve, not train oracles on made-up targets
+    from ntkdistill.tasks import LabelSource
+
+    monkeypatch.setattr(LabelSource, "logits", lambda self, x: np.full(len(x), np.nan))
+    data = ORACLE_COMMON | {"experiment": "zero-norm",
+                            "distill": [{"soft_ratio": 0.5, "temperature": 2.0}]}
+    out = tmp_path / "out"
+    path = write_config(tmp_path, data)
+    assert main(["zero-norm", "--config", str(path), "--out", str(out)]) == 2
+    header, rows = read_rows(out / "zero_norm.csv")
+    assert header == list(CSV_COLUMNS) and rows == []
+    manifest = json.loads((out / "zero_norm_manifest.json").read_text())
+    assert manifest["incomplete"] is True
+    assert manifest["errors"][0].startswith("FloatingPointError")
+
+
+def test_monte_carlo_passes_stay_small():
+    # a risk-oracle-sized grid point and initialization memo sweep their
+    # 10,000 Monte Carlo inputs in row blocks; whole-batch sweeps of the
+    # width-128 student peaked at 61.7 and 51.4 MB, the blocks (the last
+    # one 1,808 rows) at 11.7 and 9.4 MB
+    import tracemalloc
+
+    import ntkdistill.experiments as exp
+    from ntkdistill.network import Checkpoint, init_params
+    from ntkdistill.tasks import LabelSource, Task
+
+    cfg = parse_config({
+        "experiment": "risk", "seed": 13,
+        "net": {"input_dim": 2, "hidden_layers": 2, "width": 128},
+        "teacher_net": {"input_dim": 2, "hidden_layers": 3, "width": 64},
+        "tasks": [{"kind": "mixture", "dim": 2, "modes": 6, "amplitude": 2.0, "seed": 11}],
+        "oracle": {"epochs": 1, "batch_size": 128},
+        "distill": [{"soft_ratio": 1.0, "temperature": 10.0},
+                    {"soft_ratio": 0.5, "temperature": 10.0}],
+        "n_grid": [128], "repeats": 1, "samples": 10_000,
+    })
+    task = Task(cfg.tasks[0])
+    teacher = Checkpoint(cfg.teacher_net, 5, 0, init_params(cfg.teacher_net, 5))
+    label = LabelSource(teacher, 10.0, 0.3, task.target_logits)
+    targets = exp._distilled_targets(label, cfg.distill)
+    params0, delta_zero, memo = exp._perfect_teacher_init(cfg, task.sample_inputs, label, 0)
+    rng = np.random.default_rng(0)
+    deltas_star = [rng.normal(scale=0.01, size=params0.size) for _ in cfg.distill]
+    x_mc = task.sample_inputs(cfg.samples, rng)
+
+    def peak_mb(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    point = peak_mb(lambda: exp._risk_point(cfg, params0, task.sample_inputs, label, targets,
+                                            0, 128, deltas_star, delta_zero))
+    init = peak_mb(lambda: memo(x_mc))
+    assert point < 16 and init < 16, (point, init)

@@ -10,7 +10,7 @@ from ntkdistill.kernel import (
     empirical_ntk_gram,
     save_kernel_csv,
 )
-from ntkdistill.network import NetConfig, features, init_params
+from ntkdistill.network import NetConfig, _Cache, features, init_params
 
 
 def test_base_covariance_hand_case():
@@ -148,6 +148,25 @@ def test_empirical_gram_equals_explicit_features():
     assert np.allclose(
         empirical_ntk_diag(cfg, p, xs), np.diag(layerwise.entries), atol=1e-10
     )
+
+
+@pytest.mark.parametrize("width", [64, 128])
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 10000])
+def test_empirical_diag_row_blocks_are_bitwise_one_sweep(n, width):
+    # the diagonal sweeps its inputs block by block; every entry must be the
+    # one the same per-layer sums over a single sweep of all rows give
+    cfg = NetConfig(2, 2, width)
+    rng = np.random.default_rng(n)
+    p = init_params(cfg, width)
+    x = rng.normal(scale=3.0, size=(n, 2))
+    whole = _Cache(cfg, p, x)
+    rows = lambda a, b: np.einsum("ij,ij->i", a, b)
+    expected = np.zeros(n)
+    for l, delta in enumerate(whole.deltas):
+        dd = rows(delta, delta)
+        expected += (1.0 / (2 if l == 0 else width)) * dd * rows(whole.acts[l], whole.acts[l]) + dd
+    expected += (1.0 / width) * rows(whole.acts[-1], whole.acts[-1]) + 1.0
+    assert np.array_equal(empirical_ntk_diag(cfg, p, x), expected)
 
 
 def test_width_convergence_to_analytic():
