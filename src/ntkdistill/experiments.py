@@ -82,7 +82,13 @@ import numpy as np
 
 from . import __version__
 from .distillation import DistillParams, UnboundedSolutionError, saturated_effective_logits
-from .kernel import analytic_ntk_diag, analytic_ntk_gram, empirical_ntk_diag, empirical_ntk_gram
+from .kernel import (
+    analytic_ntk_diag,
+    analytic_ntk_gram,
+    empirical_ntk_diag,
+    empirical_ntk_gram,
+    _sweep_gram,
+)
 from .linalg import DegenerateVectorError, SingularKernelError
 from .metrics import (
     alpha_n,
@@ -621,7 +627,7 @@ def student_closed_form(net: NetConfig, params0, x, targets) -> list[np.ndarray]
     factorization are computed once and shared by all of them."""
     batch, _ = _as_batch(net, x)
     sweep = _Cache(net, np.asarray(params0, dtype=float), batch)
-    gram = empirical_ntk_gram(net, params0, x)
+    gram = _sweep_gram(sweep)
     return [sweep.weighted_gradient(gram.solve(np.asarray(t, dtype=float) - sweep.logits))
             for t in targets]
 

@@ -123,17 +123,23 @@ def empirical_ntk_gram(
     matrices even when p is in the tens of millions.
     """
     batch, _ = _as_batch(cfg, x)
-    cache = _Cache(cfg, np.asarray(params, dtype=float), batch)
+    return _sweep_gram(_Cache(cfg, np.asarray(params, dtype=float), batch), jitter)
+
+
+def _sweep_gram(sweep: _Cache, jitter: float | None = None) -> KernelMatrix:
+    """``empirical_ntk_gram`` of the inputs of an existing sweep, for callers
+    that also need the sweep itself (its logits or weighted gradients)."""
+    cfg = sweep.cfg
     sw, sb = cfg.weight_scale, cfg.bias_scale
     d, m = cfg.input_dim, cfg.width
-    n = batch.shape[0]
+    n = sweep.logits.shape[0]
 
     gram = np.zeros((n, n))
-    for l, delta in enumerate(cache.deltas):
+    for l, delta in enumerate(sweep.deltas):
         dd = delta @ delta.T
-        aa = cache.acts[l] @ cache.acts[l].T
+        aa = sweep.acts[l] @ sweep.acts[l].T
         gram += (sw**2 / (d if l == 0 else m)) * dd * aa + sb**2 * dd
-    a_out = cache.acts[-1]
+    a_out = sweep.acts[-1]
     gram += (sw**2 / m) * (a_out @ a_out.T) + sb**2
     return KernelMatrix(0.5 * (gram + gram.T), jitter=jitter)
 

@@ -30,6 +30,18 @@ use, so callers that read only logits and forward tangents never pay for
 it.  The per-layer offsets of the flat parameter vector are computed once
 per :class:`NetConfig`.
 
+Each elementwise pass of a sweep runs in place on the array its matmul
+returns.  The forward sweep scales and shifts h = a W^T in place, keeps the
+mask h > 0 and applies the ReLU as ``np.maximum(h, 0.0, out=h)``.  The
+reverse sweep's deltas and the tangent pass multiply by the mask and add
++0.0, which turns the -0.0 of a negative value times False into +0.0.  Each
+step performs the IEEE operations of the one-expression, masked-select form
+(``np.where(mask, h, 0.0)``) in the same order, so every value keeps every
+bit, the sign of every zero included; the tests keep that form as their
+reference.  Only non-finite values differ: a NaN pre-activation propagates
+to the logits, where a masked select zeroed it, so the non-finite guards
+downstream (teacher and oracle divergence, effective-logit inputs) see it.
+
 A sweep gives delta . phi(x_i) in two forms:
 
 * ``tangent``, the forward tangent pass: two matmuls per hidden layer (the
@@ -153,6 +165,16 @@ def _as_batch(cfg: NetConfig, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, False
 
 
+def _relu_grad(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``v * mask + 0.0`` as a new array: ``np.where(mask, v, 0.0)`` bit for
+    bit, except that a -0.0 under a True mask gives +0.0 and a non-finite
+    entry under a False mask gives NaN.  The ``+ 0.0`` turns the -0.0 of a
+    negative entry times False into +0.0."""
+    out = v * mask
+    out += 0.0
+    return out
+
+
 class _Cache:
     """Forward activations plus backward deltas at one set of parameters.
 
@@ -179,13 +201,17 @@ class _Cache:
         self.masks = []
         a = x
         for i, (w, b) in enumerate(layers[:-1]):
-            scale = sw / np.sqrt(d if i == 0 else m)
-            h = a @ w.T * scale + sb * b
+            h = a @ w.T
+            h *= sw / np.sqrt(d if i == 0 else m)
+            h += sb * b
             self.masks.append(h > 0)
-            a = np.where(self.masks[-1], h, 0.0)
+            a = np.maximum(h, 0.0, out=h)
             self.acts.append(a)
         w_out, b_out = layers[-1]
-        self.logits = (a @ w_out.T * (sw / np.sqrt(m)) + sb * b_out)[:, 0]
+        out = a @ w_out.T
+        out *= sw / np.sqrt(m)
+        out += sb * b_out
+        self.logits = out[:, 0]
         self._deltas = None
 
     @property
@@ -199,9 +225,10 @@ class _Cache:
         deltas = [None] * len(self.masks)
         v = np.broadcast_to(layers[-1][0] * (sw / np.sqrt(m)), (n, m))
         for l in range(len(self.masks) - 1, -1, -1):
-            deltas[l] = np.where(self.masks[l], v, 0.0)
+            deltas[l] = _relu_grad(v, self.masks[l])
             if l > 0:
-                v = deltas[l] @ layers[l][0] * (sw / np.sqrt(m))
+                v = deltas[l] @ layers[l][0]
+                v *= sw / np.sqrt(m)
         self._deltas = deltas
         return deltas
 
@@ -248,13 +275,21 @@ class _Cache:
         t = None
         for l, (dw, db) in enumerate(dlayers[:-1]):
             scale = sw / np.sqrt(d if l == 0 else m)
-            th = self.acts[l] @ dw.T * scale + sb * db
+            th = self.acts[l] @ dw.T
+            th *= scale
+            th += sb * db
             if t is not None:
-                th = th + t @ self.layers[l][0].T * scale
-            t = np.where(self.masks[l], th, 0.0)
+                tw = t @ self.layers[l][0].T
+                tw *= scale
+                th += tw
+            t = _relu_grad(th, self.masks[l])
         dw_out, db_out = dlayers[-1]
-        out = self.acts[-1] @ dw_out.T * (sw / np.sqrt(m)) + sb * db_out
-        out = out + (t @ self.layers[-1][0].T) * (sw / np.sqrt(m))
+        out = self.acts[-1] @ dw_out.T
+        out *= sw / np.sqrt(m)
+        out += sb * db_out
+        tw = t @ self.layers[-1][0].T
+        tw *= sw / np.sqrt(m)
+        out += tw
         return out[:, 0]
 
 

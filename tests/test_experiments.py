@@ -390,6 +390,29 @@ def test_mc_teacher_evaluated_once_per_initialization(
     assert rows.count(data["samples"]) == expected_calls
 
 
+def test_student_closed_form_sweeps_its_inputs_once(monkeypatch):
+    # the Gram comes from the same sweep as the logits and the weighted
+    # gradients, so x is swept forward and backward once per call
+    import ntkdistill.experiments as exp
+    import ntkdistill.kernel as kernel
+    from ntkdistill.network import NetConfig, _Cache, init_params
+
+    built = []
+
+    class Counting(_Cache):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(exp, "_Cache", Counting)
+    monkeypatch.setattr(kernel, "_Cache", Counting)
+    net = NetConfig(2, 2, 16)
+    x = np.random.default_rng(3).normal(size=(12, 2))
+    deltas = exp.student_closed_form(net, init_params(net, 3), x, [np.ones(12), np.zeros(12)])
+    assert len(deltas) == 2
+    assert len(built) == 1
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_risk_divergence_in_second_repeat_keeps_first_repeat_rows(tmp_path, monkeypatch):
     # the risk runner works repeat by repeat; a repeat that diverges leaves

@@ -200,6 +200,104 @@ def test_weighted_gradient_independent_of_prior_tangent():
     assert np.array_equal(fresh, used.weighted_gradient(c))
 
 
+class _WhereSweep(_Cache):
+    """Reference: the sweep with every ReLU a masked select, ``np.where(mask,
+    value, 0.0)``, and every affine step one expression, as before the
+    passes went in place."""
+
+    def __init__(self, cfg, params, x):
+        self.cfg = cfg
+        layers = unflatten(cfg, params)
+        sw, sb = cfg.weight_scale, cfg.bias_scale
+        d, m = cfg.input_dim, cfg.width
+        self.layers = layers
+        self.acts = [x]
+        self.masks = []
+        a = x
+        for i, (w, b) in enumerate(layers[:-1]):
+            scale = sw / np.sqrt(d if i == 0 else m)
+            h = a @ w.T * scale + sb * b
+            self.masks.append(h > 0)
+            a = np.where(self.masks[-1], h, 0.0)
+            self.acts.append(a)
+        w_out, b_out = layers[-1]
+        self.logits = (a @ w_out.T * (sw / np.sqrt(m)) + sb * b_out)[:, 0]
+        self._deltas = None
+
+    @property
+    def deltas(self):
+        if self._deltas is None:
+            layers = self.layers
+            sw, m = self.cfg.weight_scale, self.cfg.width
+            n = self.acts[0].shape[0]
+            deltas = [None] * len(self.masks)
+            v = np.broadcast_to(layers[-1][0] * (sw / np.sqrt(m)), (n, m))
+            for l in range(len(self.masks) - 1, -1, -1):
+                deltas[l] = np.where(self.masks[l], v, 0.0)
+                if l > 0:
+                    v = deltas[l] @ layers[l][0] * (sw / np.sqrt(m))
+            self._deltas = deltas
+        return self._deltas
+
+    def tangent(self, delta):
+        cfg = self.cfg
+        sw, sb = cfg.weight_scale, cfg.bias_scale
+        d, m = cfg.input_dim, cfg.width
+        dlayers = unflatten(cfg, delta)
+        t = None
+        for l, (dw, db) in enumerate(dlayers[:-1]):
+            scale = sw / np.sqrt(d if l == 0 else m)
+            th = self.acts[l] @ dw.T * scale + sb * db
+            if t is not None:
+                th = th + t @ self.layers[l][0].T * scale
+            t = np.where(self.masks[l], th, 0.0)
+        dw_out, db_out = dlayers[-1]
+        out = self.acts[-1] @ dw_out.T * (sw / np.sqrt(m)) + sb * db_out
+        out = out + (t @ self.layers[-1][0].T) * (sw / np.sqrt(m))
+        return out[:, 0]
+
+
+def _bits(a):
+    # compares sign bits too: -0.0 and +0.0 differ here
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 7, 128, 1025])
+@pytest.mark.parametrize("bias_scale", [0.0, 1.0])
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_sweep_is_bitwise_the_masked_select_sweep(depth, d, bias_scale, n):
+    # the in-place affine steps, np.maximum and the v * mask + 0.0 deltas and
+    # tangents perform the masked-select sweep's operations in its order, so
+    # every value keeps every bit, the sign of every zero included
+    cfg = NetConfig(d, depth, 32, bias_scale=bias_scale)
+    rng = np.random.default_rng(1000 * depth + 100 * d + n)
+    p = init_params(cfg, depth)
+    x = rng.normal(scale=3.0, size=(n, d))
+    x[n // 2] = 0.0
+    delta = rng.normal(size=p.size)
+    coeffs = rng.normal(size=n)
+    new, old = _Cache(cfg, p, x), _WhereSweep(cfg, p, x)
+    pairs = [(new.logits, old.logits)]
+    pairs += list(zip(new.acts, old.acts)) + list(zip(new.deltas, old.deltas))
+    pairs += [(new.tangent(delta), old.tangent(delta)),
+              (new.reverse_tangent(delta), old.reverse_tangent(delta)),
+              (new.weighted_gradient(coeffs), old.weighted_gradient(coeffs))]
+    for got, want in pairs:
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_nan_hidden_weight_reaches_the_logits():
+    # a NaN pre-activation propagates through the ReLU instead of being
+    # zeroed, so the logits are NaN, not the finite output-bias term
+    p = init_params(CFG, 7)
+    w0, _ = unflatten(CFG, p)[1]
+    w0[...] = np.nan  # a view into p
+    x = np.random.default_rng(7).normal(size=(5, 2))
+    assert np.all(np.isnan(forward(CFG, p, x)))
+    assert np.all(np.isnan(_linear_logits(CFG, p, [np.zeros(p.size)], x)))
+
+
 @pytest.mark.parametrize("width", [64, 128])
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 10000])
 def test_row_blocks_are_bitwise_one_sweep(n, width):
