@@ -51,13 +51,16 @@ Each runner is a thin composition of four private pieces:
 
 The distill points of a perfect-teacher repeat share their oracle batch
 stream, so risk and angle-dist train their distill-point oracles in
-lockstep: each step draws one batch, sweeps it once and evaluates the
-teacher on it once (``_distilled_targets``).  Each (repeat, n) point of the
-risk study likewise shares, across distill points, its training sample's
-sweep and Gram factorization, its Monte Carlo inputs, the teacher's logits
-on them and the student's sweep over them (``_risk_point``).  The risk
-runner therefore works repeat by repeat, and still writes its rows in
-distill point -> repeat -> n order, including when a later repeat fails.
+lockstep: each step draws one batch and sweeps it once, and the teacher and
+every distill point's effective-logit solve run once per chunk of about
+1,024 rows of those batches, not once per step (``_distilled_targets``;
+:func:`~ntkdistill.network.train_linearized` describes the chunks).  Each
+(repeat, n) point of the risk study likewise shares, across distill points,
+its training sample's sweep and Gram factorization, its Monte Carlo inputs,
+the teacher's logits on them and the student's sweep over them
+(``_risk_point``).  The risk runner therefore works repeat by repeat, and
+still writes its rows in distill point -> repeat -> n order, including when
+a later repeat fails.
 
 ``wall_ms`` spans, per kind: on a risk row, the repeat's work from its
 initialization (zero-function and lockstep oracle runs, angle passes) up to
@@ -811,9 +814,11 @@ def _run_hard_label_effect(cfg: ExperimentConfig, threads: int, records: list) -
         norm_wg = float(np.linalg.norm(delta_g))
         for n in cfg.n_grid or [256]:
             x = sampler(int(n), unit_rng(cfg.seed, 82, rep, n))
-            z0 = forward(cfg.net, params0, x)
+            # one sweep of x gives both the initial logits and the Gram
+            sweep = _Cache(cfg.net, params0, x)
+            z0 = sweep.logits
             dz_g = gt_fn(x) - z0
-            gram = empirical_ntk_gram(cfg.net, params0, x)
+            gram = _sweep_gram(sweep)
             for epoch, label in teachers:
                 t0 = time.perf_counter()
                 z_t = label.logits(x)

@@ -124,8 +124,11 @@ def data_inefficiency(
             z_target = (
                 target_fn(x, rng) if target_fn is not None else task.target_logits(x, rng)
             )
-            params = init_params(cfg, rng)
-            if init_logits and task.subtract_init:
+            # the student initialization is the stream's last draw, so it is
+            # drawn only when something reads it
+            subtract = init_logits and task.subtract_init
+            params = init_params(cfg, rng) if subtract or kernel == "empirical" else None
+            if subtract:
                 dz = np.asarray(z_target, dtype=float) - forward(cfg, params, x)
             else:
                 dz = np.asarray(z_target, dtype=float)

@@ -17,8 +17,8 @@ Three views of the parameter gradient drive everything downstream:
   by explicit reverse-mode accumulation through the stack;
 * ``weighted_feature_sum`` returns sum_i c_i phi(x_i) from one batched
   backward pass, never materializing an (n, p) matrix;
-* ``feature_dot`` returns delta . phi(x_i) for a whole batch from one
-  forward tangent pass.
+* ``feature_dot`` returns delta . phi(x_i) for a whole batch from the same
+  backward pass's deltas.
 
 The combination makes kernel solves, linearized-model training, and
 linearized evaluation affordable at widths where explicit features would
@@ -26,33 +26,30 @@ not fit in memory.
 
 Every entry point builds sweep objects, ``_Cache``, whose forward sweep
 runs at construction.  Its reverse sweep (``deltas``) is computed on first
-use, so callers that read only logits and forward tangents never pay for
-it.  The per-layer offsets of the flat parameter vector are computed once
-per :class:`NetConfig`.
+use, so callers that read only logits never pay for it.  The per-layer
+offsets of the flat parameter vector are computed once per
+:class:`NetConfig`.
 
 Each elementwise pass of a sweep runs in place on the array its matmul
 returns.  The forward sweep scales and shifts h = a W^T in place, keeps the
 mask h > 0 and applies the ReLU as ``np.maximum(h, 0.0, out=h)``.  The
-reverse sweep's deltas and the tangent pass multiply by the mask and add
-+0.0, which turns the -0.0 of a negative value times False into +0.0.  Each
-step performs the IEEE operations of the one-expression, masked-select form
+reverse sweep's deltas multiply by the mask and add +0.0, which turns the
+-0.0 of a negative value times False into +0.0.  Each step performs the
+IEEE operations of the one-expression, masked-select form
 (``np.where(mask, h, 0.0)``) in the same order, so every value keeps every
 bit, the sign of every zero included; the tests keep that form as their
 reference.  Only non-finite values differ: a NaN pre-activation propagates
 to the logits, where a masked select zeroed it, so the non-finite guards
 downstream (teacher and oracle divergence, effective-logit inputs) see it.
 
-A sweep gives delta . phi(x_i) in two forms:
-
-* ``tangent``, the forward tangent pass: two matmuls per hidden layer (the
-  direct term a_l dW_l^T and the propagated tangent t_l W_l^T).  The
-  forward-only callers use it: ``feature_dot``, ``linear_logit`` and the
-  Monte Carlo student of the risk study.
-* ``reverse_tangent``, read off the reverse sweep's deltas as
-  sum_l rowsum(deltas[l] * (scale_l a_l dW_l^T + sb db_l)) plus the output
-  layer's terms: one matmul per layer.  ``train_linearized`` uses it, since
-  every step needs the deltas for its gradient anyway.  The two forms agree
-  to rounding (about 1e-16 relative), not bitwise.
+A sweep gives delta . phi(x_i) in one form, ``reverse_tangent``, read off
+the reverse sweep's deltas as sum_l rowsum(deltas[l] * (scale_l a_l dW_l^T
++ sb db_l)) plus the output layer's terms: one matmul per layer and weight
+change, against two per hidden layer for a forward tangent pass.  Every
+caller uses it: the oracle steps of ``train_linearized``, which need the
+deltas for their gradients anyway, and ``feature_dot``, ``linear_logit``
+and the Monte Carlo student of the risk study, whose deltas are shared by
+all the weight changes evaluated on a sweep.
 
 Batch evaluations that need no cross-row sum (``forward``, ``feature_dot``,
 ``linear_logit`` and the kernel diagonal) sweep their inputs in row blocks
@@ -67,7 +64,19 @@ results are bitwise the unblocked ones.  Sweeps whose results sum over
 rows (gradients, Gram matrices, training steps) stay whole.
 
 ``train_linearized`` trains a list of objectives in lockstep on one sweep
-per step, each objective with its own weight change and Adam state.
+per step, each objective with its own weight change and Adam state.  In
+online mode it draws the batches of ``ceil(_BLOCK_ROWS / batch_size)``
+steps at a time and evaluates each objective's callable targets (teacher
+logits, hard labels, effective logits) once on the chunk's rows; each step
+then slices its own rows.  That relies on a contract every target callable
+keeps: its value for a row depends only on that row.  The results equal
+those of evaluating each step's batch on its own as long as the target is
+computed row by row with the same arithmetic, which elementwise code always
+is.  A teacher network's forward sweep is too, except where the BLAS
+routes a small product through another kernel (see above): OpenBLAS does
+so for products of up to about 1,200 output entries, which at width 64
+means oracle batches of about 18 rows or fewer, whose targets may then
+move at rounding level.
 """
 
 from __future__ import annotations
@@ -185,9 +194,8 @@ class _Cache:
 
     Construction runs the forward sweep only.  ``deltas`` comes from the
     reverse sweep, which runs on first access and is then kept, so callers
-    that read only ``logits`` or ``tangent`` never pay for it, and
-    ``weighted_gradient``, ``reverse_tangent`` and the Gram builders pay for
-    it once per cache.
+    that read only ``logits`` never pay for it, and ``weighted_gradient``,
+    ``reverse_tangent`` and the Gram builders pay for it once per cache.
     """
 
     def __init__(self, cfg: NetConfig, params: np.ndarray, x: np.ndarray):
@@ -252,7 +260,7 @@ class _Cache:
         """delta . phi(x_i) for every sample, from the reverse sweep's deltas.
 
         Layer l contributes rowsum(deltas[l] * (scale_l a_l dW_l^T + sb db_l)),
-        one matmul; equal to ``tangent`` up to rounding.
+        one matmul.
         """
         cfg = self.cfg
         sw, sb = cfg.weight_scale, cfg.bias_scale
@@ -265,32 +273,6 @@ class _Cache:
             dl = self.deltas[l]
             out += np.einsum("ij,ij->i", dl, self.acts[l] @ dw.T) * scale + sb * (dl @ db)
         return out
-
-    def tangent(self, delta: np.ndarray) -> np.ndarray:
-        """delta . phi(x_i) for every sample, via a forward tangent pass."""
-        cfg = self.cfg
-        sw, sb = cfg.weight_scale, cfg.bias_scale
-        d, m = cfg.input_dim, cfg.width
-        dlayers = unflatten(cfg, delta)
-        t = None
-        for l, (dw, db) in enumerate(dlayers[:-1]):
-            scale = sw / np.sqrt(d if l == 0 else m)
-            th = self.acts[l] @ dw.T
-            th *= scale
-            th += sb * db
-            if t is not None:
-                tw = t @ self.layers[l][0].T
-                tw *= scale
-                th += tw
-            t = _relu_grad(th, self.masks[l])
-        dw_out, db_out = dlayers[-1]
-        out = self.acts[-1] @ dw_out.T
-        out *= sw / np.sqrt(m)
-        out += sb * db_out
-        tw = t @ self.layers[-1][0].T
-        tw *= sw / np.sqrt(m)
-        out += tw
-        return out[:, 0]
 
 
 def _row_blocks(cfg: NetConfig, params: np.ndarray, batch: np.ndarray, fn) -> np.ndarray:
@@ -314,7 +296,7 @@ def _linear_logits(cfg: NetConfig, params0: np.ndarray, deltas, batch: np.ndarra
     every weight change of ``deltas`` evaluated on each row block's sweep."""
     deltas = [np.asarray(delta, dtype=float) for delta in deltas]
     return _row_blocks(cfg, params0, batch,
-                       lambda sweep: np.stack([sweep.logits + sweep.tangent(delta)
+                       lambda sweep: np.stack([sweep.logits + sweep.reverse_tangent(delta)
                                                for delta in deltas]))
 
 
@@ -356,10 +338,10 @@ def weighted_feature_sum(
 
 
 def feature_dot(cfg: NetConfig, params0: np.ndarray, delta: np.ndarray, x: np.ndarray):
-    """delta . phi(x) for one input or a batch, via the tangent pass."""
+    """delta . phi(x) for one input or a batch, from the reverse sweep."""
     batch, single = _as_batch(cfg, x)
     delta = np.asarray(delta, dtype=float)
-    out = _row_blocks(cfg, params0, batch, lambda sweep: sweep.tangent(delta))
+    out = _row_blocks(cfg, params0, batch, lambda sweep: sweep.reverse_tangent(delta))
     return float(out[0]) if single else out
 
 
@@ -533,37 +515,53 @@ def train_teacher(
     return checkpoints
 
 
+def _target_values(target, x: np.ndarray):
+    """A callable target's values on the rows of ``x``; fixed targets as
+    they are."""
+    return np.asarray(target(x) if callable(target) else target)
+
+
+def _target_rows(target, values, rows: slice):
+    """One step's share of ``_target_values``: its rows of a callable's
+    values, fixed targets whole."""
+    return values[rows] if callable(target) else values
+
+
 class SquaredTargets:
-    """L2 objective 0.5 * mean((z - target)^2); targets fixed or callable."""
+    """L2 objective 0.5 * mean((z - target)^2); targets fixed or callable.
+
+    ``evaluate(x)`` computes the targets on a batch of rows once, and
+    ``grad(z, values, rows)`` is the loss gradient of the step whose logits
+    ``z`` belong to ``rows`` of that batch.
+    """
 
     def __init__(self, targets):
         self.targets = targets
 
-    def grad(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        t = self.targets(x) if callable(self.targets) else np.asarray(self.targets)
-        return z - t
+    def evaluate(self, x: np.ndarray):
+        return _target_values(self.targets, x)
+
+    def grad(self, z: np.ndarray, values, rows: slice) -> np.ndarray:
+        return z - _target_rows(self.targets, values, rows)
 
 
 class DistillTargets:
-    """Distillation objective; teacher logits and hard labels fixed or callable."""
+    """Distillation objective; teacher logits and hard labels fixed or
+    callable, evaluated and sliced as in :class:`SquaredTargets`."""
 
     def __init__(self, params: DistillParams, teacher_logits, hard_labels):
         self.params = params
         self.teacher_logits = teacher_logits
         self.hard_labels = hard_labels
 
-    def grad(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        z_t = (
-            self.teacher_logits(x)
-            if callable(self.teacher_logits)
-            else np.asarray(self.teacher_logits)
-        )
-        y = (
-            self.hard_labels(x)
-            if callable(self.hard_labels)
-            else np.asarray(self.hard_labels)
-        )
-        return loss_gradient(z, z_t, y, self.params)
+    def evaluate(self, x: np.ndarray):
+        return (_target_values(self.teacher_logits, x),
+                _target_values(self.hard_labels, x))
+
+    def grad(self, z: np.ndarray, values, rows: slice) -> np.ndarray:
+        z_t, y = values
+        return loss_gradient(z, _target_rows(self.teacher_logits, z_t, rows),
+                             _target_rows(self.hard_labels, y, rows), self.params)
 
 
 @dataclass
@@ -571,6 +569,30 @@ class TrainResult:
     delta: np.ndarray
     grad_norm: float
     converged: bool = True
+
+
+def _steps(cfg: NetConfig, params0: np.ndarray, objectives, train_cfg: TrainConfig,
+           data, sampler, rng):
+    """``(sweep, values, rows)`` for each step of ``train_linearized``: the
+    step's sweep, every objective's ``evaluate`` values and the step's rows
+    of them, with the targets evaluated once per chunk of steps."""
+    if data is not None:
+        batch, _ = _as_batch(cfg, data)
+        sweep = _Cache(cfg, params0, batch)
+        values = [obj.evaluate(batch) for obj in objectives]
+        for _ in range(train_cfg.epochs):
+            yield sweep, values, slice(None)
+        return
+    per_chunk = -(-_BLOCK_ROWS // train_cfg.batch_size)
+    for first in range(0, train_cfg.epochs, per_chunk):
+        batches = [sampler(train_cfg.batch_size, rng)
+                   for _ in range(min(per_chunk, train_cfg.epochs - first))]
+        chunk = np.concatenate(batches)
+        values = [obj.evaluate(chunk) for obj in objectives]
+        end = 0
+        for batch in batches:
+            start, end = end, end + len(batch)
+            yield _Cache(cfg, params0, batch), values, slice(start, end)
 
 
 def train_linearized(
@@ -586,10 +608,22 @@ def train_linearized(
     """Gradient training of the model z(x) = f(x; w0) + delta . phi(x).
 
     Features are frozen at ``params0``.  Fixed-data mode (``data`` given)
-    reuses one cached forward/backward sweep for every step; online mode
-    (``sampler`` given) draws a fresh batch of ``batch_size`` inputs per
-    step, emulating training on unlimited samples.  Non-convergence is
-    reported through ``converged`` when ``grad_tol`` is set, never raised.
+    reuses one cached forward/backward sweep for every step and evaluates
+    callable targets once; online mode (``sampler`` given) draws a fresh
+    batch of ``batch_size`` inputs per step, emulating training on unlimited
+    samples.  Non-convergence is reported through ``converged`` when
+    ``grad_tol`` is set, never raised.
+
+    Online mode calls ``sampler(batch_size, rng)`` exactly once per step, in
+    step order, but draws the batches of ``ceil(_BLOCK_ROWS / batch_size)``
+    steps (8 at batch 128) ahead and evaluates each objective's callable
+    targets once on their concatenated rows; each step then takes its own
+    rows by slicing.  A target callable must therefore give each row a value
+    that depends on that row alone; it then trains exactly as it would on
+    per-step evaluations, up to the small-batch BLAS rounding noted in the
+    module docstring.  A target that raises (a non-finite teacher logit
+    raises FloatingPointError in the effective-logit solve) does so when its
+    chunk is evaluated, before the chunk's first step.
 
     ``objective`` is one objective, giving one :class:`TrainResult`, or a
     list or tuple of objectives, giving a list of results in the same order.
@@ -603,31 +637,21 @@ def train_linearized(
     """
     if (data is None) == (sampler is None):
         raise ValueError("provide exactly one of data or sampler")
+    if data is None and rng is None:
+        raise ValueError("online mode needs an rng")
     objectives = list(objective) if isinstance(objective, (list, tuple)) else [objective]
     params0 = np.asarray(params0, dtype=float)
     deltas = [np.zeros(param_count(cfg)) for _ in objectives]
     adams = [_Adam(delta.size, train_cfg) for delta in deltas]
     grad_norms = [0.0] * len(objectives)
 
-    cache = None
-    if data is not None:
-        batch, _ = _as_batch(cfg, data)
-        cache = _Cache(cfg, params0, batch)
-    elif rng is None:
-        raise ValueError("online mode needs an rng")
-
-    for _ in range(train_cfg.epochs):
-        if cache is None:
-            batch = sampler(train_cfg.batch_size, rng)
-            step_cache = _Cache(cfg, params0, batch)
-        else:
-            step_cache = cache
+    for sweep, values, rows in _steps(cfg, params0, objectives, train_cfg, data, sampler, rng):
         for j, obj in enumerate(objectives):
-            z = step_cache.logits + step_cache.reverse_tangent(deltas[j])
+            z = sweep.logits + sweep.reverse_tangent(deltas[j])
             if not np.all(np.isfinite(z)):
                 raise DivergenceError("linearized logits became non-finite")
-            coeffs = obj.grad(z, step_cache.acts[0]) / len(z)
-            grad = step_cache.weighted_gradient(coeffs)
+            coeffs = obj.grad(z, values[j], rows) / len(z)
+            grad = sweep.weighted_gradient(coeffs)
             grad_norms[j] = float(np.linalg.norm(grad))
             deltas[j] = adams[j].step(deltas[j], grad)
 

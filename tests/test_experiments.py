@@ -413,6 +413,64 @@ def test_student_closed_form_sweeps_its_inputs_once(monkeypatch):
     assert len(built) == 1
 
 
+def test_hard_label_effect_sweeps_each_input_set_once(tmp_path, monkeypatch):
+    # the initial logits and the Gram of each (repeat, n) input set come from
+    # one student sweep (two before: forward, then empirical_ntk_gram)
+    import ntkdistill.experiments as exp
+    import ntkdistill.kernel as kernel
+    import ntkdistill.network as network
+    from ntkdistill.metrics import unit_rng
+    from ntkdistill.tasks import Task
+
+    built = []
+
+    class Counting(network._Cache):
+        def __init__(self, cfg, params, x):
+            built.append((cfg, np.array(x)))
+            super().__init__(cfg, params, x)
+
+    for module in (exp, kernel, network):
+        monkeypatch.setattr(module, "_Cache", Counting)
+    data = ORACLE_COMMON | {
+        "experiment": "hard-label-effect", "n_grid": [12, 20], "repeats": 2,
+        "teacher_net": {"input_dim": 2, "hidden_layers": 2, "width": 6},
+        "teacher": {"epochs": 8, "batch_size": 16, "seed": 2, "stop_epochs": [4, 8]},
+    }
+    status, _ = run(write_config(tmp_path, data), out_dir=tmp_path / "out")
+    assert status == 0
+    cfg = parse_config(data)
+    sampler = Task(cfg.tasks[0]).sample_inputs
+    for rep in range(cfg.repeats):
+        for n in cfg.n_grid:
+            x = sampler(n, unit_rng(cfg.seed, 82, rep, n))
+            sweeps = [1 for net, xx in built
+                      if net == cfg.net and xx.shape == x.shape and np.array_equal(xx, x)]
+            assert len(sweeps) == 1
+
+
+def test_nan_teacher_logit_in_an_oracle_chunk_exits_numerical(tmp_path, monkeypatch):
+    # one NaN teacher logit among the rows of a lockstep oracle chunk stops
+    # the risk run at the effective-logit solve with exit code 2
+    from ntkdistill.tasks import LabelSource
+
+    original = LabelSource.logits
+
+    def one_nan(self, x):
+        z = original(self, x)
+        z[-1] = np.nan
+        return z
+
+    monkeypatch.setattr(LabelSource, "logits", one_nan)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, TINY_RISK)
+    assert main(["risk", "--config", str(path), "--out", str(out)]) == 2
+    header, rows = read_rows(out / "risk.csv")
+    assert header == list(CSV_COLUMNS) and rows == []
+    manifest = json.loads((out / "risk_manifest.json").read_text())
+    assert manifest["incomplete"] is True
+    assert manifest["errors"][0].startswith("FloatingPointError")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_risk_divergence_in_second_repeat_keeps_first_repeat_rows(tmp_path, monkeypatch):
     # the risk runner works repeat by repeat; a repeat that diverges leaves

@@ -27,8 +27,8 @@ from ntkdistill.network import (
     unflatten,
     weighted_feature_sum,
 )
-from ntkdistill.network import _Cache, _linear_logits
-from ntkdistill.distillation import DistillParams
+from ntkdistill.network import _BLOCK_ROWS, _Adam, _Cache, _linear_logits
+from ntkdistill.distillation import DistillParams, saturated_effective_logits
 
 
 CFG = NetConfig(input_dim=2, hidden_layers=3, width=8)
@@ -178,12 +178,11 @@ def test_linear_logit_is_bitwise_forward_plus_feature_dot():
     )
 
 
-def test_cache_skips_reverse_sweep_for_logits_and_tangents():
+def test_cache_skips_reverse_sweep_for_logits():
     rng = np.random.default_rng(12)
     p = init_params(CFG, 5)
     cache = _Cache(CFG, p, rng.normal(size=(16, 2)))
     cache.logits
-    cache.tangent(rng.normal(size=p.size))
     assert cache._deltas is None
     deltas = cache.deltas
     assert cache.deltas is deltas  # computed once, then kept
@@ -196,14 +195,16 @@ def test_weighted_gradient_independent_of_prior_tangent():
     c = rng.normal(size=16)
     fresh = _Cache(CFG, p, xs).weighted_gradient(c)
     used = _Cache(CFG, p, xs)
-    used.tangent(rng.normal(size=p.size))
+    used.reverse_tangent(rng.normal(size=p.size))
     assert np.array_equal(fresh, used.weighted_gradient(c))
 
 
 class _WhereSweep(_Cache):
     """Reference: the sweep with every ReLU a masked select, ``np.where(mask,
     value, 0.0)``, and every affine step one expression, as before the
-    passes went in place."""
+    passes went in place.  ``tangent`` is an independent forward tangent
+    pass (two matmuls per hidden layer), the reference for the one tangent
+    form the library keeps, ``reverse_tangent``."""
 
     def __init__(self, cfg, params, x):
         self.cfg = cfg
@@ -280,8 +281,7 @@ def test_sweep_is_bitwise_the_masked_select_sweep(depth, d, bias_scale, n):
     new, old = _Cache(cfg, p, x), _WhereSweep(cfg, p, x)
     pairs = [(new.logits, old.logits)]
     pairs += list(zip(new.acts, old.acts)) + list(zip(new.deltas, old.deltas))
-    pairs += [(new.tangent(delta), old.tangent(delta)),
-              (new.reverse_tangent(delta), old.reverse_tangent(delta)),
+    pairs += [(new.reverse_tangent(delta), old.reverse_tangent(delta)),
               (new.weighted_gradient(coeffs), old.weighted_gradient(coeffs))]
     for got, want in pairs:
         assert np.array_equal(_bits(got), _bits(want))
@@ -299,7 +299,7 @@ def test_nan_hidden_weight_reaches_the_logits():
 
 
 @pytest.mark.parametrize("width", [64, 128])
-@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 10000])
+@pytest.mark.parametrize("n", [1, 7, 1023, 1024, 1025, 2047, 2048, 10000])
 def test_row_blocks_are_bitwise_one_sweep(n, width):
     # forward and the Monte Carlo student sweep long batches block by block;
     # every value must be the one a single sweep of all rows gives
@@ -310,10 +310,10 @@ def test_row_blocks_are_bitwise_one_sweep(n, width):
     deltas = [rng.normal(scale=0.01, size=p.size) for _ in range(3)]
     whole = _Cache(cfg, p, x)
     assert np.array_equal(forward(cfg, p, x), whole.logits)
-    assert np.array_equal(feature_dot(cfg, p, deltas[0], x), whole.tangent(deltas[0]))
+    assert np.array_equal(feature_dot(cfg, p, deltas[0], x), whole.reverse_tangent(deltas[0]))
     assert np.array_equal(
         _linear_logits(cfg, p, deltas, x),
-        np.stack([whole.logits + whole.tangent(delta) for delta in deltas]),
+        np.stack([whole.logits + whole.reverse_tangent(delta) for delta in deltas]),
     )
 
 
@@ -321,18 +321,19 @@ def test_row_blocks_are_bitwise_one_sweep(n, width):
 @pytest.mark.parametrize("d", [1, 2, 5])
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_reverse_tangent_matches_forward_tangent(depth, d, bias_scale):
-    # the oracle step reads delta . phi(x_i) off the reverse sweep's deltas;
-    # it must equal the forward tangent pass up to rounding, for one weight
-    # change and for a lockstep list sharing one sweep, whatever ran first
+    # every caller reads delta . phi(x_i) off the reverse sweep's deltas; it
+    # must equal the reference's forward tangent pass up to rounding, for one
+    # weight change and for a lockstep list sharing one sweep, whatever ran
+    # first
     cfg = NetConfig(d, depth, 32, bias_scale=bias_scale)
     rng = np.random.default_rng(10 * depth + d)
     p = init_params(cfg, depth)
     x = rng.normal(scale=3.0, size=(64, d))
     deltas = [rng.normal(size=p.size) for _ in range(3)]
-    sweep = _Cache(cfg, p, x)
+    sweep, reference = _Cache(cfg, p, x), _WhereSweep(cfg, p, x)
     for changes in ([deltas[0]], deltas):
         reverse = np.stack([sweep.reverse_tangent(delta) for delta in changes])
-        tangent = np.stack([sweep.tangent(delta) for delta in changes])
+        tangent = np.stack([reference.tangent(delta) for delta in changes])
         assert np.max(np.abs(reverse - tangent)) <= 1e-13 * np.max(np.abs(tangent))
     fresh = _Cache(cfg, p, x)
     assert np.array_equal(fresh.reverse_tangent(deltas[1]), sweep.reverse_tangent(deltas[1]))
@@ -512,6 +513,124 @@ def test_lockstep_objectives_match_separate_runs(online):
         assert np.array_equal(res.delta, alone.delta)
         assert (res.grad_norm, res.converged) == (alone.grad_norm, alone.converged)
     assert not np.array_equal(together[0].delta, together[2].delta)
+
+
+def _per_step_reference(cfg, params0, objectives, tc, data=None, sampler=None, rng=None):
+    """The training loop as it ran before targets were evaluated per chunk:
+    every step evaluates every objective's targets on its own batch."""
+    deltas = [np.zeros(param_count(cfg)) for _ in objectives]
+    adams = [_Adam(delta.size, tc) for delta in deltas]
+    norms = [0.0] * len(objectives)
+    fixed = None if data is None else _Cache(cfg, params0, data)
+    for _ in range(tc.epochs):
+        sweep = fixed or _Cache(cfg, params0, sampler(tc.batch_size, rng))
+        for j, obj in enumerate(objectives):
+            z = sweep.logits + sweep.reverse_tangent(deltas[j])
+            coeffs = obj.grad(z, obj.evaluate(sweep.acts[0]), slice(None)) / len(z)
+            grad = sweep.weighted_gradient(coeffs)
+            norms[j] = float(np.linalg.norm(grad))
+            deltas[j] = adams[j].step(deltas[j], grad)
+    return deltas, norms
+
+
+def _chunk_objectives():
+    # a teacher network, its effective logits (a saturated rho = 0 point
+    # included), an elementwise target and a fixed hard label
+    student, teacher_cfg = NetConfig(2, 2, 16), NetConfig(2, 3, 64)
+    teacher = init_params(teacher_cfg, 4)
+    z_t = lambda x: 0.3 * forward(teacher_cfg, teacher, x)
+    hard = lambda x: (x[:, 0] > 0).astype(float)
+    objectives = [
+        SquaredTargets(lambda x, dp=dp: saturated_effective_logits(z_t(x), hard(x), dp)[0])
+        for dp in (DistillParams(1.0, 10.0), DistillParams(0.5, 10.0), DistillParams(0.0, 10.0))
+    ]
+    objectives += [SquaredTargets(lambda x: np.sin(x[:, 0]) * x[:, 1]),
+                   DistillTargets(DistillParams(0.7, 2.0), z_t, 1.0)]
+    return student, init_params(student, 3), objectives
+
+
+def _sampler(n, rng):
+    return rng.normal(scale=5.0, size=(n, 2))
+
+
+@pytest.mark.parametrize("batch_size,epochs", [(128, 13), (128, 8), (1100, 3), (128, 0)],
+                         ids=["remainder-chunk", "one-chunk", "batch-over-block", "no-steps"])
+@pytest.mark.parametrize("lockstep", [True, False], ids=["lockstep", "single"])
+def test_chunked_targets_are_bitwise_the_per_step_loop(batch_size, epochs, lockstep):
+    # online mode draws ceil(_BLOCK_ROWS / batch_size) batches ahead and
+    # evaluates every target once on their rows; each step's slice of those
+    # values must be bitwise the per-step evaluation, and the sampler must
+    # be called once per step in order, leaving the rng where it left it
+    cfg, p0, objectives = _chunk_objectives()
+    if not lockstep:
+        objectives = objectives[1]
+    tc = TrainConfig(learning_rate=0.01, batch_size=batch_size, epochs=epochs,
+                     final_learning_rate=0.001)
+    calls = []
+
+    def counting(n, rng):
+        calls.append(n)
+        return _sampler(n, rng)
+
+    rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+    got = train_linearized(cfg, p0, objectives, tc, sampler=counting, rng=rng)
+    got = got if lockstep else [got]
+    want, norms = _per_step_reference(cfg, p0, objectives if lockstep else [objectives], tc,
+                                      sampler=_sampler, rng=ref_rng)
+    assert calls == [batch_size] * epochs
+    assert rng.random() == ref_rng.random()
+    for res, delta, norm in zip(got, want, norms):
+        assert np.array_equal(res.delta, delta) and res.grad_norm == norm
+    if epochs:
+        assert not np.array_equal(got[0].delta, np.zeros(p0.size))
+
+
+def test_chunk_size_comes_from_the_block_rows():
+    # the teacher sees ceil(_BLOCK_ROWS / batch_size) batches per call, the
+    # last call the steps that remain
+    cfg, p0, _ = _chunk_objectives()
+    rows = []
+    obj = SquaredTargets(lambda x: rows.append(len(x)) or np.zeros(len(x)))
+    tc = TrainConfig(learning_rate=0.01, batch_size=100, epochs=25)
+    train_linearized(cfg, p0, obj, tc, sampler=_sampler, rng=np.random.default_rng(0))
+    per_chunk = -(-_BLOCK_ROWS // 100)
+    assert rows == [100 * per_chunk, 100 * per_chunk, 100 * (25 - 2 * per_chunk)]
+
+
+def test_fixed_data_evaluates_callable_targets_once():
+    cfg, p0, _ = _chunk_objectives()
+    x = _sampler(12, np.random.default_rng(5))
+    calls = []
+    target = lambda xx: calls.append(1) or np.cos(xx[:, 0])
+    tc = TrainConfig(learning_rate=0.01, batch_size=12, epochs=30, online_batch=False)
+    res = train_linearized(cfg, p0, [SquaredTargets(target), SquaredTargets(np.cos(x[:, 0]))],
+                           tc, data=x)
+    assert len(calls) == 1
+    # a callable and the same targets given as a fixed array train alike
+    assert np.array_equal(res[0].delta, res[1].delta)
+    want, _ = _per_step_reference(cfg, p0, [SquaredTargets(target)], tc, data=x)
+    assert np.array_equal(res[0].delta, want[0])
+
+
+def test_non_finite_teacher_logit_in_a_later_step_raises():
+    # one NaN teacher logit among the rows of a later chunk's step still
+    # stops training at the effective-logit solve
+    cfg, p0, _ = _chunk_objectives()
+    seen = []
+
+    def teacher(x):
+        seen.append(len(x))
+        z = np.tanh(x[:, 0])
+        if len(seen) == 2:
+            z[-1] = np.nan
+        return z
+
+    obj = SquaredTargets(
+        lambda x: saturated_effective_logits(teacher(x), 1.0, DistillParams(0.5, 2.0))[0])
+    tc = TrainConfig(learning_rate=0.01, batch_size=128, epochs=12)
+    with pytest.raises(FloatingPointError):
+        train_linearized(cfg, p0, obj, tc, sampler=_sampler, rng=np.random.default_rng(1))
+    assert len(seen) == 2
 
 
 def test_train_linearized_online_needs_rng():
