@@ -3,10 +3,13 @@
 The package splits into small, composable layers:
 
 * :mod:`~ntkdistill.linalg` — jittered SPD solves, kernel inner products, angles;
-* :mod:`~ntkdistill.network` — NTK-parameterized ReLU stacks, exact parameter
-  gradients, linearized-model evaluation and training;
-* :mod:`~ntkdistill.kernel` — the analytic arc-cosine tangent kernel and its
-  finite-width empirical Gram;
+* :mod:`~ntkdistill.network` — NTK-parameterized ReLU stacks and
+  :class:`~ntkdistill.network.Sweep`, the linearization at a parameter vector
+  (logits, jvp, vjp, tangent Gram and diagonal), plus Adam training of
+  teachers and linearized students;
+* :mod:`~ntkdistill.kernel` — the analytic arc-cosine tangent kernel, one
+  recursion for the Gram and its diagonal, and the finite-width empirical
+  Gram;
 * :mod:`~ntkdistill.distillation` — the two-term distillation loss and its
   converged per-sample targets;
 * :mod:`~ntkdistill.tasks` — synthetic targets (Gaussian mixtures, flip noise,
@@ -32,10 +35,8 @@ from .distillation import (
     saturated_effective_logits,
 )
 from .kernel import (
-    analytic_ntk,
     analytic_ntk_diag,
     analytic_ntk_gram,
-    empirical_kernel,
     empirical_ntk_diag,
     empirical_ntk_gram,
 )
@@ -60,13 +61,11 @@ from .metrics import (
 from .network import (
     Checkpoint,
     NetConfig,
+    Sweep,
     TrainConfig,
-    feature,
     feature_dot,
-    features,
     forward,
     init_params,
-    linear_logit,
     load_checkpoint,
     param_count,
     save_checkpoint,
@@ -74,4 +73,4 @@ from .network import (
     train_teacher,
     weighted_feature_sum,
 )
-from .tasks import MixtureSpec, Task, TaskSpec, mixture_value, realize_mixture, sample_inputs
+from .tasks import MixtureSpec, Task, TaskSpec, realize_mixture, sample_inputs

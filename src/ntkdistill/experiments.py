@@ -85,14 +85,8 @@ import numpy as np
 
 from . import __version__
 from .distillation import DistillParams, UnboundedSolutionError, saturated_effective_logits
-from .kernel import (
-    analytic_ntk_diag,
-    analytic_ntk_gram,
-    empirical_ntk_diag,
-    empirical_ntk_gram,
-    _sweep_gram,
-)
-from .linalg import DegenerateVectorError, SingularKernelError
+from .kernel import analytic_ntk_diag, analytic_ntk_gram, empirical_ntk_diag, empirical_ntk_gram
+from .linalg import DegenerateVectorError, KernelMatrix, SingularKernelError
 from .metrics import (
     alpha_n,
     angle_distribution,
@@ -107,13 +101,13 @@ from .network import (
     DivergenceError,
     NetConfig,
     SquaredTargets,
+    Sweep,
     TrainConfig,
+    as_batch,
     forward,
     init_params,
     param_count,
-    _as_batch,
-    _Cache,
-    _linear_logits,
+    row_blocks,
     train_linearized,
     train_teacher,
 )
@@ -535,13 +529,7 @@ def _run_ntk_check(cfg: ExperimentConfig, threads: int, records: list) -> None:
     def one(width_rep):
         width, rep = width_rep
         t0 = time.perf_counter()
-        net = NetConfig(
-            cfg.net.input_dim,
-            cfg.net.hidden_layers,
-            width,
-            cfg.net.weight_scale,
-            cfg.net.bias_scale,
-        )
+        net = replace(cfg.net, width=width)
         seed = int(unit_rng(cfg.seed, 1, width, rep).integers(2**63))
         target = analytic_ntk_gram(net, x, jitter=0.0).entries
         gram = empirical_ntk_gram(net, init_params(net, seed), x, jitter=0.0).entries
@@ -628,11 +616,9 @@ def student_closed_form(net: NetConfig, params0, x, targets) -> list[np.ndarray]
     """Kernel-solve weight changes for fixed data (finite-width Gram), one per
     target vector in ``targets``.  The sweep of ``x``, its Gram and the Gram's
     factorization are computed once and shared by all of them."""
-    batch, _ = _as_batch(net, x)
-    sweep = _Cache(net, np.asarray(params0, dtype=float), batch)
-    gram = _sweep_gram(sweep)
-    return [sweep.weighted_gradient(gram.solve(np.asarray(t, dtype=float) - sweep.logits))
-            for t in targets]
+    sweep = Sweep(net, params0, as_batch(net, x)[0])
+    gram = KernelMatrix(sweep.gram())
+    return [sweep.vjp(gram.solve(np.asarray(t, dtype=float) - sweep.logits)) for t in targets]
 
 
 def _distilled_targets(label, dps):
@@ -689,7 +675,9 @@ def _risk_point(cfg: ExperimentConfig, params0, sampler, label, targets, rep: in
     # the first distill point's empirical_risk sweeps the Monte Carlo inputs
     # block by block for every distill point's student, and evaluates the
     # teacher logits; the others reuse both
-    students = _memo_last(lambda xx: _linear_logits(cfg.net, params0, deltas_hat, xx))
+    students = _memo_last(lambda xx: row_blocks(
+        cfg.net, params0, xx,
+        lambda sweep: np.stack([sweep.logits + sweep.jvp(delta) for delta in deltas_hat])))
     teacher = _memo_last(label.logits)
     point = []
     for j, (delta_hat, delta_star) in enumerate(zip(deltas_hat, deltas_star)):
@@ -800,12 +788,12 @@ def _run_hard_label_effect(cfg: ExperimentConfig, threads: int, records: list) -
     gt = _teacher_sources(cfg, base, recipe.seed, recipe.epochs, [recipe.epochs], None)
     gt_ckpt = gt[max(gt)].checkpoint
     gt_fn = lambda x: forward(gt_ckpt.config, gt_ckpt.params, x)
-    sweep = _teacher_sources(
+    swept = _teacher_sources(
         cfg, _SignTask(base, gt_fn), recipe.seed + 1,
         max(recipe.stop_epochs) if recipe.stop_epochs else recipe.epochs,
         list(recipe.stop_epochs) or None, gt_fn,
     )
-    teachers = sorted((epoch, label) for epoch, label in sweep.items() if epoch > 0)
+    teachers = sorted((epoch, label) for epoch, label in swept.items() if epoch > 0)
 
     for rep in range(cfg.repeats):
         params0 = init_params(cfg.net, unit_rng(cfg.seed, 80, rep))
@@ -814,15 +802,18 @@ def _run_hard_label_effect(cfg: ExperimentConfig, threads: int, records: list) -
         norm_wg = float(np.linalg.norm(delta_g))
         for n in cfg.n_grid or [256]:
             x = sampler(int(n), unit_rng(cfg.seed, 82, rep, n))
-            # one sweep of x gives both the initial logits and the Gram
-            sweep = _Cache(cfg.net, params0, x)
+            # one sweep of x gives both the initial logits and the Gram; one
+            # ground-truth evaluation gives dz_g and every teacher's hard
+            # labels (each swept teacher's ground truth is gt_fn)
+            sweep = Sweep(cfg.net, params0, x)
             z0 = sweep.logits
-            dz_g = gt_fn(x) - z0
-            gram = _sweep_gram(sweep)
+            gram = KernelMatrix(sweep.gram())
+            z_g = gt_fn(x)
+            dz_g = z_g - z0
+            y_g = (z_g > 0).astype(float)
             for epoch, label in teachers:
                 t0 = time.perf_counter()
                 z_t = label.logits(x)
-                y_g = label.hard(x)
                 dz_t = z_t - z0
                 dz_h = correction_logit(z_t, y_g, temp)
                 proj = correction_projection(gram, dz_g, dz_t, dz_h)

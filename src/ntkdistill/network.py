@@ -11,24 +11,28 @@ scales (sw, sb) kept outside the weights so the infinite-width kernel limit
 exists.  Parameters travel as one flat vector in a fixed layer-major order
 (W^0, b^0, W^1, b^1, ..., W^L, b^L, each in C order).
 
-Three views of the parameter gradient drive everything downstream:
+One class holds the per-layer algebra.  :class:`Sweep` ``(cfg, params, x)``
+is the linearization of the network at ``params`` on the rows of ``x``, the
+model z(x) = f(x; params) + delta . phi(x), with phi(x) in R^p the gradient
+of the logit with respect to every parameter:
 
-* ``feature`` materializes the gradient of a single logit, phi(x) in R^p,
-  by explicit reverse-mode accumulation through the stack;
-* ``weighted_feature_sum`` returns sum_i c_i phi(x_i) from one batched
-  backward pass, never materializing an (n, p) matrix;
-* ``feature_dot`` returns delta . phi(x_i) for a whole batch from the same
-  backward pass's deltas.
+* ``logits`` is f on every row;
+* ``jvp(delta)`` is delta . phi(x_i) for every row;
+* ``vjp(coeffs)`` is sum_i coeffs[i] phi(x_i), one length-p vector;
+* ``gram()`` and ``diag()`` are the tangent Gram phi(x_i) . phi(x_j) and its
+  diagonal.
 
-The combination makes kernel solves, linearized-model training, and
-linearized evaluation affordable at widths where explicit features would
-not fit in memory.
+None of them forms an (n, p) feature matrix, which makes kernel solves,
+linearized-model training and linearized evaluation affordable at widths
+where explicit features would not fit in memory.  ``forward``,
+``feature_dot`` and ``weighted_feature_sum`` here and the kernel module's
+empirical Gram and diagonal are thin compositions over it.
 
-Every entry point builds sweep objects, ``_Cache``, whose forward sweep
-runs at construction.  Its reverse sweep (``deltas``) is computed on first
-use, so callers that read only logits never pay for it.  The per-layer
-offsets of the flat parameter vector are computed once per
-:class:`NetConfig`.
+A sweep runs its forward sweep at construction.  Its reverse sweep
+(``deltas``) is computed on first use, so callers that read only logits
+never pay for it.  The per-layer offsets of the flat parameter vector and
+the per-layer scales are computed once per :class:`NetConfig`, and a sweep
+holds views of ``params``, never a copy.
 
 Each elementwise pass of a sweep runs in place on the array its matmul
 returns.  The forward sweep scales and shifts h = a W^T in place, keeps the
@@ -42,33 +46,37 @@ reference.  Only non-finite values differ: a NaN pre-activation propagates
 to the logits, where a masked select zeroed it, so the non-finite guards
 downstream (teacher and oracle divergence, effective-logit inputs) see it.
 
-A sweep gives delta . phi(x_i) in one form, ``reverse_tangent``, read off
-the reverse sweep's deltas as sum_l rowsum(deltas[l] * (scale_l a_l dW_l^T
-+ sb db_l)) plus the output layer's terms: one matmul per layer and weight
-change, against two per hidden layer for a forward tangent pass.  Every
-caller uses it: the oracle steps of ``train_linearized``, which need the
-deltas for their gradients anyway, and ``feature_dot``, ``linear_logit``
-and the Monte Carlo student of the risk study, whose deltas are shared by
-all the weight changes evaluated on a sweep.
+``jvp`` reads delta . phi(x_i) off the reverse sweep's deltas as
+sum_l rowsum(deltas[l] * (scale_l a_l dW_l^T + sb db_l)) plus the output
+layer's terms: one matmul per layer and weight change, against two per
+hidden layer for a forward tangent pass.  The oracle steps of
+``train_linearized`` need the deltas for their gradients anyway, and every
+weight change evaluated on one sweep shares them.  ``gram`` and ``diag``
+factor each layer's feature inner products as
+(delta . delta)(a . a) sw^2 / fan_in + (delta . delta) sb^2, the per-layer
+Gram of Fast Finite-Width NTK; they share one loop and differ only in the
+inner product, a matrix product for the Gram and a row-wise one for the
+diagonal.
 
 Batch evaluations that need no cross-row sum (``forward``, ``feature_dot``,
-``linear_logit`` and the kernel diagonal) sweep their inputs in row blocks
-of ``_BLOCK_ROWS`` rows, so the memory of a 10,000-sample Monte Carlo pass
-is set by the block size, not by the sample count.  Blocks start every
-``_BLOCK_ROWS`` rows and the last one also takes the remainder, so every
-block of a long batch keeps at least ``_BLOCK_ROWS`` rows.  A BLAS routes a
-one-row or few-row product through other kernels that sum in another
-order, while every long block has the same inner dimension and sums each
-row exactly as the unblocked sweep does; the tests check that blocked
-results are bitwise the unblocked ones.  Sweeps whose results sum over
-rows (gradients, Gram matrices, training steps) stay whole.
+the kernel diagonal and the Monte Carlo student of the risk study) sweep
+their inputs in blocks of ``_BLOCK_ROWS`` rows through ``row_blocks``, so
+the memory of a 10,000-sample Monte Carlo pass is set by the block size,
+not by the sample count.  Blocks start every ``_BLOCK_ROWS`` rows and the
+last one also takes the remainder, so every block of a long batch keeps at
+least ``_BLOCK_ROWS`` rows.  A BLAS routes a one-row or few-row product
+through other kernels that sum in another order, while every long block has
+the same inner dimension and sums each row exactly as the unblocked sweep
+does; the tests check that blocked results are bitwise the unblocked ones.
+Sweeps whose results sum over rows (gradients, Gram matrices, training
+steps) stay whole.
 
 ``train_linearized`` trains a list of objectives in lockstep on one sweep
 per step, each objective with its own weight change and Adam state.  In
 online mode it draws the batches of ``ceil(_BLOCK_ROWS / batch_size)``
 steps at a time and evaluates each objective's callable targets (teacher
 logits, hard labels, effective logits) once on the chunk's rows; each step
-then slices its own rows.  That relies on a contract every target callable
+then slices its own.  That relies on a contract every target callable
 keeps: its value for a row depends only on that row.  The results equal
 those of evaluating each step's batch on its own as long as the target is
 computed row by row with the same arithmetic, which elementwise code always
@@ -91,7 +99,7 @@ from .distillation import DistillParams, loss_gradient
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-# rows per sweep of a blocked batch evaluation (see _row_blocks)
+# rows per sweep of a blocked batch evaluation (see row_blocks)
 _BLOCK_ROWS = 1024
 
 
@@ -140,6 +148,16 @@ def _layout(cfg: NetConfig) -> tuple[tuple, int]:
     return tuple(spans), offset
 
 
+@lru_cache(maxsize=None)
+def _scales(cfg: NetConfig) -> tuple[tuple, tuple]:
+    """Per affine layer, input to output: the forward pass's weight scale
+    sw / sqrt(fan_in), and the Gram's sw^2 / fan_in; computed once per
+    config."""
+    sw = cfg.weight_scale
+    fan_ins = (cfg.input_dim,) + (cfg.width,) * cfg.hidden_layers
+    return tuple(sw / np.sqrt(f) for f in fan_ins), tuple(sw**2 / f for f in fan_ins)
+
+
 def param_count(cfg: NetConfig) -> int:
     return _layout(cfg)[1]
 
@@ -163,7 +181,9 @@ def init_params(cfg: NetConfig, seed) -> np.ndarray:
     return rng.standard_normal(param_count(cfg))
 
 
-def _as_batch(cfg: NetConfig, x: np.ndarray) -> tuple[np.ndarray, bool]:
+def as_batch(cfg: NetConfig, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``x`` as an (n, input_dim) float batch, and whether it was a single
+    (input_dim,) input."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         if x.shape[0] != cfg.input_dim:
@@ -184,8 +204,9 @@ def _relu_grad(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Cache:
-    """Forward activations plus backward deltas at one set of parameters.
+class Sweep:
+    """The linearization of the network at ``params`` on the rows of the
+    (n, input_dim) batch ``x`` (see the module docstring).
 
     ``acts[0]`` is the input batch; ``acts[l]`` for l >= 1 are post-ReLU
     activations; ``masks[l]`` are the ReLU derivative masks of layer l + 1's
@@ -194,30 +215,30 @@ class _Cache:
 
     Construction runs the forward sweep only.  ``deltas`` comes from the
     reverse sweep, which runs on first access and is then kept, so callers
-    that read only ``logits`` never pay for it, and ``weighted_gradient``,
-    ``reverse_tangent`` and the Gram builders pay for it once per cache.
+    that read only ``logits`` never pay for it, and ``jvp``, ``vjp``,
+    ``gram`` and ``diag`` pay for it once per sweep.
     """
 
     def __init__(self, cfg: NetConfig, params: np.ndarray, x: np.ndarray):
         self.cfg = cfg
-        layers = unflatten(cfg, params)
-        sw, sb = cfg.weight_scale, cfg.bias_scale
-        d, m = cfg.input_dim, cfg.width
+        # views of params: a copy at width 4096 would be another 269 MB
+        layers = unflatten(cfg, np.asarray(params, dtype=float))
+        scales, sb = _scales(cfg)[0], cfg.bias_scale
 
         self.layers = layers
         self.acts = [x]
         self.masks = []
         a = x
-        for i, (w, b) in enumerate(layers[:-1]):
+        for (w, b), scale in zip(layers[:-1], scales):
             h = a @ w.T
-            h *= sw / np.sqrt(d if i == 0 else m)
+            h *= scale
             h += sb * b
             self.masks.append(h > 0)
             a = np.maximum(h, 0.0, out=h)
             self.acts.append(a)
         w_out, b_out = layers[-1]
         out = a @ w_out.T
-        out *= sw / np.sqrt(m)
+        out *= scales[-1]
         out += sb * b_out
         self.logits = out[:, 0]
         self._deltas = None
@@ -227,128 +248,102 @@ class _Cache:
         """Reverse sweep, run on first access: deltas[l] = d f / d h^(l+1)."""
         if self._deltas is not None:
             return self._deltas
-        layers = self.layers
-        sw, m = self.cfg.weight_scale, self.cfg.width
+        layers, scales = self.layers, _scales(self.cfg)[0]
         n = self.acts[0].shape[0]
         deltas = [None] * len(self.masks)
-        v = np.broadcast_to(layers[-1][0] * (sw / np.sqrt(m)), (n, m))
+        v = np.broadcast_to(layers[-1][0] * scales[-1], (n, self.cfg.width))
         for l in range(len(self.masks) - 1, -1, -1):
             deltas[l] = _relu_grad(v, self.masks[l])
             if l > 0:
                 v = deltas[l] @ layers[l][0]
-                v *= sw / np.sqrt(m)
+                v *= scales[l]
         self._deltas = deltas
         return deltas
 
-    def weighted_gradient(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_i coeffs[i] * phi(x_i), assembled layer by layer."""
-        cfg = self.cfg
-        sw, sb = cfg.weight_scale, cfg.bias_scale
-        d, m = cfg.input_dim, cfg.width
-        c = np.asarray(coeffs, dtype=float)
-        pieces = []
-        for l in range(len(self.deltas)):
-            scale = sw / np.sqrt(d if l == 0 else m)
-            wd = (self.deltas[l] * c[:, None]).T
-            pieces.append((wd @ self.acts[l]).ravel() * scale)
-            pieces.append(sb * wd.sum(axis=1))
-        pieces.append((c @ self.acts[-1]) * (sw / np.sqrt(m)))
-        pieces.append(np.array([sb * c.sum()]))
-        return np.concatenate(pieces)
-
-    def reverse_tangent(self, delta: np.ndarray) -> np.ndarray:
-        """delta . phi(x_i) for every sample, from the reverse sweep's deltas.
+    def jvp(self, delta: np.ndarray) -> np.ndarray:
+        """delta . phi(x_i) for every row, from the reverse sweep's deltas.
 
         Layer l contributes rowsum(deltas[l] * (scale_l a_l dW_l^T + sb db_l)),
         one matmul.
         """
-        cfg = self.cfg
-        sw, sb = cfg.weight_scale, cfg.bias_scale
-        d, m = cfg.input_dim, cfg.width
-        dlayers = unflatten(cfg, delta)
+        scales, sb = _scales(self.cfg)[0], self.cfg.bias_scale
+        dlayers = unflatten(self.cfg, np.asarray(delta, dtype=float))
         dw_out, db_out = dlayers[-1]
-        out = self.acts[-1] @ dw_out[0] * (sw / np.sqrt(m)) + sb * db_out[0]
+        out = self.acts[-1] @ dw_out[0] * scales[-1] + sb * db_out[0]
         for l, (dw, db) in enumerate(dlayers[:-1]):
-            scale = sw / np.sqrt(d if l == 0 else m)
             dl = self.deltas[l]
-            out += np.einsum("ij,ij->i", dl, self.acts[l] @ dw.T) * scale + sb * (dl @ db)
+            out += np.einsum("ij,ij->i", dl, self.acts[l] @ dw.T) * scales[l] + sb * (dl @ db)
+        return out
+
+    def vjp(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_i coeffs[i] * phi(x_i), assembled layer by layer."""
+        scales, sb = _scales(self.cfg)[0], self.cfg.bias_scale
+        c = np.asarray(coeffs, dtype=float)
+        pieces = []
+        for l, dl in enumerate(self.deltas):
+            wd = (dl * c[:, None]).T
+            pieces.append((wd @ self.acts[l]).ravel() * scales[l])
+            pieces.append(sb * wd.sum(axis=1))
+        pieces.append((c @ self.acts[-1]) * scales[-1])
+        pieces.append(np.array([sb * c.sum()]))
+        return np.concatenate(pieces)
+
+    def gram(self) -> np.ndarray:
+        """The tangent Gram phi(x_i) . phi(x_j) of the rows, (n, n)."""
+        return self._layer_sum(lambda u: u @ u.T)
+
+    def diag(self) -> np.ndarray:
+        """The Gram's diagonal |phi(x_i)|^2, one entry per row."""
+        return self._layer_sum(lambda u: np.einsum("ij,ij->i", u, u))
+
+    def _layer_sum(self, inner) -> np.ndarray:
+        """Sum over affine layers of the feature inner products, each
+        (delta . delta)(a . a) sw^2 / fan_in + (delta . delta) sb^2 with
+        ``inner`` the inner product of the rows of an (n, m) matrix; the
+        output layer's delta is 1."""
+        gram_scales, sb = _scales(self.cfg)[1], self.cfg.bias_scale
+        out = 0.0
+        for l, dl in enumerate(self.deltas):
+            dd = inner(dl)
+            out += gram_scales[l] * dd * inner(self.acts[l]) + sb**2 * dd
+        out += gram_scales[-1] * inner(self.acts[-1]) + sb**2
         return out
 
 
-def _row_blocks(cfg: NetConfig, params: np.ndarray, batch: np.ndarray, fn) -> np.ndarray:
-    """``fn(sweep)`` of every row block of ``batch``, joined along the last
-    axis; ``fn`` returns one entry per row in that axis.
+def row_blocks(cfg: NetConfig, params: np.ndarray, batch: np.ndarray, fn) -> np.ndarray:
+    """``fn(sweep)`` of the :class:`Sweep` of every row block of ``batch``,
+    joined along the last axis; ``fn`` returns one entry per row in that
+    axis.
 
     Blocks start every ``_BLOCK_ROWS`` rows and the last also takes the
     remainder, so a long batch never ends in a short block (see the module
     docstring); a batch of at most ``2 * _BLOCK_ROWS - 1`` rows is one sweep.
     """
-    params = np.asarray(params, dtype=float)
     n = batch.shape[0]
     starts = list(range(0, max(n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS))
     ends = starts[1:] + [n]
-    parts = [fn(_Cache(cfg, params, batch[a:b])) for a, b in zip(starts, ends)]
+    parts = [fn(Sweep(cfg, params, batch[a:b])) for a, b in zip(starts, ends)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-
-
-def _linear_logits(cfg: NetConfig, params0: np.ndarray, deltas, batch: np.ndarray) -> np.ndarray:
-    """First-order logits f(x; w0) + deltas[j] . phi(x) as a (k, n) array,
-    every weight change of ``deltas`` evaluated on each row block's sweep."""
-    deltas = [np.asarray(delta, dtype=float) for delta in deltas]
-    return _row_blocks(cfg, params0, batch,
-                       lambda sweep: np.stack([sweep.logits + sweep.reverse_tangent(delta)
-                                               for delta in deltas]))
 
 
 def forward(cfg: NetConfig, params: np.ndarray, x: np.ndarray):
     """Network logit(s); accepts a single input (d,) or a batch (n, d)."""
-    batch, single = _as_batch(cfg, x)
-    logits = _row_blocks(cfg, params, batch, lambda sweep: sweep.logits)
+    batch, single = as_batch(cfg, x)
+    logits = row_blocks(cfg, params, batch, lambda sweep: sweep.logits)
     return float(logits[0]) if single else logits
-
-
-def feature(cfg: NetConfig, params0: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of the logit with respect to every parameter, flat (p,)."""
-    batch, _ = _as_batch(cfg, x)
-    if batch.shape[0] != 1:
-        raise ValueError("feature takes a single input; use features for batches")
-    cache = _Cache(cfg, np.asarray(params0, dtype=float), batch)
-    return cache.weighted_gradient(np.ones(1))
-
-
-def features(cfg: NetConfig, params0: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Stacked feature rows (n, p).  Memory scales as n * p; small runs only."""
-    batch, _ = _as_batch(cfg, x)
-    cache = _Cache(cfg, np.asarray(params0, dtype=float), batch)
-    n = batch.shape[0]
-    out = np.empty((n, param_count(cfg)))
-    eye = np.eye(n)
-    for i in range(n):
-        out[i] = cache.weighted_gradient(eye[i])
-    return out
 
 
 def weighted_feature_sum(
     cfg: NetConfig, params: np.ndarray, x: np.ndarray, coeffs: np.ndarray
 ) -> np.ndarray:
     """sum_i coeffs[i] * phi(x_i) without materializing features."""
-    batch, _ = _as_batch(cfg, x)
-    cache = _Cache(cfg, np.asarray(params, dtype=float), batch)
-    return cache.weighted_gradient(coeffs)
+    return Sweep(cfg, params, as_batch(cfg, x)[0]).vjp(coeffs)
 
 
 def feature_dot(cfg: NetConfig, params0: np.ndarray, delta: np.ndarray, x: np.ndarray):
     """delta . phi(x) for one input or a batch, from the reverse sweep."""
-    batch, single = _as_batch(cfg, x)
-    delta = np.asarray(delta, dtype=float)
-    out = _row_blocks(cfg, params0, batch, lambda sweep: sweep.reverse_tangent(delta))
-    return float(out[0]) if single else out
-
-
-def linear_logit(cfg: NetConfig, params0: np.ndarray, delta: np.ndarray, x: np.ndarray):
-    """First-order model f(x; w0) + delta . phi(x)."""
-    batch, single = _as_batch(cfg, x)
-    out = _linear_logits(cfg, params0, [delta], batch)[0]
+    batch, single = as_batch(cfg, x)
+    out = row_blocks(cfg, params0, batch, lambda sweep: sweep.jvp(delta))
     return float(out[0]) if single else out
 
 
@@ -505,11 +500,11 @@ def train_teacher(
             y = task.hard_labels(x, data_rng)
         # an overflowing sweep is reported once, by the DivergenceError
         with np.errstate(over="ignore", invalid="ignore"):
-            cache = _Cache(cfg, params, x)
-            if not np.all(np.isfinite(cache.logits)):
+            sweep = Sweep(cfg, params, x)
+            if not np.all(np.isfinite(sweep.logits)):
                 raise DivergenceError(f"teacher logits non-finite at epoch {epoch}")
-        coeffs = (expit(cache.logits) - y) / len(y)
-        params = adam.step(params, cache.weighted_gradient(coeffs))
+        coeffs = (expit(sweep.logits) - y) / len(y)
+        params = adam.step(params, sweep.vjp(coeffs))
         if epoch in wanted:
             checkpoints.append(Checkpoint(cfg, seed, epoch, params.copy()))
     return checkpoints
@@ -568,7 +563,6 @@ class DistillTargets:
 class TrainResult:
     delta: np.ndarray
     grad_norm: float
-    converged: bool = True
 
 
 def _steps(cfg: NetConfig, params0: np.ndarray, objectives, train_cfg: TrainConfig,
@@ -577,8 +571,8 @@ def _steps(cfg: NetConfig, params0: np.ndarray, objectives, train_cfg: TrainConf
     step's sweep, every objective's ``evaluate`` values and the step's rows
     of them, with the targets evaluated once per chunk of steps."""
     if data is not None:
-        batch, _ = _as_batch(cfg, data)
-        sweep = _Cache(cfg, params0, batch)
+        batch, _ = as_batch(cfg, data)
+        sweep = Sweep(cfg, params0, batch)
         values = [obj.evaluate(batch) for obj in objectives]
         for _ in range(train_cfg.epochs):
             yield sweep, values, slice(None)
@@ -592,7 +586,7 @@ def _steps(cfg: NetConfig, params0: np.ndarray, objectives, train_cfg: TrainConf
         end = 0
         for batch in batches:
             start, end = end, end + len(batch)
-            yield _Cache(cfg, params0, batch), values, slice(start, end)
+            yield Sweep(cfg, params0, batch), values, slice(start, end)
 
 
 def train_linearized(
@@ -603,7 +597,6 @@ def train_linearized(
     data: np.ndarray | None = None,
     sampler=None,
     rng: np.random.Generator | None = None,
-    grad_tol: float | None = None,
 ) -> TrainResult | list[TrainResult]:
     """Gradient training of the model z(x) = f(x; w0) + delta . phi(x).
 
@@ -611,8 +604,8 @@ def train_linearized(
     reuses one cached forward/backward sweep for every step and evaluates
     callable targets once; online mode (``sampler`` given) draws a fresh
     batch of ``batch_size`` inputs per step, emulating training on unlimited
-    samples.  Non-convergence is reported through ``converged`` when
-    ``grad_tol`` is set, never raised.
+    samples.  Each result's ``grad_norm`` is the norm of its last step's
+    gradient; non-convergence is never raised.
 
     Online mode calls ``sampler(batch_size, rng)`` exactly once per step, in
     step order, but draws the batches of ``ceil(_BLOCK_ROWS / batch_size)``
@@ -632,8 +625,8 @@ def train_linearized(
     keeps its own weight change and Adam state.  Every result is therefore
     bitwise the one a separate run on an identically seeded ``rng`` gives,
     and a single objective is the one-element case of the same loop.  Each
-    objective's logits come from the sweep's deltas
-    (``_Cache.reverse_tangent``), which its gradient needs anyway.
+    objective's logits come from the sweep's deltas (``Sweep.jvp``), which
+    its gradient needs anyway.
     """
     if (data is None) == (sampler is None):
         raise ValueError("provide exactly one of data or sampler")
@@ -647,17 +640,13 @@ def train_linearized(
 
     for sweep, values, rows in _steps(cfg, params0, objectives, train_cfg, data, sampler, rng):
         for j, obj in enumerate(objectives):
-            z = sweep.logits + sweep.reverse_tangent(deltas[j])
+            z = sweep.logits + sweep.jvp(deltas[j])
             if not np.all(np.isfinite(z)):
                 raise DivergenceError("linearized logits became non-finite")
             coeffs = obj.grad(z, values[j], rows) / len(z)
-            grad = sweep.weighted_gradient(coeffs)
+            grad = sweep.vjp(coeffs)
             grad_norms[j] = float(np.linalg.norm(grad))
             deltas[j] = adams[j].step(deltas[j], grad)
 
-    results = [
-        TrainResult(delta=delta, grad_norm=norm,
-                    converged=True if grad_tol is None else norm <= grad_tol)
-        for delta, norm in zip(deltas, grad_norms)
-    ]
+    results = [TrainResult(delta, norm) for delta, norm in zip(deltas, grad_norms)]
     return results if isinstance(objective, (list, tuple)) else results[0]

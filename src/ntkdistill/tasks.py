@@ -71,24 +71,6 @@ class Mixture:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.values(x)
 
-    def to_dict(self) -> dict:
-        """JSON-ready realized parameters, for exact reproduction."""
-        return {
-            "amplitudes": self.amplitudes.tolist(),
-            "centers": self.centers.tolist(),
-            "widths": self.widths.tolist(),
-            "squared_width": self.squared_width,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Mixture":
-        return cls(
-            amplitudes=np.asarray(data["amplitudes"], dtype=float),
-            centers=np.asarray(data["centers"], dtype=float),
-            widths=np.asarray(data["widths"], dtype=float),
-            squared_width=bool(data.get("squared_width", False)),
-        )
-
 
 def realize_mixture(spec: MixtureSpec, rng: np.random.Generator) -> Mixture:
     width = spec.width if spec.width is not None else default_mode_width(spec.modes)
@@ -98,13 +80,6 @@ def realize_mixture(spec: MixtureSpec, rng: np.random.Generator) -> Mixture:
     centers = rng.normal(scale=spec.center_spread, size=(q, spec.dim))
     widths = width * (1 + spec.jitter * rng.uniform(-1, 1, size=q))
     return Mixture(amplitudes, centers, widths, spec.squared_width)
-
-
-def mixture_value(mixture: Mixture, x: np.ndarray) -> np.ndarray:
-    """Mixture target at one point or a batch."""
-    x = np.asarray(x, dtype=float)
-    vals = mixture.values(x)
-    return float(vals[0]) if x.ndim == 1 else vals
 
 
 def flip_labels(base, p_flip: float):
@@ -233,13 +208,6 @@ class Task:
     @property
     def subtract_init(self) -> bool:
         return self.spec.kind != "random-labels"
-
-    def realized_dict(self) -> dict:
-        """The spec plus any realized randomness, JSON-ready."""
-        out = {"spec": self.spec.to_dict()}
-        if isinstance(self._ground, Mixture):
-            out["mixture"] = self._ground.to_dict()
-        return out
 
     def sample_inputs(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return sample_inputs(self.spec, n, rng)

@@ -395,22 +395,40 @@ def test_student_closed_form_sweeps_its_inputs_once(monkeypatch):
     # gradients, so x is swept forward and backward once per call
     import ntkdistill.experiments as exp
     import ntkdistill.kernel as kernel
-    from ntkdistill.network import NetConfig, _Cache, init_params
+    from ntkdistill.network import NetConfig, Sweep, init_params
 
     built = []
 
-    class Counting(_Cache):
+    class Counting(Sweep):
         def __init__(self, *args):
             built.append(1)
             super().__init__(*args)
 
-    monkeypatch.setattr(exp, "_Cache", Counting)
-    monkeypatch.setattr(kernel, "_Cache", Counting)
+    monkeypatch.setattr(exp, "Sweep", Counting)
+    monkeypatch.setattr(kernel, "Sweep", Counting)
     net = NetConfig(2, 2, 16)
     x = np.random.default_rng(3).normal(size=(12, 2))
     deltas = exp.student_closed_form(net, init_params(net, 3), x, [np.ones(12), np.zeros(12)])
     assert len(deltas) == 2
     assert len(built) == 1
+
+
+TINY_HARD_LABEL = ORACLE_COMMON | {
+    "experiment": "hard-label-effect", "n_grid": [12, 20], "repeats": 2,
+    "teacher_net": {"input_dim": 2, "hidden_layers": 2, "width": 6},
+    "teacher": {"epochs": 8, "batch_size": 16, "seed": 2, "stop_epochs": [4, 8]},
+}
+
+
+def _hard_label_input_sets(data):
+    """The input set of every (repeat, n) point of a hard-label-effect run."""
+    from ntkdistill.metrics import unit_rng
+    from ntkdistill.tasks import Task
+
+    cfg = parse_config(data)
+    sampler = Task(cfg.tasks[0]).sample_inputs
+    return [sampler(n, unit_rng(cfg.seed, 82, rep, n))
+            for rep in range(cfg.repeats) for n in cfg.n_grid]
 
 
 def test_hard_label_effect_sweeps_each_input_set_once(tmp_path, monkeypatch):
@@ -419,33 +437,45 @@ def test_hard_label_effect_sweeps_each_input_set_once(tmp_path, monkeypatch):
     import ntkdistill.experiments as exp
     import ntkdistill.kernel as kernel
     import ntkdistill.network as network
-    from ntkdistill.metrics import unit_rng
-    from ntkdistill.tasks import Task
 
     built = []
 
-    class Counting(network._Cache):
+    class Counting(network.Sweep):
         def __init__(self, cfg, params, x):
             built.append((cfg, np.array(x)))
             super().__init__(cfg, params, x)
 
     for module in (exp, kernel, network):
-        monkeypatch.setattr(module, "_Cache", Counting)
-    data = ORACLE_COMMON | {
-        "experiment": "hard-label-effect", "n_grid": [12, 20], "repeats": 2,
-        "teacher_net": {"input_dim": 2, "hidden_layers": 2, "width": 6},
-        "teacher": {"epochs": 8, "batch_size": 16, "seed": 2, "stop_epochs": [4, 8]},
-    }
-    status, _ = run(write_config(tmp_path, data), out_dir=tmp_path / "out")
+        monkeypatch.setattr(module, "Sweep", Counting)
+    status, _ = run(write_config(tmp_path, TINY_HARD_LABEL), out_dir=tmp_path / "out")
     assert status == 0
-    cfg = parse_config(data)
-    sampler = Task(cfg.tasks[0]).sample_inputs
-    for rep in range(cfg.repeats):
-        for n in cfg.n_grid:
-            x = sampler(n, unit_rng(cfg.seed, 82, rep, n))
-            sweeps = [1 for net, xx in built
-                      if net == cfg.net and xx.shape == x.shape and np.array_equal(xx, x)]
-            assert len(sweeps) == 1
+    net = parse_config(TINY_HARD_LABEL).net
+    for x in _hard_label_input_sets(TINY_HARD_LABEL):
+        sweeps = [1 for cfg, xx in built
+                  if cfg == net and xx.shape == x.shape and np.array_equal(xx, x)]
+        assert len(sweeps) == 1
+
+
+def test_hard_label_effect_evaluates_the_ground_truth_once_per_input_set(
+    tmp_path, monkeypatch
+):
+    # dz_g and every swept teacher's hard labels come from one ground-truth
+    # evaluation of each (repeat, n) input set, not one plus one per teacher
+    import ntkdistill.experiments as exp
+
+    seen = []
+    original = exp.forward
+
+    def counting(cfg, params, x):
+        seen.append(np.array(x))
+        return original(cfg, params, x)
+
+    monkeypatch.setattr(exp, "forward", counting)
+    status, _ = run(write_config(tmp_path, TINY_HARD_LABEL), out_dir=tmp_path / "out")
+    assert status == 0
+    for x in _hard_label_input_sets(TINY_HARD_LABEL):
+        calls = [1 for xx in seen if xx.shape == x.shape and np.array_equal(xx, x)]
+        assert len(calls) == 1
 
 
 def test_nan_teacher_logit_in_an_oracle_chunk_exits_numerical(tmp_path, monkeypatch):

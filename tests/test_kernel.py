@@ -1,16 +1,46 @@
+import math
+
 import numpy as np
 import pytest
 
 from ntkdistill.kernel import (
-    analytic_ntk,
     analytic_ntk_diag,
     analytic_ntk_gram,
-    empirical_kernel,
     empirical_ntk_diag,
     empirical_ntk_gram,
-    save_kernel_csv,
 )
-from ntkdistill.network import NetConfig, _Cache, features, init_params
+from ntkdistill.linalg import KernelMatrix
+from ntkdistill.network import NetConfig, Sweep, init_params
+
+
+def analytic_ntk(cfg, x, y):
+    """Independent scalar reference for one input pair: the recursion in
+    scalars, with the closed theta = 0 form on the diagonal."""
+    sw, sb, d = cfg.weight_scale, cfg.bias_scale, cfg.input_dim
+    sxx = sw**2 * float(x @ x) / d + sb**2
+    syy = sw**2 * float(y @ y) / d + sb**2
+    sxy = sw**2 * float(x @ y) / d + sb**2
+    if np.array_equal(x, y):
+        s = k = sxx
+        for _ in range(cfg.hidden_layers):
+            # theta = 0: the J factor reduces to pi
+            s = sw**2 * s / 2 + sb**2
+            k = s + sw**2 * k / 2
+        return k
+    k = sxy
+    for _ in range(cfg.hidden_layers):
+        norm = math.sqrt(sxx * syy)
+        c = min(1.0, max(-1.0, sxy / norm)) if norm > 0 else 1.0
+        theta = math.acos(c)
+        sxy = sw**2 * norm * (math.sin(theta) + (math.pi - theta) * c) / (2 * math.pi) + sb**2
+        k = sxy + sw**2 * (math.pi - theta) / (2 * math.pi) * k
+        sxx = sw**2 * sxx / 2 + sb**2
+        syy = sw**2 * syy / 2 + sb**2
+    return k
+
+
+def pair_gram(cfg, x, y):
+    return analytic_ntk_gram(cfg, np.stack([x, y]), jitter=0.0).entries
 
 
 def test_base_covariance_hand_case():
@@ -36,7 +66,7 @@ def test_symmetry_exact():
     rng = np.random.default_rng(0)
     for _ in range(10):
         x, y = rng.normal(size=(2, 3))
-        assert analytic_ntk(cfg, x, y) == analytic_ntk(cfg, y, x)
+        assert pair_gram(cfg, x, y)[0, 1] == pair_gram(cfg, y, x)[0, 1]
 
 
 def test_rotation_invariance():
@@ -45,8 +75,8 @@ def test_rotation_invariance():
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     for _ in range(10):
         x, y = rng.normal(scale=3.0, size=(2, 3))
-        assert analytic_ntk(cfg, q @ x, q @ y) == pytest.approx(
-            analytic_ntk(cfg, x, y), abs=1e-10
+        assert pair_gram(cfg, q @ x, q @ y)[0, 1] == pytest.approx(
+            pair_gram(cfg, x, y)[0, 1], abs=1e-10
         )
 
 
@@ -55,9 +85,8 @@ def test_correlation_bounded_by_diagonal():
     rng = np.random.default_rng(2)
     for _ in range(25):
         x, y = rng.normal(scale=5.0, size=(2, 2))
-        cross = analytic_ntk(cfg, x, y)
-        bound = np.sqrt(analytic_ntk(cfg, x, x.copy()) * analytic_ntk(cfg, y, y.copy()))
-        assert abs(cross) <= bound + 1e-10
+        k = pair_gram(cfg, x, y)
+        assert abs(k[0, 1]) <= np.sqrt(k[0, 0] * k[1, 1]) + 1e-10
 
 
 def test_diagonal_dominates_quarter_norm():
@@ -67,7 +96,7 @@ def test_diagonal_dominates_quarter_norm():
     for norm in np.linspace(10, 100, 10):
         d = rng.normal(size=2)
         x = norm * d / np.linalg.norm(d)
-        assert analytic_ntk(cfg, x, x.copy()) >= norm**2 / 4
+        assert analytic_ntk_diag(cfg, x[None, :])[0] >= norm**2 / 4
 
 
 def test_gram_matches_scalar_and_permutes():
@@ -80,6 +109,9 @@ def test_gram_matches_scalar_and_permutes():
             assert gram.entries[i, j] == pytest.approx(
                 analytic_ntk(cfg, xs[i], xs[j]), abs=1e-12
             )
+    diag = analytic_ntk_diag(cfg, xs)
+    for i in range(5):
+        assert diag[i] == pytest.approx(analytic_ntk(cfg, xs[i], xs[i].copy()), abs=1e-12)
     perm = [3, 1, 4, 0, 2]
     gram_p = analytic_ntk_gram(cfg, xs[perm], jitter=0.0)
     assert np.allclose(gram_p.entries, gram.entries[np.ix_(perm, perm)], atol=1e-12)
@@ -128,10 +160,10 @@ def test_gram_single_input():
 
 def test_empirical_kernel_trivial_cases():
     v = np.array([[1.0, 2.0, 2.0]])
-    k = empirical_kernel(v, jitter=0.0)
+    k = KernelMatrix(v @ v.T, jitter=0.0)
     assert k.entries[0, 0] == pytest.approx(9.0)
     dup = np.vstack([v, v])
-    k2 = empirical_kernel(dup, jitter=0.0)
+    k2 = KernelMatrix(dup @ dup.T, jitter=0.0)
     assert np.allclose(k2.entries, 9.0)
     assert np.linalg.matrix_rank(k2.entries) == 1
 
@@ -141,10 +173,10 @@ def test_empirical_gram_equals_explicit_features():
     p = init_params(cfg, 0)
     rng = np.random.default_rng(5)
     xs = rng.normal(scale=5.0, size=(7, 2))
-    f = features(cfg, p, xs)
-    direct = empirical_kernel(f, jitter=0.0)
+    sweep = Sweep(cfg, p, xs)
+    f = np.stack([sweep.vjp(unit) for unit in np.eye(len(xs))])
     layerwise = empirical_ntk_gram(cfg, p, xs, jitter=0.0)
-    assert np.allclose(direct.entries, layerwise.entries, atol=1e-10)
+    assert np.allclose(f @ f.T, layerwise.entries, atol=1e-10)
     assert np.allclose(
         empirical_ntk_diag(cfg, p, xs), np.diag(layerwise.entries), atol=1e-10
     )
@@ -159,7 +191,7 @@ def test_empirical_diag_row_blocks_are_bitwise_one_sweep(n, width):
     rng = np.random.default_rng(n)
     p = init_params(cfg, width)
     x = rng.normal(scale=3.0, size=(n, 2))
-    whole = _Cache(cfg, p, x)
+    whole = Sweep(cfg, p, x)
     rows = lambda a, b: np.einsum("ij,ij->i", a, b)
     expected = np.zeros(n)
     for l, delta in enumerate(whole.deltas):
@@ -191,13 +223,3 @@ def test_negative_variance_guard():
     x = np.zeros((2, 2))
     gram = analytic_ntk_gram(cfg, x, jitter=0.0)  # zero inputs, zero kernel
     assert np.allclose(gram.entries, 0.0)
-
-
-def test_kernel_csv_dump(tmp_path):
-    cfg = NetConfig(2, 1, 4)
-    xs = np.random.default_rng(0).normal(size=(3, 2))
-    gram = analytic_ntk_gram(cfg, xs)
-    path = tmp_path / "gram.csv"
-    save_kernel_csv(gram, path)
-    back = np.loadtxt(path, delimiter=",")
-    assert np.allclose(back, gram.entries, atol=1e-12)

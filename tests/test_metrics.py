@@ -17,7 +17,7 @@ from ntkdistill.metrics import (
     unit_rng,
     weight_change_norm,
 )
-from ntkdistill.network import NetConfig, features, forward, init_params
+from ntkdistill.network import NetConfig, Sweep, forward, init_params
 from ntkdistill.tasks import Task, TaskSpec
 
 
@@ -35,7 +35,8 @@ def test_weight_change_norm_matches_feature_space():
     x = rng.normal(scale=5.0, size=(12, 2))
     dz = rng.normal(size=12)
     gram = empirical_ntk_gram(cfg, p0, x, jitter=0.0)
-    f = features(cfg, p0, x)
+    sweep = Sweep(cfg, p0, x)
+    f = np.stack([sweep.vjp(unit) for unit in np.eye(len(x))])
     delta = f.T @ gram.solve(dz)
     assert weight_change_norm(gram, dz) == pytest.approx(
         np.linalg.norm(delta), rel=1e-6

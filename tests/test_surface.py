@@ -1,4 +1,5 @@
-"""Guards on the public surface: the shipped configs and the demos.
+"""Guards on the public surface: the shipped configs, the demos and the
+package's own module boundaries.
 
 The configs and demos are not exercised end to end by the suite (they take
 minutes), so these checks catch a renamed field or a deleted function that
@@ -14,6 +15,7 @@ import pytest
 from ntkdistill.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "ntkdistill").glob("*.py"))
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -48,3 +50,18 @@ def test_demo_imports_resolve(path):
 
 def test_configs_and_demos_found():
     assert CONFIGS and DEMOS
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_modules_import_no_private_names(path):
+    # whatever two modules share goes through a public name, so no module
+    # couples to another's internals; dunders such as __version__ aside
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "ntkdistill")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert not private

@@ -9,7 +9,6 @@ from ntkdistill.tasks import (
     TaskSpec,
     default_mode_width,
     flip_labels,
-    mixture_value,
     realize_mixture,
     sample_inputs,
 )
@@ -38,7 +37,7 @@ def test_mode_width_law():
 def test_mixture_peak_value():
     spec = MixtureSpec(modes=1, dim=2, amplitude=2.0)
     mix = realize_mixture(spec, np.random.default_rng(0))
-    peak = mixture_value(mix, mix.centers[0])
+    peak = mix.values(mix.centers[0])[0]
     assert peak == pytest.approx(mix.amplitudes[0], rel=1e-12)
 
 
@@ -47,7 +46,7 @@ def test_mixture_far_field_decay():
     mix = realize_mixture(spec, np.random.default_rng(1))
     # ~10 widths away from every center the bumps are numerically dead
     far = mix.centers.max(axis=0) + 10.0 * np.sqrt(mix.widths.max()) + 10.0
-    assert abs(mixture_value(mix, far)) < 1e-8 * np.abs(mix.amplitudes).sum()
+    assert abs(mix.values(far)[0]) < 1e-8 * np.abs(mix.amplitudes).sum()
 
 
 def test_mixture_matches_direct_summation():
@@ -59,7 +58,7 @@ def test_mixture_matches_direct_summation():
         a * np.exp(-np.sum((x - c) ** 2) / s)
         for a, c, s in zip(mix.amplitudes, mix.centers, mix.widths)
     )
-    assert mixture_value(mix, x) == pytest.approx(direct, abs=1e-12)
+    assert mix.values(x)[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_mixture_squared_width_toggle():
@@ -70,7 +69,7 @@ def test_mixture_squared_width_toggle():
         a * np.exp(-np.sum((x - c) ** 2) / s**2)
         for a, c, s in zip(mix.amplitudes, mix.centers, mix.widths)
     )
-    assert mixture_value(mix, x) == pytest.approx(direct, abs=1e-12)
+    assert mix.values(x)[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_mixture_realization_statistics():
@@ -187,19 +186,3 @@ def test_task_target_streams_reproduce():
 def test_task_spec_round_trips_to_dict():
     spec = TaskSpec(kind="mixture", modes=50, seed=9, dim=1)
     assert TaskSpec(**spec.to_dict()) == spec
-
-
-def test_realized_mixture_round_trips_through_json():
-    import json
-
-    from ntkdistill.tasks import Mixture
-
-    spec = MixtureSpec(modes=4, dim=2)
-    mix = realize_mixture(spec, np.random.default_rng(8))
-    back = Mixture.from_dict(json.loads(json.dumps(mix.to_dict())))
-    x = np.random.default_rng(9).normal(scale=5.0, size=(20, 2))
-    assert np.allclose(back.values(x), mix.values(x), atol=1e-15)
-
-    task = Task(TaskSpec(kind="mixture", modes=4, seed=8))
-    dump = task.realized_dict()
-    assert "mixture" in dump and dump["spec"]["modes"] == 4
