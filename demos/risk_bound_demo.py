@@ -27,10 +27,10 @@ from ntkdistill import (
     train_teacher,
     weighted_feature_sum,
 )
-from ntkdistill.tasks import LabelSource, MixtureSpec, realize_mixture
+from ntkdistill.tasks import LabelSource, TaskSpec, realize_mixture
 
 rng = np.random.default_rng(0)
-mixture = realize_mixture(MixtureSpec(modes=6, dim=2, amplitude=2.0), np.random.default_rng(11))
+mixture = realize_mixture(TaskSpec(modes=6, dim=2, amplitude=2.0), np.random.default_rng(11))
 
 
 class MixtureTask:

@@ -13,7 +13,8 @@ The package splits into small, composable layers:
 * :mod:`~ntkdistill.distillation` — the two-term distillation loss and its
   converged per-sample targets;
 * :mod:`~ntkdistill.tasks` — synthetic targets (Gaussian mixtures, flip noise,
-  teacher networks) and the shared input law;
+  teacher networks), each described by one ``TaskSpec``, and the shared
+  input law;
 * :mod:`~ntkdistill.metrics` — weight-change norms, data inefficiency, angle
   distributions, transfer risk and its bound, power-law fits;
 * :mod:`~ntkdistill.hardlabel` — imperfect-teacher corrections;
@@ -73,4 +74,4 @@ from .network import (
     train_teacher,
     weighted_feature_sum,
 )
-from .tasks import MixtureSpec, Task, TaskSpec, realize_mixture, sample_inputs
+from .tasks import Task, TaskSpec, realize_mixture, sample_inputs

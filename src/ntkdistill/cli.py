@@ -1,8 +1,10 @@
 """Command-line entry point: one subcommand per experiment kind plus validate.
 
-    ntkdistill <kind> --config PATH [--out DIR] [--seed U64]
-                       [--threads N] [--format {csv,json}]
+    ntkdistill <kind> --config PATH [--out DIR] [--seed U64] [--threads N]
     ntkdistill validate --config PATH
+
+A run writes ``<kind>.csv`` and ``<kind>_manifest.json`` and prints their
+paths.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure.
 """
@@ -28,8 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=None, help="output directory (default: config's)")
             p.add_argument("--seed", type=int, default=None, help="override the root seed")
             p.add_argument("--threads", type=int, default=1, help="concurrent units")
-            p.add_argument("--format", choices=("csv", "json"), default="csv",
-                           dest="fmt", help="also emit records as JSON")
 
     for kind in EXPERIMENT_KINDS:
         add_common(sub.add_parser(kind, help=f"run the {kind} experiment"))
@@ -52,10 +52,8 @@ def main(argv=None) -> int:
                 f"experiment: config names {cfg.experiment!r} but the "
                 f"{args.command!r} subcommand was invoked"
             )
-        status, paths = run(
-            args.config, out_dir=args.out, seed=args.seed,
-            threads=args.threads, fmt=args.fmt,
-        )
+        status, paths = run(args.config, out_dir=args.out, seed=args.seed,
+                            threads=args.threads)
         for path in paths:
             print(path)
         return status

@@ -113,16 +113,6 @@ from .network import (
 )
 from .tasks import LabelSource, Task, TaskSpec
 
-EXPERIMENT_KINDS = (
-    "effective-logits",
-    "ntk-check",
-    "inefficiency",
-    "risk",
-    "angle-dist",
-    "hard-label-effect",
-    "zero-norm",
-)
-
 CSV_COLUMNS = (
     "experiment",
     "config_hash",
@@ -167,7 +157,7 @@ class RunRecord:
     wall_ms: float = 0.0
 
     def row(self) -> list[str]:
-        def fmt(v):
+        def cell(v):
             if v is None:
                 return ""
             if isinstance(v, float):
@@ -177,14 +167,14 @@ class RunRecord:
         return [
             self.experiment,
             self.config_hash,
-            fmt(self.seed),
-            fmt(self.n),
-            fmt(self.rho),
-            fmt(self.temperature),
-            fmt(self.epoch),
-            fmt(self.q),
-            fmt(self.p_flip),
-            fmt(self.beta),
+            cell(self.seed),
+            cell(self.n),
+            cell(self.rho),
+            cell(self.temperature),
+            cell(self.epoch),
+            cell(self.q),
+            cell(self.p_flip),
+            cell(self.beta),
             self.value_name,
             repr(float(self.value)),
             self.flag,
@@ -204,6 +194,17 @@ class TeacherRecipe:
     temperature: float = 10.0
     reduction: float = 0.3
 
+    def __post_init__(self):
+        # a bad schedule or label scale fails the config, not the run
+        self.train_config(self.epochs)
+        if not self.temperature > 0:
+            raise ValueError("temperature must be positive")
+        if not self.reduction > 0:
+            raise ValueError("reduction must be positive")
+
+    def train_config(self, epochs: int) -> TrainConfig:
+        return TrainConfig(self.learning_rate, self.batch_size, epochs)
+
 
 @dataclass(frozen=True)
 class OracleRecipe:
@@ -214,12 +215,14 @@ class OracleRecipe:
     batch_size: int = 128
     final_learning_rate: float | None = None
 
+    def __post_init__(self):
+        self.train_config()  # a bad schedule fails the config, not the run
+
     def train_config(self) -> TrainConfig:
         return TrainConfig(
             learning_rate=self.learning_rate,
             batch_size=self.batch_size,
             epochs=self.epochs,
-            online_batch=True,
             final_learning_rate=self.final_learning_rate,
         )
 
@@ -244,22 +247,10 @@ class ExperimentConfig:
     samples: int = 10_000
     beta_points: int = 65
     extra_points: int = 1
-    kernel: str = "analytic"
-    normalize_targets: bool = False
-
-    def resolved(self) -> dict:
-        d = asdict(self)
-        d["net"] = asdict(self.net)
-        d["teacher_net"] = asdict(self.teacher_net) if self.teacher_net else None
-        d["distill"] = [asdict(p) for p in self.distill]
-        d["tasks"] = [t.to_dict() for t in self.tasks]
-        d["teacher"] = asdict(self.teacher)
-        d["oracle"] = asdict(self.oracle)
-        return d
 
     def hash(self) -> str:
         # the output location is not part of the experiment's identity
-        content = {k: v for k, v in self.resolved().items() if k != "out"}
+        content = {k: v for k, v in asdict(self).items() if k != "out"}
         blob = json.dumps(content, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -321,10 +312,8 @@ def _validate_fields(cfg: ExperimentConfig) -> None:
         raise ConfigError("repeats: must be >= 1")
     if any(n < 1 for n in cfg.n_grid):
         raise ConfigError("n_grid: entries must be >= 1")
-    if sorted(cfg.n_grid) != list(cfg.n_grid):
-        raise ConfigError("n_grid: must be sorted ascending")
-    if cfg.kernel not in ("analytic", "empirical"):
-        raise ConfigError("kernel: must be 'analytic' or 'empirical'")
+    if any(a >= b for a, b in zip(cfg.n_grid, cfg.n_grid[1:])):
+        raise ConfigError("n_grid: must be strictly increasing")
     if cfg.samples < 1:
         raise ConfigError("samples: must be >= 1")
     kind = cfg.experiment
@@ -448,7 +437,7 @@ def _teacher_sources(
     ckpts = train_teacher(
         cfg.teacher_net or cfg.net,
         task,
-        TrainConfig(recipe.learning_rate, recipe.batch_size, epochs),
+        recipe.train_config(epochs),
         seed=seed,
         checkpoint_epochs=checkpoints,
     )
@@ -580,8 +569,6 @@ def _run_inefficiency(cfg: ExperimentConfig, threads: int, records: list) -> Non
             cfg.n_grid,
             cfg.repeats,
             root_seed=int(unit_rng(cfg.seed, ti, di).integers(2**63)),
-            kernel=cfg.kernel,
-            normalize_targets=cfg.normalize_targets,
             targets=targets,
             extra_points=cfg.extra_points,
         )
@@ -638,9 +625,9 @@ def _perfect_teacher(cfg: ExperimentConfig):
     ground truth."""
     task = Task(cfg.tasks[0])
     recipe = cfg.teacher
-    teachers = _teacher_sources(cfg, task, recipe.seed, recipe.epochs,
-                                list(recipe.stop_epochs) or None, task.target_logits)
-    return task.sample_inputs, teachers[max(teachers)]
+    teachers = _teacher_sources(cfg, task, recipe.seed, recipe.epochs, [recipe.epochs],
+                                task.target_logits)
+    return task.sample_inputs, teachers[recipe.epochs]
 
 
 def _angle_curve(cfg: ExperimentConfig, memo, dp: DistillParams, oracle_diff: np.ndarray,
@@ -836,13 +823,14 @@ _RUNNERS = {
     "zero-norm": _run_zero_norm,
 }
 
+EXPERIMENT_KINDS = tuple(_RUNNERS)
+
 
 def run(
     config_path,
     out_dir=None,
     seed: int | None = None,
     threads: int = 1,
-    fmt: str = "csv",
 ) -> tuple[int, list]:
     """Execute the experiment named by the config; returns (exit_code, paths).
 
@@ -855,8 +843,6 @@ def run(
     cfg = load_config(config_path)
     if seed is not None:
         cfg.seed = int(seed)
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format: {fmt!r} not in (csv, json)")
     out = out_dir or cfg.out
     os.makedirs(out, exist_ok=True)
 
@@ -877,29 +863,19 @@ def run(
         status = 2
 
     stem = os.path.join(out, cfg.experiment.replace("-", "_"))
-    paths = []
     csv_path = stem + ".csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for record in records:
             writer.writerow(record.row())
-    paths.append(csv_path)
-
-    if fmt == "json":
-        json_path = stem + ".json"
-        with open(json_path, "w") as fh:
-            json.dump(
-                [dict(zip(CSV_COLUMNS, r.row())) for r in records], fh, indent=1
-            )
-        paths.append(json_path)
 
     manifest = {
         "experiment": cfg.experiment,
         "config_hash": cfg.hash(),
         "root_seed": cfg.seed,
         "library_version": __version__,
-        "config": cfg.resolved(),
+        "config": asdict(cfg),
         "records": len(records),
         "incomplete": bool(errors),
         "errors": errors,
@@ -908,5 +884,4 @@ def run(
     manifest_path = stem + "_manifest.json"
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
-    paths.append(manifest_path)
-    return status, paths
+    return status, [csv_path, manifest_path]

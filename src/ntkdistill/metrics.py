@@ -3,8 +3,9 @@ inefficiency, angle statistics, transfer risk, and power-law fits.
 
 The central quantity is the kernel norm of a converged student's weight
 change, |dw_n| = sqrt(dz^T K_n^{-1} dz), where dz stacks per-sample target
-minus initial logits and K_n is the tangent kernel Gram of the n training
-inputs.  Data inefficiency is its discrete log-derivative
+minus initial logits (the targets alone for the random-label reference) and
+K_n is the analytic tangent kernel Gram of the n training inputs.  Data
+inefficiency is its discrete log-derivative
 
     I(n) = n * [ln E|dw_{n+1}| - ln E|dw_n|],
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import analytic_ntk_gram, empirical_ntk_gram
+from .kernel import analytic_ntk_gram
 from .linalg import KernelMatrix, SingularKernelError, acute_angle, kernel_inner
 from .network import NetConfig, forward, init_params
 
@@ -52,12 +53,6 @@ class InefficiencyCurve:
     skipped: np.ndarray              # singular-kernel repeats per grid point
     unreliable: np.ndarray           # > 20% of repeats skipped
 
-    def __post_init__(self):
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        if np.any(np.diff(self.ns) <= 0):
-            raise ValueError("sample-size grid must be strictly increasing")
-
 
 def inefficiency_from_norms(ns, mean_norm, mean_norm_next) -> np.ndarray:
     """I(n) = n * [ln E|dw_{n+1}| - ln E|dw_n|] from precomputed means."""
@@ -79,9 +74,6 @@ def data_inefficiency(
     ns,
     repeats: int,
     root_seed: int,
-    kernel: str = "analytic",
-    init_logits: bool = True,
-    normalize_targets: bool = False,
     targets=None,
     extra_points: int = 1,
 ) -> InefficiencyCurve:
@@ -89,22 +81,23 @@ def data_inefficiency(
 
     Each (grid point, repeat) unit draws n + extra_points fresh inputs and
     targets plus a fresh student initialization from its own keyed stream.
-    |dw_n| comes from the first n samples; |dw_{n+1}| is evaluated once per
-    candidate extra point (a rank-1 Schur update of the shared base solve)
-    and averaged.  Every augmented set is a valid (n+1)-sample draw, so the
-    average stays an unbiased estimate of E|dw_{n+1}| while shrinking the
-    variance of the n -> n+1 increment by ~1/extra_points.
+    |dw_n| comes from the first n samples, on the analytic tangent kernel;
+    |dw_{n+1}| is evaluated once per candidate extra point (a rank-1 Schur
+    update of the shared base solve) and averaged.  Every augmented set is a
+    valid (n+1)-sample draw, so the average stays an unbiased estimate of
+    E|dw_{n+1}| while shrinking the variance of the n -> n+1 increment by
+    ~1/extra_points.
 
-    Units that hit a singular kernel are skipped and counted; a grid point
-    with more than 20% of its repeats skipped is flagged unreliable.
-    ``targets`` overrides the task's target function (same (x, rng)
-    signature), which is how distilled effective logits are swept.
-    ``normalize_targets`` rescales each drawn dz to unit length, removing
-    the target's scale from the norms.
+    dz is the target minus the student's initial logits when
+    ``task.subtract_init``, and the target itself otherwise.  Units that hit
+    a singular kernel are skipped and counted; a grid point with more than
+    20% of its repeats skipped is flagged unreliable.  ``targets`` overrides
+    the task's target function (same (x, rng) signature), which is how
+    distilled effective logits are swept.
     """
-    if kernel not in ("analytic", "empirical"):
-        raise ValueError("kernel must be 'analytic' or 'empirical'")
     ns = np.asarray(ns, dtype=int)
+    if np.any(np.diff(ns) <= 0):
+        raise ValueError("sample-size grid must be strictly increasing")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if extra_points < 1:
@@ -113,7 +106,6 @@ def data_inefficiency(
     mean_n = np.empty(len(ns))
     mean_next = np.empty(len(ns))
     skipped = np.zeros(len(ns), dtype=int)
-    target_fn = targets
 
     for i, n in enumerate(ns):
         n = int(n)
@@ -121,26 +113,14 @@ def data_inefficiency(
         for r in range(repeats):
             rng = unit_rng(root_seed, i, r)
             x = task.sample_inputs(n + extra_points, rng)
-            z_target = (
-                target_fn(x, rng) if target_fn is not None else task.target_logits(x, rng)
-            )
+            dz = np.asarray(targets(x, rng) if targets is not None
+                            else task.target_logits(x, rng), dtype=float)
             # the student initialization is the stream's last draw, so it is
             # drawn only when something reads it
-            subtract = init_logits and task.subtract_init
-            params = init_params(cfg, rng) if subtract or kernel == "empirical" else None
-            if subtract:
-                dz = np.asarray(z_target, dtype=float) - forward(cfg, params, x)
-            else:
-                dz = np.asarray(z_target, dtype=float)
-            if normalize_targets:
-                scale = np.linalg.norm(dz[: n + 1])
-                if scale > 0:
-                    dz = dz / scale
+            if task.subtract_init:
+                dz = dz - forward(cfg, init_params(cfg, rng), x)
             try:
-                if kernel == "analytic":
-                    gram = analytic_ntk_gram(cfg, x)
-                else:
-                    gram = empirical_ntk_gram(cfg, params, x)
+                gram = analytic_ntk_gram(cfg, x)
                 base = KernelMatrix(gram.entries[:n, :n])
                 base_sq = max(kernel_inner(base, dz[:n], dz[:n]), 0.0)
                 # Schur-complement increment of each candidate (n+1)th point,

@@ -72,19 +72,18 @@ Sweeps whose results sum over rows (gradients, Gram matrices, training
 steps) stay whole.
 
 ``train_linearized`` trains a list of objectives in lockstep on one sweep
-per step, each objective with its own weight change and Adam state.  In
-online mode it draws the batches of ``ceil(_BLOCK_ROWS / batch_size)``
-steps at a time and evaluates each objective's callable targets (teacher
-logits, hard labels, effective logits) once on the chunk's rows; each step
-then slices its own.  That relies on a contract every target callable
-keeps: its value for a row depends only on that row.  The results equal
-those of evaluating each step's batch on its own as long as the target is
-computed row by row with the same arithmetic, which elementwise code always
-is.  A teacher network's forward sweep is too, except where the BLAS
-routes a small product through another kernel (see above): OpenBLAS does
-so for products of up to about 1,200 output entries, which at width 64
-means oracle batches of about 18 rows or fewer, whose targets may then
-move at rounding level.
+per step, each objective with its own weight change and Adam state.  It
+draws the batches of ``ceil(_BLOCK_ROWS / batch_size)`` steps at a time and
+evaluates each objective's callable targets (teacher logits, hard labels,
+effective logits) once on the chunk's rows; each step then slices its own.
+That relies on a contract every target callable keeps: its value for a row
+depends only on that row.  The results equal those of evaluating each
+step's batch on its own as long as the target is computed row by row with
+the same arithmetic, which elementwise code always is.  A teacher network's
+forward sweep is too, except where the BLAS routes a small product through
+another kernel (see above): OpenBLAS does so for products of up to about
+1,200 output entries, which at width 64 means oracle batches of about 18
+rows or fewer, whose targets may then move at rounding level.
 """
 
 from __future__ import annotations
@@ -349,8 +348,8 @@ def feature_dot(cfg: NetConfig, params0: np.ndarray, delta: np.ndarray, x: np.nd
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Adam training schedule.  One epoch is one step on one batch; in
-    online mode the batch is freshly sampled every step.
+    """Adam training schedule.  One epoch is one step on one batch, freshly
+    drawn every step.
 
     ``final_learning_rate`` turns on an exponential decay from
     ``learning_rate`` down to that value across the epoch budget; online
@@ -361,9 +360,6 @@ class TrainConfig:
     learning_rate: float
     batch_size: int
     epochs: int
-    online_batch: bool = True
-    beta1: float = 0.9
-    beta2: float = 0.999
     adam_eps: float = 1e-8
     final_learning_rate: float | None = None
 
@@ -385,6 +381,9 @@ class TrainConfig:
 
 
 class _Adam:
+    beta1 = 0.9
+    beta2 = 0.999
+
     def __init__(self, dim: int, cfg: TrainConfig):
         self.cfg = cfg
         self.m = np.zeros(dim)
@@ -392,12 +391,12 @@ class _Adam:
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        c = self.cfg
+        c, b1, b2 = self.cfg, self.beta1, self.beta2
         self.t += 1
-        self.m = c.beta1 * self.m + (1 - c.beta1) * grad
-        self.v = c.beta2 * self.v + (1 - c.beta2) * grad**2
-        m_hat = self.m / (1 - c.beta1**self.t)
-        v_hat = self.v / (1 - c.beta2**self.t)
+        self.m = b1 * self.m + (1 - b1) * grad
+        self.v = b2 * self.v + (1 - b2) * grad**2
+        m_hat = self.m / (1 - b1**self.t)
+        v_hat = self.v / (1 - b2**self.t)
         return params - c.rate_at(self.t) * m_hat / (np.sqrt(v_hat) + c.adam_eps)
 
 
@@ -477,7 +476,7 @@ def train_teacher(
 
     Returns checkpoints at the requested epochs (defaults to powers of two
     plus the final epoch).  Epoch 0 is the initialization and is always
-    included.  With ``online_batch`` a fresh batch is drawn every epoch.
+    included.  A fresh batch is drawn every epoch.
     """
     ss = np.random.SeedSequence(seed)
     init_rng, data_rng = (np.random.default_rng(s) for s in ss.spawn(2))
@@ -488,16 +487,10 @@ def train_teacher(
     wanted = {e for e in checkpoint_epochs if 0 < e <= train_cfg.epochs}
 
     checkpoints = [Checkpoint(cfg, seed, 0, params.copy())]
-    if train_cfg.epochs == 0:
-        return checkpoints
-
     adam = _Adam(params.size, train_cfg)
-    x = task.sample_inputs(train_cfg.batch_size, data_rng)
-    y = task.hard_labels(x, data_rng)
     for epoch in range(1, train_cfg.epochs + 1):
-        if train_cfg.online_batch and epoch > 1:
-            x = task.sample_inputs(train_cfg.batch_size, data_rng)
-            y = task.hard_labels(x, data_rng)
+        x = task.sample_inputs(train_cfg.batch_size, data_rng)
+        y = task.hard_labels(x, data_rng)
         # an overflowing sweep is reported once, by the DivergenceError
         with np.errstate(over="ignore", invalid="ignore"):
             sweep = Sweep(cfg, params, x)
@@ -511,8 +504,8 @@ def train_teacher(
 
 
 def _target_values(target, x: np.ndarray):
-    """A callable target's values on the rows of ``x``; fixed targets as
-    they are."""
+    """A callable target's values on the rows of ``x``; fixed targets, which
+    belong to the one batch of a fixed-batch sampler, as they are."""
     return np.asarray(target(x) if callable(target) else target)
 
 
@@ -566,17 +559,10 @@ class TrainResult:
 
 
 def _steps(cfg: NetConfig, params0: np.ndarray, objectives, train_cfg: TrainConfig,
-           data, sampler, rng):
+           sampler, rng):
     """``(sweep, values, rows)`` for each step of ``train_linearized``: the
     step's sweep, every objective's ``evaluate`` values and the step's rows
     of them, with the targets evaluated once per chunk of steps."""
-    if data is not None:
-        batch, _ = as_batch(cfg, data)
-        sweep = Sweep(cfg, params0, batch)
-        values = [obj.evaluate(batch) for obj in objectives]
-        for _ in range(train_cfg.epochs):
-            yield sweep, values, slice(None)
-        return
     per_chunk = -(-_BLOCK_ROWS // train_cfg.batch_size)
     for first in range(0, train_cfg.epochs, per_chunk):
         batches = [sampler(train_cfg.batch_size, rng)
@@ -594,29 +580,27 @@ def train_linearized(
     params0: np.ndarray,
     objective,
     train_cfg: TrainConfig,
-    data: np.ndarray | None = None,
-    sampler=None,
+    sampler,
     rng: np.random.Generator | None = None,
 ) -> TrainResult | list[TrainResult]:
     """Gradient training of the model z(x) = f(x; w0) + delta . phi(x).
 
-    Features are frozen at ``params0``.  Fixed-data mode (``data`` given)
-    reuses one cached forward/backward sweep for every step and evaluates
-    callable targets once; online mode (``sampler`` given) draws a fresh
-    batch of ``batch_size`` inputs per step, emulating training on unlimited
-    samples.  Each result's ``grad_norm`` is the norm of its last step's
-    gradient; non-convergence is never raised.
+    Features are frozen at ``params0``.  Each step trains on a fresh batch
+    ``sampler(batch_size, rng)``, emulating training on unlimited samples; a
+    sampler that returns one fixed batch trains on fixed data.  Each
+    result's ``grad_norm`` is the norm of its last step's gradient;
+    non-convergence is never raised.
 
-    Online mode calls ``sampler(batch_size, rng)`` exactly once per step, in
-    step order, but draws the batches of ``ceil(_BLOCK_ROWS / batch_size)``
-    steps (8 at batch 128) ahead and evaluates each objective's callable
-    targets once on their concatenated rows; each step then takes its own
-    rows by slicing.  A target callable must therefore give each row a value
-    that depends on that row alone; it then trains exactly as it would on
-    per-step evaluations, up to the small-batch BLAS rounding noted in the
-    module docstring.  A target that raises (a non-finite teacher logit
-    raises FloatingPointError in the effective-logit solve) does so when its
-    chunk is evaluated, before the chunk's first step.
+    ``sampler`` is called exactly once per step, in step order, but the
+    batches of ``ceil(_BLOCK_ROWS / batch_size)`` steps (8 at batch 128) are
+    drawn ahead and each objective's callable targets are evaluated once on
+    their concatenated rows; each step then takes its own rows by slicing.
+    A target callable must therefore give each row a value that depends on
+    that row alone; it then trains exactly as it would on per-step
+    evaluations, up to the small-batch BLAS rounding noted in the module
+    docstring.  A target that raises (a non-finite teacher logit raises
+    FloatingPointError in the effective-logit solve) does so when its chunk
+    is evaluated, before the chunk's first step.
 
     ``objective`` is one objective, giving one :class:`TrainResult`, or a
     list or tuple of objectives, giving a list of results in the same order.
@@ -628,17 +612,15 @@ def train_linearized(
     objective's logits come from the sweep's deltas (``Sweep.jvp``), which
     its gradient needs anyway.
     """
-    if (data is None) == (sampler is None):
-        raise ValueError("provide exactly one of data or sampler")
-    if data is None and rng is None:
-        raise ValueError("online mode needs an rng")
+    if rng is None:
+        raise ValueError("train_linearized needs an rng for its sampler")
     objectives = list(objective) if isinstance(objective, (list, tuple)) else [objective]
     params0 = np.asarray(params0, dtype=float)
     deltas = [np.zeros(param_count(cfg)) for _ in objectives]
     adams = [_Adam(delta.size, train_cfg) for delta in deltas]
     grad_norms = [0.0] * len(objectives)
 
-    for sweep, values, rows in _steps(cfg, params0, objectives, train_cfg, data, sampler, rng):
+    for sweep, values, rows in _steps(cfg, params0, objectives, train_cfg, sampler, rng):
         for j, obj in enumerate(objectives):
             z = sweep.logits + sweep.jvp(deltas[j])
             if not np.all(np.isfinite(z)):

@@ -4,6 +4,8 @@ Targets are scalar logit functions on R^d: Gaussian mixtures with a mode
 count controlling their difficulty, sign-flip corruptions of those mixtures,
 scaled teacher networks, the constant zero function, and per-sample random
 logits.  Inputs are always drawn i.i.d. N(0, input_scale^2) per coordinate.
+One :class:`TaskSpec` describes every task, a mixture's shape included, and
+:class:`Task` realizes it.
 
 All generators are deterministic functions of (seed, draw index): realizing
 a spec twice from the same seed, or evaluating a noisy target twice with
@@ -12,7 +14,7 @@ identically seeded generators, reproduces the same stream.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -27,30 +29,8 @@ def default_mode_width(modes: int) -> float:
     return 15.0 / modes**2
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Gaussian-mixture shape controls before realization.
-
-    Per-mode amplitudes, centers and widths are drawn from a seed:
-    amplitudes jitter around ``amplitude`` with equiprobable sign, centers
-    are N(0, center_spread^2) per coordinate, widths jitter around ``width``
-    (defaulting to 15 / modes^2).  The exponent divides the squared distance
-    by the width itself; ``squared_width`` switches to dividing by width^2.
-    """
-
-    modes: int
-    dim: int = 2
-    amplitude: float = 1.0
-    center_spread: float = 5.0
-    width: float | None = None
-    jitter: float = 0.2
-    squared_width: bool = False
-
-    def __post_init__(self):
-        if self.modes < 1:
-            raise ValueError("modes must be >= 1")
-        if self.width is not None and self.width <= 0:
-            raise ValueError("width must be positive")
+# relative spread of the realized per-mode amplitudes and widths
+JITTER = 0.2
 
 
 @dataclass(frozen=True)
@@ -60,26 +40,30 @@ class Mixture:
     amplitudes: np.ndarray
     centers: np.ndarray
     widths: np.ndarray
-    squared_width: bool = False
 
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         sq = ((x[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=2)
-        denom = self.widths**2 if self.squared_width else self.widths
-        return (self.amplitudes * np.exp(-sq / denom)).sum(axis=1)
+        return (self.amplitudes * np.exp(-sq / self.widths)).sum(axis=1)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.values(x)
 
 
-def realize_mixture(spec: MixtureSpec, rng: np.random.Generator) -> Mixture:
+def realize_mixture(spec: TaskSpec, rng: np.random.Generator) -> Mixture:
+    """Draw a mixture's modes from the spec's shape fields.
+
+    Amplitudes jitter by ``JITTER`` around ``amplitude`` with equiprobable
+    sign, centers are N(0, center_spread^2) per coordinate, and widths
+    jitter around ``width`` (15 / modes^2 by default).
+    """
     width = spec.width if spec.width is not None else default_mode_width(spec.modes)
     q = spec.modes
     signs = rng.choice([-1.0, 1.0], size=q)
-    amplitudes = spec.amplitude * (1 + spec.jitter * rng.uniform(-1, 1, size=q)) * signs
+    amplitudes = spec.amplitude * (1 + JITTER * rng.uniform(-1, 1, size=q)) * signs
     centers = rng.normal(scale=spec.center_spread, size=(q, spec.dim))
-    widths = width * (1 + spec.jitter * rng.uniform(-1, 1, size=q))
-    return Mixture(amplitudes, centers, widths, spec.squared_width)
+    widths = width * (1 + JITTER * rng.uniform(-1, 1, size=q))
+    return Mixture(amplitudes, centers, widths)
 
 
 def flip_labels(base, p_flip: float):
@@ -142,7 +126,8 @@ class TaskSpec:
     ``kind`` selects the target: a Gaussian mixture, a sign-flipped mixture,
     a reduced teacher network (``checkpoint`` path), the zero function, or
     i.i.d. N(0,1) logits per sample.  Inputs are N(0, input_scale^2) per
-    coordinate in every case.
+    coordinate in every case.  ``modes``, ``amplitude``, ``center_spread``
+    and ``width`` shape a mixture (see :func:`realize_mixture`).
     """
 
     kind: str = "mixture"
@@ -161,6 +146,8 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}; choose from {TASK_KINDS}")
+        if self.modes < 1:
+            raise ValueError("modes must be >= 1")
         if self.width is not None and self.width <= 0:
             raise ValueError("width must be positive")
         if not 0.0 <= self.p_flip <= 0.5:
@@ -169,9 +156,6 @@ class TaskSpec:
             raise ValueError("reduction factor must be positive")
         if self.kind == "teacher-net" and self.checkpoint is None:
             raise ValueError("teacher-net task needs a checkpoint path")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class Task:
@@ -189,16 +173,7 @@ class Task:
         rng = np.random.default_rng(spec.seed)
         self._ground: Mixture | LabelSource | None = None
         if spec.kind in ("mixture", "flipped-mixture"):
-            self._ground = realize_mixture(
-                MixtureSpec(
-                    modes=spec.modes,
-                    dim=spec.dim,
-                    amplitude=spec.amplitude,
-                    center_spread=spec.center_spread,
-                    width=spec.width,
-                ),
-                rng,
-            )
+            self._ground = realize_mixture(spec, rng)
         elif spec.kind == "teacher-net":
             from .network import load_checkpoint
 

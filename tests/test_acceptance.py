@@ -48,7 +48,7 @@ from ntkdistill.network import (
     train_teacher,
     weighted_feature_sum,
 )
-from ntkdistill.tasks import LabelSource, MixtureSpec, Task, TaskSpec, realize_mixture
+from ntkdistill.tasks import LabelSource, Task, TaskSpec, realize_mixture
 from ntkdistill.experiments import distilled_target_fn
 
 
@@ -59,7 +59,7 @@ def report(criterion, detail):
 # ---------------------------------------------------------------- fixtures
 
 GROUND_MIXTURE = realize_mixture(
-    MixtureSpec(modes=6, dim=2, amplitude=2.0), np.random.default_rng(11)
+    TaskSpec(modes=6, dim=2, amplitude=2.0), np.random.default_rng(11)
 )
 
 
@@ -249,8 +249,9 @@ def test_criterion_5_training_equivalence():
     delta_solve = weighted_feature_sum(cfg, p0, x, gram.solve(targets - z0))
     solve_logits = z0 + feature_dot(cfg, p0, delta_solve, x)
 
-    tc = TrainConfig(learning_rate=0.01, batch_size=n, epochs=4000, online_batch=False)
-    res = train_linearized(cfg, p0, SquaredTargets(targets), tc, data=x)
+    tc = TrainConfig(learning_rate=0.01, batch_size=n, epochs=4000)
+    res = train_linearized(cfg, p0, SquaredTargets(targets), tc,
+                           sampler=lambda m, _: x, rng=rng)
     trained_logits = z0 + feature_dot(cfg, p0, res.delta, x)
 
     gap_targets = float(np.max(np.abs(trained_logits - targets)))
@@ -339,7 +340,7 @@ def test_criterion_8_risk_bound_validity():
     for t in range(10):
         rng = unit_rng(7000, t)
         mixture = realize_mixture(
-            MixtureSpec(
+            TaskSpec(
                 modes=int(rng.integers(4, 11)),
                 dim=2,
                 amplitude=float(rng.uniform(2, 5)),

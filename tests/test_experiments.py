@@ -202,15 +202,6 @@ def test_threads_do_not_change_results(tmp_path):
     assert strip(read_rows(a[0])[1]) == strip(read_rows(b[0])[1])
 
 
-def test_json_format_emits_records(tmp_path):
-    path = write_config(tmp_path, MINIMAL)
-    status, paths = run(path, out_dir=tmp_path / "out", fmt="json")
-    json_paths = [p for p in paths if str(p).endswith(".json") and "manifest" not in str(p)]
-    assert len(json_paths) == 1
-    records = json.loads(open(json_paths[0]).read())
-    assert len(records) > 0 and set(records[0]) == set(CSV_COLUMNS)
-
-
 def test_cli_exit_codes(tmp_path, capsys):
     path = write_config(tmp_path, MINIMAL)
     assert main(["validate", "--config", str(path)]) == 0
@@ -296,6 +287,30 @@ def test_estimate_cost_counts_adam_steps():
     longer_teacher = TINY_RISK | {"teacher": TINY_RISK["teacher"] | {"epochs": 16}}
     assert cost(longer_teacher) > cost(TINY_RISK)
     assert cost(MINIMAL, epochs=6000) == cost(MINIMAL) == estimate_cost(parse_config(MINIMAL))
+
+
+def _with_teacher(**fields):
+    return TINY_RISK | {"teacher": TINY_RISK["teacher"] | fields}
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        (ORACLE_COMMON | {"experiment": "inefficiency", "n_grid": [8, 8, 16]}, "n_grid"),
+        (_with_teacher(learning_rate=0.0), "teacher"),
+        (TINY_RISK | {"oracle": TINY_RISK["oracle"] | {"learning_rate": -0.003}}, "oracle"),
+        (_with_teacher(temperature=0.0), "teacher"),
+        (_with_teacher(reduction=0.0), "teacher"),
+        (TINY_RISK | {"tasks": [{"kind": "mixture", "modes": 0}]}, "tasks[0]"),
+    ],
+    ids=["repeated-n", "teacher-rate", "oracle-rate", "teacher-temperature",
+         "teacher-reduction", "no-modes"],
+)
+def test_validate_rejects_what_a_run_would_reject(tmp_path, capsys, data, field):
+    # each of these used to pass validate and then die mid-run with a
+    # traceback, no CSV and no manifest
+    assert main(["validate", "--config", str(write_config(tmp_path, data))]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
 @pytest.mark.parametrize(

@@ -91,17 +91,11 @@ def test_data_inefficiency_deterministic_and_schedule_free():
     assert np.allclose(a.inefficiency, b.inefficiency[:2], atol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "kind, kernel, init_logits, draws",
-    [("random-labels", "analytic", True, 0), ("mixture", "analytic", False, 0),
-     ("mixture", "analytic", True, 4), ("random-labels", "empirical", True, 4)],
-)
-def test_data_inefficiency_draws_student_init_only_when_read(
-    monkeypatch, kind, kernel, init_logits, draws
-):
-    # the student initialization is read by the initial logits (tasks that
-    # subtract them) and by the empirical kernel; otherwise it is not drawn.
-    # It is each unit stream's last draw, so skipping it moves no value.
+@pytest.mark.parametrize("kind, draws", [("random-labels", 0), ("mixture", 4)])
+def test_data_inefficiency_draws_student_init_only_when_read(monkeypatch, kind, draws):
+    # the student initialization is read only by the initial logits of tasks
+    # that subtract them; otherwise it is not drawn.  It is each unit
+    # stream's last draw, so skipping it moves no value.
     import ntkdistill.metrics as metrics
 
     calls = []
@@ -114,8 +108,7 @@ def test_data_inefficiency_draws_student_init_only_when_read(
     monkeypatch.setattr(metrics, "init_params", spy)
     task = Task(TaskSpec(kind=kind, modes=3, seed=1))
     cfg = NetConfig(2, 2, 16)
-    curve = data_inefficiency(task, cfg, [6, 10], repeats=2, root_seed=3, kernel=kernel,
-                              init_logits=init_logits)
+    curve = data_inefficiency(task, cfg, [6, 10], repeats=2, root_seed=3)
     assert len(calls) == draws
     assert np.all(np.isfinite(curve.inefficiency))
 

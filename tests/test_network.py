@@ -443,8 +443,9 @@ def test_train_linearized_fixed_point():
     rng = np.random.default_rng(0)
     x = rng.normal(scale=5.0, size=(8, 2))
     targets = forward(cfg, p0, x)
-    tc = TrainConfig(learning_rate=0.05, batch_size=8, epochs=50, online_batch=False)
-    res = train_linearized(cfg, p0, SquaredTargets(targets), tc, data=x)
+    tc = TrainConfig(learning_rate=0.05, batch_size=8, epochs=50)
+    res = train_linearized(cfg, p0, SquaredTargets(targets), tc,
+                           sampler=lambda m, _: x, rng=rng)
     assert np.allclose(res.delta, 0.0)
     assert res.grad_norm == 0.0
 
@@ -463,10 +464,9 @@ def test_train_linearized_matches_kernel_solve():
 
     # a dominant adam_eps makes the update effectively momentum gradient
     # descent: span-preserving, so it converges to the kernel interpolant
-    tc = TrainConfig(
-        learning_rate=5.0, batch_size=n, epochs=8000, online_batch=False, adam_eps=30.0
-    )
-    res = train_linearized(cfg, p0, SquaredTargets(targets), tc, data=x)
+    tc = TrainConfig(learning_rate=5.0, batch_size=n, epochs=8000, adam_eps=30.0)
+    res = train_linearized(cfg, p0, SquaredTargets(targets), tc,
+                           sampler=lambda m, _: x, rng=rng)
     assert res.grad_norm <= 1e-4
     trained = z0 + feature_dot(cfg, p0, res.delta, x)
     assert np.max(np.abs(trained - targets)) <= 1e-3
@@ -490,15 +490,14 @@ def test_train_linearized_distill_objective_reaches_effective_logits():
     # at a constant rate Adam leaves the optimum in bursts once the gradient
     # is tiny, so where epoch 20000 lands depended on rounding; the decay
     # freezes the iterate at the optimum
-    tc = TrainConfig(learning_rate=0.2, batch_size=n, epochs=20000, online_batch=False,
-                     final_learning_rate=2e-4)
-    res = train_linearized(cfg, p0, DistillTargets(dp, z_t, y), tc, data=x)
+    tc = TrainConfig(learning_rate=0.2, batch_size=n, epochs=20000, final_learning_rate=2e-4)
+    res = train_linearized(cfg, p0, DistillTargets(dp, z_t, y), tc,
+                           sampler=lambda m, _: x, rng=rng)
     z = forward(cfg, p0, x) + feature_dot(cfg, p0, res.delta, x)
     assert np.allclose(z, effective_logits(z_t, y, dp), atol=5e-3)
 
 
-@pytest.mark.parametrize("online", [True, False], ids=["online", "fixed-data"])
-def test_lockstep_objectives_match_separate_runs(online):
+def test_lockstep_objectives_match_separate_runs():
     # k objectives trained in lockstep share each step's batch and sweep but
     # keep their own weight change and Adam state: bitwise the k separate
     # runs on identically seeded rngs, a saturated rho = 0 target included
@@ -515,31 +514,25 @@ def test_lockstep_objectives_match_separate_runs(online):
     ]
     objectives.append(DistillTargets(DistillParams(0.7, 2.0), z_t, hard))
     sampler = lambda n, rng: rng.normal(scale=5.0, size=(n, 2))
-    tc = TrainConfig(learning_rate=0.01, batch_size=8, epochs=40, online_batch=online)
-    if online:
-        mode = lambda: dict(sampler=sampler, rng=np.random.default_rng(9))
-    else:
-        x = sampler(8, np.random.default_rng(9))
-        mode = lambda: dict(data=x)
+    tc = TrainConfig(learning_rate=0.01, batch_size=8, epochs=40)
 
-    together = train_linearized(cfg, p0, objectives, tc, **mode())
+    together = train_linearized(cfg, p0, objectives, tc, sampler, np.random.default_rng(9))
     assert len(together) == len(objectives)
     for obj, res in zip(objectives, together):
-        alone = train_linearized(cfg, p0, obj, tc, **mode())
+        alone = train_linearized(cfg, p0, obj, tc, sampler, np.random.default_rng(9))
         assert np.array_equal(res.delta, alone.delta)
         assert res.grad_norm == alone.grad_norm
     assert not np.array_equal(together[0].delta, together[2].delta)
 
 
-def _per_step_reference(cfg, params0, objectives, tc, data=None, sampler=None, rng=None):
+def _per_step_reference(cfg, params0, objectives, tc, sampler, rng):
     """The training loop as it ran before targets were evaluated per chunk:
     every step evaluates every objective's targets on its own batch."""
     deltas = [np.zeros(param_count(cfg)) for _ in objectives]
     adams = [_Adam(delta.size, tc) for delta in deltas]
     norms = [0.0] * len(objectives)
-    fixed = None if data is None else Sweep(cfg, params0, data)
     for _ in range(tc.epochs):
-        sweep = fixed or Sweep(cfg, params0, sampler(tc.batch_size, rng))
+        sweep = Sweep(cfg, params0, sampler(tc.batch_size, rng))
         for j, obj in enumerate(objectives):
             z = sweep.logits + sweep.jvp(deltas[j])
             coeffs = obj.grad(z, obj.evaluate(sweep.acts[0]), slice(None)) / len(z)
@@ -614,17 +607,17 @@ def test_chunk_size_comes_from_the_block_rows():
 
 
 def test_fixed_data_evaluates_callable_targets_once():
+    # on a sampler that returns one fixed batch, a callable and the same
+    # targets given as a fixed array train alike, and as the per-step loop
     cfg, p0, _ = _chunk_objectives()
     x = _sampler(12, np.random.default_rng(5))
-    calls = []
-    target = lambda xx: calls.append(1) or np.cos(xx[:, 0])
-    tc = TrainConfig(learning_rate=0.01, batch_size=12, epochs=30, online_batch=False)
+    fixed = lambda m, rng: x
+    target = lambda xx: np.cos(xx[:, 0])
+    tc = TrainConfig(learning_rate=0.01, batch_size=12, epochs=30)
     res = train_linearized(cfg, p0, [SquaredTargets(target), SquaredTargets(np.cos(x[:, 0]))],
-                           tc, data=x)
-    assert len(calls) == 1
-    # a callable and the same targets given as a fixed array train alike
+                           tc, sampler=fixed, rng=np.random.default_rng(0))
     assert np.array_equal(res[0].delta, res[1].delta)
-    want, _ = _per_step_reference(cfg, p0, [SquaredTargets(target)], tc, data=x)
+    want, _ = _per_step_reference(cfg, p0, [SquaredTargets(target)], tc, fixed, None)
     assert np.array_equal(res[0].delta, want[0])
 
 

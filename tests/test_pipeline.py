@@ -27,10 +27,10 @@ from ntkdistill.network import (
     train_teacher,
     weighted_feature_sum,
 )
-from ntkdistill.tasks import LabelSource, MixtureSpec, realize_mixture
+from ntkdistill.tasks import LabelSource, TaskSpec, realize_mixture
 
 STUDENT = NetConfig(2, 2, 128)
-MIXTURE = realize_mixture(MixtureSpec(modes=6, dim=2, amplitude=2.0),
+MIXTURE = realize_mixture(TaskSpec(modes=6, dim=2, amplitude=2.0),
                           np.random.default_rng(11))
 
 
@@ -186,21 +186,37 @@ def _run_smoke(kind, extra, out_dir):
     return run(path, out_dir=out_dir / "out")
 
 
+def _assert_matches_golden(path, kind, same_config=True):
+    """The CSV at ``path`` against the golden file of ``kind``: every
+    coordinate, name and flag equal (the config hash too, for the golden
+    config itself), every value to 1e-9 relative."""
+    got = _csv_without_wall_ms(path)
+    want = _csv_without_wall_ms(GOLDEN / f"{kind}.csv")
+    assert len(got) > 1  # header plus records
+    value = got[0].index("value")
+    skip = {value} if same_config else {value, got[0].index("config_hash")}
+    keys = lambda rows: [[c for i, c in enumerate(row) if i not in skip] for row in rows]
+    assert keys(got) == keys(want)
+    for g, w in zip(got[1:], want[1:]):
+        assert float(g[value]) == pytest.approx(float(w[value]), rel=1e-9, abs=0)
+
+
 @pytest.mark.parametrize("kind,extra", list(SMOKE_CASES.items()))
 def test_runner_smoke(tmp_path, kind, extra):
     status, paths = _run_smoke(kind, extra, tmp_path)
     assert status == 0
     manifest = json.loads(open(paths[-1]).read())
     assert not manifest["incomplete"]
+    _assert_matches_golden(paths[0], kind)
 
-    got = _csv_without_wall_ms(paths[0])
-    want = _csv_without_wall_ms(GOLDEN / f"{kind}.csv")
-    assert len(got) > 1  # header plus records
-    value = got[0].index("value")
-    keys = lambda rows: [row[:value] + row[value + 1:] for row in rows]
-    assert keys(got) == keys(want)  # every coordinate, name and flag
-    for g, w in zip(got[1:], want[1:]):
-        assert float(g[value]) == pytest.approx(float(w[value]), rel=1e-9, abs=0)
+
+def test_perfect_teacher_is_the_final_checkpoint(tmp_path):
+    # stop_epochs picks the imperfect teachers of hard-label-effect; the
+    # perfect teacher of risk is the recipe's last epoch whatever it says
+    teacher = _tiny_fig2_config("risk")["teacher"] | {"stop_epochs": [16]}
+    status, paths = _run_smoke("risk", SMOKE_CASES["risk"] | {"teacher": teacher}, tmp_path)
+    assert status == 0
+    _assert_matches_golden(paths[0], "risk", same_config=False)
 
 
 def test_risk_runner_emits_bound_and_slope(tmp_path):

@@ -8,11 +8,13 @@ would break them.
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
 from ntkdistill.cli import main
+from ntkdistill.experiments import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "ntkdistill").glob("*.py"))
@@ -50,6 +52,17 @@ def test_demo_imports_resolve(path):
 
 def test_configs_and_demos_found():
     assert CONFIGS and DEMOS
+
+
+def test_every_config_field_is_set_by_a_config():
+    # a top-level field that neither a shipped config nor a golden smoke
+    # config sets is an option nothing in the lab uses
+    from test_pipeline import SMOKE_CASES, _tiny_fig2_config
+
+    used = {key for path in CONFIGS for key in json.loads(path.read_text())}
+    used |= {key for kind, extra in SMOKE_CASES.items()
+             for key in _tiny_fig2_config(kind, **extra)}
+    assert set(ExperimentConfig.__dataclass_fields__) - used == set()
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

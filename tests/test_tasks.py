@@ -1,10 +1,11 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from ntkdistill.network import Checkpoint, NetConfig, forward, init_params
 from ntkdistill.tasks import (
     LabelSource,
-    MixtureSpec,
     Task,
     TaskSpec,
     default_mode_width,
@@ -35,14 +36,14 @@ def test_mode_width_law():
 
 
 def test_mixture_peak_value():
-    spec = MixtureSpec(modes=1, dim=2, amplitude=2.0)
+    spec = TaskSpec(modes=1, dim=2, amplitude=2.0)
     mix = realize_mixture(spec, np.random.default_rng(0))
     peak = mix.values(mix.centers[0])[0]
     assert peak == pytest.approx(mix.amplitudes[0], rel=1e-12)
 
 
 def test_mixture_far_field_decay():
-    spec = MixtureSpec(modes=4, dim=2)
+    spec = TaskSpec(modes=4, dim=2)
     mix = realize_mixture(spec, np.random.default_rng(1))
     # ~10 widths away from every center the bumps are numerically dead
     far = mix.centers.max(axis=0) + 10.0 * np.sqrt(mix.widths.max()) + 10.0
@@ -51,7 +52,7 @@ def test_mixture_far_field_decay():
 
 def test_mixture_matches_direct_summation():
     rng = np.random.default_rng(2)
-    spec = MixtureSpec(modes=7, dim=3, amplitude=1.5)
+    spec = TaskSpec(modes=7, dim=3, amplitude=1.5)
     mix = realize_mixture(spec, rng)
     x = rng.normal(scale=5.0, size=3)
     direct = sum(
@@ -61,20 +62,9 @@ def test_mixture_matches_direct_summation():
     assert mix.values(x)[0] == pytest.approx(direct, abs=1e-12)
 
 
-def test_mixture_squared_width_toggle():
-    spec = MixtureSpec(modes=3, dim=1, squared_width=True)
-    mix = realize_mixture(spec, np.random.default_rng(3))
-    x = np.array([0.7])
-    direct = sum(
-        a * np.exp(-np.sum((x - c) ** 2) / s**2)
-        for a, c, s in zip(mix.amplitudes, mix.centers, mix.widths)
-    )
-    assert mix.values(x)[0] == pytest.approx(direct, abs=1e-12)
-
-
 def test_mixture_realization_statistics():
     # q modes, centers spread like N(0, center_spread^2), signs balanced
-    spec = MixtureSpec(modes=10, dim=2, center_spread=5.0)
+    spec = TaskSpec(modes=10, dim=2, center_spread=5.0)
     centers = []
     signs = []
     for seed in range(1000):
@@ -157,6 +147,8 @@ def test_task_kinds_and_validation():
         TaskSpec(p_flip=0.9)
     with pytest.raises(ValueError):
         TaskSpec(kind="teacher-net")
+    with pytest.raises(ValueError):
+        TaskSpec(modes=0)
     zero = Task(TaskSpec(kind="zero"))
     x = np.zeros((4, 2))
     assert np.array_equal(zero.target_logits(x), np.zeros(4))
@@ -185,4 +177,4 @@ def test_task_target_streams_reproduce():
 
 def test_task_spec_round_trips_to_dict():
     spec = TaskSpec(kind="mixture", modes=50, seed=9, dim=1)
-    assert TaskSpec(**spec.to_dict()) == spec
+    assert TaskSpec(**asdict(spec)) == spec
