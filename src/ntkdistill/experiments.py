@@ -342,7 +342,9 @@ def estimate_cost(cfg: ExperimentConfig) -> float:
 
     * kernel solves: n^3 per grid point, repeat, task and distill point;
     * ntk-check's empirical Grams: kernel inputs x parameters per width and
-      repeat;
+      repeat, plus 40 per parameter for drawing the initialization: a normal
+      draw takes about 22 ns, which the shipped configs' 1.7-2.1e9 estimated
+      flop per measured second price at about 40 flop;
     * teacher Adam steps: epochs x teacher parameters x batch;
     * oracle Adam steps: epochs x objectives x repeats x parameters x batch;
     * Monte Carlo passes: samples x parameters per pass, of the student
@@ -350,7 +352,7 @@ def estimate_cost(cfg: ExperimentConfig) -> float:
     """
     kind = cfg.experiment
     if kind == "ntk-check":
-        return float(sum(cfg.kernel_inputs * param_count(replace(cfg.net, width=w))
+        return float(sum((cfg.kernel_inputs + 40) * param_count(replace(cfg.net, width=w))
                          for w in cfg.width_grid) * cfg.repeats)
     cost = sum(float(n) ** 3 for n in cfg.n_grid) * cfg.repeats
     cost *= max(len(cfg.tasks), 1) * max(len(cfg.distill), 1)

@@ -14,10 +14,16 @@ arccos(S(x,x') / sqrt(S(x,x) S(x',x'))),
     Sdot    = sw^2 * (pi - t) / (2 pi)
     K_next  = S_next + Sdot * K_prev,           K_0 = S.
 
-One loop evaluates the recursion on input pairs packed into vectors.
-``analytic_ntk_gram`` runs it on the upper triangle, which is exact because
-each step is symmetric entrywise; ``analytic_ntk_diag`` runs the same loop
-on the pairs (x, x), where theta = 0.
+One loop runs all L steps on a block of input pairs, in place in buffers
+allocated once.  ``analytic_ntk_diag`` runs it on the pairs (x, x), where
+theta = 0.  ``analytic_ntk_gram`` does the same on its own inputs first,
+which gives every layer's diagonal S(x, x).  It then builds the Gram in
+tiles of about 16k entries, rows i0:i1 against columns i0:n, running every
+layer on a tile while the tile is in cache, with the pair norms broadcast
+from the layer's diagonal.  Each tile goes into the Gram together with its
+transpose.  That is exact because each step is symmetric entrywise, and
+every entry takes the same IEEE operations in the same order whichever tile
+holds it.
 
 At finite width the same object is the Gram matrix of the parameter
 gradients; ``empirical_ntk_gram`` and ``empirical_ntk_diag`` read it off a
@@ -34,26 +40,68 @@ from .linalg import KernelMatrix
 from .network import NetConfig, Sweep, as_batch, row_blocks
 
 
-def _arc_cosine(cfg: NetConfig, s: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """The recursion on packed input pairs: ``s[k]`` is the base covariance
-    of the pair ``(ia[k], ib[k])``, and the pairs ``(i, i)`` of every input
-    index are among them, in index order; returns K per pair."""
-    sw, sb = cfg.weight_scale, cfg.bias_scale
-    on_diag = np.flatnonzero(ia == ib)
-    k = s.copy()
-    for _ in range(cfg.hidden_layers):
-        diag = s[on_diag]
-        if np.any(diag < 0):
-            raise RuntimeError("negative variance in kernel recursion")
-        norm = np.sqrt(diag[ia] * diag[ib])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            c = np.where(norm > 0, s / np.where(norm > 0, norm, 1.0), 1.0)
-        c = np.clip(c, -1.0, 1.0)
-        theta = np.arccos(c)
-        j = np.sqrt(np.maximum(0.0, 1.0 - c**2)) + (np.pi - theta) * c
-        s = sw**2 * norm * j / (2 * np.pi) + sb**2
-        k = s + sw**2 * (np.pi - theta) / (2 * np.pi) * k
-    return k
+# Entries per tile of the Gram: a tile's five buffers (about 640 kB) stay in
+# a core's L2 cache while every layer runs on them.
+_TILE_ENTRIES = 1 << 14
+
+
+def _arc_cosine(cfg: NetConfig, s: np.ndarray, work, diags=None, rows=None, cols=None):
+    """The L recursion steps, in place on ``s``, the base covariances of a
+    set of input pairs; returns K of the pairs (in ``work[0]``) and the
+    per-layer diagonals.
+
+    For a Gram tile, ``s`` is the block ``rows`` x ``cols`` and ``diags[l]``
+    is layer l's S(x, x) over every input; the pair norms broadcast from it,
+    row value first.  With ``diags`` None, ``s`` holds the pairs (x, x)
+    themselves, so each layer's ``s`` is its own diagonal: it is checked for
+    negative variance and kept.  ``work`` holds four buffers shaped like
+    ``s``.  The masked form of the correlation runs only where a pair norm
+    can be 0.
+    """
+    sw2, sb2 = cfg.weight_scale**2, cfg.bias_scale**2
+    two_pi = 2 * np.pi
+    k, norm, c, theta = work
+    k[...] = s
+    own = diags is None
+    if own:
+        diags = []
+    for layer in range(cfg.hidden_layers):
+        if own:
+            if np.any(s < 0):
+                raise RuntimeError("negative variance in kernel recursion")
+            diags.append(s.copy())
+            np.multiply(s, s, out=norm)
+        else:
+            d = diags[layer]
+            np.multiply(d[rows, None], d[None, cols], out=norm)
+        np.sqrt(norm, out=norm)
+        dmin = diags[layer].min(initial=np.inf)
+        if dmin * dmin > 0:  # then every pair norm is positive
+            np.divide(s, norm, out=c)
+        else:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                c[...] = np.where(norm > 0, s / np.where(norm > 0, norm, 1.0), 1.0)
+        np.clip(c, -1.0, 1.0, out=c)
+        np.arccos(c, out=theta)
+        # J = sqrt(max(0, 1 - c^2)) + (pi - theta) c, built in s
+        np.multiply(c, c, out=s)
+        np.subtract(1.0, s, out=s)
+        np.maximum(0.0, s, out=s)
+        np.sqrt(s, out=s)
+        np.subtract(np.pi, theta, out=theta)
+        np.multiply(theta, c, out=c)
+        np.add(s, c, out=s)
+        # S_next = sw^2 norm J / (2 pi) + sb^2
+        np.multiply(sw2, norm, out=norm)
+        np.multiply(norm, s, out=norm)
+        np.divide(norm, two_pi, out=norm)
+        np.add(norm, sb2, out=s)
+        # K_next = S_next + sw^2 (pi - theta) / (2 pi) K
+        np.multiply(sw2, theta, out=theta)
+        np.divide(theta, two_pi, out=theta)
+        np.multiply(theta, k, out=k)
+        np.add(s, k, out=k)
+    return k, diags
 
 
 def analytic_ntk_diag(cfg: NetConfig, x: np.ndarray) -> np.ndarray:
@@ -61,26 +109,37 @@ def analytic_ntk_diag(cfg: NetConfig, x: np.ndarray) -> np.ndarray:
     batch, _ = as_batch(cfg, x)
     sw, sb = cfg.weight_scale, cfg.bias_scale
     s = sw**2 * np.einsum("ij,ij->i", batch, batch) / cfg.input_dim + sb**2
-    pairs = np.arange(len(s))
-    return _arc_cosine(cfg, s, pairs, pairs)
+    return _arc_cosine(cfg, s, np.empty((4, len(s))))[0]
 
 
 def analytic_ntk_gram(
     cfg: NetConfig, x: np.ndarray, jitter: float | None = None
 ) -> KernelMatrix:
-    """Entrywise analytic kernel over a batch of inputs."""
+    """Entrywise analytic kernel over a batch of inputs, built in tiles."""
     batch, _ = as_batch(cfg, x)
     sw, sb = cfg.weight_scale, cfg.bias_scale
     s = sw**2 * (batch @ batch.T) / cfg.input_dim + sb**2
-    # exact symmetry here is what lets the packed upper triangle carry the
-    # whole recursion: every step maps (i, j) and (j, i) alike
-    s = 0.5 * (s + s.T)
     n = s.shape[0]
-    ia, ib = np.triu_indices(n)
-    k = _arc_cosine(cfg, s[ia, ib], ia, ib)
+    # each tile starts from the symmetrized 0.5 (S + S^T); that exact
+    # symmetry is what lets a tile's transpose stand for its mirror image,
+    # since every step maps (i, j) and (j, i) alike
+    d = np.diagonal(s)
+    _, diags = _arc_cosine(cfg, 0.5 * (d + d), np.empty((4, n)))
     gram = np.empty((n, n))
-    gram[ia, ib] = k
-    gram[ib, ia] = k
+    flat = np.empty((5, max(_TILE_ENTRIES, n)))
+    i0 = 0
+    while i0 < n:
+        # rows i0:i1 against columns i0:n, the upper triangle and the
+        # tile's share of the diagonal block
+        i1 = min(n, i0 + max(1, _TILE_ENTRIES // (n - i0)))
+        shape = (i1 - i0, n - i0)
+        tile, *work = (buf[: shape[0] * shape[1]].reshape(shape) for buf in flat)
+        np.add(s[i0:i1, i0:], s[i0:, i0:i1].T, out=tile)
+        np.multiply(0.5, tile, out=tile)
+        k, _ = _arc_cosine(cfg, tile, work, diags, slice(i0, i1), slice(i0, n))
+        gram[i0:i1, i0:] = k
+        gram[i0:, i0:i1] = k.T
+        i0 = i1
     return KernelMatrix(gram, jitter=jitter)
 
 

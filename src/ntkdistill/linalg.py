@@ -34,6 +34,13 @@ class DegenerateVectorError(ValueError):
 class KernelMatrix:
     """Symmetric positive-semidefinite Gram matrix with a diagonal jitter.
 
+    The entries are copied and stored exactly symmetric.  An input that is
+    symmetric bit for bit is stored as it is; any other input within
+    ``SYMMETRY_RTOL`` of its scale is stored as 0.5 (K + K^T), which also
+    turns a mirrored -0.0/+0.0 pair into +0.0 on both sides.  (A bitwise
+    symmetric entry of magnitude 2^1023 or more thus stays finite; the
+    average would overflow it to inf.)
+
     The matrix is immutable after construction and may be shared across
     threads.  The Cholesky factor of ``entries + jitter_used * I`` is computed
     lazily on first solve and cached; ``jitter_used`` starts at ``jitter`` and
@@ -45,17 +52,22 @@ class KernelMatrix:
         entries = np.asarray(entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"kernel matrix must be square, got {entries.shape}")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("kernel matrix has non-finite entries")
+        # the largest magnitude is non-finite exactly when some entry is
         scale = np.max(np.abs(entries))
-        asym = np.max(np.abs(entries - entries.T))
-        if scale > 0 and asym > SYMMETRY_RTOL * scale:
-            raise ValueError(
-                f"kernel matrix is not symmetric: max asymmetry {asym:.3e} "
-                f"exceeds {SYMMETRY_RTOL:.0e} * scale {scale:.3e}"
-            )
-        # Exact symmetry simplifies everything downstream.
-        entries = 0.5 * (entries + entries.T)
+        if not np.isfinite(scale):
+            raise ValueError("kernel matrix has non-finite entries")
+        bits = entries.view(np.uint64)
+        if np.array_equal(bits, bits.T):
+            entries = entries.copy()
+        else:
+            asym = np.max(np.abs(entries - entries.T))
+            if scale > 0 and asym > SYMMETRY_RTOL * scale:
+                raise ValueError(
+                    f"kernel matrix is not symmetric: max asymmetry {asym:.3e} "
+                    f"exceeds {SYMMETRY_RTOL:.0e} * scale {scale:.3e}"
+                )
+            # Exact symmetry simplifies everything downstream.
+            entries = 0.5 * (entries + entries.T)
         n = entries.shape[0]
         if jitter is None:
             jitter = DEFAULT_JITTER_SCALE * float(np.trace(entries)) / n

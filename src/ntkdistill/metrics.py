@@ -47,7 +47,6 @@ class InefficiencyCurve:
 
     ns: np.ndarray
     log_mean_norm: np.ndarray        # ln E|dw_n| per grid point
-    log_mean_norm_next: np.ndarray   # ln E|dw_{n+1}| per grid point
     inefficiency: np.ndarray
     repeats: int
     skipped: np.ndarray              # singular-kernel repeats per grid point
@@ -148,7 +147,6 @@ def data_inefficiency(
     return InefficiencyCurve(
         ns=ns,
         log_mean_norm=np.log(mean_n),
-        log_mean_norm_next=np.log(mean_next),
         inefficiency=inefficiency_from_norms(ns, mean_n, mean_next),
         repeats=repeats,
         skipped=skipped,

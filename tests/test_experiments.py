@@ -15,6 +15,7 @@ from ntkdistill.experiments import (
     run,
     validate,
 )
+from ntkdistill.network import NetConfig, param_count
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -246,6 +247,18 @@ def test_estimate_cost_scales():
         }
     )
     assert estimate_cost(cfg) == pytest.approx((1000 + 8000) * 3)
+
+
+def test_estimate_cost_counts_ntk_check_draws():
+    # every (width, repeat) draws a fresh initialization, so the estimate
+    # grows with repeats even where the kernel inputs are few
+    data = {"experiment": "ntk-check", "seed": 1,
+            "net": {"input_dim": 2, "hidden_layers": 2, "width": 8},
+            "width_grid": [16, 64], "kernel_inputs": 1, "repeats": 2}
+    cost = lambda **f: estimate_cost(parse_config(data | f))
+    assert cost(repeats=4) == 2 * cost()
+    # more than the Gram term, kernel inputs x parameters x repeats
+    assert cost() > 2 * sum(param_count(NetConfig(2, 2, w)) for w in (16, 64))
 
 
 ORACLE_TASKS = [{"kind": "mixture", "modes": 3, "seed": 1}]

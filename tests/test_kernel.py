@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ntkdistill import kernel
 from ntkdistill.kernel import (
     analytic_ntk_diag,
     analytic_ntk_gram,
@@ -119,7 +120,7 @@ def test_gram_matches_scalar_and_permutes():
 
 def _full_matrix_gram(cfg, xs):
     # the whole-matrix recursion, re-symmetrized at every layer: an
-    # independent reference for the packed upper-triangle evaluation
+    # independent reference for the tiled evaluation
     sw, sb = cfg.weight_scale, cfg.bias_scale
     s = sw**2 * (xs @ xs.T) / cfg.input_dim + sb**2
     s = 0.5 * (s + s.T)
@@ -139,12 +140,31 @@ def _full_matrix_gram(cfg, xs):
     return k
 
 
-@pytest.mark.parametrize("scales", [(1.0, 1.0), (1.3, 0.4)])
-@pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
-@pytest.mark.parametrize("d", [1, 2, 5])
-def test_gram_bitwise_equals_full_matrix_recursion(d, n, scales):
+SCALES = [(1.0, 1.0), (1.3, 0.4)]
+GRAM_CASES = [
+    pytest.param(d, n, scales, None, id=f"{d}-{n}-scales{i}")
+    for d in (1, 2, 5) for n in (1, 2, 7, 64, 300) for i, scales in enumerate(SCALES)
+] + [
+    # one row per tile
+    pytest.param(2, 64, SCALES[1], 1, id="tile1-2-64"),
+    # tiles of 100, 150 and 50 rows: a split inside the matrix
+    pytest.param(2, 300, SCALES[1], 300 * 100 + 7, id="tile30007-2-300"),
+    # the workload's largest Gram
+    pytest.param(1, 544, SCALES[0], None, id="1-544-scales0"),
+    # no bias and an all-zero input: pair norms of 0 take the masked form
+    pytest.param(2, 7, (1.0, 0.0), None, id="2-7-nobias-zero-row"),
+    pytest.param(5, 64, (1.3, 0.0), 1, id="tile1-5-64-nobias-zero-row"),
+]
+
+
+@pytest.mark.parametrize("d,n,scales,tile_entries", GRAM_CASES)
+def test_gram_bitwise_equals_full_matrix_recursion(d, n, scales, tile_entries, monkeypatch):
+    if tile_entries is not None:
+        monkeypatch.setattr(kernel, "_TILE_ENTRIES", tile_entries)
     cfg = NetConfig(d, 4, 8, weight_scale=scales[0], bias_scale=scales[1])
     xs = np.random.default_rng(100 * d + n).normal(scale=5.0, size=(n, d))
+    if scales[1] == 0:
+        xs[n // 2] = 0.0
     gram = analytic_ntk_gram(cfg, xs, jitter=0.0).entries
     assert np.array_equal(gram, _full_matrix_gram(cfg, xs))
     assert np.array_equal(gram, gram.T)
@@ -223,3 +243,7 @@ def test_negative_variance_guard():
     x = np.zeros((2, 2))
     gram = analytic_ntk_gram(cfg, x, jitter=0.0)  # zero inputs, zero kernel
     assert np.allclose(gram.entries, 0.0)
+    # no network and input reach a negative variance, so the recursion is
+    # handed one directly
+    with pytest.raises(RuntimeError, match="negative variance"):
+        kernel._arc_cosine(NetConfig(2, 3, 4), np.array([1.0, -1e-3]), np.empty((4, 2)))

@@ -111,6 +111,42 @@ def test_asymmetry_rejected():
         KernelMatrix(m)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_rejected(bad):
+    m = np.eye(3)
+    m[1, 2] = m[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite entries"):
+        KernelMatrix(m)
+
+
+def test_near_symmetric_input_stored_as_its_symmetric_part():
+    rng = np.random.default_rng(12)
+    m = random_spd(6, rng)
+    m[1, 4] *= 1 + 1e-12  # well inside SYMMETRY_RTOL
+    k = KernelMatrix(m)
+    assert np.array_equal(k.entries.view(np.uint64), (0.5 * (m + m.T)).view(np.uint64))
+
+
+def test_mirrored_signed_zeros_stored_as_positive_zero():
+    m = np.array([[1.0, -0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    k = KernelMatrix(m)
+    assert k.entries[0, 1] == 0.0 and k.entries[1, 0] == 0.0
+    assert not np.signbit(k.entries[0, 1]) and not np.signbit(k.entries[1, 0])
+
+
+def test_exactly_symmetric_input_stored_bitwise_as_a_copy():
+    rng = np.random.default_rng(13)
+    m = random_spd(5, rng)
+    m = np.triu(m) + np.triu(m, 1).T  # symmetric bit for bit
+    m[0, 3] = m[3, 0] = -0.0
+    k = KernelMatrix(m)
+    assert np.array_equal(k.entries.view(np.uint64), m.view(np.uint64))
+    assert not np.shares_memory(k.entries, m)
+    m[0, 0] = 99.0
+    assert k.entries[0, 0] != 99.0
+    assert not k.entries.flags.writeable
+
+
 def test_angle_trivial_cases():
     u = np.array([1.0, 2.0, -0.5])
     assert acute_angle(u, u) == pytest.approx(0.0, abs=1e-7)
