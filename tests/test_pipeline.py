@@ -175,7 +175,10 @@ GOLDEN_ENV = GOLDEN / "ENV.json"
 
 
 def _numeric_env():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict form
+        return {"numpy": np.__version__}
     return {"numpy": np.__version__, "blas": blas["name"], "blas_version": blas["version"],
             "openblas_config": blas.get("openblas configuration", "")}
 
