@@ -6,12 +6,16 @@
 A run writes ``<kind>.csv`` and ``<kind>_manifest.json`` and prints their
 paths.
 
-Exit codes: 0 success, 1 config error, 2 numerical failure.
+``--threads`` must be between 1 and the machine's CPU count.
+
+Exit codes: 0 success, 1 config error (a bad ``--threads`` too), 2 numerical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .experiments import EXPERIMENT_KINDS, ConfigError, run, validate
@@ -44,6 +48,9 @@ def main(argv=None) -> int:
         if args.command == "validate":
             print(validate(args.config))
             return 0
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.threads <= cpus:
+            raise ConfigError(f"--threads must be between 1 and {cpus}, got {args.threads}")
         from .experiments import load_config
 
         cfg = load_config(args.config)

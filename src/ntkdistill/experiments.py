@@ -77,6 +77,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -516,6 +517,17 @@ def _run_effective_logits(cfg: ExperimentConfig, threads: int, records: list) ->
 def _run_ntk_check(cfg: ExperimentConfig, threads: int, records: list) -> None:
     emit = _emitter(cfg)
     x = unit_rng(cfg.seed, 0).normal(scale=5.0, size=(cfg.kernel_inputs, cfg.net.input_dim))
+    # each worker thread draws its units' parameters into one buffer (269 MB
+    # at width 4096), grown to the largest p so far; the smaller buffer is
+    # released before the larger one is allocated
+    local = threading.local()
+
+    def params_of(net, seed):
+        p = param_count(net)
+        if getattr(local, "buf", None) is None or local.buf.size < p:
+            local.buf = None
+            local.buf = np.empty(p)
+        return init_params(net, seed, out=local.buf[:p])
 
     def one(width_rep):
         width, rep = width_rep
@@ -523,7 +535,7 @@ def _run_ntk_check(cfg: ExperimentConfig, threads: int, records: list) -> None:
         net = replace(cfg.net, width=width)
         seed = int(unit_rng(cfg.seed, 1, width, rep).integers(2**63))
         target = analytic_ntk_gram(net, x, jitter=0.0).entries
-        gram = empirical_ntk_gram(net, init_params(net, seed), x, jitter=0.0).entries
+        gram = empirical_ntk_gram(net, params_of(net, seed), x, jitter=0.0).entries
         err = float(np.linalg.norm(gram - target) / np.linalg.norm(target))
         return emit({"frob_rel_err": err}, seed=seed, n=width,
                     wall_ms=(time.perf_counter() - t0) * 1e3)

@@ -68,9 +68,14 @@ class KernelMatrix:
                 )
             # Exact symmetry simplifies everything downstream.
             entries = 0.5 * (entries + entries.T)
-        n = entries.shape[0]
+        self._store(entries, jitter)
+
+    def _store(self, entries: np.ndarray, jitter: float | None) -> None:
+        """Keep checked, exactly symmetric entries read-only, with ``jitter``
+        or else the default of ``DEFAULT_JITTER_SCALE`` times the mean
+        diagonal."""
         if jitter is None:
-            jitter = DEFAULT_JITTER_SCALE * float(np.trace(entries)) / n
+            jitter = DEFAULT_JITTER_SCALE * float(np.trace(entries)) / entries.shape[0]
         if jitter < 0:
             raise ValueError("jitter must be non-negative")
         self._entries = entries
@@ -78,6 +83,17 @@ class KernelMatrix:
         self.jitter = float(jitter)
         self._chol: np.ndarray | None = None
         self._jitter_used: float | None = None
+
+    def leading(self, n: int) -> "KernelMatrix":
+        """The leading n x n block as its own matrix, with the default
+        jitter of that block: what ``KernelMatrix(self.entries[:n, :n])``
+        gives, bit for bit, without checking or copying the block again.
+        Its entries are a read-only view of this matrix's."""
+        if not 1 <= n <= self.n:
+            raise ValueError(f"leading block size must be in [1, {self.n}], got {n}")
+        out = KernelMatrix.__new__(KernelMatrix)
+        out._store(self._entries[:n, :n], None)
+        return out
 
     @property
     def entries(self) -> np.ndarray:

@@ -119,8 +119,9 @@ def data_inefficiency(
             if task.subtract_init:
                 dz = dz - forward(cfg, init_params(cfg, rng), x)
             try:
+                # the full Gram is checked once; its leading block shares it
                 gram = analytic_ntk_gram(cfg, x)
-                base = KernelMatrix(gram.entries[:n, :n])
+                base = gram.leading(n)
                 base_sq = max(kernel_inner(base, dz[:n], dz[:n]), 0.0)
                 # Schur-complement increment of each candidate (n+1)th point,
                 # reusing the base factorization and its jitter

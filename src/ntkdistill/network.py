@@ -71,11 +71,23 @@ does; the tests check that blocked results are bitwise the unblocked ones.
 Sweeps whose results sum over rows (gradients, Gram matrices, training
 steps) stay whole.
 
+The block is 128 rows because a block's temporaries are then reused from
+the heap instead of faulting in fresh pages.  At the risk study's width of
+128, a block of B rows allocates about eight (B, 128) temporaries of
+B kB each.  glibc hands heap memory above its trim threshold back to the
+kernel on free, and that threshold starts low in a fresh process, so with
+larger blocks every block faults its temporaries in again: a 10,000-row,
+two-weight-change student sweep took about 12.5k minor faults with
+1,024-row blocks, 11.9k with 512 and 11.3k with 256, and at most 150 with
+128 (glibc 2.36, in a fresh interpreter after one warm-up sweep).  Blocks
+of 128 rows were also no slower per sweep.
+
 ``train_linearized`` trains a list of objectives in lockstep on one sweep
 per step, each objective with its own weight change and Adam state.  It
-draws the batches of ``ceil(_BLOCK_ROWS / batch_size)`` steps at a time and
-evaluates each objective's callable targets (teacher logits, hard labels,
-effective logits) once on the chunk's rows; each step then slices its own.
+draws the batches of ``ceil(_TARGET_CHUNK_ROWS / batch_size)`` steps at a
+time (its own constant of 1,024 rows, not the block size) and evaluates
+each objective's callable targets (teacher logits, hard labels, effective
+logits) once on the chunk's rows; each step then slices its own.
 That relies on a contract every target callable keeps: its value for a row
 depends only on that row.  The results equal those of evaluating each
 step's batch on its own as long as the target is computed row by row with
@@ -98,8 +110,14 @@ from .distillation import DistillParams, loss_gradient
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-# rows per sweep of a blocked batch evaluation (see row_blocks)
-_BLOCK_ROWS = 1024
+# rows per sweep of a blocked batch evaluation (see row_blocks, and the
+# module docstring for why 128)
+_BLOCK_ROWS = 128
+
+# rows of batches drawn ahead per target evaluation of train_linearized; a
+# constant of its own, so the block size does not change how often targets
+# are evaluated
+_TARGET_CHUNK_ROWS = 1024
 
 
 class DivergenceError(RuntimeError):
@@ -170,14 +188,19 @@ def unflatten(cfg: NetConfig, params: np.ndarray) -> list[tuple[np.ndarray, np.n
     return [(params[w0:b0].reshape(w_shape), params[b0:b1]) for w_shape, w0, b0, b1 in spans]
 
 
-def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    return np.concatenate([np.concatenate([w.ravel(), b.ravel()]) for w, b in layers])
+def init_params(cfg: NetConfig, seed, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard-normal parameter vector; deterministic given the seed.
 
-
-def init_params(cfg: NetConfig, seed) -> np.ndarray:
-    """Standard-normal parameter vector; deterministic given the seed."""
+    With ``out``, a float64 vector of length ``param_count(cfg)``, the values
+    are drawn into it and it is returned: the same stream as a fresh draw,
+    without allocating (and faulting in) a new vector.
+    """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.standard_normal(param_count(cfg))
+    if out is None:
+        return rng.standard_normal(param_count(cfg))
+    if out.shape != (param_count(cfg),):
+        raise ValueError(f"out must have shape ({param_count(cfg)},), got {out.shape}")
+    return rng.standard_normal(out=out)
 
 
 def as_batch(cfg: NetConfig, x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -563,7 +586,7 @@ def _steps(cfg: NetConfig, params0: np.ndarray, objectives, train_cfg: TrainConf
     """``(sweep, values, rows)`` for each step of ``train_linearized``: the
     step's sweep, every objective's ``evaluate`` values and the step's rows
     of them, with the targets evaluated once per chunk of steps."""
-    per_chunk = -(-_BLOCK_ROWS // train_cfg.batch_size)
+    per_chunk = -(-_TARGET_CHUNK_ROWS // train_cfg.batch_size)
     for first in range(0, train_cfg.epochs, per_chunk):
         batches = [sampler(train_cfg.batch_size, rng)
                    for _ in range(min(per_chunk, train_cfg.epochs - first))]
@@ -592,9 +615,11 @@ def train_linearized(
     non-convergence is never raised.
 
     ``sampler`` is called exactly once per step, in step order, but the
-    batches of ``ceil(_BLOCK_ROWS / batch_size)`` steps (8 at batch 128) are
-    drawn ahead and each objective's callable targets are evaluated once on
-    their concatenated rows; each step then takes its own rows by slicing.
+    batches of ``ceil(_TARGET_CHUNK_ROWS / batch_size)`` steps are drawn
+    ahead (``_TARGET_CHUNK_ROWS`` is 1,024 rows, so 8 steps at batch 128,
+    whatever the row-block size) and each objective's callable targets are
+    evaluated once on their concatenated rows; each step then takes its own
+    rows by slicing.
     A target callable must therefore give each row a value that depends on
     that row alone; it then trains exactly as it would on per-step
     evaluations, up to the small-batch BLAS rounding noted in the module

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .network import Checkpoint, forward
 
@@ -87,11 +86,12 @@ def flip_labels(base, p_flip: float):
 
 @dataclass(frozen=True)
 class LabelSource:
-    """Teacher logits, soft labels, and ground-truth hard labels.
+    """Teacher logits and ground-truth hard labels.
 
     Teacher logits are the checkpoint network's outputs scaled by the
-    reduction factor; soft labels pass them through a tempered sigmoid; hard
-    labels come from the sign of an independent ground-truth function.
+    reduction factor; hard labels come from the sign of an independent
+    ground-truth function.  ``temperature`` is validated but read by no
+    label here.
     """
 
     checkpoint: Checkpoint
@@ -109,9 +109,6 @@ class LabelSource:
         return self.reduction * forward(
             self.checkpoint.config, self.checkpoint.params, x
         )
-
-    def soft(self, x: np.ndarray) -> np.ndarray:
-        return expit(self.logits(x) / self.temperature)
 
     def hard(self, x: np.ndarray) -> np.ndarray:
         if self.ground_truth is None:

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -201,6 +204,54 @@ def test_threads_do_not_change_results(tmp_path):
     _, b = run(path, out_dir=tmp_path / "b", threads=2)
     strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
     assert strip(read_rows(a[0])[1]) == strip(read_rows(b[0])[1])
+
+
+def test_ntk_check_smoke_is_byte_identical_at_one_and_two_threads(tmp_path, monkeypatch):
+    # every worker thread draws its units' parameters into its own buffer,
+    # so the rows match the serial run's as written
+    import ntkdistill.experiments as exp
+    from test_pipeline import SMOKE_CASES, _csv_without_wall_ms, _tiny_fig2_config
+
+    draws = []
+    original = exp.init_params
+
+    def spy(net, seed, out=None):
+        draws.append((threading.get_ident(), out))
+        time.sleep(0.02)  # so that both workers take units
+        return original(net, seed, out=out)
+
+    path = write_config(tmp_path, _tiny_fig2_config("ntk-check", **SMOKE_CASES["ntk-check"]))
+    _, a = run(path, out_dir=tmp_path / "a", threads=1)
+    monkeypatch.setattr(exp, "init_params", spy)
+    _, b = run(path, out_dir=tmp_path / "b", threads=2)
+    assert _csv_without_wall_ms(a[0]) == _csv_without_wall_ms(b[0])
+    assert len({thread for thread, _ in draws}) == 2
+    for i, (thread, out) in enumerate(draws):
+        for other, other_out in draws[i + 1:]:
+            assert thread == other or not np.shares_memory(out, other_out)
+
+
+@pytest.mark.parametrize("threads", [0, -1, (os.cpu_count() or 1) + 1])
+def test_cli_rejects_threads_out_of_range(tmp_path, capsys, monkeypatch, threads):
+    # exit 1 with a message before any work: no run, no worker thread, no
+    # output directory
+    import ntkdistill.cli as cli
+    import ntkdistill.experiments as exp
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "run", no_work)
+    monkeypatch.setattr(exp, "ThreadPoolExecutor", no_work)
+    alive = threading.active_count()
+    path = write_config(tmp_path, MINIMAL)
+    out = tmp_path / "o"
+    argv = ["effective-logits", "--config", str(path), "--out", str(out),
+            "--threads", str(threads)]
+    assert main(argv) == 1
+    assert "--threads must be between 1 and" in capsys.readouterr().err
+    assert threading.active_count() == alive
+    assert not out.exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

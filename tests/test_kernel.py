@@ -11,7 +11,7 @@ from ntkdistill.kernel import (
     empirical_ntk_gram,
 )
 from ntkdistill.linalg import KernelMatrix
-from ntkdistill.network import NetConfig, Sweep, init_params
+from ntkdistill.network import _BLOCK_ROWS, NetConfig, Sweep, init_params
 
 
 def analytic_ntk(cfg, x, y):
@@ -203,7 +203,8 @@ def test_empirical_gram_equals_explicit_features():
 
 
 @pytest.mark.parametrize("width", [64, 128])
-@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 10000])
+@pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                               2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS, 1023, 1024, 1025, 10000])
 def test_empirical_diag_row_blocks_are_bitwise_one_sweep(n, width):
     # the diagonal sweeps its inputs block by block; every entry must be the
     # one the same per-layer sums over a single sweep of all rows give

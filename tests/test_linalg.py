@@ -147,6 +147,32 @@ def test_exactly_symmetric_input_stored_bitwise_as_a_copy():
     assert not k.entries.flags.writeable
 
 
+@pytest.mark.parametrize("n", [1, 2, 9, 130, 544, 576])
+def test_leading_block_is_bitwise_a_fresh_matrix_of_the_block(n):
+    # leading(n) shares the checked entries instead of checking and copying
+    # the block again; its entries, default jitter, factor and solves are
+    # those of KernelMatrix(entries[:n, :n]) bit for bit
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((576, 40)) * rng.uniform(0.5, 2.0, size=(576, 1))
+    full = KernelMatrix(a @ a.T + np.diag(rng.uniform(0.0, 1.0, size=576)), jitter=1e-3)
+    block, fresh = full.leading(n), KernelMatrix(full.entries[:n, :n])
+    bits = lambda v: np.ascontiguousarray(v).view(np.uint64)
+    assert np.shares_memory(block.entries, full.entries)
+    assert not block.entries.flags.writeable
+    assert np.array_equal(bits(block.entries), bits(fresh.entries))
+    assert block.jitter == fresh.jitter
+    b = rng.standard_normal((n, 3))
+    assert np.array_equal(bits(block.solve(b)), bits(fresh.solve(b)))
+    assert np.array_equal(bits(block.cholesky()), bits(fresh.cholesky()))
+    assert block.jitter_used == fresh.jitter_used
+
+
+@pytest.mark.parametrize("n", [0, 6])
+def test_leading_block_size_must_fit(n):
+    with pytest.raises(ValueError):
+        KernelMatrix(np.eye(5)).leading(n)
+
+
 def test_angle_trivial_cases():
     u = np.array([1.0, 2.0, -0.5])
     assert acute_angle(u, u) == pytest.approx(0.0, abs=1e-7)

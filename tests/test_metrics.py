@@ -113,6 +113,23 @@ def test_data_inefficiency_draws_student_init_only_when_read(monkeypatch, kind, 
     assert np.all(np.isfinite(curve.inefficiency))
 
 
+def test_data_inefficiency_checks_each_gram_once(monkeypatch):
+    # each (n, repeat) unit builds one KernelMatrix, the full Gram; the base
+    # block is its leading block, not a second checked copy
+    calls = []
+    original = KernelMatrix.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(KernelMatrix, "__init__", counting)
+    task = Task(TaskSpec(kind="mixture", modes=3, seed=1))
+    curve = data_inefficiency(task, NetConfig(2, 2, 16), [6, 10], repeats=2, root_seed=3)
+    assert len(calls) == 4
+    assert np.all(np.isfinite(curve.inefficiency))
+
+
 def test_nested_norms_nondecreasing():
     # the weight change is a projection onto a growing span
     task = Task(TaskSpec(kind="mixture", modes=5, seed=3))

@@ -1,8 +1,14 @@
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ntkdistill
 from ntkdistill.kernel import empirical_ntk_diag, empirical_ntk_gram
 from ntkdistill.network import (
     Checkpoint,
@@ -14,7 +20,6 @@ from ntkdistill.network import (
     TrainConfig,
     default_checkpoint_epochs,
     feature_dot,
-    flatten,
     forward,
     init_params,
     load_checkpoint,
@@ -26,7 +31,7 @@ from ntkdistill.network import (
     unflatten,
     weighted_feature_sum,
 )
-from ntkdistill.network import _BLOCK_ROWS, _Adam
+from ntkdistill.network import _BLOCK_ROWS, _TARGET_CHUNK_ROWS, _Adam
 from ntkdistill.distillation import DistillParams, saturated_effective_logits
 
 
@@ -84,9 +89,30 @@ def test_init_standard_normal_moments():
     assert abs(p.std() - 1.0) < 0.01
 
 
+def test_init_params_draws_into_a_given_buffer():
+    # out= is the fresh draw bit for bit, returned as a view of the buffer
+    # it was given, and moves a passed Generator as a fresh draw does
+    p = param_count(CFG)
+    buf = np.full(p + 5, np.nan)
+    got = init_params(CFG, 3, out=buf[:p])
+    assert np.shares_memory(got, buf)
+    assert np.array_equal(got.view(np.int64), init_params(CFG, 3).view(np.int64))
+    assert np.all(np.isnan(buf[p:]))
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    got = init_params(CFG, rng, out=buf[:p])
+    assert np.array_equal(got.view(np.int64), init_params(CFG, ref).view(np.int64))
+    assert rng.random() == ref.random()
+    with pytest.raises(ValueError):
+        init_params(CFG, 3, out=buf)
+
+
 def test_layout_round_trips():
+    # the per-layer views, each raveled in C order and joined layer by
+    # layer, give back the flat vector
     p = init_params(CFG, 3)
-    assert np.array_equal(flatten(unflatten(CFG, p)), p)
+    joined = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
+                             for w, b in unflatten(CFG, p)])
+    assert np.array_equal(joined, p)
 
 
 def test_forward_zero_params():
@@ -317,15 +343,18 @@ def test_nan_hidden_weight_reaches_the_logits():
     assert np.all(np.isnan(linear_logits(CFG, p, [np.zeros(p.size)], x)))
 
 
-@pytest.mark.parametrize("width", [64, 128])
-@pytest.mark.parametrize("n", [1, 7, 1023, 1024, 1025, 2047, 2048, 10000])
-def test_row_blocks_are_bitwise_one_sweep(n, width):
-    # forward and the Monte Carlo student sweep long batches block by block;
-    # every value must be the one a single sweep of all rows gives
-    cfg = NetConfig(2, 2, width)
+# the block boundaries B - 1, B, B + 1, 2B - 1 and 2B of B = _BLOCK_ROWS; at
+# B = 128, 1023 to 1025 and 2047 and 2048 sit at the boundaries 8B and 16B
+BOUNDARY_ROWS = [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                 2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS]
+
+
+def _assert_row_blocks_bitwise(cfg, n, seed):
+    """forward, feature_dot and the Monte Carlo student on n rows equal a
+    single sweep of all rows bit for bit."""
     rng = np.random.default_rng(n)
-    p = init_params(cfg, width)
-    x = rng.normal(scale=3.0, size=(n, 2))
+    p = init_params(cfg, seed)
+    x = rng.normal(scale=3.0, size=(n, cfg.input_dim))
     deltas = [rng.normal(scale=0.01, size=p.size) for _ in range(3)]
     whole = Sweep(cfg, p, x)
     assert np.array_equal(forward(cfg, p, x), whole.logits)
@@ -334,6 +363,57 @@ def test_row_blocks_are_bitwise_one_sweep(n, width):
         linear_logits(cfg, p, deltas, x),
         np.stack([whole.logits + whole.jvp(delta) for delta in deltas]),
     )
+
+
+@pytest.mark.parametrize("width", [64, 128])
+@pytest.mark.parametrize("n", [1, 7, *BOUNDARY_ROWS, 1023, 1024, 1025, 2047, 2048, 10000])
+def test_row_blocks_are_bitwise_one_sweep(n, width):
+    # forward and the Monte Carlo student sweep long batches block by block;
+    # every value must be the one a single sweep of all rows gives
+    _assert_row_blocks_bitwise(NetConfig(2, 2, width), n, width)
+
+
+@pytest.mark.parametrize("n", [*BOUNDARY_ROWS, 544])
+def test_row_blocks_are_bitwise_one_sweep_on_the_inefficiency_net(n):
+    # the inefficiency study's student (d = 1, 5 x 256) sweeps forwards of
+    # up to n_max + extra_points = 544 rows
+    _assert_row_blocks_bitwise(NetConfig(1, 5, 256), n, 256)
+
+
+# the risk study's student sweep of 10,000 Monte Carlo rows with two weight
+# changes (2 x 128), once to warm up and once counted; prints the minor
+# faults of the counted sweep
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from ntkdistill.network import NetConfig, init_params, row_blocks
+cfg = NetConfig(2, 2, 128)
+rng = np.random.default_rng(0)
+p = init_params(cfg, 1)
+x = rng.normal(size=(10000, 2))
+deltas = [rng.normal(scale=0.01, size=p.size) for _ in range(2)]
+sweep = lambda: row_blocks(cfg, p, x, lambda s: np.stack([s.logits + s.jvp(d) for d in deltas]))
+sweep()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+sweep()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults of glibc's allocator on Linux")
+def test_monte_carlo_sweep_faults_in_no_fresh_pages():
+    # each block's temporaries must come back from the heap, not from the
+    # kernel: on glibc 2.36, 1,024- and 256-row blocks took about 12.5k and
+    # 11.3k minor faults per sweep, as glibc returned the pages and faulted
+    # them in again.  The probe runs in a fresh interpreter, since glibc
+    # raises its trim threshold after large frees, so the allocations of
+    # earlier tests in this process would hide the churn
+    env = dict(os.environ, PYTHONPATH=str(Path(ntkdistill.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                           capture_output=True, text=True, check=True, timeout=120)
+    assert int(probe.stdout) < 2000
 
 
 @pytest.mark.parametrize("bias_scale", [0.0, 1.0])
@@ -566,7 +646,7 @@ def _sampler(n, rng):
                          ids=["remainder-chunk", "one-chunk", "batch-over-block", "no-steps"])
 @pytest.mark.parametrize("lockstep", [True, False], ids=["lockstep", "single"])
 def test_chunked_targets_are_bitwise_the_per_step_loop(batch_size, epochs, lockstep):
-    # online mode draws ceil(_BLOCK_ROWS / batch_size) batches ahead and
+    # online mode draws ceil(_TARGET_CHUNK_ROWS / batch_size) batches ahead and
     # evaluates every target once on their rows; each step's slice of those
     # values must be bitwise the per-step evaluation, and the sampler must
     # be called once per step in order, leaving the rng where it left it
@@ -595,14 +675,16 @@ def test_chunked_targets_are_bitwise_the_per_step_loop(batch_size, epochs, locks
 
 
 def test_chunk_size_comes_from_the_block_rows():
-    # the teacher sees ceil(_BLOCK_ROWS / batch_size) batches per call, the
-    # last call the steps that remain
+    # the teacher sees ceil(_TARGET_CHUNK_ROWS / batch_size) batches per
+    # call, the last call the steps that remain; the chunk is its own
+    # constant, not the row-block size
     cfg, p0, _ = _chunk_objectives()
     rows = []
     obj = SquaredTargets(lambda x: rows.append(len(x)) or np.zeros(len(x)))
     tc = TrainConfig(learning_rate=0.01, batch_size=100, epochs=25)
     train_linearized(cfg, p0, obj, tc, sampler=_sampler, rng=np.random.default_rng(0))
-    per_chunk = -(-_BLOCK_ROWS // 100)
+    assert _TARGET_CHUNK_ROWS == 1024
+    per_chunk = -(-_TARGET_CHUNK_ROWS // 100)
     assert rows == [100 * per_chunk, 100 * per_chunk, 100 * (25 - 2 * per_chunk)]
 
 
