@@ -47,8 +47,7 @@ ckpt = train_teacher(
     teacher_net, MixtureTask(), TrainConfig(0.01, 256, 4096), seed=5,
     checkpoint_epochs=[4096],
 )[-1]
-label = LabelSource(ckpt, temperature=10.0, reduction=0.3,
-                    ground_truth=mixture.values)
+label = LabelSource(ckpt, reduction=0.3, ground_truth=mixture.values)
 
 
 def sampler(n, r):

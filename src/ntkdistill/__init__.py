@@ -13,10 +13,11 @@ The package splits into small, composable layers:
 * :mod:`~ntkdistill.distillation` — the two-term distillation loss and its
   converged per-sample targets;
 * :mod:`~ntkdistill.tasks` — synthetic targets (Gaussian mixtures, flip noise,
-  teacher networks), each described by one ``TaskSpec``, and the shared
-  input law;
-* :mod:`~ntkdistill.metrics` — weight-change norms, data inefficiency, angle
-  distributions, transfer risk and its bound, power-law fits;
+  the zero function, random labels), each described by one ``TaskSpec``, the
+  shared N(0, 5^2) input law, and ``LabelSource``, which turns a trained
+  teacher's checkpoint into teacher logits and hard labels;
+* :mod:`~ntkdistill.metrics` — data inefficiency, angle distributions,
+  transfer risk and its bound, power-law fits;
 * :mod:`~ntkdistill.hardlabel` — imperfect-teacher corrections;
 * :mod:`~ntkdistill.experiments` / :mod:`~ntkdistill.cli` — the seeded,
   config-driven experiment runner.
@@ -57,7 +58,6 @@ from .metrics import (
     empirical_risk,
     fit_power_law,
     risk_bound,
-    weight_change_norm,
 )
 from .network import (
     Checkpoint,

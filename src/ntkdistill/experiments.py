@@ -112,7 +112,7 @@ from .network import (
     train_linearized,
     train_teacher,
 )
-from .tasks import LabelSource, Task, TaskSpec
+from .tasks import INPUT_SCALE, LabelSource, Task, TaskSpec
 
 CSV_COLUMNS = (
     "experiment",
@@ -185,7 +185,7 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class TeacherRecipe:
-    """How to train (or load) the teacher network for an experiment."""
+    """How to train the teacher network for an experiment."""
 
     epochs: int = 2048
     learning_rate: float = 0.01
@@ -309,6 +309,9 @@ def parse_config(data: dict) -> ExperimentConfig:
 
 
 def _validate_fields(cfg: ExperimentConfig) -> None:
+    """Cross-field checks, so that a config a run would reject fails here
+    with exit 1 and no output: each kind's required fields (no runner falls
+    back to a default for one) and task dims that match every network."""
     if cfg.repeats < 1:
         raise ConfigError("repeats: must be >= 1")
     if any(n < 1 for n in cfg.n_grid):
@@ -321,10 +324,19 @@ def _validate_fields(cfg: ExperimentConfig) -> None:
     needs_task = {"inefficiency", "risk", "angle-dist", "hard-label-effect", "zero-norm"}
     if kind in needs_task and not cfg.tasks:
         raise ConfigError("tasks: at least one task required for this experiment")
-    if kind in ("risk", "angle-dist") and not cfg.distill:
+    if kind in ("risk", "angle-dist", "effective-logits") and not cfg.distill:
         raise ConfigError("distill: at least one (soft_ratio, temperature) required")
-    if kind in ("risk", "inefficiency") and not cfg.n_grid:
+    if kind in ("risk", "inefficiency", "hard-label-effect") and not cfg.n_grid:
         raise ConfigError("n_grid: required for this experiment")
+    if kind == "zero-norm" and len(cfg.distill) != 1:
+        raise ConfigError(f"distill: zero-norm takes exactly one point, got {len(cfg.distill)}")
+    if kind == "hard-label-effect" and not cfg.teacher.stop_epochs:
+        raise ConfigError("teacher.stop_epochs: required for this experiment")
+    for i, task in enumerate(cfg.tasks):
+        for name, net in (("net", cfg.net), ("teacher_net", cfg.teacher_net)):
+            if net is not None and task.dim != net.input_dim:
+                raise ConfigError(
+                    f"tasks[{i}].dim: {task.dim} differs from {name}.input_dim {net.input_dim}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -373,7 +385,7 @@ def estimate_cost(cfg: ExperimentConfig) -> float:
     p, p_teacher = param_count(cfg.net), param_count(cfg.teacher_net or cfg.net)
     teacher_epochs = recipe.epochs
     if kind == "hard-label-effect":  # the ground truth, then the early-stopped sweep
-        teacher_epochs += max(recipe.stop_epochs, default=recipe.epochs)
+        teacher_epochs += max(recipe.stop_epochs)
     cost += float(teacher_epochs) * p_teacher * recipe.batch_size
     cost += float(oracle.epochs) * objectives * repeats * p * oracle.batch_size
     cost += float(cfg.samples) * (student_passes * p + teacher_passes * p_teacher)
@@ -429,13 +441,13 @@ def _emitter(cfg: ExperimentConfig):
 
 
 def _teacher_sources(
-    cfg: ExperimentConfig, task, seed: int, epochs: int, checkpoints: list[int] | None,
+    cfg: ExperimentConfig, task, seed: int, epochs: int, checkpoints: list[int],
     ground_truth,
 ) -> dict[int, LabelSource]:
     """Train ``cfg.teacher_net or cfg.net`` with the teacher recipe on the
     task's hard labels; returns ``{epoch: LabelSource}`` for the checkpoints
-    (epoch 0, the initialization, included), each with the recipe's
-    temperature and logit reduction and hard labels from ``ground_truth``."""
+    (epoch 0, the initialization, included), each with the recipe's logit
+    reduction and hard labels from ``ground_truth``."""
     recipe = cfg.teacher
     ckpts = train_teacher(
         cfg.teacher_net or cfg.net,
@@ -444,10 +456,7 @@ def _teacher_sources(
         seed=seed,
         checkpoint_epochs=checkpoints,
     )
-    return {
-        c.epoch: LabelSource(c, recipe.temperature, recipe.reduction, ground_truth)
-        for c in ckpts
-    }
+    return {c.epoch: LabelSource(c, recipe.reduction, ground_truth) for c in ckpts}
 
 
 def _train_oracles(cfg: ExperimentConfig, params0: np.ndarray, target_fns, sampler, rng):
@@ -501,7 +510,7 @@ def _perfect_teacher_init(cfg: ExperimentConfig, sampler, label, rep: int):
 
 def _run_effective_logits(cfg: ExperimentConfig, threads: int, records: list) -> None:
     emit = _emitter(cfg)
-    for dp in cfg.distill or [DistillParams(1.0, 1.0)]:
+    for dp in cfg.distill:
         t0 = time.perf_counter()
         for z_t in cfg.z_t_grid:
             for y_g in (0.0, 1.0):
@@ -516,7 +525,8 @@ def _run_effective_logits(cfg: ExperimentConfig, threads: int, records: list) ->
 
 def _run_ntk_check(cfg: ExperimentConfig, threads: int, records: list) -> None:
     emit = _emitter(cfg)
-    x = unit_rng(cfg.seed, 0).normal(scale=5.0, size=(cfg.kernel_inputs, cfg.net.input_dim))
+    x = unit_rng(cfg.seed, 0).normal(scale=INPUT_SCALE,
+                                     size=(cfg.kernel_inputs, cfg.net.input_dim))
     # each worker thread draws its units' parameters into one buffer (269 MB
     # at width 4096), grown to the largest p so far; the smaller buffer is
     # released before the larger one is allocated
@@ -617,7 +627,7 @@ def student_closed_form(net: NetConfig, params0, x, targets) -> list[np.ndarray]
     """Kernel-solve weight changes for fixed data (finite-width Gram), one per
     target vector in ``targets``.  The sweep of ``x``, its Gram and the Gram's
     factorization are computed once and shared by all of them."""
-    sweep = Sweep(net, params0, as_batch(net, x)[0])
+    sweep = Sweep(net, params0, as_batch(net, x))
     gram = KernelMatrix(sweep.gram())
     return [sweep.vjp(gram.solve(np.asarray(t, dtype=float) - sweep.logits)) for t in targets]
 
@@ -748,7 +758,7 @@ def _run_angle_dist(cfg: ExperimentConfig, threads: int, records: list) -> None:
 
 
 def _run_zero_norm(cfg: ExperimentConfig, threads: int, records: list) -> None:
-    dp = cfg.distill[0] if cfg.distill else DistillParams(1.0, cfg.teacher.temperature)
+    [dp] = cfg.distill
     t0 = time.perf_counter()
     sampler, label = _perfect_teacher(cfg)
     params0, delta_zero, _ = _perfect_teacher_init(cfg, sampler, label, 0)
@@ -790,9 +800,8 @@ def _run_hard_label_effect(cfg: ExperimentConfig, threads: int, records: list) -
     gt_ckpt = gt[max(gt)].checkpoint
     gt_fn = lambda x: forward(gt_ckpt.config, gt_ckpt.params, x)
     swept = _teacher_sources(
-        cfg, _SignTask(base, gt_fn), recipe.seed + 1,
-        max(recipe.stop_epochs) if recipe.stop_epochs else recipe.epochs,
-        list(recipe.stop_epochs) or None, gt_fn,
+        cfg, _SignTask(base, gt_fn), recipe.seed + 1, max(recipe.stop_epochs),
+        list(recipe.stop_epochs), gt_fn,
     )
     teachers = sorted((epoch, label) for epoch, label in swept.items() if epoch > 0)
 
@@ -801,7 +810,7 @@ def _run_hard_label_effect(cfg: ExperimentConfig, threads: int, records: list) -
         # ground-truth oracle norm from one online run on the true targets
         [delta_g] = _train_oracles(cfg, params0, [gt_fn], sampler, unit_rng(cfg.seed, 81, rep))
         norm_wg = float(np.linalg.norm(delta_g))
-        for n in cfg.n_grid or [256]:
+        for n in cfg.n_grid:
             x = sampler(int(n), unit_rng(cfg.seed, 82, rep, n))
             # one sweep of x gives both the initial logits and the Gram; one
             # ground-truth evaluation gives dz_g and every teacher's hard

@@ -106,7 +106,7 @@ def _arc_cosine(cfg: NetConfig, s: np.ndarray, work, diags=None, rows=None, cols
 
 def analytic_ntk_diag(cfg: NetConfig, x: np.ndarray) -> np.ndarray:
     """Kernel diagonal K(x, x) for a batch: the recursion on the pairs (x, x)."""
-    batch, _ = as_batch(cfg, x)
+    batch = as_batch(cfg, x)
     sw, sb = cfg.weight_scale, cfg.bias_scale
     s = sw**2 * np.einsum("ij,ij->i", batch, batch) / cfg.input_dim + sb**2
     return _arc_cosine(cfg, s, np.empty((4, len(s))))[0]
@@ -116,7 +116,7 @@ def analytic_ntk_gram(
     cfg: NetConfig, x: np.ndarray, jitter: float | None = None
 ) -> KernelMatrix:
     """Entrywise analytic kernel over a batch of inputs, built in tiles."""
-    batch, _ = as_batch(cfg, x)
+    batch = as_batch(cfg, x)
     sw, sb = cfg.weight_scale, cfg.bias_scale
     s = sw**2 * (batch @ batch.T) / cfg.input_dim + sb**2
     n = s.shape[0]
@@ -148,10 +148,10 @@ def empirical_ntk_gram(
 ) -> KernelMatrix:
     """Finite-width tangent Gram phi(X) phi(X)^T, without explicit features
     (:meth:`~ntkdistill.network.Sweep.gram` of one sweep of ``x``)."""
-    return KernelMatrix(Sweep(cfg, params, as_batch(cfg, x)[0]).gram(), jitter=jitter)
+    return KernelMatrix(Sweep(cfg, params, as_batch(cfg, x)).gram(), jitter=jitter)
 
 
 def empirical_ntk_diag(cfg: NetConfig, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Diagonal of the finite-width Gram, |phi(x)|^2 per sample, swept in row
     blocks (bitwise the single-sweep values)."""
-    return row_blocks(cfg, params, as_batch(cfg, x)[0], Sweep.diag)
+    return row_blocks(cfg, params, as_batch(cfg, x), Sweep.diag)

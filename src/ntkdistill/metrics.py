@@ -23,13 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import analytic_ntk_gram
-from .linalg import KernelMatrix, SingularKernelError, acute_angle, kernel_inner
+from .linalg import SingularKernelError, acute_angle, kernel_inner
 from .network import NetConfig, forward, init_params
-
-
-def weight_change_norm(kernel: KernelMatrix, dz: np.ndarray) -> float:
-    """Kernel norm sqrt(dz^T K^{-1} dz) of the converged weight change."""
-    return float(np.sqrt(max(kernel_inner(kernel, dz, dz), 0.0)))
 
 
 def unit_rng(root_seed: int, *key: int) -> np.random.Generator:

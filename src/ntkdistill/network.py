@@ -26,7 +26,8 @@ None of them forms an (n, p) feature matrix, which makes kernel solves,
 linearized-model training and linearized evaluation affordable at widths
 where explicit features would not fit in memory.  ``forward``,
 ``feature_dot`` and ``weighted_feature_sum`` here and the kernel module's
-empirical Gram and diagonal are thin compositions over it.
+empirical Gram and diagonal are thin compositions over it.  Each takes an
+(n, input_dim) batch and nothing else; one input is a one-row batch.
 
 A sweep runs its forward sweep at construction.  Its reverse sweep
 (``deltas``) is computed on first use, so callers that read only logits
@@ -203,17 +204,12 @@ def init_params(cfg: NetConfig, seed, out: np.ndarray | None = None) -> np.ndarr
     return rng.standard_normal(out=out)
 
 
-def as_batch(cfg: NetConfig, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``x`` as an (n, input_dim) float batch, and whether it was a single
-    (input_dim,) input."""
+def as_batch(cfg: NetConfig, x: np.ndarray) -> np.ndarray:
+    """``x`` as an (n, input_dim) float batch; anything else is rejected."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        if x.shape[0] != cfg.input_dim:
-            raise ValueError(f"input has dim {x.shape[0]}, expected {cfg.input_dim}")
-        return x[None, :], True
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise ValueError(f"inputs must be (n, {cfg.input_dim}), got {x.shape}")
-    return x, False
+    return x
 
 
 def _relu_grad(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -348,25 +344,24 @@ def row_blocks(cfg: NetConfig, params: np.ndarray, batch: np.ndarray, fn) -> np.
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-def forward(cfg: NetConfig, params: np.ndarray, x: np.ndarray):
-    """Network logit(s); accepts a single input (d,) or a batch (n, d)."""
-    batch, single = as_batch(cfg, x)
-    logits = row_blocks(cfg, params, batch, lambda sweep: sweep.logits)
-    return float(logits[0]) if single else logits
+def forward(cfg: NetConfig, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Network logits of an (n, input_dim) batch, one per row."""
+    return row_blocks(cfg, params, as_batch(cfg, x), lambda sweep: sweep.logits)
 
 
 def weighted_feature_sum(
     cfg: NetConfig, params: np.ndarray, x: np.ndarray, coeffs: np.ndarray
 ) -> np.ndarray:
     """sum_i coeffs[i] * phi(x_i) without materializing features."""
-    return Sweep(cfg, params, as_batch(cfg, x)[0]).vjp(coeffs)
+    return Sweep(cfg, params, as_batch(cfg, x)).vjp(coeffs)
 
 
-def feature_dot(cfg: NetConfig, params0: np.ndarray, delta: np.ndarray, x: np.ndarray):
-    """delta . phi(x) for one input or a batch, from the reverse sweep."""
-    batch, single = as_batch(cfg, x)
-    out = row_blocks(cfg, params0, batch, lambda sweep: sweep.jvp(delta))
-    return float(out[0]) if single else out
+def feature_dot(
+    cfg: NetConfig, params0: np.ndarray, delta: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """delta . phi(x_i) for every row of an (n, input_dim) batch, from the
+    reverse sweep."""
+    return row_blocks(cfg, params0, as_batch(cfg, x), lambda sweep: sweep.jvp(delta))
 
 
 @dataclass(frozen=True)
@@ -433,18 +428,6 @@ class Checkpoint:
     params: np.ndarray
 
 
-def default_checkpoint_epochs(total: int) -> list[int]:
-    """Powers of two up to the budget, plus the final epoch."""
-    epochs = []
-    e = 1
-    while e <= total:
-        epochs.append(e)
-        e *= 2
-    if total > 0 and total not in epochs:
-        epochs.append(total)
-    return epochs
-
-
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Write a versioned .npz container (see load_checkpoint for the layout)."""
     cfg = ckpt.config
@@ -493,20 +476,18 @@ def train_teacher(
     task,
     train_cfg: TrainConfig,
     seed: int,
-    checkpoint_epochs: list[int] | None = None,
+    checkpoint_epochs: list[int],
 ) -> list[Checkpoint]:
     """Adam on binary cross-entropy against the task's hard labels.
 
-    Returns checkpoints at the requested epochs (defaults to powers of two
-    plus the final epoch).  Epoch 0 is the initialization and is always
-    included.  A fresh batch is drawn every epoch.
+    Returns the initialization (epoch 0), then a checkpoint at each epoch of
+    ``checkpoint_epochs`` within the budget, in epoch order.  A fresh batch
+    is drawn every epoch.
     """
     ss = np.random.SeedSequence(seed)
     init_rng, data_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     params = init_params(cfg, init_rng)
 
-    if checkpoint_epochs is None:
-        checkpoint_epochs = default_checkpoint_epochs(train_cfg.epochs)
     wanted = {e for e in checkpoint_epochs if 0 < e <= train_cfg.epochs}
 
     checkpoints = [Checkpoint(cfg, seed, 0, params.copy())]

@@ -2,10 +2,12 @@
 
 Targets are scalar logit functions on R^d: Gaussian mixtures with a mode
 count controlling their difficulty, sign-flip corruptions of those mixtures,
-scaled teacher networks, the constant zero function, and per-sample random
-logits.  Inputs are always drawn i.i.d. N(0, input_scale^2) per coordinate.
-One :class:`TaskSpec` describes every task, a mixture's shape included, and
-:class:`Task` realizes it.
+the constant zero function, and per-sample random logits.  Inputs are always
+drawn i.i.d. N(0, INPUT_SCALE^2) per coordinate.  One :class:`TaskSpec`
+describes every task, a mixture's shape included, and :class:`Task` realizes
+it.  Teacher networks are not tasks: a run trains its teachers on a task,
+and :class:`LabelSource` turns each checkpoint into teacher logits and hard
+labels.
 
 All generators are deterministic functions of (seed, draw index): realizing
 a spec twice from the same seed, or evaluating a noisy target twice with
@@ -20,7 +22,13 @@ import numpy as np
 
 from .network import Checkpoint, forward
 
-TASK_KINDS = ("mixture", "flipped-mixture", "teacher-net", "zero", "random-labels")
+TASK_KINDS = ("mixture", "flipped-mixture", "zero", "random-labels")
+
+# standard deviation of every input coordinate, N(0, 5^2)
+INPUT_SCALE = 5.0
+
+# standard deviation of every coordinate of a mixture's mode centers
+CENTER_SPREAD = 5.0
 
 # Mode width shrinks with the mode count so every bump stays visible in the
 # mixture's shape.
@@ -45,22 +53,19 @@ class Mixture:
         sq = ((x[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=2)
         return (self.amplitudes * np.exp(-sq / self.widths)).sum(axis=1)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.values(x)
-
 
 def realize_mixture(spec: TaskSpec, rng: np.random.Generator) -> Mixture:
     """Draw a mixture's modes from the spec's shape fields.
 
     Amplitudes jitter by ``JITTER`` around ``amplitude`` with equiprobable
-    sign, centers are N(0, center_spread^2) per coordinate, and widths
+    sign, centers are N(0, CENTER_SPREAD^2) per coordinate, and widths
     jitter around ``width`` (15 / modes^2 by default).
     """
     width = spec.width if spec.width is not None else default_mode_width(spec.modes)
     q = spec.modes
     signs = rng.choice([-1.0, 1.0], size=q)
     amplitudes = spec.amplitude * (1 + JITTER * rng.uniform(-1, 1, size=q)) * signs
-    centers = rng.normal(scale=spec.center_spread, size=(q, spec.dim))
+    centers = rng.normal(scale=CENTER_SPREAD, size=(q, spec.dim))
     widths = width * (1 + JITTER * rng.uniform(-1, 1, size=q))
     return Mixture(amplitudes, centers, widths)
 
@@ -90,20 +95,16 @@ class LabelSource:
 
     Teacher logits are the checkpoint network's outputs scaled by the
     reduction factor; hard labels come from the sign of an independent
-    ground-truth function.  ``temperature`` is validated but read by no
-    label here.
+    ground-truth function.
     """
 
     checkpoint: Checkpoint
-    temperature: float
     reduction: float
     ground_truth: object = None
 
     def __post_init__(self):
         if not self.reduction > 0:
             raise ValueError("reduction factor must be positive")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         return self.reduction * forward(
@@ -120,25 +121,20 @@ class LabelSource:
 class TaskSpec:
     """Config-file description of a synthetic task.
 
-    ``kind`` selects the target: a Gaussian mixture, a sign-flipped mixture,
-    a reduced teacher network (``checkpoint`` path), the zero function, or
-    i.i.d. N(0,1) logits per sample.  Inputs are N(0, input_scale^2) per
-    coordinate in every case.  ``modes``, ``amplitude``, ``center_spread``
-    and ``width`` shape a mixture (see :func:`realize_mixture`).
+    ``kind`` selects the target: a Gaussian mixture, a sign-flipped mixture
+    (``p_flip``), the zero function, or i.i.d. N(0,1) logits per sample.
+    Inputs are N(0, INPUT_SCALE^2) per coordinate in every case.  ``modes``,
+    ``amplitude`` and ``width`` shape a mixture (see
+    :func:`realize_mixture`).
     """
 
     kind: str = "mixture"
     dim: int = 2
     seed: int = 0
-    input_scale: float = 5.0
     modes: int = 10
     amplitude: float = 1.0
-    center_spread: float = 5.0
     width: float | None = None
     p_flip: float = 0.0
-    checkpoint: str | None = None
-    temperature: float = 1.0
-    reduction: float = 1.0
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
@@ -149,10 +145,6 @@ class TaskSpec:
             raise ValueError("width must be positive")
         if not 0.0 <= self.p_flip <= 0.5:
             raise ValueError(f"p_flip must be in [0, 0.5], got {self.p_flip}")
-        if not self.reduction > 0:
-            raise ValueError("reduction factor must be positive")
-        if self.kind == "teacher-net" and self.checkpoint is None:
-            raise ValueError("teacher-net task needs a checkpoint path")
 
 
 class Task:
@@ -168,14 +160,9 @@ class Task:
     def __init__(self, spec: TaskSpec):
         self.spec = spec
         rng = np.random.default_rng(spec.seed)
-        self._ground: Mixture | LabelSource | None = None
+        self._ground: Mixture | None = None
         if spec.kind in ("mixture", "flipped-mixture"):
             self._ground = realize_mixture(spec, rng)
-        elif spec.kind == "teacher-net":
-            from .network import load_checkpoint
-
-            ckpt = load_checkpoint(spec.checkpoint)
-            self._ground = LabelSource(ckpt, spec.temperature, spec.reduction)
 
     @property
     def subtract_init(self) -> bool:
@@ -193,8 +180,6 @@ class Task:
             if rng is None:
                 raise ValueError("flipped-mixture targets need an rng")
             return flip_labels(self._ground.values, self.spec.p_flip)(x, rng)
-        if kind == "teacher-net":
-            return self._ground.logits(x)
         if kind == "zero":
             return np.zeros(len(x))
         if rng is None:
@@ -206,7 +191,7 @@ class Task:
 
 
 def sample_inputs(spec: TaskSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. inputs with N(0, input_scale^2) coordinates; (n, dim)."""
+    """n i.i.d. inputs with N(0, INPUT_SCALE^2) coordinates; (n, dim)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return rng.normal(scale=spec.input_scale, size=(n, spec.dim))
+    return rng.normal(scale=INPUT_SCALE, size=(n, spec.dim))

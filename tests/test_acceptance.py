@@ -85,8 +85,7 @@ def confident_teacher():
         seed=5,
         checkpoint_epochs=[16384],
     )[-1]
-    return LabelSource(ckpt, temperature=10.0, reduction=0.3,
-                       ground_truth=GROUND_MIXTURE.values)
+    return LabelSource(ckpt, reduction=0.3, ground_truth=GROUND_MIXTURE.values)
 
 
 # ------------------------------------------------------------ criterion 1
@@ -489,7 +488,7 @@ def test_criterion_10_hard_label_sign_flip():
         for ckpt in checkpoints:
             if ckpt.epoch == 0:
                 continue
-            label = LabelSource(ckpt, temp, reduction, ground_truth=gt_fn)
+            label = LabelSource(ckpt, reduction, ground_truth=gt_fn)
             z_t = label.logits(x)
             proj = correction_projection(
                 gram, dz_g, z_t - z0, correction_logit(z_t, y_g, temp)

@@ -341,6 +341,13 @@ TINY_ANGLE = ORACLE_COMMON | {
 }
 
 
+TINY_HARD_LABEL = ORACLE_COMMON | {
+    "experiment": "hard-label-effect", "n_grid": [12, 20], "repeats": 2,
+    "teacher_net": {"input_dim": 2, "hidden_layers": 2, "width": 6},
+    "teacher": {"epochs": 8, "batch_size": 16, "seed": 2, "stop_epochs": [4, 8]},
+}
+
+
 def test_estimate_cost_counts_adam_steps():
     # oracle and teacher epochs dominate the trained kinds; kinds that train
     # nothing keep their estimate whatever the recipes say
@@ -357,6 +364,10 @@ def _with_teacher(**fields):
     return TINY_RISK | {"teacher": TINY_RISK["teacher"] | fields}
 
 
+def _without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
 @pytest.mark.parametrize(
     "data, field",
     [
@@ -366,15 +377,50 @@ def _with_teacher(**fields):
         (_with_teacher(temperature=0.0), "teacher"),
         (_with_teacher(reduction=0.0), "teacher"),
         (TINY_RISK | {"tasks": [{"kind": "mixture", "modes": 0}]}, "tasks[0]"),
+        (MINIMAL | {"distill": []}, "distill"),
+        (ORACLE_COMMON | {"experiment": "zero-norm"}, "distill"),
+        (ORACLE_COMMON | {"experiment": "zero-norm", "distill": TINY_RISK["distill"]}, "distill"),
+        (_without(TINY_HARD_LABEL, "n_grid"), "n_grid"),
+        (TINY_HARD_LABEL | {"teacher": _without(TINY_HARD_LABEL["teacher"], "stop_epochs")},
+         "teacher.stop_epochs"),
     ],
     ids=["repeated-n", "teacher-rate", "oracle-rate", "teacher-temperature",
-         "teacher-reduction", "no-modes"],
+         "teacher-reduction", "no-modes", "effective-logits-no-distill",
+         "zero-norm-no-distill", "zero-norm-two-distill", "hard-label-no-n-grid",
+         "hard-label-no-stop-epochs"],
 )
 def test_validate_rejects_what_a_run_would_reject(tmp_path, capsys, data, field):
-    # each of these used to pass validate and then die mid-run with a
-    # traceback, no CSV and no manifest
+    # each of the first six used to pass validate and then die mid-run with
+    # a traceback, no CSV and no manifest; the rest used to run on what a
+    # runner filled in (a default distill point, only the first of several,
+    # n = 256, or the final checkpoint as the only imperfect teacher)
     assert main(["validate", "--config", str(write_config(tmp_path, data))]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "data, net",
+    [
+        (ORACLE_COMMON | {"experiment": "inefficiency", "n_grid": [4, 8], "repeats": 1,
+                          "tasks": [{"kind": "mixture", "dim": 3, "modes": 3, "seed": 1}]},
+         "net"),
+        (TINY_HARD_LABEL | {"teacher_net": {"input_dim": 3, "hidden_layers": 2, "width": 6}},
+         "teacher_net"),
+    ],
+    ids=["net", "teacher_net"],
+)
+def test_task_dim_must_match_every_network(tmp_path, capsys, command, data, net):
+    # a task whose dim differs from a network's input_dim used to pass
+    # validate, then fail mid-run with a traceback and an empty output
+    # directory
+    path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    argv = ["--config", str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert main([data["experiment"] if command == "run" else "validate"] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: tasks[0].dim: ") and f" {net}.input_dim " in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize(
@@ -490,13 +536,6 @@ def test_student_closed_form_sweeps_its_inputs_once(monkeypatch):
     deltas = exp.student_closed_form(net, init_params(net, 3), x, [np.ones(12), np.zeros(12)])
     assert len(deltas) == 2
     assert len(built) == 1
-
-
-TINY_HARD_LABEL = ORACLE_COMMON | {
-    "experiment": "hard-label-effect", "n_grid": [12, 20], "repeats": 2,
-    "teacher_net": {"input_dim": 2, "hidden_layers": 2, "width": 6},
-    "teacher": {"epochs": 8, "batch_size": 16, "seed": 2, "stop_epochs": [4, 8]},
-}
 
 
 def _hard_label_input_sets(data):
@@ -627,6 +666,7 @@ def test_divergence_exits_numerical_and_keeps_manifest(tmp_path):
         "tasks": ORACLE_TASKS,
         "teacher": {"epochs": 4, "learning_rate": 1e200, "batch_size": 16},
         "oracle": {"epochs": 2, "batch_size": 8},
+        "distill": [{"soft_ratio": 1.0, "temperature": 10.0}],
     }
     out = tmp_path / "out"
     path = write_config(tmp_path, data)
@@ -679,7 +719,7 @@ def test_monte_carlo_passes_stay_small():
     })
     task = Task(cfg.tasks[0])
     teacher = Checkpoint(cfg.teacher_net, 5, 0, init_params(cfg.teacher_net, 5))
-    label = LabelSource(teacher, 10.0, 0.3, task.target_logits)
+    label = LabelSource(teacher, 0.3, task.target_logits)
     targets = exp._distilled_targets(label, cfg.distill)
     params0, delta_zero, memo = exp._perfect_teacher_init(cfg, task.sample_inputs, label, 0)
     rng = np.random.default_rng(0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ntkdistill.kernel import analytic_ntk_gram, empirical_ntk_gram
-from ntkdistill.linalg import KernelMatrix
+from ntkdistill.linalg import KernelMatrix, kernel_inner
 from ntkdistill.metrics import (
     AngleCurve,
     angle_distribution,
@@ -15,7 +15,6 @@ from ntkdistill.metrics import (
     inefficiency_of_norm_law,
     risk_bound,
     unit_rng,
-    weight_change_norm,
 )
 from ntkdistill.network import NetConfig, Sweep, forward, init_params
 from ntkdistill.tasks import Task, TaskSpec
@@ -23,8 +22,9 @@ from ntkdistill.tasks import Task, TaskSpec
 
 def test_weight_change_norm_trivial():
     k = KernelMatrix(np.eye(2), jitter=0.0)
-    assert weight_change_norm(k, np.array([3.0, 4.0])) == pytest.approx(5.0)
-    assert weight_change_norm(k, np.zeros(2)) == 0.0
+    dz = np.array([3.0, 4.0])
+    assert np.sqrt(kernel_inner(k, dz, dz)) == pytest.approx(5.0)
+    assert kernel_inner(k, np.zeros(2), np.zeros(2)) == 0.0
 
 
 def test_weight_change_norm_matches_feature_space():
@@ -38,7 +38,7 @@ def test_weight_change_norm_matches_feature_space():
     sweep = Sweep(cfg, p0, x)
     f = np.stack([sweep.vjp(unit) for unit in np.eye(len(x))])
     delta = f.T @ gram.solve(dz)
-    assert weight_change_norm(gram, dz) == pytest.approx(
+    assert np.sqrt(kernel_inner(gram, dz, dz)) == pytest.approx(
         np.linalg.norm(delta), rel=1e-6
     )
 
@@ -76,7 +76,8 @@ def test_data_inefficiency_matches_manual_computation():
     base = KernelMatrix(full.entries[:8, :8])
     aug = KernelMatrix(full.entries, jitter=base.jitter_used)
     expect = 8 * (
-        np.log(weight_change_norm(aug, dz)) - np.log(weight_change_norm(base, dz[:8]))
+        np.log(np.sqrt(kernel_inner(aug, dz, dz)))
+        - np.log(np.sqrt(kernel_inner(base, dz[:8], dz[:8])))
     )
     assert curve.inefficiency[0] == pytest.approx(expect, rel=1e-6)
     assert curve.skipped[0] == 0 and not curve.unreliable[0]
@@ -142,7 +143,7 @@ def test_nested_norms_nondecreasing():
     norms = []
     for n in (16, 32, 64, 128):
         sub = KernelMatrix(gram.entries[:n, :n])
-        norms.append(weight_change_norm(sub, dz[:n]))
+        norms.append(np.sqrt(kernel_inner(sub, dz[:n], dz[:n])))
     for small, big in zip(norms, norms[1:]):
         assert big >= small * (1 - 1e-6)
 

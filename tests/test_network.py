@@ -18,7 +18,6 @@ from ntkdistill.network import (
     SquaredTargets,
     Sweep,
     TrainConfig,
-    default_checkpoint_epochs,
     feature_dot,
     forward,
     init_params,
@@ -116,7 +115,7 @@ def test_layout_round_trips():
 
 
 def test_forward_zero_params():
-    assert forward(CFG, np.zeros(param_count(CFG)), np.array([1.0, -2.0])) == 0.0
+    assert forward(CFG, np.zeros(param_count(CFG)), np.array([[1.0, -2.0]]))[0] == 0.0
 
 
 def test_forward_zero_input_zero_biases():
@@ -124,7 +123,7 @@ def test_forward_zero_input_zero_biases():
     layers = unflatten(CFG, p)
     for _, b in layers:
         b[:] = 0.0  # views into p
-    assert forward(CFG, p, np.zeros(2)) == 0.0
+    assert forward(CFG, p, np.zeros((1, 2)))[0] == 0.0
 
 
 def test_forward_matches_straight_line_evaluator():
@@ -132,7 +131,7 @@ def test_forward_matches_straight_line_evaluator():
     for _ in range(5):
         p = init_params(CFG, rng)
         x = rng.normal(size=2)
-        assert forward(CFG, p, x) == pytest.approx(
+        assert forward(CFG, p, x[None, :])[0] == pytest.approx(
             straight_line_forward(CFG, p, x), abs=1e-12
         )
 
@@ -144,7 +143,7 @@ def test_forward_batch_matches_single():
     batch = forward(CFG, p, xs)
     assert batch.shape == (6,)
     for i in range(6):
-        assert batch[i] == pytest.approx(forward(CFG, p, xs[i]), abs=1e-14)
+        assert batch[i] == pytest.approx(forward(CFG, p, xs[i:i + 1])[0], abs=1e-14)
 
 
 def test_feature_finite_differences():
@@ -158,7 +157,7 @@ def test_feature_finite_differences():
         up, down = p.copy(), p.copy()
         up[i] += eps
         down[i] -= eps
-        fd = (forward(CFG, up, x) - forward(CFG, down, x)) / (2 * eps)
+        fd = (forward(CFG, up, x[None, :])[0] - forward(CFG, down, x[None, :])[0]) / (2 * eps)
         assert phi[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
@@ -464,15 +463,17 @@ class _ToyTask:
 
 def test_train_teacher_zero_epochs_returns_init():
     tc = TrainConfig(learning_rate=0.01, batch_size=16, epochs=0)
-    ckpts = train_teacher(NetConfig(2, 2, 16), _ToyTask(), tc, seed=0)
+    ckpts = train_teacher(NetConfig(2, 2, 16), _ToyTask(), tc, seed=0, checkpoint_epochs=[])
     assert len(ckpts) == 1 and ckpts[0].epoch == 0
     assert np.array_equal(ckpts[0].params, init_params(NetConfig(2, 2, 16), np.random.default_rng(np.random.SeedSequence(0).spawn(2)[0])))
 
 
 def test_train_teacher_deterministic():
     tc = TrainConfig(learning_rate=0.01, batch_size=32, epochs=20)
-    a = train_teacher(NetConfig(2, 2, 16), _ToyTask(), tc, seed=3)
-    b = train_teacher(NetConfig(2, 2, 16), _ToyTask(), tc, seed=3)
+    epochs = [1, 2, 4, 8, 16, 20]
+    a = train_teacher(NetConfig(2, 2, 16), _ToyTask(), tc, seed=3, checkpoint_epochs=epochs)
+    b = train_teacher(NetConfig(2, 2, 16), _ToyTask(), tc, seed=3, checkpoint_epochs=epochs)
+    assert [c.epoch for c in a] == [0] + epochs
     assert [c.epoch for c in a] == [c.epoch for c in b]
     for ca, cb in zip(a, b):
         assert np.array_equal(ca.params, cb.params)
@@ -496,13 +497,7 @@ def test_diverging_teacher_reports_only_divergence():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError):
-            train_teacher(NetConfig(2, 2, 16), _ToyTask(), tc, seed=0)
-
-
-def test_default_checkpoint_epochs():
-    assert default_checkpoint_epochs(10) == [1, 2, 4, 8, 10]
-    assert default_checkpoint_epochs(8) == [1, 2, 4, 8]
-    assert default_checkpoint_epochs(0) == []
+            train_teacher(NetConfig(2, 2, 16), _ToyTask(), tc, seed=0, checkpoint_epochs=[50])
 
 
 def test_checkpoint_roundtrip(tmp_path):

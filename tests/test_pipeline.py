@@ -54,8 +54,7 @@ def oracle_setup():
         NetConfig(2, 3, 64), MixtureHardTask(), TrainConfig(0.01, 256, 16384),
         seed=5, checkpoint_epochs=[16384],
     )[-1]
-    label = LabelSource(ckpt, temperature=10.0, reduction=1.0,
-                        ground_truth=MIXTURE.values)
+    label = LabelSource(ckpt, reduction=1.0, ground_truth=MIXTURE.values)
     params0 = init_params(STUDENT, 7)
     dp = DistillParams(1.0, 10.0)
 

@@ -8,18 +8,24 @@ would break them.
 
 import ast
 import importlib
+import inspect
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 from ntkdistill.cli import main
-from ntkdistill.experiments import ExperimentConfig
+from ntkdistill.distillation import DistillParams
+from ntkdistill.experiments import ExperimentConfig, OracleRecipe, TeacherRecipe
+from ntkdistill.network import NetConfig
+from ntkdistill.tasks import TaskSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "ntkdistill").glob("*.py"))
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+WORKLOADS = sorted((ROOT / "perfbench" / "workloads").glob("*.json"))
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
@@ -50,19 +56,78 @@ def test_demo_imports_resolve(path):
         assert name is None or hasattr(mod, name), f"{module}.{name}"
 
 
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_calls_bind_to_library_signatures(path):
+    # a call with a removed or renamed parameter would only show when the
+    # demo runs; calls that unpack * or ** arguments are not checked
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name: getattr(importlib.import_module(node.module), alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ntkdistill"
+        for alias in node.names
+    }
+    checked = 0
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in imported):
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                kw.arg is None for kw in node.keywords):
+            continue
+        signature = inspect.signature(imported[node.func.id])
+        try:
+            signature.bind(*node.args, **{kw.arg: kw.value for kw in node.keywords})
+        except TypeError as exc:
+            pytest.fail(f"{path.name}:{node.lineno} {node.func.id}: {exc}")
+        checked += 1
+    assert checked  # every demo calls the library
+
+
 def test_configs_and_demos_found():
-    assert CONFIGS and DEMOS
+    assert CONFIGS and DEMOS and WORKLOADS
+
+
+# fields that no shipped, smoke or workload config sets, each with the path
+# that keeps it
+UNSET_BY_CONFIGS = {
+    ("NetConfig", "weight_scale"): "the kernel tests check the sw != 1 path",
+    ("NetConfig", "bias_scale"): "the kernel tests check the sb = 0 branch of _arc_cosine",
+    ("OracleRecipe", "final_learning_rate"): "demos/imperfect_teacher_demo.py sets it",
+}
+
+
+def _lab_configs():
+    """Every config the lab runs: the shipped ones, the benchmark workloads
+    and the golden smoke configs."""
+    from test_pipeline import SMOKE_CASES, _tiny_fig2_config
+
+    yield from (json.loads(path.read_text()) for path in CONFIGS + WORKLOADS)
+    yield from (_tiny_fig2_config(kind, **extra) for kind, extra in SMOKE_CASES.items())
 
 
 def test_every_config_field_is_set_by_a_config():
-    # a top-level field that neither a shipped config nor a golden smoke
-    # config sets is an option nothing in the lab uses
-    from test_pipeline import SMOKE_CASES, _tiny_fig2_config
-
-    used = {key for path in CONFIGS for key in json.loads(path.read_text())}
-    used |= {key for kind, extra in SMOKE_CASES.items()
-             for key in _tiny_fig2_config(kind, **extra)}
-    assert set(ExperimentConfig.__dataclass_fields__) - used == set()
+    # a field, top-level or nested, that no config the lab runs sets is an
+    # option nothing in the lab uses
+    used = defaultdict(set)
+    for data in _lab_configs():
+        used[ExperimentConfig] |= set(data)
+        for net in (data.get("net"), data.get("teacher_net")):
+            used[NetConfig] |= set(net or {})
+        for task in data.get("tasks", []):
+            used[TaskSpec] |= set(task)
+        for point in data.get("distill", []):
+            used[DistillParams] |= set(point)
+        used[TeacherRecipe] |= set(data.get("teacher", {}))
+        used[OracleRecipe] |= set(data.get("oracle", {}))
+    unset = {
+        (cls.__name__, name)
+        for cls in (ExperimentConfig, NetConfig, TaskSpec, DistillParams, TeacherRecipe,
+                    OracleRecipe)
+        for name in cls.__dataclass_fields__
+        if name not in used[cls]
+    }
+    assert unset == set(UNSET_BY_CONFIGS)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

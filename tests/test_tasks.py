@@ -5,6 +5,8 @@ import pytest
 
 from ntkdistill.network import Checkpoint, NetConfig, forward, init_params
 from ntkdistill.tasks import (
+    CENTER_SPREAD,
+    INPUT_SCALE,
     LabelSource,
     Task,
     TaskSpec,
@@ -27,6 +29,7 @@ def test_sample_inputs_deterministic_and_shaped():
 def test_sample_inputs_variance():
     spec = TaskSpec(kind="zero", dim=1)
     x = sample_inputs(spec, 10**5, np.random.default_rng(7))
+    assert INPUT_SCALE == 5.0
     assert np.var(x) == pytest.approx(25.0, abs=0.5)
 
 
@@ -63,8 +66,9 @@ def test_mixture_matches_direct_summation():
 
 
 def test_mixture_realization_statistics():
-    # q modes, centers spread like N(0, center_spread^2), signs balanced
-    spec = TaskSpec(modes=10, dim=2, center_spread=5.0)
+    # q modes, centers spread like N(0, 5^2), signs balanced
+    spec = TaskSpec(modes=10, dim=2)
+    assert CENTER_SPREAD == 5.0
     centers = []
     signs = []
     for seed in range(1000):
@@ -119,18 +123,18 @@ def test_teacher_labels_scaling():
     ck = _toy_checkpoint()
     x = np.random.default_rng(1).normal(size=(12, 2))
     raw = forward(ck.config, ck.params, x)
-    src1 = LabelSource(ck, temperature=4.0, reduction=1.0)
-    src2 = LabelSource(ck, temperature=4.0, reduction=2.0)
+    src1 = LabelSource(ck, reduction=1.0)
+    src2 = LabelSource(ck, reduction=2.0)
     assert np.allclose(src1.logits(x), raw)
     assert np.allclose(src2.logits(x), 2.0 * raw)
 
 
 def test_teacher_hard_labels_from_ground_truth():
     ck = _toy_checkpoint()
-    src = LabelSource(ck, 1.0, 1.0, ground_truth=lambda x: x[:, 0] - 1.0)
+    src = LabelSource(ck, 1.0, ground_truth=lambda x: x[:, 0] - 1.0)
     x = np.array([[2.0, 0.0], [0.0, 0.0]])
     assert np.array_equal(src.hard(x), [1.0, 0.0])
-    bare = LabelSource(ck, 1.0, 1.0)
+    bare = LabelSource(ck, 1.0)
     with pytest.raises(ValueError):
         bare.hard(x)
 
@@ -140,7 +144,8 @@ def test_task_kinds_and_validation():
         TaskSpec(kind="nope")
     with pytest.raises(ValueError):
         TaskSpec(p_flip=0.9)
-    with pytest.raises(ValueError):
+    # teachers are trained inside a run, never loaded as a task
+    with pytest.raises(ValueError, match="unknown task kind"):
         TaskSpec(kind="teacher-net")
     with pytest.raises(ValueError):
         TaskSpec(modes=0)
