@@ -1,18 +1,23 @@
 """Neural tangent kernels of ReLU stacks, analytic and empirical.
 
 The infinite-width tangent kernel of the network in :mod:`ntkdistill.network`
-follows the standard arc-cosine recursion.  With the activation covariance
-started at
+follows the standard arc-cosine recursion at unit weight and bias scales.
+With the activation covariance started at
 
-    S(x, x') = sw^2 * x . x' / d + sb^2,
+    S(x, x') = x . x' / d + 1,
 
 each of the L hidden layers (the last step crossing into the output affine
 layer) updates, writing theta for the correlation angle
 arccos(S(x,x') / sqrt(S(x,x) S(x',x'))),
 
-    S_next  = sw^2 * sqrt(S(x,x) S(x',x')) * (sin t + (pi - t) cos t) / (2 pi) + sb^2
-    Sdot    = sw^2 * (pi - t) / (2 pi)
+    S_next  = sqrt(S(x,x) S(x',x')) * (sin t + (pi - t) cos t) / (2 pi) + 1
+    Sdot    = (pi - t) / (2 pi)
     K_next  = S_next + Sdot * K_prev,           K_0 = S.
+
+Every variance is at least 1: S(x, x) = |x|^2 / d + 1 >= 1, and at theta = 0
+each layer maps it to S(x, x) / 2 + 1.  So every pair norm
+sqrt(S(x,x) S(x',x')) is at least 1, and the correlation is an ordinary
+quotient on every pair.
 
 One loop runs all L steps on a block of input pairs, in place in buffers
 allocated once.  ``analytic_ntk_diag`` runs it on the pairs (x, x), where
@@ -53,12 +58,9 @@ def _arc_cosine(cfg: NetConfig, s: np.ndarray, work, diags=None, rows=None, cols
     For a Gram tile, ``s`` is the block ``rows`` x ``cols`` and ``diags[l]``
     is layer l's S(x, x) over every input; the pair norms broadcast from it,
     row value first.  With ``diags`` None, ``s`` holds the pairs (x, x)
-    themselves, so each layer's ``s`` is its own diagonal: it is checked for
-    negative variance and kept.  ``work`` holds four buffers shaped like
-    ``s``.  The masked form of the correlation runs only where a pair norm
-    can be 0.
+    themselves, so each layer's ``s`` is its own diagonal, and it is kept.
+    ``work`` holds four buffers shaped like ``s``.
     """
-    sw2, sb2 = cfg.weight_scale**2, cfg.bias_scale**2
     two_pi = 2 * np.pi
     k, norm, c, theta = work
     k[...] = s
@@ -67,37 +69,27 @@ def _arc_cosine(cfg: NetConfig, s: np.ndarray, work, diags=None, rows=None, cols
         diags = []
     for layer in range(cfg.hidden_layers):
         if own:
-            if np.any(s < 0):
-                raise RuntimeError("negative variance in kernel recursion")
             diags.append(s.copy())
             np.multiply(s, s, out=norm)
         else:
             d = diags[layer]
             np.multiply(d[rows, None], d[None, cols], out=norm)
         np.sqrt(norm, out=norm)
-        dmin = diags[layer].min(initial=np.inf)
-        if dmin * dmin > 0:  # then every pair norm is positive
-            np.divide(s, norm, out=c)
-        else:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                c[...] = np.where(norm > 0, s / np.where(norm > 0, norm, 1.0), 1.0)
+        np.divide(s, norm, out=c)
         np.clip(c, -1.0, 1.0, out=c)
         np.arccos(c, out=theta)
-        # J = sqrt(max(0, 1 - c^2)) + (pi - theta) c, built in s
+        # J = sqrt(1 - c^2) + (pi - theta) c, built in s
         np.multiply(c, c, out=s)
-        np.subtract(1.0, s, out=s)
-        np.maximum(0.0, s, out=s)
+        np.subtract(1.0, s, out=s)  # no clamp at 0: |c| <= 1 gives fl(c c) <= 1
         np.sqrt(s, out=s)
         np.subtract(np.pi, theta, out=theta)
         np.multiply(theta, c, out=c)
         np.add(s, c, out=s)
-        # S_next = sw^2 norm J / (2 pi) + sb^2
-        np.multiply(sw2, norm, out=norm)
+        # S_next = norm J / (2 pi) + 1
         np.multiply(norm, s, out=norm)
         np.divide(norm, two_pi, out=norm)
-        np.add(norm, sb2, out=s)
-        # K_next = S_next + sw^2 (pi - theta) / (2 pi) K
-        np.multiply(sw2, theta, out=theta)
+        np.add(norm, 1.0, out=s)
+        # K_next = S_next + (pi - theta) / (2 pi) K
         np.divide(theta, two_pi, out=theta)
         np.multiply(theta, k, out=k)
         np.add(s, k, out=k)
@@ -107,8 +99,7 @@ def _arc_cosine(cfg: NetConfig, s: np.ndarray, work, diags=None, rows=None, cols
 def analytic_ntk_diag(cfg: NetConfig, x: np.ndarray) -> np.ndarray:
     """Kernel diagonal K(x, x) for a batch: the recursion on the pairs (x, x)."""
     batch = as_batch(cfg, x)
-    sw, sb = cfg.weight_scale, cfg.bias_scale
-    s = sw**2 * np.einsum("ij,ij->i", batch, batch) / cfg.input_dim + sb**2
+    s = np.einsum("ij,ij->i", batch, batch) / cfg.input_dim + 1.0
     return _arc_cosine(cfg, s, np.empty((4, len(s))))[0]
 
 
@@ -117,8 +108,7 @@ def analytic_ntk_gram(
 ) -> KernelMatrix:
     """Entrywise analytic kernel over a batch of inputs, built in tiles."""
     batch = as_batch(cfg, x)
-    sw, sb = cfg.weight_scale, cfg.bias_scale
-    s = sw**2 * (batch @ batch.T) / cfg.input_dim + sb**2
+    s = (batch @ batch.T) / cfg.input_dim + 1.0
     n = s.shape[0]
     # each tile starts from the symmetrized 0.5 (S + S^T); that exact
     # symmetry is what lets a tile's transpose stand for its mirror image,

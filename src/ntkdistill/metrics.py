@@ -117,12 +117,14 @@ def data_inefficiency(
                 # the full Gram is checked once; its leading block shares it
                 gram = analytic_ntk_gram(cfg, x)
                 base = gram.leading(n)
-                base_sq = max(kernel_inner(base, dz[:n], dz[:n]), 0.0)
+                # one view, so kernel_inner half-solves it once
+                head = dz[:n]
+                base_sq = max(kernel_inner(base, head, head), 0.0)
                 # Schur-complement increment of each candidate (n+1)th point,
                 # reusing the base factorization and its jitter
                 cross = gram.entries[:n, n:]
                 solved_cross = base.solve(cross)
-                u = base.solve(dz[:n])
+                u = base.solve(head)
                 resid = dz[n:] - cross.T @ u
                 schur = (
                     np.diag(gram.entries[n:, n:])

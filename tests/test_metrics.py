@@ -131,6 +131,23 @@ def test_data_inefficiency_checks_each_gram_once(monkeypatch):
     assert np.all(np.isfinite(curve.inefficiency))
 
 
+def test_data_inefficiency_half_solves_each_unit_once(monkeypatch):
+    # the base norm dz^T K^{-1} dz half-solves dz once: kernel_inner reuses
+    # the solve only when both arguments are one object
+    calls = []
+    original = KernelMatrix.half_solve
+
+    def counting(self, b):
+        calls.append(1)
+        return original(self, b)
+
+    monkeypatch.setattr(KernelMatrix, "half_solve", counting)
+    task = Task(TaskSpec(kind="mixture", modes=3, seed=1))
+    curve = data_inefficiency(task, NetConfig(2, 2, 16), [6], repeats=1, root_seed=3)
+    assert len(calls) == 1
+    assert np.all(np.isfinite(curve.inefficiency))
+
+
 def test_nested_norms_nondecreasing():
     # the weight change is a projection onto a growing span
     task = Task(TaskSpec(kind="mixture", modes=5, seed=3))

@@ -11,6 +11,7 @@ import pytest
 import ntkdistill
 from ntkdistill.kernel import empirical_ntk_diag, empirical_ntk_gram
 from ntkdistill.network import (
+    CHECKPOINT_FORMAT_VERSION,
     Checkpoint,
     DistillTargets,
     DivergenceError,
@@ -48,7 +49,7 @@ def straight_line_forward(cfg, params, x):
             acc = 0.0
             for j in range(w.shape[1]):
                 acc += w[i, j] * a[j]
-            h.append(cfg.weight_scale * acc / np.sqrt(fan) + cfg.bias_scale * b[i])
+            h.append(acc / np.sqrt(fan) + b[i])
         if li < len(layers) - 1:
             a = [max(0.0, v) for v in h]
         else:
@@ -162,10 +163,11 @@ def test_feature_finite_differences():
 
 
 def test_feature_output_bias_coordinate():
-    cfg = NetConfig(2, 2, 4, bias_scale=0.7)
+    # d logit / d b^L is 1
+    cfg = NetConfig(2, 2, 4)
     p = init_params(cfg, 0)
     phi = Sweep(cfg, p, np.array([[0.3, -1.2]])).vjp(np.ones(1))
-    assert phi[-1] == pytest.approx(0.7, abs=1e-15)
+    assert phi[-1] == 1.0
 
 
 def test_feature_norm_equals_kernel_diagonal():
@@ -254,52 +256,50 @@ class _WhereSweep(Sweep):
     def __init__(self, cfg, params, x):
         self.cfg = cfg
         layers = unflatten(cfg, params)
-        sw, sb = cfg.weight_scale, cfg.bias_scale
         d, m = cfg.input_dim, cfg.width
         self.layers = layers
         self.acts = [x]
         self.masks = []
         a = x
         for i, (w, b) in enumerate(layers[:-1]):
-            scale = sw / np.sqrt(d if i == 0 else m)
-            h = a @ w.T * scale + sb * b
+            scale = 1.0 / np.sqrt(d if i == 0 else m)
+            h = a @ w.T * scale + b
             self.masks.append(h > 0)
             a = np.where(self.masks[-1], h, 0.0)
             self.acts.append(a)
         w_out, b_out = layers[-1]
-        self.logits = (a @ w_out.T * (sw / np.sqrt(m)) + sb * b_out)[:, 0]
+        self.logits = (a @ w_out.T * (1.0 / np.sqrt(m)) + b_out)[:, 0]
         self._deltas = None
 
     @property
     def deltas(self):
         if self._deltas is None:
             layers = self.layers
-            sw, m = self.cfg.weight_scale, self.cfg.width
+            m = self.cfg.width
             n = self.acts[0].shape[0]
             deltas = [None] * len(self.masks)
-            v = np.broadcast_to(layers[-1][0] * (sw / np.sqrt(m)), (n, m))
+            v = np.broadcast_to(layers[-1][0] * (1.0 / np.sqrt(m)), (n, m))
             for l in range(len(self.masks) - 1, -1, -1):
                 deltas[l] = np.where(self.masks[l], v, 0.0)
                 if l > 0:
-                    v = deltas[l] @ layers[l][0] * (sw / np.sqrt(m))
+                    v = deltas[l] @ layers[l][0] * (1.0 / np.sqrt(m))
             self._deltas = deltas
         return self._deltas
 
     def tangent(self, delta):
         cfg = self.cfg
-        sw, sb = cfg.weight_scale, cfg.bias_scale
         d, m = cfg.input_dim, cfg.width
         dlayers = unflatten(cfg, delta)
         t = None
         for l, (dw, db) in enumerate(dlayers[:-1]):
-            scale = sw / np.sqrt(d if l == 0 else m)
-            th = self.acts[l] @ dw.T * scale + sb * db
+            scale = 1.0 / np.sqrt(d if l == 0 else m)
+            th = self.acts[l] @ dw.T * scale + db
             if t is not None:
                 th = th + t @ self.layers[l][0].T * scale
             t = np.where(self.masks[l], th, 0.0)
         dw_out, db_out = dlayers[-1]
-        out = self.acts[-1] @ dw_out.T * (sw / np.sqrt(m)) + sb * db_out
-        out = out + (t @ self.layers[-1][0].T) * (sw / np.sqrt(m))
+        out = self.acts[-1] @ dw_out.T * (1.0 / np.sqrt(m)) + db_out
+        out = out + (t @ self.layers[-1][0].T) * (1.0 / np.sqrt(m))
         return out[:, 0]
 
 
@@ -308,17 +308,26 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def _biases_times(cfg, params, factor):
+    """``params`` with every bias multiplied by ``factor`` in place; a factor
+    of 0.0 gives signed zero biases, so with an all-zero input row every
+    pre-activation of that row is a signed zero."""
+    for _, b in unflatten(cfg, params):
+        b *= factor
+    return params
+
+
 @pytest.mark.parametrize("n", [1, 7, 128, 1025])
-@pytest.mark.parametrize("bias_scale", [0.0, 1.0])
+@pytest.mark.parametrize("bias_factor", [0.0, 1.0])
 @pytest.mark.parametrize("d", [1, 2, 5])
 @pytest.mark.parametrize("depth", [1, 2, 3])
-def test_sweep_is_bitwise_the_masked_select_sweep(depth, d, bias_scale, n):
+def test_sweep_is_bitwise_the_masked_select_sweep(depth, d, bias_factor, n):
     # the in-place affine steps, np.maximum and the v * mask + 0.0 deltas and
     # tangents perform the masked-select sweep's operations in its order, so
     # every value keeps every bit, the sign of every zero included
-    cfg = NetConfig(d, depth, 32, bias_scale=bias_scale)
+    cfg = NetConfig(d, depth, 32)
     rng = np.random.default_rng(1000 * depth + 100 * d + n)
-    p = init_params(cfg, depth)
+    p = _biases_times(cfg, init_params(cfg, depth), bias_factor)
     x = rng.normal(scale=3.0, size=(n, d))
     x[n // 2] = 0.0
     delta = rng.normal(size=p.size)
@@ -415,17 +424,17 @@ def test_monte_carlo_sweep_faults_in_no_fresh_pages():
     assert int(probe.stdout) < 2000
 
 
-@pytest.mark.parametrize("bias_scale", [0.0, 1.0])
+@pytest.mark.parametrize("bias_factor", [0.0, 1.0])
 @pytest.mark.parametrize("d", [1, 2, 5])
 @pytest.mark.parametrize("depth", [1, 2, 3])
-def test_reverse_tangent_matches_forward_tangent(depth, d, bias_scale):
+def test_reverse_tangent_matches_forward_tangent(depth, d, bias_factor):
     # every caller reads delta . phi(x_i) off the reverse sweep's deltas; it
     # must equal the reference's forward tangent pass up to rounding, for one
     # weight change and for a lockstep list sharing one sweep, whatever ran
     # first
-    cfg = NetConfig(d, depth, 32, bias_scale=bias_scale)
+    cfg = NetConfig(d, depth, 32)
     rng = np.random.default_rng(10 * depth + d)
-    p = init_params(cfg, depth)
+    p = _biases_times(cfg, init_params(cfg, depth), bias_factor)
     x = rng.normal(scale=3.0, size=(64, d))
     deltas = [rng.normal(size=p.size) for _ in range(3)]
     sweep, reference = Sweep(cfg, p, x), _WhereSweep(cfg, p, x)
@@ -501,14 +510,30 @@ def test_diverging_teacher_reports_only_divergence():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    cfg = NetConfig(2, 2, 4, weight_scale=1.5, bias_scale=0.5)
+    cfg = NetConfig(2, 3, 4)
     ck = Checkpoint(cfg, seed=7, epoch=12, params=init_params(cfg, 7))
     path = tmp_path / "teacher.npz"
     save_checkpoint(path, ck)
+    with np.load(path) as data:
+        assert sorted(data.files) == sorted(
+            ["format_version", "input_dim", "hidden_layers", "width", "seed", "epoch",
+             "params"])
     back = load_checkpoint(path)
     assert back.config == cfg
     assert back.seed == 7 and back.epoch == 12
     assert np.array_equal(back.params, ck.params)
+
+
+def test_checkpoint_of_another_format_version_is_rejected(tmp_path):
+    cfg = NetConfig(2, 2, 4)
+    path = tmp_path / "teacher.npz"
+    save_checkpoint(path, Checkpoint(cfg, seed=7, epoch=12, params=init_params(cfg, 7)))
+    with np.load(path) as data:
+        fields = dict(data)
+    fields["format_version"] = CHECKPOINT_FORMAT_VERSION - 1
+    np.savez(path, **fields)
+    with pytest.raises(ValueError, match="unsupported checkpoint format version 1"):
+        load_checkpoint(path)
 
 
 def test_train_linearized_fixed_point():
@@ -731,6 +756,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NetConfig(0, 1, 4)
     with pytest.raises(ValueError):
-        NetConfig(2, 1, 4, weight_scale=0.0)
+        NetConfig(2, 0, 4)
+    with pytest.raises(ValueError):
+        NetConfig(2, 1, 0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0, batch_size=1, epochs=1)

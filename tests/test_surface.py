@@ -91,8 +91,6 @@ def test_configs_and_demos_found():
 # fields that no shipped, smoke or workload config sets, each with the path
 # that keeps it
 UNSET_BY_CONFIGS = {
-    ("NetConfig", "weight_scale"): "the kernel tests check the sw != 1 path",
-    ("NetConfig", "bias_scale"): "the kernel tests check the sb = 0 branch of _arc_cosine",
     ("OracleRecipe", "final_learning_rate"): "demos/imperfect_teacher_demo.py sets it",
 }
 
