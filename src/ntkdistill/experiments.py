@@ -26,9 +26,10 @@ hard-label-effect rows, whose streams derive from the root seed in the
 manifest and that index.
 
 Per-record seeds derive from the root seed and the record's own grid
-coordinates (see :func:`ntkdistill.metrics.unit_rng`), so extending a grid
-never perturbs existing rows, and units may be dispatched concurrently
-without affecting results.
+coordinates (see :func:`ntkdistill.metrics.unit_rng`), so units may be
+dispatched concurrently without affecting results.  Inefficiency still keys
+its streams by task, distill and grid index, so inserting a grid point there
+moves other rows.
 
 Each runner is a thin composition of four private pieces:
 
@@ -46,8 +47,8 @@ Each runner is a thin composition of four private pieces:
   parameters, the zero-function weight change, and a memo of the NTK
   diagonal and teacher evaluations on the Monte Carlo inputs, so each
   initialization evaluates them once whatever the number of distill points;
-* ``_emitter`` — the row emitter: fills experiment, config hash and the
-  default seed of every record.
+* ``_emitter`` — the row emitter and the run's one clock: fills experiment,
+  config hash, the default seed and ``wall_ms`` of every record.
 
 The distill points of a perfect-teacher repeat share their oracle batch
 stream, so risk and angle-dist train their distill-point oracles in
@@ -62,14 +63,9 @@ the teacher's logits on them and the student's sweep over them
 still writes its rows in distill point -> repeat -> n order, including when
 a later repeat fails.
 
-``wall_ms`` spans, per kind: on a risk row, the repeat's work from its
-initialization (zero-function and lockstep oracle runs, angle passes) up to
-and including grid point ``n`` for all distill points (``risk_slope`` rows
-carry 0); on angle-dist rows, the distill point's equal share of the
-lockstep oracle run plus its own angle pass, spread over its beta rows; on
-effective-logits rows, the time since the distill point's first solve; on
-the other kinds, the unit of work that produced the rows, spread evenly
-over them (ntk-check's summary rows carry 0).
+``wall_ms`` is the wall time since the run's previous ``emit`` call (or its
+start), split evenly over the rows of the call, so the column sums to the
+run's time up to its last row.
 """
 
 from __future__ import annotations
@@ -414,27 +410,40 @@ def validate(path) -> str:
 
 
 def _pmap(fn, items, threads: int):
+    """``fn`` of each item, yielded lazily in item order, so the results of
+    the items before a failing one reach the caller."""
     if threads <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
 
 
 # --- the four pieces the runners are composed of ---------------------------
 
 
 def _emitter(cfg: ExperimentConfig):
-    """The row emitter of one run.
+    """The row emitter of one run, whose clock starts when it is made.
 
     ``emit({value_name: value, ...}, **coords)`` returns one RunRecord per
     pair, all sharing ``coords``; it fills the experiment and the config hash,
-    and the root seed unless ``coords`` names a ``seed``.
+    and the root seed unless ``coords`` names a ``seed``.  Each call stamps
+    its rows with the wall time since the previous call, split evenly over
+    them; worker threads share the clock under a lock.
     """
     h = cfg.hash()
+    lock = threading.Lock()
+    last = time.perf_counter()
 
     def emit(values: dict, **coords) -> list[RunRecord]:
+        nonlocal last
         coords.setdefault("seed", cfg.seed)
-        return [RunRecord(cfg.experiment, h, value_name=name, value=value, **coords)
+        with lock:
+            now = time.perf_counter()
+            wall_ms = (now - last) * 1e3 / len(values)
+            last = now
+        return [RunRecord(cfg.experiment, h, value_name=name, value=value, wall_ms=wall_ms,
+                          **coords)
                 for name, value in values.items()]
 
     return emit
@@ -511,7 +520,6 @@ def _perfect_teacher_init(cfg: ExperimentConfig, sampler, label, rep: int):
 def _run_effective_logits(cfg: ExperimentConfig, threads: int, records: list) -> None:
     emit = _emitter(cfg)
     for dp in cfg.distill:
-        t0 = time.perf_counter()
         for z_t in cfg.z_t_grid:
             for y_g in (0.0, 1.0):
                 val, sat = saturated_effective_logits(z_t, y_g, dp)
@@ -519,7 +527,6 @@ def _run_effective_logits(cfg: ExperimentConfig, threads: int, records: list) ->
                     {f"z_s_eff_y{int(y_g)}": float(val)},
                     rho=dp.soft_ratio, temperature=dp.temperature, beta=float(z_t),
                     flag="saturated" if sat else "",
-                    wall_ms=(time.perf_counter() - t0) * 1e3,
                 ))
 
 
@@ -527,6 +534,9 @@ def _run_ntk_check(cfg: ExperimentConfig, threads: int, records: list) -> None:
     emit = _emitter(cfg)
     x = unit_rng(cfg.seed, 0).normal(scale=INPUT_SCALE,
                                      size=(cfg.kernel_inputs, cfg.net.input_dim))
+    # the analytic Gram reads the depth and the input dimension, not the width
+    target = analytic_ntk_gram(cfg.net, x, jitter=0.0).entries
+    target_norm = np.linalg.norm(target)
     # each worker thread draws its units' parameters into one buffer (269 MB
     # at width 4096), grown to the largest p so far; the smaller buffer is
     # released before the larger one is allocated
@@ -541,27 +551,24 @@ def _run_ntk_check(cfg: ExperimentConfig, threads: int, records: list) -> None:
 
     def one(width_rep):
         width, rep = width_rep
-        t0 = time.perf_counter()
         net = replace(cfg.net, width=width)
         seed = int(unit_rng(cfg.seed, 1, width, rep).integers(2**63))
-        target = analytic_ntk_gram(net, x, jitter=0.0).entries
         gram = empirical_ntk_gram(net, params_of(net, seed), x, jitter=0.0).entries
-        err = float(np.linalg.norm(gram - target) / np.linalg.norm(target))
-        return emit({"frob_rel_err": err}, seed=seed, n=width,
-                    wall_ms=(time.perf_counter() - t0) * 1e3)
+        err = float(np.linalg.norm(gram - target) / target_norm)
+        return emit({"frob_rel_err": err}, seed=seed, n=width)
 
     units = [(w, r) for w in cfg.width_grid for r in range(cfg.repeats)]
-    done = [rec for chunk in _pmap(one, units, threads) for rec in chunk]
-    records.extend(done)
+    for chunk in _pmap(one, units, threads):
+        records.extend(chunk)
     for width in cfg.width_grid:
-        errs = [r.value for r in done if r.n == width]
+        errs = [r.value for r in records if r.value_name == "frob_rel_err" and r.n == width]
         records.extend(emit({"frob_rel_err_mean": float(np.mean(errs))}, n=width))
-    # kernel-diagonal growth against the squared input norm
-    rng = unit_rng(cfg.seed, 2)
+    # kernel-diagonal growth against the squared input norm; K(x, x) depends
+    # only on |x|, so each norm sits on the first input axis
     for norm in cfg.norm_grid:
-        direction = rng.normal(size=cfg.net.input_dim)
-        point = norm * direction / np.linalg.norm(direction)
-        ratio = float(analytic_ntk_diag(cfg.net, point[None, :])[0] / norm**2)
+        point = np.zeros((1, cfg.net.input_dim))
+        point[0, 0] = norm
+        ratio = float(analytic_ntk_diag(cfg.net, point)[0] / norm**2)
         records.extend(emit({"diag_ratio": ratio}, beta=float(norm)))
 
 
@@ -584,7 +591,6 @@ def _run_inefficiency(cfg: ExperimentConfig, threads: int, records: list) -> Non
 
     def one(unit):
         ti, task_spec, di, dp = unit
-        t0 = time.perf_counter()
         task = Task(task_spec)
         targets = distilled_target_fn(task, dp) if dp is not None else None
         curve = data_inefficiency(
@@ -596,7 +602,6 @@ def _run_inefficiency(cfg: ExperimentConfig, threads: int, records: list) -> Non
             targets=targets,
             extra_points=cfg.extra_points,
         )
-        wall = (time.perf_counter() - t0) * 1e3
         is_mix = task_spec.kind in ("mixture", "flipped-mixture")
         saturated = ";saturated" if dp is not None and dp.soft_ratio == 0.0 else ""
         out = []
@@ -610,7 +615,6 @@ def _run_inefficiency(cfg: ExperimentConfig, threads: int, records: list) -> Non
                 q=task_spec.modes if is_mix else None,
                 p_flip=task_spec.p_flip if task_spec.kind == "flipped-mixture" else None,
                 flag=("unreliable" if curve.unreliable[j] else "") + saturated,
-                wall_ms=wall / len(curve.ns),
             ))
         return out
 
@@ -707,7 +711,6 @@ def _run_risk(cfg: ExperimentConfig, threads: int, records: list) -> None:
     rows = [[[] for _ in range(cfg.repeats)] for _ in cfg.distill]
     try:
         for rep in range(cfg.repeats):
-            t0 = time.perf_counter()
             params0, delta_zero, memo = _perfect_teacher_init(cfg, sampler, label, rep)
             deltas_star = _train_oracles(cfg, params0, targets, sampler,
                                          unit_rng(cfg.seed, 91 + rep, 1))
@@ -720,13 +723,11 @@ def _run_risk(cfg: ExperimentConfig, threads: int, records: list) -> None:
             for n in cfg.n_grid:
                 point = _risk_point(cfg, params0, sampler, label, targets, rep, n,
                                     deltas_star, delta_zero)
-                wall = (time.perf_counter() - t0) * 1e3
                 for d, (dp, curve, (a_n, est)) in enumerate(zip(cfg.distill, curves, point)):
                     rows[d][rep].extend(emit(
                         {"empirical_risk": est.risk, "risk_std_error": est.std_error,
                          "risk_bound": risk_bound(curve, a_n), "alpha_n": a_n},
                         seed=rep, n=int(n), rho=dp.soft_ratio, temperature=dp.temperature,
-                        wall_ms=wall,
                     ))
                     risks[d].append(max(est.risk, 1.0 / cfg.samples))
             for d, dp in enumerate(cfg.distill):
@@ -742,34 +743,28 @@ def _run_angle_dist(cfg: ExperimentConfig, threads: int, records: list) -> None:
     betas = default_beta_grid(cfg.beta_points)
     sampler, label = _perfect_teacher(cfg)
     params0, delta_zero, memo = _perfect_teacher_init(cfg, sampler, label, 0)
-    t0 = time.perf_counter()
     deltas_star = _train_oracles(cfg, params0, _distilled_targets(label, cfg.distill),
                                  sampler, unit_rng(cfg.seed, 91, 1))
-    oracle_share = (time.perf_counter() - t0) / len(cfg.distill)
     for dp, delta_star in zip(cfg.distill, deltas_star):
-        t0 = time.perf_counter()
         curve = _angle_curve(cfg, memo, dp, delta_star - delta_zero, sampler,
                              unit_rng(cfg.seed, 95), betas)
-        wall = (oracle_share + time.perf_counter() - t0) * 1e3
         for beta, p in zip(curve.betas, curve.survival):
             records.extend(emit({"survival": float(p)}, rho=dp.soft_ratio,
-                                temperature=dp.temperature, beta=float(beta),
-                                wall_ms=wall / len(betas)))
+                                temperature=dp.temperature, beta=float(beta)))
 
 
 def _run_zero_norm(cfg: ExperimentConfig, threads: int, records: list) -> None:
+    emit = _emitter(cfg)
     [dp] = cfg.distill
-    t0 = time.perf_counter()
     sampler, label = _perfect_teacher(cfg)
     params0, delta_zero, _ = _perfect_teacher_init(cfg, sampler, label, 0)
     [delta_star] = _train_oracles(cfg, params0, _distilled_targets(label, [dp]), sampler,
                                   unit_rng(cfg.seed, 91, 1))
     norm_star = float(np.linalg.norm(delta_star))
     norm_zero = float(np.linalg.norm(delta_zero))
-    wall = (time.perf_counter() - t0) * 1e3
-    records.extend(_emitter(cfg)(
+    records.extend(emit(
         {"norm_oracle": norm_star, "norm_zero": norm_zero, "norm_ratio": norm_zero / norm_star},
-        rho=dp.soft_ratio, temperature=dp.temperature, wall_ms=wall / 3,
+        rho=dp.soft_ratio, temperature=dp.temperature,
     ))
 
 
@@ -822,17 +817,15 @@ def _run_hard_label_effect(cfg: ExperimentConfig, threads: int, records: list) -
             dz_g = z_g - z0
             y_g = (z_g > 0).astype(float)
             for epoch, label in teachers:
-                t0 = time.perf_counter()
                 z_t = label.logits(x)
                 dz_t = z_t - z0
                 dz_h = correction_logit(z_t, y_g, temp)
                 proj = correction_projection(gram, dz_g, dz_t, dz_h)
                 deriv = hard_label_derivative(gram, dz_g, dz_t, dz_h, norm_wg)
-                wall = (time.perf_counter() - t0) * 1e3
                 records.extend(emit(
                     {"projection": proj, "derivative": deriv,
                      "projection_sign": float(np.sign(proj))},
-                    seed=rep, n=int(n), temperature=temp, epoch=epoch, wall_ms=wall / 3,
+                    seed=rep, n=int(n), temperature=temp, epoch=epoch,
                 ))
 
 

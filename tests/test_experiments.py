@@ -48,6 +48,10 @@ def read_rows(path):
     return header, rows
 
 
+def rows_without_wall_ms(path):
+    return [{k: v for k, v in r.items() if k != "wall_ms"} for r in read_rows(path)[1]]
+
+
 def test_validate_minimal_ok(tmp_path):
     report = validate(write_config(tmp_path, MINIMAL))
     assert "OK" in report
@@ -114,10 +118,7 @@ def test_run_is_deterministic_modulo_walltime(tmp_path):
     path = write_config(tmp_path, MINIMAL)
     _, paths_a = run(path, out_dir=tmp_path / "a")
     _, paths_b = run(path, out_dir=tmp_path / "b")
-    _, rows_a = read_rows(paths_a[0])
-    _, rows_b = read_rows(paths_b[0])
-    strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
-    assert strip(rows_a) == strip(rows_b)
+    assert rows_without_wall_ms(paths_a[0]) == rows_without_wall_ms(paths_b[0])
     # manifests are fully deterministic
     assert (tmp_path / "a" / "effective_logits_manifest.json").read_text() == (
         tmp_path / "b" / "effective_logits_manifest.json"
@@ -134,8 +135,7 @@ def test_manifest_reconstructs_run(tmp_path):
     # re-running from the manifest's resolved config reproduces the CSV
     path2 = write_config(tmp_path, manifest["config"] | {"out": "ignored"}, "re.json")
     _, paths2 = run(path2, out_dir=tmp_path / "re")
-    strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
-    assert strip(read_rows(paths[0])[1]) == strip(read_rows(paths2[0])[1])
+    assert rows_without_wall_ms(paths[0]) == rows_without_wall_ms(paths2[0])
 
 
 def test_seed_override_changes_hash(tmp_path):
@@ -202,8 +202,7 @@ def test_threads_do_not_change_results(tmp_path):
     path = write_config(tmp_path, cfg)
     _, a = run(path, out_dir=tmp_path / "a", threads=1)
     _, b = run(path, out_dir=tmp_path / "b", threads=2)
-    strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
-    assert strip(read_rows(a[0])[1]) == strip(read_rows(b[0])[1])
+    assert rows_without_wall_ms(a[0]) == rows_without_wall_ms(b[0])
 
 
 def test_ntk_check_smoke_is_byte_identical_at_one_and_two_threads(tmp_path, monkeypatch):
@@ -229,6 +228,115 @@ def test_ntk_check_smoke_is_byte_identical_at_one_and_two_threads(tmp_path, monk
     for i, (thread, out) in enumerate(draws):
         for other, other_out in draws[i + 1:]:
             assert thread == other or not np.shares_memory(out, other_out)
+
+
+def test_ntk_check_grid_extension_keeps_every_old_row(tmp_path):
+    # each frob_rel_err row is keyed by its (width, repeat) and each
+    # diag_ratio row by its norm, so inserting a width and a norm moves no
+    # other row; only the config hash differs
+    from test_pipeline import SMOKE_CASES, _tiny_fig2_config
+
+    data = _tiny_fig2_config("ntk-check", **SMOKE_CASES["ntk-check"])
+    assert data["width_grid"] == [16, 64] and data["norm_grid"] == [10.0, 50.0]
+    wider = data | {"width_grid": [16, 32, 64], "norm_grid": [10.0, 30.0, 50.0]}
+    _, old = run(write_config(tmp_path, data, "old.json"), out_dir=tmp_path / "old")
+    _, new = run(write_config(tmp_path, wider, "new.json"), out_dir=tmp_path / "new")
+    without_hash = lambda rows: [{k: v for k, v in r.items() if k != "config_hash"}
+                                 for r in rows]
+    kept = [r for r in rows_without_wall_ms(new[0]) if r["n"] != "32" and r["beta"] != "30.0"]
+    assert without_hash(kept) == without_hash(rows_without_wall_ms(old[0]))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", ["inefficiency", "ntk-check"])
+def test_failing_unit_keeps_the_rows_of_the_units_before_it(
+    tmp_path, monkeypatch, kind, threads
+):
+    # units hand over their rows as they finish, in unit order, so a failing
+    # unit leaves exactly the rows of the units before it and an incomplete
+    # manifest.  The failing unit is picked by its key, not by call count,
+    # so worker threads cannot move it
+    import ntkdistill.experiments as exp
+    from test_pipeline import SMOKE_CASES, _tiny_fig2_config
+
+    path = write_config(tmp_path, _tiny_fig2_config(kind, **SMOKE_CASES[kind]))
+    status, paths = run(path, out_dir=tmp_path / "full", threads=threads)
+    assert status == 0
+    full = rows_without_wall_ms(paths[0])
+
+    if kind == "inefficiency":
+        # the second unit: the unflipped mixture under the second distill point
+        original = exp.distilled_target_fn
+
+        def injected(task, dp):
+            if task.spec.kind == "mixture" and dp.soft_ratio == 0.0:
+                raise FloatingPointError("injected")
+            return original(task, dp)
+
+        monkeypatch.setattr(exp, "distilled_target_fn", injected)
+        first_failed = next(i for i, r in enumerate(full)
+                            if r["p_flip"] == "" and r["rho"] == "0.0")
+    else:
+        # the third unit: the first repeat at width 64, whose network is
+        # drawn from the seed its row carries
+        failing = next(r for r in full if r["value_name"] == "frob_rel_err" and r["n"] == "64")
+        original = exp.init_params
+
+        def injected(net, seed, out=None):
+            if seed == int(failing["seed"]):
+                raise FloatingPointError("injected")
+            return original(net, seed, out=out)
+
+        monkeypatch.setattr(exp, "init_params", injected)
+        first_failed = full.index(failing)
+
+    status, paths = run(path, out_dir=tmp_path / "failed", threads=threads)
+    assert status == 2
+    kept = rows_without_wall_ms(paths[0])
+    assert first_failed > 0 and kept == full[:first_failed]
+    with open(paths[1]) as fh:
+        manifest = json.load(fh)
+    assert manifest["incomplete"] and manifest["records"] == len(kept)
+    assert manifest["errors"] == ["FloatingPointError: injected"]
+
+
+def test_emitter_clock_survives_interleaved_threads(monkeypatch):
+    # emit reads the clock and moves its mark under one lock, so however
+    # threads interleave, no stamp is negative and the stamps sum to the
+    # emitter's lifetime.  This clock ticks once per read and then yields to
+    # the other threads, so an unlocked read-and-move would interleave and
+    # stamp some interval twice or below zero
+    import itertools
+    import sys
+    import types
+    from concurrent.futures import ThreadPoolExecutor
+
+    import ntkdistill.experiments as exp
+
+    ticks = itertools.count()
+
+    def perf_counter():
+        tick = next(ticks)
+        time.sleep(0)
+        return float(tick)
+
+    monkeypatch.setattr(exp, "time", types.SimpleNamespace(perf_counter=perf_counter))
+    calls, workers = 200, 8
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        emit = exp._emitter(parse_config(MINIMAL))  # tick 0
+
+        def work(_):
+            return [r.wall_ms for _ in range(calls) for r in emit({"a": 1.0, "b": 2.0})]
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            stamps = [w for chunk in pool.map(work, range(workers), timeout=60) for w in chunk]
+    finally:
+        sys.setswitchinterval(switch)
+    # one tick (1e3 ms) per call, split over its two rows
+    assert len(stamps) == 2 * calls * workers
+    assert min(stamps) >= 0 and sum(stamps) == 1e3 * calls * workers
 
 
 @pytest.mark.parametrize("threads", [0, -1, (os.cpu_count() or 1) + 1])
@@ -626,14 +734,10 @@ def test_risk_divergence_in_second_repeat_keeps_first_repeat_rows(tmp_path, monk
     # distill -> repeat -> n order of a successful run
     import ntkdistill.experiments as exp
 
-    def without_wall_ms(path):
-        _, rows = read_rows(path)
-        return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
-
     path = write_config(tmp_path, TINY_RISK)
     status, paths = run(path, out_dir=tmp_path / "full")
     assert status == 0
-    full = without_wall_ms(paths[0])
+    full = rows_without_wall_ms(paths[0])
 
     draws = []
     original = exp.init_params
@@ -648,7 +752,7 @@ def test_risk_divergence_in_second_repeat_keeps_first_repeat_rows(tmp_path, monk
     monkeypatch.setattr(exp, "init_params", second_repeat_diverges)
     status, paths = run(path, out_dir=tmp_path / "failed")
     assert status == 2
-    kept = without_wall_ms(paths[0])
+    kept = rows_without_wall_ms(paths[0])
     first_repeat = [r for r in full if r["seed"] == "0"]
     assert {r["rho"] for r in first_repeat} == {"1.0", "0.5"}
     assert kept == first_repeat

@@ -7,6 +7,7 @@ that need real weight-change vectors rather than synthetic algebra.
 
 import csv
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -222,11 +223,18 @@ def _assert_matches_golden(path, kind, same_config=True):
 
 @pytest.mark.parametrize("kind,extra", list(SMOKE_CASES.items()))
 def test_runner_smoke(tmp_path, kind, extra):
+    start = time.perf_counter()
     status, paths = _run_smoke(kind, extra, tmp_path)
+    elapsed_ms = (time.perf_counter() - start) * 1e3
     assert status == 0
-    manifest = json.loads(open(paths[-1]).read())
+    manifest = json.loads(Path(paths[-1]).read_text())
     assert not manifest["incomplete"]
     _assert_matches_golden(paths[0], kind)
+    # every row's wall_ms is its share of the run's one clock, so the column
+    # sums to no more than the run took
+    with open(paths[0], newline="") as fh:
+        wall_ms = [float(row["wall_ms"]) for row in csv.DictReader(fh)]
+    assert min(wall_ms) >= 0 and sum(wall_ms) <= elapsed_ms
 
 
 def test_perfect_teacher_is_the_final_checkpoint(tmp_path):

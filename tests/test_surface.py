@@ -141,3 +141,18 @@ def test_modules_import_no_private_names(path):
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert not private
+
+
+def test_only_the_emitter_reads_the_clock():
+    # wall_ms has one meaning because one function times a run: no runner
+    # or other piece of experiments.py keeps a clock of its own
+    tree = ast.parse((ROOT / "src" / "ntkdistill" / "experiments.py").read_text())
+
+    def reads_clock(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "perf_counter"
+                   or isinstance(n, ast.Name) and n.id == "perf_counter"
+                   for n in ast.walk(node))
+
+    readers = [getattr(node, "name", type(node).__name__) for node in tree.body
+               if reads_clock(node)]
+    assert readers == ["_emitter"]
