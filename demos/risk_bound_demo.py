@@ -18,41 +18,25 @@ from ntkdistill import (
     NetConfig,
     TrainConfig,
     effective_logits,
-    empirical_ntk_gram,
     empirical_risk,
-    feature_dot,
     fit_power_law,
-    forward,
     init_params,
     train_teacher,
-    weighted_feature_sum,
 )
-from ntkdistill.tasks import LabelSource, TaskSpec, realize_mixture
+from ntkdistill.experiments import student_closed_form
+from ntkdistill.network import row_blocks
+from ntkdistill.tasks import LabelSource, Task, TaskSpec
 
-rng = np.random.default_rng(0)
-mixture = realize_mixture(TaskSpec(modes=6, dim=2, amplitude=2.0), np.random.default_rng(11))
-
-
-class MixtureTask:
-    def sample_inputs(self, n, rng):
-        return rng.normal(scale=5.0, size=(n, 2))
-
-    def hard_labels(self, x, rng=None):
-        return (mixture.values(x) > 0).astype(float)
-
+task = Task(TaskSpec(kind="mixture", dim=2, modes=6, amplitude=2.0, seed=11))
 
 print("Training the teacher (a few seconds)...")
 teacher_net = NetConfig(input_dim=2, hidden_layers=3, width=64)
 ckpt = train_teacher(
-    teacher_net, MixtureTask(), TrainConfig(0.01, 256, 4096), seed=5,
+    teacher_net, task, TrainConfig(0.01, 256, 4096), seed=5,
     checkpoint_epochs=[4096],
 )[-1]
-label = LabelSource(ckpt, reduction=0.3, ground_truth=mixture.values)
-
-
-def sampler(n, r):
-    return r.normal(scale=5.0, size=(n, 2))
-
+label = LabelSource(ckpt, reduction=0.3, ground_truth=task.target_logits)
+sampler = task.sample_inputs
 
 student_net = NetConfig(input_dim=2, hidden_layers=2, width=128)
 params0 = init_params(student_net, 7)
@@ -68,12 +52,11 @@ for rho in (1.0, 0.5):
         rr = np.random.default_rng(1000 + n)
         x = sampler(n, rr)
         targets = effective_logits(label.logits(x), label.hard(x), dp)
-        dz = targets - forward(student_net, params0, x)
-        gram = empirical_ntk_gram(student_net, params0, x)
-        delta = weighted_feature_sum(student_net, params0, x, gram.solve(dz))
+        [delta] = student_closed_form(student_net, params0, x, [targets])
+        # the linearized student z0 + delta . phi, swept in row blocks
         est = empirical_risk(
-            lambda xx: forward(student_net, params0, xx)
-            + feature_dot(student_net, params0, delta, xx),
+            lambda xx: row_blocks(student_net, params0, xx,
+                                  lambda s: s.logits + s.jvp(delta)),
             label.logits,
             sampler,
             20000,

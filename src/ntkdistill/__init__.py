@@ -74,4 +74,4 @@ from .network import (
     train_teacher,
     weighted_feature_sum,
 )
-from .tasks import Task, TaskSpec, realize_mixture, sample_inputs
+from .tasks import Task, TaskSpec, realize_mixture

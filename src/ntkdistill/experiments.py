@@ -316,6 +316,12 @@ def _validate_fields(cfg: ExperimentConfig) -> None:
         raise ConfigError("n_grid: must be strictly increasing")
     if cfg.samples < 1:
         raise ConfigError("samples: must be >= 1")
+    if any(w < 1 for w in cfg.width_grid):
+        raise ConfigError("width_grid: entries must be >= 1")
+    if cfg.kernel_inputs < 1:
+        raise ConfigError("kernel_inputs: must be >= 1")
+    if cfg.extra_points < 1:
+        raise ConfigError("extra_points: must be >= 1")
     kind = cfg.experiment
     needs_task = {"inefficiency", "risk", "angle-dist", "hard-label-effect", "zero-norm"}
     if kind in needs_task and not cfg.tasks:

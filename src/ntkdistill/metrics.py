@@ -43,7 +43,6 @@ class InefficiencyCurve:
     ns: np.ndarray
     log_mean_norm: np.ndarray        # ln E|dw_n| per grid point
     inefficiency: np.ndarray
-    repeats: int
     skipped: np.ndarray              # singular-kernel repeats per grid point
     unreliable: np.ndarray           # > 20% of repeats skipped
 
@@ -146,7 +145,6 @@ def data_inefficiency(
         ns=ns,
         log_mean_norm=np.log(mean_n),
         inefficiency=inefficiency_from_norms(ns, mean_n, mean_next),
-        repeats=repeats,
         skipped=skipped,
         unreliable=skipped > 0.2 * repeats,
     )

@@ -25,7 +25,10 @@ of the logit with respect to every parameter:
 
 None of them forms an (n, p) feature matrix, which makes kernel solves,
 linearized-model training and linearized evaluation affordable at widths
-where explicit features would not fit in memory.  ``forward``,
+where explicit features would not fit in memory.  Students are built from
+it: a closed-form student from one sweep's logits, Gram and ``vjp``
+(``experiments.student_closed_form``), a Monte Carlo student from one
+``row_blocks`` pass of ``sweep.logits + sweep.jvp(delta)``.  ``forward``,
 ``feature_dot`` and ``weighted_feature_sum`` here and the kernel module's
 empirical Gram and diagonal are thin compositions over it.  Each takes an
 (n, input_dim) batch and nothing else; one input is a one-row batch.
@@ -139,25 +142,19 @@ class NetConfig:
             raise ValueError("input_dim, hidden_layers and width must be >= 1")
 
 
-def layer_shapes(cfg: NetConfig) -> list[tuple[tuple[int, int], tuple[int]]]:
-    """(W, b) shapes per affine layer, input to output."""
-    d, m = cfg.input_dim, cfg.width
-    shapes = [((m, d), (m,))]
-    shapes += [((m, m), (m,))] * (cfg.hidden_layers - 1)
-    shapes += [((1, m), (1,))]
-    return shapes
-
-
 @lru_cache(maxsize=None)
 def _layout(cfg: NetConfig) -> tuple[tuple, int]:
-    """Per affine layer ``(w_shape, w_start, b_start, b_end)`` in the flat
-    vector, and the vector's length; computed once per config."""
+    """Per affine layer, input to output, ``(w_shape, w_start, b_start,
+    b_end)`` in the flat vector, and the vector's length; computed once per
+    config."""
+    d, m = cfg.input_dim, cfg.width
+    shapes = [(m, d)] + [(m, m)] * (cfg.hidden_layers - 1) + [(1, m)]
     spans = []
     offset = 0
-    for (rows, cols), (b_len,) in layer_shapes(cfg):
+    for rows, cols in shapes:
         b_start = offset + rows * cols
-        spans.append(((rows, cols), offset, b_start, b_start + b_len))
-        offset = b_start + b_len
+        spans.append(((rows, cols), offset, b_start, b_start + rows))
+        offset = b_start + rows
     return tuple(spans), offset
 
 
@@ -571,11 +568,11 @@ def _steps(cfg: NetConfig, params0: np.ndarray, objectives, train_cfg: TrainConf
 def train_linearized(
     cfg: NetConfig,
     params0: np.ndarray,
-    objective,
+    objectives: list,
     train_cfg: TrainConfig,
     sampler,
-    rng: np.random.Generator | None = None,
-) -> TrainResult | list[TrainResult]:
+    rng: np.random.Generator,
+) -> list[TrainResult]:
     """Gradient training of the model z(x) = f(x; w0) + delta . phi(x).
 
     Features are frozen at ``params0``.  Each step trains on a fresh batch
@@ -597,19 +594,14 @@ def train_linearized(
     FloatingPointError in the effective-logit solve) does so when its chunk
     is evaluated, before the chunk's first step.
 
-    ``objective`` is one objective, giving one :class:`TrainResult`, or a
-    list or tuple of objectives, giving a list of results in the same order.
-    The objectives of a list train in lockstep: each step draws one batch
-    and runs one forward/reverse sweep that all of them share, while each
-    keeps its own weight change and Adam state.  Every result is therefore
-    bitwise the one a separate run on an identically seeded ``rng`` gives,
-    and a single objective is the one-element case of the same loop.  Each
-    objective's logits come from the sweep's deltas (``Sweep.jvp``), which
-    its gradient needs anyway.
+    ``objectives`` is a list of objectives, and the result a list of one
+    :class:`TrainResult` each, in the same order.  The objectives train in
+    lockstep: each step draws one batch and runs one forward/reverse sweep
+    that all of them share, while each keeps its own weight change and Adam
+    state.  Every result is therefore bitwise the one a one-element list on
+    an identically seeded ``rng`` gives.  Each objective's logits come from
+    the sweep's deltas (``Sweep.jvp``), which its gradient needs anyway.
     """
-    if rng is None:
-        raise ValueError("train_linearized needs an rng for its sampler")
-    objectives = list(objective) if isinstance(objective, (list, tuple)) else [objective]
     params0 = np.asarray(params0, dtype=float)
     deltas = [np.zeros(param_count(cfg)) for _ in objectives]
     adams = [_Adam(delta.size, train_cfg) for delta in deltas]
@@ -625,5 +617,4 @@ def train_linearized(
             grad_norms[j] = float(np.linalg.norm(grad))
             deltas[j] = adams[j].step(deltas[j], grad)
 
-    results = [TrainResult(delta, norm) for delta, norm in zip(deltas, grad_norms)]
-    return results if isinstance(objective, (list, tuple)) else results[0]
+    return [TrainResult(delta, norm) for delta, norm in zip(deltas, grad_norms)]

@@ -70,25 +70,6 @@ def realize_mixture(spec: TaskSpec, rng: np.random.Generator) -> Mixture:
     return Mixture(amplitudes, centers, widths)
 
 
-def flip_labels(base, p_flip: float):
-    """Wrap a target so each sample's sign flips independently with p_flip.
-
-    The returned callable takes (x, rng); the i-th sample's flip is the i-th
-    draw from the generator, so identically seeded generators replay the
-    same corruption (and applying it twice with replayed randomness recovers
-    the base target).
-    """
-    if not 0.0 <= p_flip <= 0.5:
-        raise ValueError(f"p_flip must be in [0, 0.5], got {p_flip}")
-
-    def flipped(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        values = base(x)
-        signs = np.where(rng.random(len(values)) < p_flip, -1.0, 1.0)
-        return signs * values
-
-    return flipped
-
-
 @dataclass(frozen=True)
 class LabelSource:
     """Teacher logits and ground-truth hard labels.
@@ -169,7 +150,8 @@ class Task:
         return self.spec.kind != "random-labels"
 
     def sample_inputs(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return sample_inputs(self.spec, n, rng)
+        """n i.i.d. inputs with N(0, INPUT_SCALE^2) coordinates; (n, dim)."""
+        return rng.normal(scale=INPUT_SCALE, size=(n, self.spec.dim))
 
     def target_logits(self, x: np.ndarray, rng: np.random.Generator | None = None):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -179,7 +161,9 @@ class Task:
         if kind == "flipped-mixture":
             if rng is None:
                 raise ValueError("flipped-mixture targets need an rng")
-            return flip_labels(self._ground.values, self.spec.p_flip)(x, rng)
+            # row i flips on draw i, so a reseeded generator replays the flips
+            values = self._ground.values(x)
+            return np.where(rng.random(len(values)) < self.spec.p_flip, -1.0, 1.0) * values
         if kind == "zero":
             return np.zeros(len(x))
         if rng is None:
@@ -188,10 +172,3 @@ class Task:
 
     def hard_labels(self, x: np.ndarray, rng: np.random.Generator | None = None):
         return (np.asarray(self.target_logits(x, rng)) > 0).astype(float)
-
-
-def sample_inputs(spec: TaskSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. inputs with N(0, INPUT_SCALE^2) coordinates; (n, dim)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return rng.normal(scale=INPUT_SCALE, size=(n, spec.dim))

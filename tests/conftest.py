@@ -1,5 +1,24 @@
 import sys
 
+import pytest
+
+from ntkdistill.network import NetConfig, TrainConfig, train_teacher
+from ntkdistill.tasks import Task, TaskSpec
+
+
+@pytest.fixture(scope="session")
+def mixture_teacher():
+    """``(task, checkpoint)``: the 6-mode mixture task and the 3x64 teacher
+    trained long on its hard labels (seed 5, 16,384 epochs).  It is trained
+    once per session; each user wraps the checkpoint in its own
+    ``LabelSource``."""
+    task = Task(TaskSpec(kind="mixture", dim=2, modes=6, amplitude=2.0, seed=11))
+    ckpt = train_teacher(
+        NetConfig(2, 3, 64), task, TrainConfig(0.01, 256, 16384), seed=5,
+        checkpoint_epochs=[16384],
+    )[-1]
+    return task, ckpt
+
 
 def pytest_terminal_summary(terminalreporter):
     # say which golden comparison the smoke tests ran, if they were collected

@@ -1,8 +1,11 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-PASS lines and timings.  The heavy fixtures (trained teachers) are shared
-across criteria within the module.
+PASS lines and timings.  Criterion 9's confident teacher is the session's
+shared ``mixture_teacher`` (conftest.py), trained once for this module and
+``test_pipeline.py`` alike.  Students are built from the runners' pieces:
+``student_closed_form`` for a kernel solve, a ``Sweep`` where the Gram is
+needed too, and one ``row_blocks`` pass for a Monte Carlo evaluation.
 """
 
 import time
@@ -40,16 +43,16 @@ from ntkdistill.metrics import (
 from ntkdistill.network import (
     NetConfig,
     SquaredTargets,
+    Sweep,
     TrainConfig,
-    feature_dot,
     forward,
     init_params,
+    row_blocks,
     train_linearized,
     train_teacher,
-    weighted_feature_sum,
 )
 from ntkdistill.tasks import LabelSource, Task, TaskSpec, realize_mixture
-from ntkdistill.experiments import distilled_target_fn
+from ntkdistill.experiments import _SignTask, distilled_target_fn, student_closed_form
 
 
 def report(criterion, detail):
@@ -58,34 +61,22 @@ def report(criterion, detail):
 
 # ---------------------------------------------------------------- fixtures
 
-GROUND_MIXTURE = realize_mixture(
-    TaskSpec(modes=6, dim=2, amplitude=2.0), np.random.default_rng(11)
-)
-
-
-class MixtureHardTask:
-    def sample_inputs(self, n, rng):
-        return rng.normal(scale=5.0, size=(n, 2))
-
-    def hard_labels(self, x, rng=None):
-        return (GROUND_MIXTURE.values(x) > 0).astype(float)
-
 
 def input_sampler(n, rng):
     return rng.normal(scale=5.0, size=(n, 2))
 
 
+def linear_student(net, params0, delta):
+    """The linearized student z0 + delta . phi, swept in row blocks."""
+    return lambda x: row_blocks(net, params0, x, lambda s: s.logits + s.jvp(delta))
+
+
 @pytest.fixture(scope="module")
-def confident_teacher():
-    """The perfect-teacher reference: a network trained long on mixture labels."""
-    ckpt = train_teacher(
-        NetConfig(2, 3, 64),
-        MixtureHardTask(),
-        TrainConfig(0.01, 256, 16384),
-        seed=5,
-        checkpoint_epochs=[16384],
-    )[-1]
-    return LabelSource(ckpt, reduction=0.3, ground_truth=GROUND_MIXTURE.values)
+def confident_teacher(mixture_teacher):
+    """The perfect-teacher reference: the session's network trained long on
+    mixture labels, at reduction 0.3."""
+    task, ckpt = mixture_teacher
+    return LabelSource(ckpt, reduction=0.3, ground_truth=task.target_logits)
 
 
 # ------------------------------------------------------------ criterion 1
@@ -243,15 +234,13 @@ def test_criterion_5_training_equivalence():
     n = 32
     x = rng.normal(scale=5.0, size=(n, 2))
     targets = np.sin(x[:, 0] * 0.3) + 0.5 * x[:, 1] ** 2 / 25.0
-    z0 = forward(cfg, p0, x)
-    gram = empirical_ntk_gram(cfg, p0, x)
-    delta_solve = weighted_feature_sum(cfg, p0, x, gram.solve(targets - z0))
-    solve_logits = z0 + feature_dot(cfg, p0, delta_solve, x)
+    [delta_solve] = student_closed_form(cfg, p0, x, [targets])
+    solve_logits = linear_student(cfg, p0, delta_solve)(x)
 
     tc = TrainConfig(learning_rate=0.01, batch_size=n, epochs=4000)
-    res = train_linearized(cfg, p0, SquaredTargets(targets), tc,
-                           sampler=lambda m, _: x, rng=rng)
-    trained_logits = z0 + feature_dot(cfg, p0, res.delta, x)
+    [res] = train_linearized(cfg, p0, [SquaredTargets(targets)], tc,
+                             sampler=lambda m, _: x, rng=rng)
+    trained_logits = linear_student(cfg, p0, res.delta)(x)
 
     gap_targets = float(np.max(np.abs(trained_logits - targets)))
     gap_solve = float(np.max(np.abs(trained_logits - solve_logits)))
@@ -336,6 +325,7 @@ def test_criterion_7_soft_ratio_inefficiency():
 def test_criterion_8_risk_bound_validity():
     student = NetConfig(2, 2, 128)
     cases = 0
+    margin = (np.inf, None, None)  # (slack, t, n) of the tightest case
     for t in range(10):
         rng = unit_rng(7000, t)
         mixture = realize_mixture(
@@ -361,14 +351,15 @@ def test_criterion_8_risk_bound_validity():
 
         p0 = init_params(student, rng)
         tc = TrainConfig(0.01, 128, 3000, final_learning_rate=1e-4)
-        delta_star = train_linearized(
-            student, p0, SquaredTargets(eff_fn), tc,
+        [star] = train_linearized(
+            student, p0, [SquaredTargets(eff_fn)], tc,
             sampler=input_sampler, rng=unit_rng(7001, t),
-        ).delta
-        delta_zero = train_linearized(
-            student, p0, SquaredTargets(lambda x: np.zeros(len(x))), tc,
+        )
+        [zero] = train_linearized(
+            student, p0, [SquaredTargets(lambda x: np.zeros(len(x)))], tc,
             sampler=input_sampler, rng=unit_rng(7002, t),
-        ).delta
+        )
+        delta_star, delta_zero = star.delta, zero.delta
 
         curve = angle_distribution(
             eff_fn,
@@ -381,13 +372,10 @@ def test_criterion_8_risk_bound_validity():
         for n in (8, 32, 128):
             rng_n = unit_rng(7004, t, n)
             x = input_sampler(n, rng_n)
-            dz = eff_fn(x) - forward(student, p0, x)
-            gram = empirical_ntk_gram(student, p0, x)
-            delta_hat = weighted_feature_sum(student, p0, x, gram.solve(dz))
+            [delta_hat] = student_closed_form(student, p0, x, [eff_fn(x)])
             bound = risk_bound(curve, alpha_n(delta_hat, delta_star, delta_zero))
             est = empirical_risk(
-                lambda xx: forward(student, p0, xx)
-                + feature_dot(student, p0, delta_hat, xx),
+                linear_student(student, p0, delta_hat),
                 teacher_fn,
                 input_sampler,
                 10_000,
@@ -395,9 +383,11 @@ def test_criterion_8_risk_bound_validity():
             )
             assert est.risk <= bound + 2 * est.std_error, (t, n, est.risk, bound)
             cases += 1
+            margin = min(margin, (bound + 2 * est.std_error - est.risk, t, n))
     assert cases == 30
     report(8, f"empirical risk within the bound (+2 MC standard errors) in "
-              f"{cases}/30 cases over 10 random tasks")
+              f"{cases}/30 cases over 10 random tasks; smallest slack "
+              f"bound + 2 se - risk = {margin[0]:.4f} at (t, n) = ({margin[1]}, {margin[2]})")
 
 
 # ------------------------------------------------------------ criterion 9
@@ -418,12 +408,9 @@ def test_criterion_9_risk_power_law_ordering(confident_teacher):
                 rng = np.random.default_rng(seed * 1000 + n)
                 x = input_sampler(n, rng)
                 targets = effective_logits(label.logits(x), label.hard(x), dp)
-                dz = targets - forward(student, p0, x)
-                gram = empirical_ntk_gram(student, p0, x)
-                delta = weighted_feature_sum(student, p0, x, gram.solve(dz))
+                [delta] = student_closed_form(student, p0, x, [targets])
                 est = empirical_risk(
-                    lambda xx: forward(student, p0, xx)
-                    + feature_dot(student, p0, delta, xx),
+                    linear_student(student, p0, delta),
                     label.logits,
                     input_sampler,
                     10_000,
@@ -442,22 +429,16 @@ def test_criterion_9_risk_power_law_ordering(confident_teacher):
 def test_criterion_10_hard_label_sign_flip():
     teacher_net = NetConfig(2, 2, 64)
     student = NetConfig(2, 2, 128)
+    mixture = Task(TaskSpec(kind="mixture", dim=2, modes=6, amplitude=2.0, seed=11))
     gt_ckpt = train_teacher(
-        teacher_net, MixtureHardTask(), TrainConfig(0.01, 256, 16384), seed=5,
+        teacher_net, mixture, TrainConfig(0.01, 256, 16384), seed=5,
         checkpoint_epochs=[16384],
     )[-1]
     gt_fn = lambda x: forward(teacher_net, gt_ckpt.params, x)
 
-    class SignTask:
-        def sample_inputs(self, n, rng):
-            return input_sampler(n, rng)
-
-        def hard_labels(self, x, rng=None):
-            return (gt_fn(x) > 0).astype(float)
-
     stops = [16, 64, 256, 1024, 4096, 16384, 32768]
     checkpoints = train_teacher(
-        teacher_net, SignTask(), TrainConfig(0.01, 256, 32768), seed=6,
+        teacher_net, _SignTask(mixture, gt_fn), TrainConfig(0.01, 256, 32768), seed=6,
         checkpoint_epochs=stops,
     )
     probe = np.random.default_rng(123).normal(scale=5.0, size=(20000, 2))
@@ -470,18 +451,19 @@ def test_criterion_10_hard_label_sign_flip():
         p0 = init_params(student, 200 + seed)
         rng = np.random.default_rng(300 + seed)
         x = rng.normal(scale=5.0, size=(384, 2))
-        z0 = forward(student, p0, x)
+        # one sweep of the sample gives the initial logits, the Gram and the
+        # hard-label student's weight change
+        sweep = Sweep(student, p0, x)
+        z0 = sweep.logits
         z_g = gt_fn(x)
         dz_g = z_g - z0
         y_g = (z_g > 0).astype(float)
-        gram = empirical_ntk_gram(student, p0, x)
+        gram = KernelMatrix(sweep.gram())
 
         # the best pure-hard-label student at this sample size
         hard_targets = np.sign(2 * y_g - 1) * z_max(1.0)
-        delta_hard = weighted_feature_sum(student, p0, x, gram.solve(hard_targets - z0))
-        hard_student = forward(student, p0, probe) + feature_dot(
-            student, p0, delta_hard, probe
-        )
+        delta_hard = sweep.vjp(gram.solve(hard_targets - z0))
+        hard_student = linear_student(student, p0, delta_hard)(probe)
         student_acc = np.mean((hard_student > 0) == gt_sign)
 
         track = []

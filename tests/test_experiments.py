@@ -247,6 +247,27 @@ def test_ntk_check_grid_extension_keeps_every_old_row(tmp_path):
     assert without_hash(kept) == without_hash(rows_without_wall_ms(old[0]))
 
 
+def _assert_failing_unit_keeps_earlier_rows(tmp_path, data, inject, threads=1):
+    """Run ``data`` whole, then again after ``inject(full_rows)`` has made
+    one unit fail and returned the index of that unit's first row: the
+    failed run exits 2 and keeps exactly the rows before that index, in
+    order, under an incomplete manifest."""
+    path = write_config(tmp_path, data)
+    status, paths = run(path, out_dir=tmp_path / "full", threads=threads)
+    assert status == 0
+    full = rows_without_wall_ms(paths[0])
+    first_failed = inject(full)
+
+    status, paths = run(path, out_dir=tmp_path / "failed", threads=threads)
+    assert status == 2
+    kept = rows_without_wall_ms(paths[0])
+    assert first_failed > 0 and kept == full[:first_failed]
+    with open(paths[1]) as fh:
+        manifest = json.load(fh)
+    assert manifest["incomplete"] and manifest["records"] == len(kept)
+    assert manifest["errors"] == ["FloatingPointError: injected"]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("kind", ["inefficiency", "ntk-check"])
 def test_failing_unit_keeps_the_rows_of_the_units_before_it(
@@ -259,24 +280,18 @@ def test_failing_unit_keeps_the_rows_of_the_units_before_it(
     import ntkdistill.experiments as exp
     from test_pipeline import SMOKE_CASES, _tiny_fig2_config
 
-    path = write_config(tmp_path, _tiny_fig2_config(kind, **SMOKE_CASES[kind]))
-    status, paths = run(path, out_dir=tmp_path / "full", threads=threads)
-    assert status == 0
-    full = rows_without_wall_ms(paths[0])
+    def inject(full):
+        if kind == "inefficiency":
+            # the second unit: the unflipped mixture under the second distill point
+            original = exp.distilled_target_fn
 
-    if kind == "inefficiency":
-        # the second unit: the unflipped mixture under the second distill point
-        original = exp.distilled_target_fn
+            def injected(task, dp):
+                if task.spec.kind == "mixture" and dp.soft_ratio == 0.0:
+                    raise FloatingPointError("injected")
+                return original(task, dp)
 
-        def injected(task, dp):
-            if task.spec.kind == "mixture" and dp.soft_ratio == 0.0:
-                raise FloatingPointError("injected")
-            return original(task, dp)
-
-        monkeypatch.setattr(exp, "distilled_target_fn", injected)
-        first_failed = next(i for i, r in enumerate(full)
-                            if r["p_flip"] == "" and r["rho"] == "0.0")
-    else:
+            monkeypatch.setattr(exp, "distilled_target_fn", injected)
+            return next(i for i, r in enumerate(full) if r["p_flip"] == "" and r["rho"] == "0.0")
         # the third unit: the first repeat at width 64, whose network is
         # drawn from the seed its row carries
         failing = next(r for r in full if r["value_name"] == "frob_rel_err" and r["n"] == "64")
@@ -288,16 +303,59 @@ def test_failing_unit_keeps_the_rows_of_the_units_before_it(
             return original(net, seed, out=out)
 
         monkeypatch.setattr(exp, "init_params", injected)
-        first_failed = full.index(failing)
+        return full.index(failing)
 
-    status, paths = run(path, out_dir=tmp_path / "failed", threads=threads)
-    assert status == 2
-    kept = rows_without_wall_ms(paths[0])
-    assert first_failed > 0 and kept == full[:first_failed]
-    with open(paths[1]) as fh:
-        manifest = json.load(fh)
-    assert manifest["incomplete"] and manifest["records"] == len(kept)
-    assert manifest["errors"] == ["FloatingPointError: injected"]
+    _assert_failing_unit_keeps_earlier_rows(
+        tmp_path, _tiny_fig2_config(kind, **SMOKE_CASES[kind]), inject, threads)
+
+
+@pytest.mark.parametrize("kind", ["effective-logits", "angle-dist", "hard-label-effect"])
+def test_failing_unit_keeps_the_rows_of_the_units_before_it_in_serial_runners(
+    tmp_path, monkeypatch, kind
+):
+    # the same contract for the runners that ignore --threads; each failing
+    # unit is picked by the key its rows carry
+    import ntkdistill.experiments as exp
+    from test_pipeline import SMOKE_CASES, _tiny_fig2_config
+
+    extra = SMOKE_CASES[kind]
+    if kind == "effective-logits":
+        # the unit (rho 0, z_t -0.5): the second distill point's second logit
+        original = exp.saturated_effective_logits
+
+        def injected(z_t, y, dp):
+            if dp.soft_ratio == 0.0 and z_t == -0.5:
+                raise FloatingPointError("injected")
+            return original(z_t, y, dp)
+
+        name, failing = "saturated_effective_logits", {"rho": "0.0", "beta": "-0.5"}
+    elif kind == "angle-dist":
+        # the curve of a second distill point, rho 1
+        extra = extra | {"distill": extra["distill"] + [{"soft_ratio": 1.0, "temperature": 2.0}]}
+        original = exp._angle_curve
+
+        def injected(cfg, memo, dp, *args):
+            if dp.soft_ratio == 1.0:
+                raise FloatingPointError("injected")
+            return original(cfg, memo, dp, *args)
+
+        name, failing = "_angle_curve", {"rho": "1.0"}
+    else:
+        # the unit (repeat 1, n 32), by the key of its training sample's stream
+        original = exp.unit_rng
+
+        def injected(root_seed, *key):
+            if key == (82, 1, 32):
+                raise FloatingPointError("injected")
+            return original(root_seed, *key)
+
+        name, failing = "unit_rng", {"seed": "1", "n": "32"}
+
+    def inject(full):
+        monkeypatch.setattr(exp, name, injected)
+        return next(i for i, r in enumerate(full) if failing.items() <= r.items())
+
+    _assert_failing_unit_keeps_earlier_rows(tmp_path, _tiny_fig2_config(kind, **extra), inject)
 
 
 def test_emitter_clock_survives_interleaved_threads(monkeypatch):
@@ -454,6 +512,11 @@ TINY_HARD_LABEL = ORACLE_COMMON | {
     "teacher_net": {"input_dim": 2, "hidden_layers": 2, "width": 6},
     "teacher": {"epochs": 8, "batch_size": 16, "seed": 2, "stop_epochs": [4, 8]},
 }
+TINY_NTK_CHECK = {
+    "experiment": "ntk-check", "seed": 2,
+    "net": {"input_dim": 2, "hidden_layers": 2, "width": 8},
+    "width_grid": [16, 32], "kernel_inputs": 5, "repeats": 1, "norm_grid": [10.0],
+}
 
 
 def test_estimate_cost_counts_adam_steps():
@@ -491,17 +554,23 @@ def _without(data, key):
         (_without(TINY_HARD_LABEL, "n_grid"), "n_grid"),
         (TINY_HARD_LABEL | {"teacher": _without(TINY_HARD_LABEL["teacher"], "stop_epochs")},
          "teacher.stop_epochs"),
+        (TINY_NTK_CHECK | {"width_grid": [0, 8]}, "width_grid"),
+        (TINY_NTK_CHECK | {"kernel_inputs": 0}, "kernel_inputs"),
+        (ORACLE_COMMON | {"experiment": "inefficiency", "n_grid": [8, 16], "extra_points": 0},
+         "extra_points"),
     ],
     ids=["repeated-n", "teacher-rate", "oracle-rate", "teacher-temperature",
          "teacher-reduction", "no-modes", "effective-logits-no-distill",
          "zero-norm-no-distill", "zero-norm-two-distill", "hard-label-no-n-grid",
-         "hard-label-no-stop-epochs"],
+         "hard-label-no-stop-epochs", "zero-width", "no-kernel-inputs", "no-extra-points"],
 )
 def test_validate_rejects_what_a_run_would_reject(tmp_path, capsys, data, field):
-    # each of the first six used to pass validate and then die mid-run with
-    # a traceback, no CSV and no manifest; the rest used to run on what a
-    # runner filled in (a default distill point, only the first of several,
-    # n = 256, or the final checkpoint as the only imperfect teacher)
+    # each of the first six, and the last two, used to pass validate and
+    # then die mid-run with a traceback, no CSV and no manifest; a zero width
+    # crashed validate itself with a traceback; the rest used to run on what
+    # a runner filled in (a default distill point, only the first of
+    # several, n = 256, or the final checkpoint as the only imperfect
+    # teacher)
     assert main(["validate", "--config", str(write_config(tmp_path, data))]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 

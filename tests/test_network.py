@@ -544,8 +544,8 @@ def test_train_linearized_fixed_point():
     x = rng.normal(scale=5.0, size=(8, 2))
     targets = forward(cfg, p0, x)
     tc = TrainConfig(learning_rate=0.05, batch_size=8, epochs=50)
-    res = train_linearized(cfg, p0, SquaredTargets(targets), tc,
-                           sampler=lambda m, _: x, rng=rng)
+    [res] = train_linearized(cfg, p0, [SquaredTargets(targets)], tc,
+                             sampler=lambda m, _: x, rng=rng)
     assert np.allclose(res.delta, 0.0)
     assert res.grad_norm == 0.0
 
@@ -565,8 +565,8 @@ def test_train_linearized_matches_kernel_solve():
     # a dominant adam_eps makes the update effectively momentum gradient
     # descent: span-preserving, so it converges to the kernel interpolant
     tc = TrainConfig(learning_rate=5.0, batch_size=n, epochs=8000, adam_eps=30.0)
-    res = train_linearized(cfg, p0, SquaredTargets(targets), tc,
-                           sampler=lambda m, _: x, rng=rng)
+    [res] = train_linearized(cfg, p0, [SquaredTargets(targets)], tc,
+                             sampler=lambda m, _: x, rng=rng)
     assert res.grad_norm <= 1e-4
     trained = z0 + feature_dot(cfg, p0, res.delta, x)
     assert np.max(np.abs(trained - targets)) <= 1e-3
@@ -591,8 +591,8 @@ def test_train_linearized_distill_objective_reaches_effective_logits():
     # is tiny, so where epoch 20000 lands depended on rounding; the decay
     # freezes the iterate at the optimum
     tc = TrainConfig(learning_rate=0.2, batch_size=n, epochs=20000, final_learning_rate=2e-4)
-    res = train_linearized(cfg, p0, DistillTargets(dp, z_t, y), tc,
-                           sampler=lambda m, _: x, rng=rng)
+    [res] = train_linearized(cfg, p0, [DistillTargets(dp, z_t, y)], tc,
+                             sampler=lambda m, _: x, rng=rng)
     z = forward(cfg, p0, x) + feature_dot(cfg, p0, res.delta, x)
     assert np.allclose(z, effective_logits(z_t, y, dp), atol=5e-3)
 
@@ -619,7 +619,7 @@ def test_lockstep_objectives_match_separate_runs():
     together = train_linearized(cfg, p0, objectives, tc, sampler, np.random.default_rng(9))
     assert len(together) == len(objectives)
     for obj, res in zip(objectives, together):
-        alone = train_linearized(cfg, p0, obj, tc, sampler, np.random.default_rng(9))
+        [alone] = train_linearized(cfg, p0, [obj], tc, sampler, np.random.default_rng(9))
         assert np.array_equal(res.delta, alone.delta)
         assert res.grad_norm == alone.grad_norm
     assert not np.array_equal(together[0].delta, together[2].delta)
@@ -672,7 +672,7 @@ def test_chunked_targets_are_bitwise_the_per_step_loop(batch_size, epochs, locks
     # be called once per step in order, leaving the rng where it left it
     cfg, p0, objectives = _chunk_objectives()
     if not lockstep:
-        objectives = objectives[1]
+        objectives = objectives[1:2]
     tc = TrainConfig(learning_rate=0.01, batch_size=batch_size, epochs=epochs,
                      final_learning_rate=0.001)
     calls = []
@@ -683,9 +683,7 @@ def test_chunked_targets_are_bitwise_the_per_step_loop(batch_size, epochs, locks
 
     rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
     got = train_linearized(cfg, p0, objectives, tc, sampler=counting, rng=rng)
-    got = got if lockstep else [got]
-    want, norms = _per_step_reference(cfg, p0, objectives if lockstep else [objectives], tc,
-                                      sampler=_sampler, rng=ref_rng)
+    want, norms = _per_step_reference(cfg, p0, objectives, tc, sampler=_sampler, rng=ref_rng)
     assert calls == [batch_size] * epochs
     assert rng.random() == ref_rng.random()
     for res, delta, norm in zip(got, want, norms):
@@ -702,7 +700,7 @@ def test_chunk_size_comes_from_the_block_rows():
     rows = []
     obj = SquaredTargets(lambda x: rows.append(len(x)) or np.zeros(len(x)))
     tc = TrainConfig(learning_rate=0.01, batch_size=100, epochs=25)
-    train_linearized(cfg, p0, obj, tc, sampler=_sampler, rng=np.random.default_rng(0))
+    train_linearized(cfg, p0, [obj], tc, sampler=_sampler, rng=np.random.default_rng(0))
     assert _TARGET_CHUNK_ROWS == 1024
     per_chunk = -(-_TARGET_CHUNK_ROWS // 100)
     assert rows == [100 * per_chunk, 100 * per_chunk, 100 * (25 - 2 * per_chunk)]
@@ -740,15 +738,15 @@ def test_non_finite_teacher_logit_in_a_later_step_raises():
         lambda x: saturated_effective_logits(teacher(x), 1.0, DistillParams(0.5, 2.0))[0])
     tc = TrainConfig(learning_rate=0.01, batch_size=128, epochs=12)
     with pytest.raises(FloatingPointError):
-        train_linearized(cfg, p0, obj, tc, sampler=_sampler, rng=np.random.default_rng(1))
+        train_linearized(cfg, p0, [obj], tc, sampler=_sampler, rng=np.random.default_rng(1))
     assert len(seen) == 2
 
 
 def test_train_linearized_online_needs_rng():
     cfg = NetConfig(2, 2, 8)
     tc = TrainConfig(learning_rate=0.01, batch_size=4, epochs=2)
-    with pytest.raises(ValueError):
-        train_linearized(cfg, init_params(cfg, 0), SquaredTargets(lambda x: x[:, 0]), tc,
+    with pytest.raises(TypeError, match="rng"):
+        train_linearized(cfg, init_params(cfg, 0), [SquaredTargets(lambda x: x[:, 0])], tc,
                          sampler=lambda n, rng: rng.normal(size=(n, 2)))
 
 

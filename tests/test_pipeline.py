@@ -1,8 +1,9 @@
 """End-to-end checks of the oracle pipeline and the heavier runners.
 
-The module-scoped fixture trains one confident teacher and one pair of
-online-batch oracle runs; the invariants checked against them are the ones
-that need real weight-change vectors rather than synthetic algebra.
+The module-scoped fixture trains one pair of online-batch oracle runs
+against the session's confident teacher (``mixture_teacher`` in
+conftest.py); the invariants checked against them are the ones that need
+real weight-change vectors rather than synthetic algebra.
 """
 
 import csv
@@ -15,47 +16,28 @@ import pytest
 
 from ntkdistill.distillation import DistillParams, effective_logits
 from ntkdistill.experiments import run
-from ntkdistill.kernel import empirical_ntk_diag, empirical_ntk_gram
+from ntkdistill.kernel import empirical_ntk_diag
+from ntkdistill.linalg import KernelMatrix
 from ntkdistill.metrics import alpha_n, angle_distribution
 from ntkdistill.network import (
     NetConfig,
     SquaredTargets,
+    Sweep,
     TrainConfig,
-    feature_dot,
-    forward,
     init_params,
     train_linearized,
-    train_teacher,
-    weighted_feature_sum,
 )
-from ntkdistill.tasks import LabelSource, TaskSpec, realize_mixture
+from ntkdistill.tasks import LabelSource
 
 STUDENT = NetConfig(2, 2, 128)
-MIXTURE = realize_mixture(TaskSpec(modes=6, dim=2, amplitude=2.0),
-                          np.random.default_rng(11))
-
-
-class MixtureHardTask:
-    def sample_inputs(self, n, rng):
-        return rng.normal(scale=5.0, size=(n, 2))
-
-    def hard_labels(self, x, rng=None):
-        return (MIXTURE.values(x) > 0).astype(float)
-
-
-def sampler(n, rng):
-    return rng.normal(scale=5.0, size=(n, 2))
 
 
 @pytest.fixture(scope="module")
-def oracle_setup():
+def oracle_setup(mixture_teacher):
     """Teacher plus unreduced-scale oracle runs (the regime where the zero
     weight change is small relative to the oracle's)."""
-    ckpt = train_teacher(
-        NetConfig(2, 3, 64), MixtureHardTask(), TrainConfig(0.01, 256, 16384),
-        seed=5, checkpoint_epochs=[16384],
-    )[-1]
-    label = LabelSource(ckpt, reduction=1.0, ground_truth=MIXTURE.values)
+    task, ckpt = mixture_teacher
+    label = LabelSource(ckpt, reduction=1.0, ground_truth=task.target_logits)
     params0 = init_params(STUDENT, 7)
     dp = DistillParams(1.0, 10.0)
 
@@ -64,15 +46,16 @@ def oracle_setup():
 
     tc = TrainConfig(learning_rate=0.01, batch_size=128, epochs=6000,
                      final_learning_rate=1e-5)
-    delta_zero = train_linearized(
-        STUDENT, params0, SquaredTargets(lambda x: np.zeros(len(x))), tc,
-        sampler=sampler, rng=np.random.default_rng(1),
-    ).delta
-    delta_star = train_linearized(
-        STUDENT, params0, SquaredTargets(eff_fn), tc,
-        sampler=sampler, rng=np.random.default_rng(2),
-    ).delta
-    return label, params0, eff_fn, delta_star, delta_zero
+    # separate streams, so two runs rather than one lockstep run
+    [zero] = train_linearized(
+        STUDENT, params0, [SquaredTargets(lambda x: np.zeros(len(x)))], tc,
+        sampler=task.sample_inputs, rng=np.random.default_rng(1),
+    )
+    [star] = train_linearized(
+        STUDENT, params0, [SquaredTargets(eff_fn)], tc,
+        sampler=task.sample_inputs, rng=np.random.default_rng(2),
+    )
+    return task.sample_inputs, params0, eff_fn, star.delta, zero.delta
 
 
 def test_zero_function_weight_change_is_small(oracle_setup):
@@ -88,7 +71,7 @@ def test_feature_oracle_angles_pinned_near_right_angle(oracle_setup):
     # the kernel diagonal grows with the input norm while effective logits
     # stay teacher-bounded, so sampled feature-oracle cosines stay small and
     # the survival curve is identically 1 far out toward pi/2
-    label, params0, eff_fn, delta_star, delta_zero = oracle_setup
+    sampler, params0, eff_fn, delta_star, delta_zero = oracle_setup
     norm_diff = float(np.linalg.norm(delta_star - delta_zero))
     rng = np.random.default_rng(3)
     x = sampler(20000, rng)
@@ -106,13 +89,14 @@ def test_feature_oracle_angles_pinned_near_right_angle(oracle_setup):
 def test_neglect_zero_angle_approximation(oracle_setup):
     # with |dw_z| / |dw_*| < 0.1, the zero-shifted student-oracle cosine is
     # approximated by |dw_hat| / |dw_*| to 5% (exact when dw_z is dropped)
-    _, params0, _, delta_star, delta_zero = oracle_setup
+    sampler, params0, _, delta_star, delta_zero = oracle_setup
     assert np.linalg.norm(delta_zero) / np.linalg.norm(delta_star) < 0.1
     rng = np.random.default_rng(5512)
-    x = sampler(512, rng)
-    targets = feature_dot(STUDENT, params0, delta_star, x)
-    gram = empirical_ntk_gram(STUDENT, params0, x)
-    delta_hat = weighted_feature_sum(STUDENT, params0, x, gram.solve(targets))
+    # one sweep of the sample gives the oracle's logit changes, the Gram and
+    # the student's weight change
+    sweep = Sweep(STUDENT, params0, sampler(512, rng))
+    gram = KernelMatrix(sweep.gram())
+    delta_hat = sweep.vjp(gram.solve(sweep.jvp(delta_star)))
     shifted_cos = np.cos(alpha_n(delta_hat, delta_star, delta_zero))
     norm_ratio = np.linalg.norm(delta_hat) / np.linalg.norm(delta_star)
     assert shifted_cos == pytest.approx(norm_ratio, rel=0.05)

@@ -156,3 +156,22 @@ def test_only_the_emitter_reads_the_clock():
     readers = [getattr(node, "name", type(node).__name__) for node in tree.body
                if reads_clock(node)]
     assert readers == ["_emitter"]
+
+
+def test_students_are_built_from_the_runners_pieces():
+    # tests and demos build a student as the runners do, from Sweep,
+    # row_blocks and student_closed_form; the two per-call wrappers are
+    # exercised only by the network tests, which check them against features
+    wrappers = {"feature_dot", "weighted_feature_sum"}
+
+    def calls(path):
+        return sorted(
+            f"{path.relative_to(ROOT)}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) in wrappers
+                 or getattr(node.func, "attr", None) in wrappers))
+
+    files = sorted((ROOT / "tests").glob("*.py")) + DEMOS
+    assert [f for path in files if path.name != "test_network.py" for f in calls(path)] == []
+    assert calls(ROOT / "tests" / "test_network.py")  # the guard sees the calls it allows

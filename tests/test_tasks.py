@@ -11,24 +11,23 @@ from ntkdistill.tasks import (
     Task,
     TaskSpec,
     default_mode_width,
-    flip_labels,
     realize_mixture,
-    sample_inputs,
 )
 
 
 def test_sample_inputs_deterministic_and_shaped():
-    spec = TaskSpec(kind="zero", dim=3, seed=5)
-    a = sample_inputs(spec, 10, np.random.default_rng(1))
-    b = sample_inputs(spec, 10, np.random.default_rng(1))
+    task = Task(TaskSpec(kind="zero", dim=3, seed=5))
+    a = task.sample_inputs(10, np.random.default_rng(1))
+    b = task.sample_inputs(10, np.random.default_rng(1))
     assert a.shape == (10, 3)
     assert np.array_equal(a, b)
-    assert sample_inputs(spec, 0, np.random.default_rng(0)).shape == (0, 3)
+    assert task.sample_inputs(0, np.random.default_rng(0)).shape == (0, 3)
+    with pytest.raises(ValueError):
+        task.sample_inputs(-1, np.random.default_rng(0))
 
 
 def test_sample_inputs_variance():
-    spec = TaskSpec(kind="zero", dim=1)
-    x = sample_inputs(spec, 10**5, np.random.default_rng(7))
+    x = Task(TaskSpec(kind="zero", dim=1)).sample_inputs(10**5, np.random.default_rng(7))
     assert INPUT_SCALE == 5.0
     assert np.var(x) == pytest.approx(25.0, abs=0.5)
 
@@ -83,35 +82,41 @@ def test_mixture_realization_statistics():
     assert abs(np.mean(np.concatenate(signs))) < 0.02
 
 
+def _flipped(p_flip):
+    # wide modes, so no input's base value underflows to a signless 0.0
+    spec = dict(dim=1, modes=3, width=50.0, seed=4)
+    return (Task(TaskSpec(kind="flipped-mixture", p_flip=p_flip, **spec)),
+            Task(TaskSpec(kind="mixture", **spec)).target_logits)
+
+
 def test_flip_labels_identity_at_zero():
-    base = lambda x: x[:, 0]
-    flipped = flip_labels(base, 0.0)
+    flipped, base = _flipped(0.0)
     x = np.random.default_rng(0).normal(size=(20, 1))
-    assert np.array_equal(flipped(x, np.random.default_rng(1)), base(x))
+    assert np.array_equal(flipped.target_logits(x, np.random.default_rng(1)), base(x))
 
 
 def test_flip_labels_involution_with_replayed_randomness():
-    base = lambda x: x[:, 0] + 1.0
+    flipped, base = _flipped(0.3)
     x = np.random.default_rng(0).normal(size=(50, 1))
-    flip = flip_labels(lambda x_: np.ones(len(x_)), 0.3)
-    signs_a = flip(x, np.random.default_rng(9))
-    signs_b = flip(x, np.random.default_rng(9))
+    signs_a = flipped.target_logits(x, np.random.default_rng(9)) / base(x)
+    signs_b = flipped.target_logits(x, np.random.default_rng(9)) / base(x)
     assert np.array_equal(signs_a * signs_b, np.ones(len(x)))  # s^2 = 1
+    assert np.any(signs_a < 0)
 
 
 def test_flip_half_decorrelates_sign():
-    rng_x = np.random.default_rng(0)
-    base = lambda x: x[:, 0]
-    flipped = flip_labels(base, 0.5)
-    x = rng_x.normal(size=(10**4, 1))
-    out = flipped(x, np.random.default_rng(4))
+    flipped, base = _flipped(0.5)
+    x = np.random.default_rng(0).normal(size=(10**4, 1))
+    out = flipped.target_logits(x, np.random.default_rng(4))
+    assert np.all(base(x) != 0)
     corr = np.mean(np.sign(out) * np.sign(base(x)))
     assert abs(corr) < 0.02
 
 
 def test_flip_labels_validates_probability():
-    with pytest.raises(ValueError):
-        flip_labels(lambda x: x[:, 0], 0.7)
+    for p_flip in (-0.1, 0.7):
+        with pytest.raises(ValueError, match="p_flip"):
+            TaskSpec(kind="flipped-mixture", p_flip=p_flip)
 
 
 def _toy_checkpoint(seed=0):
