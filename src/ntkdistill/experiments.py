@@ -31,37 +31,34 @@ dispatched concurrently without affecting results.  Inefficiency still keys
 its streams by task, distill and grid index, so inserting a grid point there
 moves other rows.
 
-Each runner is a thin composition of four private pieces:
+Each runner is a thin composition of private pieces:
 
-* ``_teacher_sources`` — the one teacher setup: trains the teacher network
-  with the teacher recipe on a task and wraps each checkpoint as a
-  :class:`~ntkdistill.tasks.LabelSource` with a given ground truth (the
-  perfect teacher, the imperfect teacher's ground-truth network and its
-  early-stopped sweep all come from it);
-* ``_train_oracles`` — the one online-batch oracle run of the linearized
-  student on a list of target functions (distilled, zero-function, or
-  ground-truth targets), trained in lockstep on one batch stream, returning
-  one weight change per target;
-* ``_perfect_teacher_init`` — a repeat's initialization for the
-  perfect-teacher runners (risk, angle-dist, zero-norm): the initial
-  parameters, the zero-function weight change, and a memo of the NTK
-  diagonal and teacher evaluations on the Monte Carlo inputs, so each
-  initialization evaluates them once whatever the number of distill points;
 * ``_emitter`` — the row emitter and the run's one clock: fills experiment,
-  config hash, the default seed and ``wall_ms`` of every record.
+  config hash, the default seed and ``wall_ms`` of every record;
+* ``_teacher_checkpoints`` — the one teacher training, returned as
+  ``{epoch: Checkpoint}``; each runner wraps only what it reads (the perfect
+  teacher as a :class:`~ntkdistill.tasks.LabelSource`, hard-label-effect's
+  ground truth as a bare network);
+* ``_train_oracles`` — the one online-batch oracle run of the linearized
+  student on a list of target functions, trained in lockstep on one batch
+  stream, returning one weight change per target;
+* ``_perfect_teacher`` and ``_perfect_teacher_repeat`` — risk, angle-dist
+  and zero-norm's teacher with its distilled targets, then per repeat the
+  initialization, the zero-function weight change and the distill points'
+  oracles, which share one batch stream and train in lockstep;
+* ``_angle_curves`` — the angle pass of risk and angle-dist: one Monte Carlo
+  draw, the NTK diagonal and the teacher evaluated on it once, and one
+  survival curve per distill point.
 
-The distill points of a perfect-teacher repeat share their oracle batch
-stream, so risk and angle-dist train their distill-point oracles in
-lockstep: each step draws one batch and sweeps it once, and the teacher and
-every distill point's effective-logit solve run once per chunk of about
-1,024 rows of those batches, not once per step (``_distilled_targets``;
-:func:`~ntkdistill.network.train_linearized` describes the chunks).  Each
-(repeat, n) point of the risk study likewise shares, across distill points,
-its training sample's sweep and Gram factorization, its Monte Carlo inputs,
-the teacher's logits on them and the student's sweep over them
-(``_risk_point``).  The risk runner therefore works repeat by repeat, and
-still writes its rows in distill point -> repeat -> n order, including when
-a later repeat fails.
+Lockstep oracles evaluate the teacher and every distill point's
+effective-logit solve once per chunk of about 1,024 rows, not once per step
+(``_distilled_targets``; :func:`~ntkdistill.network.train_linearized`
+describes the chunks).  Each (repeat, n) point of the risk study likewise
+shares, across distill points, its training sample's sweep and Gram
+factorization, its Monte Carlo inputs, the teacher's logits on them and the
+student's sweep over them (``_risk_point``).  The risk runner works repeat
+by repeat, and still writes its rows in distill point -> repeat -> n order,
+including when a later repeat fails.
 
 ``wall_ms`` is the wall time since the run's previous ``emit`` call (or its
 start), split evenly over the rows of the call, so the column sums to the
@@ -308,20 +305,24 @@ def _validate_fields(cfg: ExperimentConfig) -> None:
     """Cross-field checks, so that a config a run would reject fails here
     with exit 1 and no output: each kind's required fields (no runner falls
     back to a default for one) and task dims that match every network."""
-    if cfg.repeats < 1:
-        raise ConfigError("repeats: must be >= 1")
-    if any(n < 1 for n in cfg.n_grid):
-        raise ConfigError("n_grid: entries must be >= 1")
-    if any(a >= b for a, b in zip(cfg.n_grid, cfg.n_grid[1:])):
-        raise ConfigError("n_grid: must be strictly increasing")
-    if cfg.samples < 1:
-        raise ConfigError("samples: must be >= 1")
-    if any(w < 1 for w in cfg.width_grid):
-        raise ConfigError("width_grid: entries must be >= 1")
-    if cfg.kernel_inputs < 1:
-        raise ConfigError("kernel_inputs: must be >= 1")
-    if cfg.extra_points < 1:
-        raise ConfigError("extra_points: must be >= 1")
+    for message, ok in [
+        ("repeats: must be >= 1", cfg.repeats >= 1),
+        ("n_grid: entries must be >= 1", all(n >= 1 for n in cfg.n_grid)),
+        ("n_grid: must be strictly increasing", list(cfg.n_grid) == sorted(set(cfg.n_grid))),
+        ("samples: must be >= 1", cfg.samples >= 1),
+        ("beta_points: must be >= 1", cfg.beta_points >= 1),
+        ("z_t_grid: must not be empty", len(cfg.z_t_grid) > 0),
+        ("width_grid: must not be empty", len(cfg.width_grid) > 0),
+        ("width_grid: entries must be >= 1", all(w >= 1 for w in cfg.width_grid)),
+        ("norm_grid: must not be empty", len(cfg.norm_grid) > 0),
+        # a diag_ratio divides by norm**2, and a negative norm's row would
+        # hold the ratio of its absolute value
+        ("norm_grid: entries must be > 0", all(v > 0 for v in cfg.norm_grid)),
+        ("kernel_inputs: must be >= 1", cfg.kernel_inputs >= 1),
+        ("extra_points: must be >= 1", cfg.extra_points >= 1),
+    ]:
+        if not ok:
+            raise ConfigError(message)
     kind = cfg.experiment
     needs_task = {"inefficiency", "risk", "angle-dist", "hard-label-effect", "zero-norm"}
     if kind in needs_task and not cfg.tasks:
@@ -455,23 +456,13 @@ def _emitter(cfg: ExperimentConfig):
     return emit
 
 
-def _teacher_sources(
-    cfg: ExperimentConfig, task, seed: int, epochs: int, checkpoints: list[int],
-    ground_truth,
-) -> dict[int, LabelSource]:
+def _teacher_checkpoints(cfg: ExperimentConfig, task, seed: int, epochs: int, checkpoints):
     """Train ``cfg.teacher_net or cfg.net`` with the teacher recipe on the
-    task's hard labels; returns ``{epoch: LabelSource}`` for the checkpoints
-    (epoch 0, the initialization, included), each with the recipe's logit
-    reduction and hard labels from ``ground_truth``."""
-    recipe = cfg.teacher
-    ckpts = train_teacher(
-        cfg.teacher_net or cfg.net,
-        task,
-        recipe.train_config(epochs),
-        seed=seed,
-        checkpoint_epochs=checkpoints,
-    )
-    return {c.epoch: LabelSource(c, recipe.reduction, ground_truth) for c in ckpts}
+    task's hard labels; returns ``{epoch: Checkpoint}`` for the checkpoints
+    (epoch 0, the initialization, included)."""
+    ckpts = train_teacher(cfg.teacher_net or cfg.net, task, cfg.teacher.train_config(epochs),
+                          seed=seed, checkpoint_epochs=checkpoints)
+    return {c.epoch: c for c in ckpts}
 
 
 def _train_oracles(cfg: ExperimentConfig, params0: np.ndarray, target_fns, sampler, rng):
@@ -496,28 +487,6 @@ def _memo_last(fn):
         return last[1]
 
     return memo
-
-
-def _perfect_teacher_init(cfg: ExperimentConfig, sampler, label, rep: int):
-    """Repeat ``rep``'s initialization for the perfect-teacher runners (risk,
-    angle-dist, zero-norm): ``(params0, delta_zero, memo)``.
-
-    ``params0`` comes from ``unit_rng(seed, 90, rep)``.  ``delta_zero``, the
-    zero-function weight change, runs on the oracle stream
-    ``unit_rng(seed, 91 + rep, 2)``; it never depends on the distill point,
-    so one run serves every distill point (whose own oracles run in lockstep
-    on ``unit_rng(seed, 91 + rep, 1)``).  ``memo(x)`` gives the NTK diagonal
-    at ``params0`` and the teacher's logits and hard labels on ``x``,
-    recomputed only when ``x`` changes: every distill point of a repeat draws
-    the same Monte Carlo inputs for ``angle_distribution``, so they are
-    evaluated once per initialization instead of once per distill point.
-    """
-    params0 = init_params(cfg.net, unit_rng(cfg.seed, 90, rep))
-    [delta_zero] = _train_oracles(cfg, params0, [lambda x: np.zeros(len(x))], sampler,
-                                  unit_rng(cfg.seed, 91 + rep, 2))
-    memo = _memo_last(lambda x: (empirical_ntk_diag(cfg.net, params0, x), label.logits(x),
-                                 label.hard(x)))
-    return params0, delta_zero, memo
 
 
 # --- experiment implementations -------------------------------------------
@@ -644,36 +613,55 @@ def student_closed_form(net: NetConfig, params0, x, targets) -> list[np.ndarray]
 
 def _distilled_targets(label, dps):
     """Distilled target functions, one per distill point: the effective
-    logits of the label source's teacher logits and hard labels.  They share
-    one teacher evaluation per input set, so oracles trained in lockstep and
-    closed-form students fit on one sample evaluate the teacher once for all
-    distill points."""
+    logits of the label source's teacher logits and hard labels.  A memo
+    shares one teacher evaluation per input set, so the lockstep oracles,
+    which each evaluate their own targets, evaluate the teacher once per
+    chunk, and closed-form students fit on one sample once."""
     teacher = _memo_last(lambda x: (label.logits(x), label.hard(x)))
     return [lambda x, rng=None, dp=dp: saturated_effective_logits(*teacher(x), dp)[0]
             for dp in dps]
 
 
 def _perfect_teacher(cfg: ExperimentConfig):
-    """The perfect-teacher setup: the first task's input sampler and the final
-    checkpoint of a teacher trained on it, with the task's own labels as
-    ground truth."""
+    """The perfect-teacher setup of risk, angle-dist and zero-norm:
+    ``(sampler, label, targets)``.  The first task's input sampler; the final
+    checkpoint of a teacher trained on that task, with the recipe's logit
+    reduction and the task's own labels as ground truth; and the distilled
+    target function of each distill point."""
     task = Task(cfg.tasks[0])
-    recipe = cfg.teacher
-    teachers = _teacher_sources(cfg, task, recipe.seed, recipe.epochs, [recipe.epochs],
-                                task.target_logits)
-    return task.sample_inputs, teachers[recipe.epochs]
+    epochs = cfg.teacher.epochs
+    ckpt = _teacher_checkpoints(cfg, task, cfg.teacher.seed, epochs, [epochs])[epochs]
+    label = LabelSource(ckpt, cfg.teacher.reduction, task.target_logits)
+    return task.sample_inputs, label, _distilled_targets(label, cfg.distill)
 
 
-def _angle_curve(cfg: ExperimentConfig, memo, dp: DistillParams, oracle_diff: np.ndarray,
-                 sampler, rng, betas):
-    """``angle_distribution`` of one distill point, with |dw_* - dw_z| from the
-    oracle runs and every evaluation on the inputs taken from the
-    initialization's memo."""
-    return angle_distribution(
-        lambda x: saturated_effective_logits(*memo(x)[1:], dp)[0],
-        lambda x: memo(x)[0],
-        float(np.linalg.norm(oracle_diff)), sampler, cfg.samples, rng, betas=betas,
-    )
+def _perfect_teacher_repeat(cfg: ExperimentConfig, sampler, targets, rep: int):
+    """Repeat ``rep`` of a perfect-teacher runner: ``(params0, delta_zero,
+    deltas_star)``.  ``params0`` comes from ``unit_rng(seed, 90, rep)``, the
+    zero-function oracle (one run serves every distill point) from
+    ``unit_rng(seed, 91 + rep, 2)``, and the distill points' lockstep
+    oracles from ``unit_rng(seed, 91 + rep, 1)``."""
+    params0 = init_params(cfg.net, unit_rng(cfg.seed, 90, rep))
+    [delta_zero] = _train_oracles(cfg, params0, [lambda x: np.zeros(len(x))], sampler,
+                                  unit_rng(cfg.seed, 91 + rep, 2))
+    deltas_star = _train_oracles(cfg, params0, targets, sampler, unit_rng(cfg.seed, 91 + rep, 1))
+    return params0, delta_zero, deltas_star
+
+
+def _angle_curves(cfg: ExperimentConfig, sampler, label, params0, delta_zero, deltas_star,
+                  rng, betas):
+    """``angle_distribution`` of each distill point in turn, lazily, on one
+    draw of ``cfg.samples`` Monte Carlo inputs from ``rng``.  The NTK
+    diagonal at ``params0`` and the teacher's logits and hard labels are
+    evaluated on those inputs once; only the effective-logit solve and
+    |dw_* - dw_z| are per distill point."""
+    x = sampler(cfg.samples, rng)
+    diag = empirical_ntk_diag(cfg.net, params0, x)
+    z_t, y_t = label.logits(x), label.hard(x)
+    for dp, delta_star in zip(cfg.distill, deltas_star):
+        norm = float(np.linalg.norm(delta_star - delta_zero))
+        yield angle_distribution(lambda _: saturated_effective_logits(z_t, y_t, dp)[0],
+                                 lambda _: diag, norm, lambda m, _: x, cfg.samples, rng, betas)
 
 
 def _risk_point(cfg: ExperimentConfig, params0, sampler, label, targets, rep: int, n: int,
@@ -693,38 +681,33 @@ def _risk_point(cfg: ExperimentConfig, params0, sampler, label, targets, rep: in
     x = sampler(int(n), rng)
     x_mc = sampler(cfg.samples, rng)
     deltas_hat = student_closed_form(cfg.net, params0, x, [fn(x) for fn in targets])
+    z_mc = label.logits(x_mc)
     # the first distill point's empirical_risk sweeps the Monte Carlo inputs
-    # block by block for every distill point's student, and evaluates the
-    # teacher logits; the others reuse both
+    # block by block for every distill point's student, and the others reuse
+    # it; a memo keeps that sweep inside empirical_risk, the span the
+    # benchmark's tracer times it in until the library has spans of its own
     students = _memo_last(lambda xx: row_blocks(
         cfg.net, params0, xx,
         lambda sweep: np.stack([sweep.logits + sweep.jvp(delta) for delta in deltas_hat])))
-    teacher = _memo_last(label.logits)
     point = []
     for j, (delta_hat, delta_star) in enumerate(zip(deltas_hat, deltas_star)):
-        est = empirical_risk(lambda xx, j=j: students(xx)[j], teacher, lambda m, _: x_mc,
-                             cfg.samples, rng)
+        est = empirical_risk(lambda xx, j=j: students(xx)[j], lambda _: z_mc,
+                             lambda m, _: x_mc, cfg.samples, rng)
         point.append((alpha_n(delta_hat, delta_star, delta_zero), est))
     return point
 
 
 def _run_risk(cfg: ExperimentConfig, threads: int, records: list) -> None:
     emit = _emitter(cfg)
-    sampler, label = _perfect_teacher(cfg)
-    targets = _distilled_targets(label, cfg.distill)
+    sampler, label, targets = _perfect_teacher(cfg)
     # rows[d][rep] are written in distill -> repeat -> n order, also when a
     # later repeat fails
     rows = [[[] for _ in range(cfg.repeats)] for _ in cfg.distill]
     try:
         for rep in range(cfg.repeats):
-            params0, delta_zero, memo = _perfect_teacher_init(cfg, sampler, label, rep)
-            deltas_star = _train_oracles(cfg, params0, targets, sampler,
-                                         unit_rng(cfg.seed, 91 + rep, 1))
-            curves = [
-                _angle_curve(cfg, memo, dp, delta_star - delta_zero, sampler,
-                             unit_rng(cfg.seed, 92, rep), None)
-                for dp, delta_star in zip(cfg.distill, deltas_star)
-            ]
+            params0, delta_zero, deltas_star = _perfect_teacher_repeat(cfg, sampler, targets, rep)
+            curves = list(_angle_curves(cfg, sampler, label, params0, delta_zero, deltas_star,
+                                        unit_rng(cfg.seed, 92, rep), None))
             risks = [[] for _ in cfg.distill]
             for n in cfg.n_grid:
                 point = _risk_point(cfg, params0, sampler, label, targets, rep, n,
@@ -746,14 +729,12 @@ def _run_risk(cfg: ExperimentConfig, threads: int, records: list) -> None:
 
 def _run_angle_dist(cfg: ExperimentConfig, threads: int, records: list) -> None:
     emit = _emitter(cfg)
-    betas = default_beta_grid(cfg.beta_points)
-    sampler, label = _perfect_teacher(cfg)
-    params0, delta_zero, memo = _perfect_teacher_init(cfg, sampler, label, 0)
-    deltas_star = _train_oracles(cfg, params0, _distilled_targets(label, cfg.distill),
-                                 sampler, unit_rng(cfg.seed, 91, 1))
-    for dp, delta_star in zip(cfg.distill, deltas_star):
-        curve = _angle_curve(cfg, memo, dp, delta_star - delta_zero, sampler,
-                             unit_rng(cfg.seed, 95), betas)
+    sampler, label, targets = _perfect_teacher(cfg)
+    params0, delta_zero, deltas_star = _perfect_teacher_repeat(cfg, sampler, targets, 0)
+    curves = _angle_curves(cfg, sampler, label, params0, delta_zero, deltas_star,
+                           unit_rng(cfg.seed, 95), default_beta_grid(cfg.beta_points))
+    # each distill point's rows are written before the next curve is computed
+    for dp, curve in zip(cfg.distill, curves):
         for beta, p in zip(curve.betas, curve.survival):
             records.extend(emit({"survival": float(p)}, rho=dp.soft_ratio,
                                 temperature=dp.temperature, beta=float(beta)))
@@ -762,10 +743,8 @@ def _run_angle_dist(cfg: ExperimentConfig, threads: int, records: list) -> None:
 def _run_zero_norm(cfg: ExperimentConfig, threads: int, records: list) -> None:
     emit = _emitter(cfg)
     [dp] = cfg.distill
-    sampler, label = _perfect_teacher(cfg)
-    params0, delta_zero, _ = _perfect_teacher_init(cfg, sampler, label, 0)
-    [delta_star] = _train_oracles(cfg, params0, _distilled_targets(label, [dp]), sampler,
-                                  unit_rng(cfg.seed, 91, 1))
+    sampler, _, targets = _perfect_teacher(cfg)
+    _, delta_zero, [delta_star] = _perfect_teacher_repeat(cfg, sampler, targets, 0)
     norm_star = float(np.linalg.norm(delta_star))
     norm_zero = float(np.linalg.norm(delta_zero))
     records.extend(emit(
@@ -797,14 +776,14 @@ def _run_hard_label_effect(cfg: ExperimentConfig, threads: int, records: list) -
     # the ground truth is itself a trained network, fit long on the base
     # task's labels; the swept teacher trains on that network's signs, and
     # its early-stopped checkpoints are the imperfect teachers
-    gt = _teacher_sources(cfg, base, recipe.seed, recipe.epochs, [recipe.epochs], None)
-    gt_ckpt = gt[max(gt)].checkpoint
-    gt_fn = lambda x: forward(gt_ckpt.config, gt_ckpt.params, x)
-    swept = _teacher_sources(
-        cfg, _SignTask(base, gt_fn), recipe.seed + 1, max(recipe.stop_epochs),
-        list(recipe.stop_epochs), gt_fn,
-    )
-    teachers = sorted((epoch, label) for epoch, label in swept.items() if epoch > 0)
+    epochs = recipe.epochs
+    gt = _teacher_checkpoints(cfg, base, recipe.seed, epochs, [epochs])[epochs]
+    gt_fn = lambda x: forward(gt.config, gt.params, x)
+    swept = _teacher_checkpoints(cfg, _SignTask(base, gt_fn), recipe.seed + 1,
+                                 max(recipe.stop_epochs), list(recipe.stop_epochs))
+    # only the swept teachers' logits are read, so they carry no ground truth
+    teachers = [(epoch, LabelSource(ckpt, recipe.reduction))
+                for epoch, ckpt in sorted(swept.items()) if epoch > 0]
 
     for rep in range(cfg.repeats):
         params0 = init_params(cfg.net, unit_rng(cfg.seed, 80, rep))
@@ -814,8 +793,8 @@ def _run_hard_label_effect(cfg: ExperimentConfig, threads: int, records: list) -
         for n in cfg.n_grid:
             x = sampler(int(n), unit_rng(cfg.seed, 82, rep, n))
             # one sweep of x gives both the initial logits and the Gram; one
-            # ground-truth evaluation gives dz_g and every teacher's hard
-            # labels (each swept teacher's ground truth is gt_fn)
+            # ground-truth evaluation gives dz_g and the hard labels y_g that
+            # every swept teacher is corrected with
             sweep = Sweep(cfg.net, params0, x)
             z0 = sweep.logits
             gram = KernelMatrix(sweep.gram())

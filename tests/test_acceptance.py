@@ -291,10 +291,17 @@ def test_criterion_6_data_inefficiency():
 
     elapsed = time.perf_counter() - start
     assert elapsed < 600
+    # each statistic's slack: the plateau's distance to the nearer end of
+    # its band, the ordered points above 0.8 * 7, the zero task's smallest
+    # gap below a mixture
+    plateau_slack = min(plateau.min() - 0.65, 0.95 - plateau.max())
+    zero_gap = min(np.min(curves[q] - zero) for q in curves)
     report(6, f"I(100) oracle exact; random-label plateau in "
-              f"[{plateau.min():.3f}, {plateau.max():.3f}]; mode ordering at "
-              f"{ordered}/{len(ns)} grid points; zero task lowest; "
-              f"{elapsed:.0f} s total")
+              f"[{plateau.min():.3f}, {plateau.max():.3f}] against [0.65, 0.95], slack "
+              f"{plateau_slack:.3f}; mode ordering at {ordered}/{len(ns)} grid points "
+              f"against 0.8*{len(ns)} = {0.8 * len(ns):.1f}, slack "
+              f"{ordered - 0.8 * len(ns):.1f}; zero task lowest, smallest gap "
+              f"{zero_gap:.3f}; {elapsed:.0f} s total")
 
 
 # ------------------------------------------------------------ criterion 7
@@ -314,9 +321,12 @@ def test_criterion_7_soft_ratio_inefficiency():
     assert np.all(curves[1.0] < curves[0.0])
     hard_mean = float(np.mean(curves[0.0]))
     assert 0.3 <= hard_mean <= 0.7
-    report(7, f"pure-soft I(n) below saturated-hard at every grid point; hard "
-              f"plateau mean {hard_mean:.3f} (Z_MAX-dependent, saturated targets "
-              f"at +/- {z_max(1.0):.0f})")
+    gap = curves[0.0] - curves[1.0]
+    report(7, f"pure-soft I(n) below saturated-hard at every grid point, smallest gap "
+              f"{gap.min():.3f} at n = {ns[np.argmin(gap)]}; hard plateau mean "
+              f"{hard_mean:.3f} against [0.3, 0.7], slack "
+              f"{min(hard_mean - 0.3, 0.7 - hard_mean):.3f} (Z_MAX-dependent, saturated "
+              f"targets at +/- {z_max(1.0):.0f})")
 
 
 # ------------------------------------------------------------ criterion 8
@@ -398,6 +408,7 @@ def test_criterion_9_risk_power_law_ordering(confident_teacher):
     ns = [8, 16, 32, 64, 128, 256]
     label = confident_teacher
     wins = 0
+    gaps = []  # slope(rho = 0.5) - slope(rho = 1) per seed; a win is a positive gap
     for seed in range(5):
         p0 = init_params(student, 100 + seed)
         slopes = {}
@@ -419,8 +430,11 @@ def test_criterion_9_risk_power_law_ordering(confident_teacher):
                 risks.append(max(est.risk, 1e-4))
             slopes[rho] = fit_power_law(ns, risks).exponent
         wins += slopes[1.0] < slopes[0.5]
+        gaps.append(slopes[0.5] - slopes[1.0])
     assert wins >= 3
-    report(9, f"pure-soft risk slope more negative than rho = 0.5 in {wins}/5 seeds")
+    report(9, f"pure-soft risk slope more negative than rho = 0.5 in {wins}/5 seeds "
+              f"against 3 (slack {wins - 3}); smallest slope gap {min(gaps):.3f} at seed "
+              f"{int(np.argmin(gaps))}")
 
 
 # ----------------------------------------------------------- criterion 10
@@ -486,8 +500,9 @@ def test_criterion_10_hard_label_sign_flip():
             crossing_above_student += cross_acc > student_acc
     assert flips >= 3
     assert crossing_above_student == flips
-    report(10, f"projection flips positive -> negative in {flips}/5 seeds, always "
-               f"after the teacher passes the pure-hard student's accuracy")
+    report(10, f"projection flips positive -> negative in {flips}/5 seeds against 3 "
+               f"(slack {flips - 3}), always after the teacher passes the pure-hard "
+               f"student's accuracy")
 
 
 # ----------------------------------------------------------- criterion 11

@@ -330,16 +330,18 @@ def test_failing_unit_keeps_the_rows_of_the_units_before_it_in_serial_runners(
 
         name, failing = "saturated_effective_logits", {"rho": "0.0", "beta": "-0.5"}
     elif kind == "angle-dist":
-        # the curve of a second distill point, rho 1
+        # the curve of a second distill point, rho 1, at its effective-logit
+        # solve on the 400 Monte Carlo inputs (the oracle chunks hold 1,024
+        # or 512 rows)
         extra = extra | {"distill": extra["distill"] + [{"soft_ratio": 1.0, "temperature": 2.0}]}
-        original = exp._angle_curve
+        original = exp.saturated_effective_logits
 
-        def injected(cfg, memo, dp, *args):
-            if dp.soft_ratio == 1.0:
+        def injected(z_t, y, dp):
+            if dp.soft_ratio == 1.0 and len(z_t) == _tiny_fig2_config(kind)["samples"]:
                 raise FloatingPointError("injected")
-            return original(cfg, memo, dp, *args)
+            return original(z_t, y, dp)
 
-        name, failing = "_angle_curve", {"rho": "1.0"}
+        name, failing = "saturated_effective_logits", {"rho": "1.0"}
     else:
         # the unit (repeat 1, n 32), by the key of its training sample's stream
         original = exp.unit_rng
@@ -558,17 +560,28 @@ def _without(data, key):
         (TINY_NTK_CHECK | {"kernel_inputs": 0}, "kernel_inputs"),
         (ORACLE_COMMON | {"experiment": "inefficiency", "n_grid": [8, 16], "extra_points": 0},
          "extra_points"),
+        (TINY_ANGLE | {"beta_points": 0}, "beta_points"),
+        (TINY_NTK_CHECK | {"norm_grid": [0.0, 10.0]}, "norm_grid"),
+        (TINY_NTK_CHECK | {"norm_grid": [-3.0]}, "norm_grid"),
+        (MINIMAL | {"z_t_grid": []}, "z_t_grid"),
+        (TINY_NTK_CHECK | {"width_grid": [], "norm_grid": []}, "width_grid"),
+        (TINY_NTK_CHECK | {"norm_grid": []}, "norm_grid"),
     ],
     ids=["repeated-n", "teacher-rate", "oracle-rate", "teacher-temperature",
          "teacher-reduction", "no-modes", "effective-logits-no-distill",
          "zero-norm-no-distill", "zero-norm-two-distill", "hard-label-no-n-grid",
-         "hard-label-no-stop-epochs", "zero-width", "no-kernel-inputs", "no-extra-points"],
+         "hard-label-no-stop-epochs", "zero-width", "no-kernel-inputs", "no-extra-points",
+         "no-beta-points", "zero-norm-grid-entry", "negative-norm", "empty-z-t-grid",
+         "empty-width-and-norm-grids", "empty-norm-grid"],
 )
 def test_validate_rejects_what_a_run_would_reject(tmp_path, capsys, data, field):
-    # each of the first six, and the last two, used to pass validate and
-    # then die mid-run with a traceback, no CSV and no manifest; a zero width
-    # crashed validate itself with a traceback; the rest used to run on what
-    # a runner filled in (a default distill point, only the first of
+    # each of the first six, and the no-kernel-inputs and no-extra-points
+    # cases, used to pass validate and then die mid-run with a traceback, no
+    # CSV and no manifest; a zero width crashed validate itself with a
+    # traceback; no beta points and the empty grids used to run to exit 0
+    # with a header-only CSV, a zero norm to a diag_ratio of inf and a
+    # negative norm to the ratio of its absolute value; the rest used to run
+    # on what a runner filled in (a default distill point, only the first of
     # several, n = 256, or the final checkpoint as the only imperfect
     # teacher)
     assert main(["validate", "--config", str(write_config(tmp_path, data))]) == 1
@@ -870,10 +883,10 @@ def test_nan_teacher_logits_exit_numerical_and_keep_manifest(tmp_path, monkeypat
 
 
 def test_monte_carlo_passes_stay_small():
-    # a risk-oracle-sized grid point and initialization memo sweep their
-    # 10,000 Monte Carlo inputs in row blocks; whole-batch sweeps of the
-    # width-128 student peaked at 61.7 and 51.4 MB, the blocks (the last
-    # one 1,808 rows) at 11.7 and 9.4 MB
+    # a risk-oracle-sized grid point and angle pass sweep their 10,000 Monte
+    # Carlo inputs in row blocks; whole-batch sweeps of the width-128
+    # student peaked at 61.7 and 51.4 MB, the row blocks at about 1.5 and
+    # 2.1 MB
     import tracemalloc
 
     import ntkdistill.experiments as exp
@@ -894,10 +907,9 @@ def test_monte_carlo_passes_stay_small():
     teacher = Checkpoint(cfg.teacher_net, 5, 0, init_params(cfg.teacher_net, 5))
     label = LabelSource(teacher, 0.3, task.target_logits)
     targets = exp._distilled_targets(label, cfg.distill)
-    params0, delta_zero, memo = exp._perfect_teacher_init(cfg, task.sample_inputs, label, 0)
+    params0, delta_zero, _ = exp._perfect_teacher_repeat(cfg, task.sample_inputs, targets, 0)
     rng = np.random.default_rng(0)
     deltas_star = [rng.normal(scale=0.01, size=params0.size) for _ in cfg.distill]
-    x_mc = task.sample_inputs(cfg.samples, rng)
 
     def peak_mb(fn):
         tracemalloc.start()
@@ -909,5 +921,6 @@ def test_monte_carlo_passes_stay_small():
 
     point = peak_mb(lambda: exp._risk_point(cfg, params0, task.sample_inputs, label, targets,
                                             0, 128, deltas_star, delta_zero))
-    init = peak_mb(lambda: memo(x_mc))
-    assert point < 16 and init < 16, (point, init)
+    angles = peak_mb(lambda: list(exp._angle_curves(
+        cfg, task.sample_inputs, label, params0, delta_zero, deltas_star, rng, None)))
+    assert point < 16 and angles < 16, (point, angles)
