@@ -17,10 +17,10 @@ inputs = rng.normal(scale=5.0, size=(16, 2))
 print("Frobenius-relative error of the empirical Gram (5 inits per width):")
 for width in (64, 256, 1024, 4096):
     cfg = NetConfig(input_dim=2, hidden_layers=3, width=width)
-    target = analytic_ntk_gram(cfg, inputs, jitter=0.0).entries
+    target = analytic_ntk_gram(cfg, inputs).entries
     errs = [
         np.linalg.norm(
-            empirical_ntk_gram(cfg, init_params(cfg, seed), inputs, jitter=0.0).entries
+            empirical_ntk_gram(cfg, init_params(cfg, seed), inputs).entries
             - target
         )
         / np.linalg.norm(target)

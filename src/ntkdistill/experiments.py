@@ -6,9 +6,9 @@ inefficiency, transfer risk and its bound, angle distributions, the
 hard-label correction sweep, and the zero-function norm check.  A run reads
 one JSON config, executes, and writes
 
-* ``<kind>.csv`` — one row per atomic measurement, fixed columns
-  (experiment, config_hash, seed, n, rho, T, epoch, q, p_flip, beta,
-  value_name, value, flag, wall_ms);
+* ``<kind>.csv`` — one row per atomic measurement, with the fields of
+  :class:`RunRecord` as its fixed columns (experiment, config_hash, seed, n,
+  rho, T, epoch, q, p_flip, beta, value_name, value, flag, wall_ms);
 * ``<kind>_manifest.json`` — the fully resolved config, root seed, library
   version, and completion state, from which every CSV number can be
   regenerated.
@@ -16,8 +16,10 @@ one JSON config, executes, and writes
 Two columns carry sweep coordinates that vary by experiment: ``n`` holds
 the integer coordinate (sample size; network width for ntk-check) and
 ``beta`` the continuous one (angle for angle-dist, teacher logit for
-effective-logits, input norm for the ntk-check diagonal rows).  Reruns with
-the same config and seed are byte-identical except for wall_ms.
+effective-logits, input norm for the ntk-check diagonal rows).  ``rho`` and
+``T`` hold the row's distill point, and ``flag`` the ``;``-joined names of the
+conditions a value carries (``unreliable``, ``saturated``).  Reruns with the
+same config and seed are byte-identical except for wall_ms.
 
 The ``seed`` column means one of three things: the root seed on most rows;
 the derived seed that initialized the network on ntk-check's per-repeat
@@ -34,7 +36,8 @@ moves other rows.
 Each runner is a thin composition of private pieces:
 
 * ``_emitter`` — the row emitter and the run's one clock: fills experiment,
-  config hash, the default seed and ``wall_ms`` of every record;
+  config hash, the default seed and ``wall_ms`` of every record, and ``rho``
+  and ``T`` from the distill point it is given;
 * ``_teacher_checkpoints`` — the one teacher training, returned as
   ``{epoch: Checkpoint}``; each runner wraps only what it reads (the perfect
   teacher as a :class:`~ntkdistill.tasks.LabelSource`, hard-label-effect's
@@ -107,23 +110,6 @@ from .network import (
 )
 from .tasks import INPUT_SCALE, LabelSource, Task, TaskSpec
 
-CSV_COLUMNS = (
-    "experiment",
-    "config_hash",
-    "seed",
-    "n",
-    "rho",
-    "T",
-    "epoch",
-    "q",
-    "p_flip",
-    "beta",
-    "value_name",
-    "value",
-    "flag",
-    "wall_ms",
-)
-
 # work estimate (estimate_cost) above which validate() warns; roughly a
 # laptop-hour
 COST_BUDGET = 5e12
@@ -133,47 +119,37 @@ class ConfigError(ValueError):
     """Config file failed to parse or validate; message names the field."""
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunRecord:
+    """One CSV row; the fields, in order, are the columns."""
+
     experiment: str
     config_hash: str
     seed: int | None
-    value_name: str
-    value: float
     n: int | None = None
     rho: float | None = None
-    temperature: float | None = None
+    T: float | None = None
     epoch: int | None = None
     q: int | None = None
     p_flip: float | None = None
     beta: float | None = None
+    value_name: str
+    value: float
     flag: str = ""
     wall_ms: float = 0.0
 
     def row(self) -> list[str]:
-        def cell(v):
-            if v is None:
-                return ""
-            if isinstance(v, float):
+        def cell(name, v):
+            if name == "wall_ms":
+                return repr(round(float(v), 3))
+            if name == "value" or isinstance(v, float):
                 return repr(float(v))
-            return str(v)
+            return "" if v is None else str(v)
 
-        return [
-            self.experiment,
-            self.config_hash,
-            cell(self.seed),
-            cell(self.n),
-            cell(self.rho),
-            cell(self.temperature),
-            cell(self.epoch),
-            cell(self.q),
-            cell(self.p_flip),
-            cell(self.beta),
-            self.value_name,
-            repr(float(self.value)),
-            self.flag,
-            repr(round(float(self.wall_ms), 3)),
-        ]
+        return [cell(name, getattr(self, name)) for name in CSV_COLUMNS]
+
+
+CSV_COLUMNS = tuple(RunRecord.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
@@ -309,6 +285,12 @@ def _validate_fields(cfg: ExperimentConfig) -> None:
         ("repeats: must be >= 1", cfg.repeats >= 1),
         ("n_grid: entries must be >= 1", all(n >= 1 for n in cfg.n_grid)),
         ("n_grid: must be strictly increasing", list(cfg.n_grid) == sorted(set(cfg.n_grid))),
+        # risk_slope fits a power law to the whole grid
+        ("n_grid: risk takes at least 3 points",
+         cfg.experiment != "risk" or len(cfg.n_grid) >= 3),
+        ("teacher.stop_epochs: entries must be >= 1", all(e >= 1 for e in cfg.teacher.stop_epochs)),
+        ("teacher.stop_epochs: must be strictly increasing",
+         list(cfg.teacher.stop_epochs) == sorted(set(cfg.teacher.stop_epochs))),
         ("samples: must be >= 1", cfg.samples >= 1),
         ("beta_points: must be >= 1", cfg.beta_points >= 1),
         ("z_t_grid: must not be empty", len(cfg.z_t_grid) > 0),
@@ -432,25 +414,28 @@ def _pmap(fn, items, threads: int):
 def _emitter(cfg: ExperimentConfig):
     """The row emitter of one run, whose clock starts when it is made.
 
-    ``emit({value_name: value, ...}, **coords)`` returns one RunRecord per
-    pair, all sharing ``coords``; it fills the experiment and the config hash,
-    and the root seed unless ``coords`` names a ``seed``.  Each call stamps
-    its rows with the wall time since the previous call, split evenly over
-    them; worker threads share the clock under a lock.
+    ``emit({value_name: value, ...}, dp, **coords)`` returns one RunRecord
+    per pair, all sharing ``coords``; it fills the experiment and the config
+    hash, the root seed unless ``coords`` names a ``seed``, and ``rho`` and
+    ``T`` from the distill point ``dp`` (left empty without one).  Each call
+    stamps its rows with the wall time since the previous call, split evenly
+    over them; worker threads share the clock under a lock.
     """
     h = cfg.hash()
     lock = threading.Lock()
     last = time.perf_counter()
 
-    def emit(values: dict, **coords) -> list[RunRecord]:
+    def emit(values: dict, dp: DistillParams | None = None, **coords) -> list[RunRecord]:
         nonlocal last
         coords.setdefault("seed", cfg.seed)
+        if dp is not None:
+            coords.update(rho=dp.soft_ratio, T=dp.temperature)
         with lock:
             now = time.perf_counter()
             wall_ms = (now - last) * 1e3 / len(values)
             last = now
-        return [RunRecord(cfg.experiment, h, value_name=name, value=value, wall_ms=wall_ms,
-                          **coords)
+        return [RunRecord(experiment=cfg.experiment, config_hash=h, value_name=name,
+                          value=value, wall_ms=wall_ms, **coords)
                 for name, value in values.items()]
 
     return emit
@@ -498,11 +483,8 @@ def _run_effective_logits(cfg: ExperimentConfig, threads: int, records: list) ->
         for z_t in cfg.z_t_grid:
             for y_g in (0.0, 1.0):
                 val, sat = saturated_effective_logits(z_t, y_g, dp)
-                records.extend(emit(
-                    {f"z_s_eff_y{int(y_g)}": float(val)},
-                    rho=dp.soft_ratio, temperature=dp.temperature, beta=float(z_t),
-                    flag="saturated" if sat else "",
-                ))
+                records.extend(emit({f"z_s_eff_y{int(y_g)}": float(val)}, dp, beta=float(z_t),
+                                    flag="saturated" if sat else ""))
 
 
 def _run_ntk_check(cfg: ExperimentConfig, threads: int, records: list) -> None:
@@ -510,7 +492,7 @@ def _run_ntk_check(cfg: ExperimentConfig, threads: int, records: list) -> None:
     x = unit_rng(cfg.seed, 0).normal(scale=INPUT_SCALE,
                                      size=(cfg.kernel_inputs, cfg.net.input_dim))
     # the analytic Gram reads the depth and the input dimension, not the width
-    target = analytic_ntk_gram(cfg.net, x, jitter=0.0).entries
+    target = analytic_ntk_gram(cfg.net, x).entries
     target_norm = np.linalg.norm(target)
     # each worker thread draws its units' parameters into one buffer (269 MB
     # at width 4096), grown to the largest p so far; the smaller buffer is
@@ -528,7 +510,7 @@ def _run_ntk_check(cfg: ExperimentConfig, threads: int, records: list) -> None:
         width, rep = width_rep
         net = replace(cfg.net, width=width)
         seed = int(unit_rng(cfg.seed, 1, width, rep).integers(2**63))
-        gram = empirical_ntk_gram(net, params_of(net, seed), x, jitter=0.0).entries
+        gram = empirical_ntk_gram(net, params_of(net, seed), x).entries
         err = float(np.linalg.norm(gram - target) / target_norm)
         return emit({"frob_rel_err": err}, seed=seed, n=width)
 
@@ -578,18 +560,18 @@ def _run_inefficiency(cfg: ExperimentConfig, threads: int, records: list) -> Non
             extra_points=cfg.extra_points,
         )
         is_mix = task_spec.kind in ("mixture", "flipped-mixture")
-        saturated = ";saturated" if dp is not None and dp.soft_ratio == 0.0 else ""
+        saturated = "saturated" if dp is not None and dp.soft_ratio == 0.0 else ""
         out = []
         for j, n in enumerate(curve.ns):
             out.extend(emit(
                 {"inefficiency": float(curve.inefficiency[j]),
                  "log_mean_norm": float(curve.log_mean_norm[j])},
+                dp,
                 n=int(n),
-                rho=dp.soft_ratio if dp else None,
-                temperature=dp.temperature if dp else None,
                 q=task_spec.modes if is_mix else None,
                 p_flip=task_spec.p_flip if task_spec.kind == "flipped-mixture" else None,
-                flag=("unreliable" if curve.unreliable[j] else "") + saturated,
+                flag=";".join(filter(None, ("unreliable" if curve.unreliable[j] else "",
+                                            saturated))),
             ))
         return out
 
@@ -716,13 +698,11 @@ def _run_risk(cfg: ExperimentConfig, threads: int, records: list) -> None:
                     rows[d][rep].extend(emit(
                         {"empirical_risk": est.risk, "risk_std_error": est.std_error,
                          "risk_bound": risk_bound(curve, a_n), "alpha_n": a_n},
-                        seed=rep, n=int(n), rho=dp.soft_ratio, temperature=dp.temperature,
-                    ))
+                        dp, seed=rep, n=int(n)))
                     risks[d].append(max(est.risk, 1.0 / cfg.samples))
             for d, dp in enumerate(cfg.distill):
                 fit = fit_power_law(cfg.n_grid, risks[d])
-                rows[d][rep].extend(emit({"risk_slope": fit.exponent}, seed=rep,
-                                         rho=dp.soft_ratio, temperature=dp.temperature))
+                rows[d][rep].extend(emit({"risk_slope": fit.exponent}, dp, seed=rep))
     finally:
         records.extend(row for per_dp in rows for per_rep in per_dp for row in per_rep)
 
@@ -736,8 +716,7 @@ def _run_angle_dist(cfg: ExperimentConfig, threads: int, records: list) -> None:
     # each distill point's rows are written before the next curve is computed
     for dp, curve in zip(cfg.distill, curves):
         for beta, p in zip(curve.betas, curve.survival):
-            records.extend(emit({"survival": float(p)}, rho=dp.soft_ratio,
-                                temperature=dp.temperature, beta=float(beta)))
+            records.extend(emit({"survival": float(p)}, dp, beta=float(beta)))
 
 
 def _run_zero_norm(cfg: ExperimentConfig, threads: int, records: list) -> None:
@@ -747,10 +726,8 @@ def _run_zero_norm(cfg: ExperimentConfig, threads: int, records: list) -> None:
     _, delta_zero, [delta_star] = _perfect_teacher_repeat(cfg, sampler, targets, 0)
     norm_star = float(np.linalg.norm(delta_star))
     norm_zero = float(np.linalg.norm(delta_zero))
-    records.extend(emit(
-        {"norm_oracle": norm_star, "norm_zero": norm_zero, "norm_ratio": norm_zero / norm_star},
-        rho=dp.soft_ratio, temperature=dp.temperature,
-    ))
+    records.extend(emit({"norm_oracle": norm_star, "norm_zero": norm_zero,
+                         "norm_ratio": norm_zero / norm_star}, dp))
 
 
 class _SignTask:
@@ -810,8 +787,7 @@ def _run_hard_label_effect(cfg: ExperimentConfig, threads: int, records: list) -
                 records.extend(emit(
                     {"projection": proj, "derivative": deriv,
                      "projection_sign": float(np.sign(proj))},
-                    seed=rep, n=int(n), temperature=temp, epoch=epoch,
-                ))
+                    seed=rep, n=int(n), T=temp, epoch=epoch))
 
 
 _RUNNERS = {

@@ -103,9 +103,7 @@ def analytic_ntk_diag(cfg: NetConfig, x: np.ndarray) -> np.ndarray:
     return _arc_cosine(cfg, s, np.empty((4, len(s))))[0]
 
 
-def analytic_ntk_gram(
-    cfg: NetConfig, x: np.ndarray, jitter: float | None = None
-) -> KernelMatrix:
+def analytic_ntk_gram(cfg: NetConfig, x: np.ndarray) -> KernelMatrix:
     """Entrywise analytic kernel over a batch of inputs, built in tiles."""
     batch = as_batch(cfg, x)
     s = (batch @ batch.T) / cfg.input_dim + 1.0
@@ -130,15 +128,13 @@ def analytic_ntk_gram(
         gram[i0:i1, i0:] = k
         gram[i0:, i0:i1] = k.T
         i0 = i1
-    return KernelMatrix(gram, jitter=jitter)
+    return KernelMatrix(gram)
 
 
-def empirical_ntk_gram(
-    cfg: NetConfig, params: np.ndarray, x: np.ndarray, jitter: float | None = None
-) -> KernelMatrix:
+def empirical_ntk_gram(cfg: NetConfig, params: np.ndarray, x: np.ndarray) -> KernelMatrix:
     """Finite-width tangent Gram phi(X) phi(X)^T, without explicit features
     (:meth:`~ntkdistill.network.Sweep.gram` of one sweep of ``x``)."""
-    return KernelMatrix(Sweep(cfg, params, as_batch(cfg, x)).gram(), jitter=jitter)
+    return KernelMatrix(Sweep(cfg, params, as_batch(cfg, x)).gram())
 
 
 def empirical_ntk_diag(cfg: NetConfig, params: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -199,10 +199,10 @@ def test_criterion_4_kernel_correctness():
     errs = []
     for width in (64, 256, 1024, 4096):
         cfg = NetConfig(2, 3, width)
-        target = analytic_ntk_gram(cfg, xs, jitter=0.0).entries
+        target = analytic_ntk_gram(cfg, xs).entries
         per_seed = [
             np.linalg.norm(
-                empirical_ntk_gram(cfg, init_params(cfg, seed), xs, jitter=0.0).entries
+                empirical_ntk_gram(cfg, init_params(cfg, seed), xs).entries
                 - target
             )
             / np.linalg.norm(target)

@@ -230,23 +230,6 @@ def test_ntk_check_smoke_is_byte_identical_at_one_and_two_threads(tmp_path, monk
             assert thread == other or not np.shares_memory(out, other_out)
 
 
-def test_ntk_check_grid_extension_keeps_every_old_row(tmp_path):
-    # each frob_rel_err row is keyed by its (width, repeat) and each
-    # diag_ratio row by its norm, so inserting a width and a norm moves no
-    # other row; only the config hash differs
-    from test_pipeline import SMOKE_CASES, _tiny_fig2_config
-
-    data = _tiny_fig2_config("ntk-check", **SMOKE_CASES["ntk-check"])
-    assert data["width_grid"] == [16, 64] and data["norm_grid"] == [10.0, 50.0]
-    wider = data | {"width_grid": [16, 32, 64], "norm_grid": [10.0, 30.0, 50.0]}
-    _, old = run(write_config(tmp_path, data, "old.json"), out_dir=tmp_path / "old")
-    _, new = run(write_config(tmp_path, wider, "new.json"), out_dir=tmp_path / "new")
-    without_hash = lambda rows: [{k: v for k, v in r.items() if k != "config_hash"}
-                                 for r in rows]
-    kept = [r for r in rows_without_wall_ms(new[0]) if r["n"] != "32" and r["beta"] != "30.0"]
-    assert without_hash(kept) == without_hash(rows_without_wall_ms(old[0]))
-
-
 def _assert_failing_unit_keeps_earlier_rows(tmp_path, data, inject, threads=1):
     """Run ``data`` whole, then again after ``inject(full_rows)`` has made
     one unit fail and returned the index of that unit's first row: the
@@ -438,9 +421,8 @@ def test_partial_failure_keeps_completed_rows(tmp_path, monkeypatch):
     from ntkdistill.linalg import SingularKernelError
 
     def exploding(cfg, threads, records):
-        records.append(
-            exp.RunRecord(cfg.experiment, cfg.hash(), cfg.seed, "before_crash", 1.0)
-        )
+        records.append(exp.RunRecord(experiment=cfg.experiment, config_hash=cfg.hash(),
+                                     seed=cfg.seed, value_name="before_crash", value=1.0))
         raise SingularKernelError("synthetic failure")
 
     monkeypatch.setitem(exp._RUNNERS, "effective-logits", exploding)
@@ -566,13 +548,19 @@ def _without(data, key):
         (MINIMAL | {"z_t_grid": []}, "z_t_grid"),
         (TINY_NTK_CHECK | {"width_grid": [], "norm_grid": []}, "width_grid"),
         (TINY_NTK_CHECK | {"norm_grid": []}, "norm_grid"),
+        (TINY_RISK | {"n_grid": [4, 8]}, "n_grid"),
+        (TINY_HARD_LABEL | {"teacher": TINY_HARD_LABEL["teacher"] | {"stop_epochs": [0]}},
+         "teacher.stop_epochs"),
+        (TINY_HARD_LABEL | {"teacher": TINY_HARD_LABEL["teacher"] | {"stop_epochs": [-4, 16]}},
+         "teacher.stop_epochs"),
     ],
     ids=["repeated-n", "teacher-rate", "oracle-rate", "teacher-temperature",
          "teacher-reduction", "no-modes", "effective-logits-no-distill",
          "zero-norm-no-distill", "zero-norm-two-distill", "hard-label-no-n-grid",
          "hard-label-no-stop-epochs", "zero-width", "no-kernel-inputs", "no-extra-points",
          "no-beta-points", "zero-norm-grid-entry", "negative-norm", "empty-z-t-grid",
-         "empty-width-and-norm-grids", "empty-norm-grid"],
+         "empty-width-and-norm-grids", "empty-norm-grid", "risk-two-n", "stop-epoch-zero",
+         "negative-stop-epoch"],
 )
 def test_validate_rejects_what_a_run_would_reject(tmp_path, capsys, data, field):
     # each of the first six, and the no-kernel-inputs and no-extra-points
@@ -583,7 +571,9 @@ def test_validate_rejects_what_a_run_would_reject(tmp_path, capsys, data, field)
     # negative norm to the ratio of its absolute value; the rest used to run
     # on what a runner filled in (a default distill point, only the first of
     # several, n = 256, or the final checkpoint as the only imperfect
-    # teacher)
+    # teacher); a two-point risk grid trained the teacher and the oracles
+    # and then died in the power-law fit with a traceback, a stop epoch of 0
+    # ran to a header-only CSV and a negative one was dropped unsaid
     assert main(["validate", "--config", str(write_config(tmp_path, data))]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
@@ -901,7 +891,7 @@ def test_monte_carlo_passes_stay_small():
         "oracle": {"epochs": 1, "batch_size": 128},
         "distill": [{"soft_ratio": 1.0, "temperature": 10.0},
                     {"soft_ratio": 0.5, "temperature": 10.0}],
-        "n_grid": [128], "repeats": 1, "samples": 10_000,
+        "n_grid": [32, 64, 128], "repeats": 1, "samples": 10_000,
     })
     task = Task(cfg.tasks[0])
     teacher = Checkpoint(cfg.teacher_net, 5, 0, init_params(cfg.teacher_net, 5))

@@ -41,7 +41,7 @@ def analytic_ntk(cfg, x, y):
 
 
 def pair_gram(cfg, x, y):
-    return analytic_ntk_gram(cfg, np.stack([x, y]), jitter=0.0).entries
+    return analytic_ntk_gram(cfg, np.stack([x, y])).entries
 
 
 def test_base_covariance_hand_case():
@@ -107,7 +107,7 @@ def test_gram_matches_scalar_and_permutes():
     cfg = NetConfig(2, 2, 4)
     rng = np.random.default_rng(4)
     xs = rng.normal(scale=4.0, size=(5, 2))
-    gram = analytic_ntk_gram(cfg, xs, jitter=0.0)
+    gram = analytic_ntk_gram(cfg, xs)
     for i in range(5):
         for j in range(5):
             assert gram.entries[i, j] == pytest.approx(
@@ -117,7 +117,7 @@ def test_gram_matches_scalar_and_permutes():
     for i in range(5):
         assert diag[i] == pytest.approx(analytic_ntk(cfg, xs[i], xs[i].copy()), abs=1e-12)
     perm = [3, 1, 4, 0, 2]
-    gram_p = analytic_ntk_gram(cfg, xs[perm], jitter=0.0)
+    gram_p = analytic_ntk_gram(cfg, xs[perm])
     assert np.allclose(gram_p.entries, gram.entries[np.ix_(perm, perm)], atol=1e-12)
 
 
@@ -166,7 +166,7 @@ def test_gram_bitwise_equals_full_matrix_recursion(d, n, scale, tile_entries, ze
     xs = np.random.default_rng(100 * d + n).normal(scale=scale, size=(n, d))
     if zero_row:
         xs[n // 2] = 0.0
-    gram = analytic_ntk_gram(cfg, xs, jitter=0.0).entries
+    gram = analytic_ntk_gram(cfg, xs).entries
     assert np.array_equal(gram, _full_matrix_gram(cfg, xs))
     assert np.array_equal(gram, gram.T)
 
@@ -174,7 +174,7 @@ def test_gram_bitwise_equals_full_matrix_recursion(d, n, scale, tile_entries, ze
 def test_gram_single_input():
     cfg = NetConfig(2, 2, 4)
     x = np.array([[0.5, -1.0]])
-    gram = analytic_ntk_gram(cfg, x, jitter=0.0)
+    gram = analytic_ntk_gram(cfg, x)
     assert gram.entries.shape == (1, 1)
     assert gram.entries[0, 0] == pytest.approx(analytic_ntk(cfg, x[0], x[0].copy()))
 
@@ -196,7 +196,7 @@ def test_empirical_gram_equals_explicit_features():
     xs = rng.normal(scale=5.0, size=(7, 2))
     sweep = Sweep(cfg, p, xs)
     f = np.stack([sweep.vjp(unit) for unit in np.eye(len(xs))])
-    layerwise = empirical_ntk_gram(cfg, p, xs, jitter=0.0)
+    layerwise = empirical_ntk_gram(cfg, p, xs)
     assert np.allclose(f @ f.T, layerwise.entries, atol=1e-10)
     assert np.allclose(
         empirical_ntk_diag(cfg, p, xs), np.diag(layerwise.entries), atol=1e-10
@@ -230,10 +230,10 @@ def test_width_convergence_to_analytic():
     errs = []
     for width in (64, 256, 1024, 4096):
         cfg = NetConfig(2, 3, width)
-        target = analytic_ntk_gram(cfg, xs, jitter=0.0).entries
+        target = analytic_ntk_gram(cfg, xs).entries
         rel = []
         for seed in range(5):
-            g = empirical_ntk_gram(cfg, init_params(cfg, seed), xs, jitter=0.0).entries
+            g = empirical_ntk_gram(cfg, init_params(cfg, seed), xs).entries
             rel.append(np.linalg.norm(g - target) / np.linalg.norm(target))
         errs.append(np.mean(rel))
     assert all(np.diff(errs) < 0)
