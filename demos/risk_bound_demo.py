@@ -68,6 +68,5 @@ for i, n in enumerate(ns):
     print(f"  {n:4d}   {risk_table[1.0][i]:7.4f}   {risk_table[0.5][i]:7.4f}")
 
 for rho, risks in risk_table.items():
-    fit = fit_power_law(ns, risks)
-    print(f"power-law slope at rho={rho}: {fit.exponent:+.3f}")
+    print(f"power-law slope at rho={rho}: {fit_power_law(ns, risks):+.3f}")
 print("The pure-soft slope is the steeper (more negative) of the two.")

@@ -67,9 +67,7 @@ from .network import (
     feature_dot,
     forward,
     init_params,
-    load_checkpoint,
     param_count,
-    save_checkpoint,
     train_linearized,
     train_teacher,
     weighted_feature_sum,

@@ -167,6 +167,8 @@ class TeacherRecipe:
     def __post_init__(self):
         # a bad schedule or label scale fails the config, not the run
         self.train_config(self.epochs)
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError("seed must be an integer >= 0")
         if not self.temperature > 0:
             raise ValueError("temperature must be positive")
         if not self.reduction > 0:
@@ -243,8 +245,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(
             f"experiment: got {kind!r}, expected one of {', '.join(EXPERIMENT_KINDS)}"
         )
-    if "seed" not in data or not isinstance(data["seed"], int):
-        raise ConfigError("seed: required integer")
+    if not isinstance(data.get("seed"), int) or data["seed"] < 0:
+        raise ConfigError("seed: required integer >= 0")
     if "net" not in data:
         raise ConfigError("net: required")
 
@@ -701,8 +703,8 @@ def _run_risk(cfg: ExperimentConfig, threads: int, records: list) -> None:
                         dp, seed=rep, n=int(n)))
                     risks[d].append(max(est.risk, 1.0 / cfg.samples))
             for d, dp in enumerate(cfg.distill):
-                fit = fit_power_law(cfg.n_grid, risks[d])
-                rows[d][rep].extend(emit({"risk_slope": fit.exponent}, dp, seed=rep))
+                slope = fit_power_law(cfg.n_grid, risks[d])
+                rows[d][rep].extend(emit({"risk_slope": slope}, dp, seed=rep))
     finally:
         records.extend(row for per_dp in rows for per_rep in per_dp for row in per_rep)
 
@@ -783,7 +785,7 @@ def _run_hard_label_effect(cfg: ExperimentConfig, threads: int, records: list) -
                 dz_t = z_t - z0
                 dz_h = correction_logit(z_t, y_g, temp)
                 proj = correction_projection(gram, dz_g, dz_t, dz_h)
-                deriv = hard_label_derivative(gram, dz_g, dz_t, dz_h, norm_wg)
+                deriv = hard_label_derivative(gram, dz_t, proj, norm_wg)
                 records.extend(emit(
                     {"projection": proj, "derivative": deriv,
                      "projection_sign": float(np.sign(proj))},
@@ -819,6 +821,8 @@ def run(
 
     cfg = load_config(config_path)
     if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {seed}")
         cfg.seed = int(seed)
     out = out_dir or cfg.out
     os.makedirs(out, exist_ok=True)

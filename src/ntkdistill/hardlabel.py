@@ -56,21 +56,17 @@ def correction_projection(
 
 
 def hard_label_derivative(
-    kernel: KernelMatrix,
-    dz_g: np.ndarray,
-    dz_t: np.ndarray,
-    dz_h: np.ndarray,
-    norm_wg: float,
+    kernel: KernelMatrix, dz_t: np.ndarray, projection: float, norm_wg: float
 ) -> float:
     """Derivative of cos_alpha_g with respect to the hard ratio at rho = 1,
 
-        correction_projection / (|dw_g| sqrt(<dz_t, dz_t>)),
+        projection / (|dw_g| sqrt(<dz_t, dz_t>)),
 
-    where dz_h holds the per-sample correction logits.
+    with ``projection`` the teacher's correction_projection.
     """
     if not norm_wg > 0:
         raise ValueError("norm_wg must be positive")
     t_t = kernel_inner(kernel, dz_t, dz_t)
     if t_t <= 0:
         raise DegenerateVectorError("teacher logit delta has zero kernel norm")
-    return correction_projection(kernel, dz_g, dz_t, dz_h) / (norm_wg * np.sqrt(t_t))
+    return projection / (norm_wg * np.sqrt(t_t))

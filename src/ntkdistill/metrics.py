@@ -164,7 +164,6 @@ class AngleCurve:
 
     betas: np.ndarray
     survival: np.ndarray
-    n_samples: int
     half_width: np.ndarray  # 95% normal-approximation half-widths
 
     def __post_init__(self):
@@ -206,7 +205,6 @@ def angle_distribution(
     return AngleCurve(
         betas=np.asarray(betas, dtype=float),
         survival=survival,
-        n_samples=n_samples,
         half_width=half_width,
     )
 
@@ -230,7 +228,6 @@ class RiskEstimate:
 
     risk: float
     tie_rate: float
-    n_samples: int
     std_error: float
 
 
@@ -249,30 +246,17 @@ def empirical_risk(
     return RiskEstimate(
         risk=risk,
         tie_rate=float(np.mean(ties)),
-        n_samples=n_samples,
         std_error=float(np.sqrt(risk * (1 - risk) / n_samples)),
     )
 
 
-@dataclass
-class PowerLawFit:
-    exponent: float
-    intercept: float
-    residual: float  # RMS residual in log-log space
-
-
-def fit_power_law(ns, values) -> PowerLawFit:
-    """Least-squares line on (ln n, ln value)."""
+def fit_power_law(ns, values) -> float:
+    """Exponent of the least-squares line on (ln n, ln value)."""
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(ns) < 3:
         raise ValueError("need at least 3 points for a power-law fit")
     if np.any(ns <= 0) or np.any(values <= 0):
         raise ValueError("power-law fit needs positive sizes and values")
-    slope, intercept = np.polyfit(np.log(ns), np.log(values), 1)
-    resid = np.log(values) - (slope * np.log(ns) + intercept)
-    return PowerLawFit(
-        exponent=float(slope),
-        intercept=float(intercept),
-        residual=float(np.sqrt(np.mean(resid**2))),
-    )
+    slope, _ = np.polyfit(np.log(ns), np.log(values), 1)
+    return float(slope)

@@ -113,8 +113,6 @@ from scipy.special import expit
 
 from .distillation import DistillParams, loss_gradient
 
-CHECKPOINT_FORMAT_VERSION = 2
-
 # rows per sweep of a blocked batch evaluation (see row_blocks, and the
 # module docstring for why 128)
 _BLOCK_ROWS = 128
@@ -410,51 +408,11 @@ class _Adam:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """A parameter snapshot with enough context to reproduce it."""
+    """A network's parameters at one epoch of its training."""
 
     config: NetConfig
-    seed: int
     epoch: int
     params: np.ndarray
-
-
-def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write a versioned .npz container (see load_checkpoint for the layout)."""
-    cfg = ckpt.config
-    np.savez(
-        path,
-        format_version=CHECKPOINT_FORMAT_VERSION,
-        input_dim=cfg.input_dim,
-        hidden_layers=cfg.hidden_layers,
-        width=cfg.width,
-        seed=ckpt.seed,
-        epoch=ckpt.epoch,
-        params=ckpt.params,
-    )
-
-
-def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint written by save_checkpoint.
-
-    Layout (npz arrays): format_version, input_dim, hidden_layers, width,
-    seed, epoch, params (flat float64 vector in the layer-major order
-    documented at module top).
-    """
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version {version}")
-        cfg = NetConfig(
-            input_dim=int(data["input_dim"]),
-            hidden_layers=int(data["hidden_layers"]),
-            width=int(data["width"]),
-        )
-        return Checkpoint(
-            config=cfg,
-            seed=int(data["seed"]),
-            epoch=int(data["epoch"]),
-            params=np.array(data["params"]),
-        )
 
 
 def train_teacher(
@@ -476,7 +434,7 @@ def train_teacher(
 
     wanted = {e for e in checkpoint_epochs if 0 < e <= train_cfg.epochs}
 
-    checkpoints = [Checkpoint(cfg, seed, 0, params.copy())]
+    checkpoints = [Checkpoint(cfg, 0, params.copy())]
     adam = _Adam(params.size, train_cfg)
     for epoch in range(1, train_cfg.epochs + 1):
         x = task.sample_inputs(train_cfg.batch_size, data_rng)
@@ -489,7 +447,7 @@ def train_teacher(
         coeffs = (expit(sweep.logits) - y) / len(y)
         params = adam.step(params, sweep.vjp(coeffs))
         if epoch in wanted:
-            checkpoints.append(Checkpoint(cfg, seed, epoch, params.copy()))
+            checkpoints.append(Checkpoint(cfg, epoch, params.copy()))
     return checkpoints
 
 

@@ -151,7 +151,10 @@ def test_criterion_3_hard_label_derivative_numerics():
         dz_g = rng.normal(scale=2.0, size=n)
         temp = float(rng.choice([1.0, 2.0]))
         norm = np.sqrt(kernel_inner(k, dz_g, dz_g)) * 1.5
-        deriv = hard_label_derivative(k, dz_g, z_t, correction_logit(z_t, y, temp), norm)
+        # the derivative is the projection rescaled, so the finite
+        # difference checks both, and the projection's sign with them
+        proj = correction_projection(k, dz_g, z_t, correction_logit(z_t, y, temp))
+        deriv = hard_label_derivative(k, z_t, proj, norm)
         hi = cos_alpha_g(
             k, dz_g,
             np.array([_solve_root(z, yy, 1 - h, temp) for z, yy in zip(z_t, y)]), norm,
@@ -164,6 +167,7 @@ def test_criterion_3_hard_label_derivative_numerics():
         if abs(fd) < 1e-6:
             continue
         worst = max(worst, abs(deriv - fd) / abs(fd))
+        assert np.sign(proj) == np.sign(fd)
         checked += 1
     assert checked >= 50
     assert worst <= 0.01
@@ -428,7 +432,7 @@ def test_criterion_9_risk_power_law_ordering(confident_teacher):
                     rng,
                 )
                 risks.append(max(est.risk, 1e-4))
-            slopes[rho] = fit_power_law(ns, risks).exponent
+            slopes[rho] = fit_power_law(ns, risks)
         wins += slopes[1.0] < slopes[0.5]
         gaps.append(slopes[0.5] - slopes[1.0])
     assert wins >= 3

@@ -553,6 +553,11 @@ def _without(data, key):
          "teacher.stop_epochs"),
         (TINY_HARD_LABEL | {"teacher": TINY_HARD_LABEL["teacher"] | {"stop_epochs": [-4, 16]}},
          "teacher.stop_epochs"),
+        (MINIMAL | {"seed": -3}, "seed"),
+        (TINY_RISK | {"tasks": [TINY_RISK["tasks"][0] | {"seed": -1}]}, "tasks[0]"),
+        (_with_teacher(seed=-1), "teacher"),
+        (TINY_RISK | {"tasks": [TINY_RISK["tasks"][0] | {"seed": 1.5}]}, "tasks[0]"),
+        (_with_teacher(seed=2.5), "teacher"),
     ],
     ids=["repeated-n", "teacher-rate", "oracle-rate", "teacher-temperature",
          "teacher-reduction", "no-modes", "effective-logits-no-distill",
@@ -560,7 +565,8 @@ def _without(data, key):
          "hard-label-no-stop-epochs", "zero-width", "no-kernel-inputs", "no-extra-points",
          "no-beta-points", "zero-norm-grid-entry", "negative-norm", "empty-z-t-grid",
          "empty-width-and-norm-grids", "empty-norm-grid", "risk-two-n", "stop-epoch-zero",
-         "negative-stop-epoch"],
+         "negative-stop-epoch", "negative-root-seed", "negative-task-seed",
+         "negative-teacher-seed", "fractional-task-seed", "fractional-teacher-seed"],
 )
 def test_validate_rejects_what_a_run_would_reject(tmp_path, capsys, data, field):
     # each of the first six, and the no-kernel-inputs and no-extra-points
@@ -573,9 +579,22 @@ def test_validate_rejects_what_a_run_would_reject(tmp_path, capsys, data, field)
     # several, n = 256, or the final checkpoint as the only imperfect
     # teacher); a two-point risk grid trained the teacher and the oracles
     # and then died in the power-law fit with a traceback, a stop epoch of 0
-    # ran to a header-only CSV and a negative one was dropped unsaid
+    # ran to a header-only CSV and a negative one was dropped unsaid; a
+    # negative root, task or teacher seed, or a fractional task or teacher
+    # seed, died in SeedSequence with a traceback and an empty output
+    # directory
     assert main(["validate", "--config", str(write_config(tmp_path, data))]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
+    # --seed -1 used to die in SeedSequence with a traceback, after the
+    # output directory was made
+    path = write_config(tmp_path, MINIMAL)
+    assert main(["effective-logits", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("config error: seed: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -894,7 +913,7 @@ def test_monte_carlo_passes_stay_small():
         "n_grid": [32, 64, 128], "repeats": 1, "samples": 10_000,
     })
     task = Task(cfg.tasks[0])
-    teacher = Checkpoint(cfg.teacher_net, 5, 0, init_params(cfg.teacher_net, 5))
+    teacher = Checkpoint(cfg.teacher_net, 0, init_params(cfg.teacher_net, 5))
     label = LabelSource(teacher, 0.3, task.target_logits)
     targets = exp._distilled_targets(label, cfg.distill)
     params0, delta_zero, _ = exp._perfect_teacher_repeat(cfg, task.sample_inputs, targets, 0)

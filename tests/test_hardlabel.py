@@ -62,8 +62,9 @@ def test_projection_perfect_teacher_vanishes():
     k = random_kernel(5, rng)
     dz_g = rng.normal(size=5)
     dz_h = rng.normal(size=5)
-    assert correction_projection(k, dz_g, dz_g, dz_h) == pytest.approx(0.0, abs=1e-9)
-    assert hard_label_derivative(k, dz_g, dz_g, dz_h, 2.0) == pytest.approx(
+    projection = correction_projection(k, dz_g, dz_g, dz_h)
+    assert projection == pytest.approx(0.0, abs=1e-9)
+    assert hard_label_derivative(k, dz_g, projection, 2.0) == pytest.approx(
         0.0, abs=1e-9
     )
 
@@ -100,7 +101,7 @@ def test_derivative_definitional_consistency():
     dz_g, dz_t, dz_h = rng.normal(size=(3, 7))
     norm = 2.3
     lhs = correction_projection(k, dz_g, dz_t, dz_h)
-    rhs = hard_label_derivative(k, dz_g, dz_t, dz_h, norm) * norm * np.sqrt(
+    rhs = hard_label_derivative(k, dz_t, lhs, norm) * norm * np.sqrt(
         kernel_inner(k, dz_t, dz_t)
     )
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -140,7 +141,7 @@ def test_derivative_matches_finite_difference_of_cosine():
         norm = np.sqrt(kernel_inner(k, dz_g, dz_g)) * 1.5
 
         dz_h = correction_logit(z_t, y, temp)
-        deriv = hard_label_derivative(k, dz_g, z_t, dz_h, norm)
+        deriv = hard_label_derivative(k, z_t, correction_projection(k, dz_g, z_t, dz_h), norm)
 
         cos_hi = cos_alpha_g(
             k, dz_g, np.array([_solve_root(z, yy, 1 - h, temp) for z, yy in zip(z_t, y)]), norm

@@ -11,7 +11,6 @@ import pytest
 import ntkdistill
 from ntkdistill.kernel import empirical_ntk_diag, empirical_ntk_gram
 from ntkdistill.network import (
-    CHECKPOINT_FORMAT_VERSION,
     Checkpoint,
     DistillTargets,
     DivergenceError,
@@ -22,10 +21,8 @@ from ntkdistill.network import (
     feature_dot,
     forward,
     init_params,
-    load_checkpoint,
     param_count,
     row_blocks,
-    save_checkpoint,
     train_linearized,
     train_teacher,
     unflatten,
@@ -507,33 +504,6 @@ def test_diverging_teacher_reports_only_divergence():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError):
             train_teacher(NetConfig(2, 2, 16), _ToyTask(), tc, seed=0, checkpoint_epochs=[50])
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    cfg = NetConfig(2, 3, 4)
-    ck = Checkpoint(cfg, seed=7, epoch=12, params=init_params(cfg, 7))
-    path = tmp_path / "teacher.npz"
-    save_checkpoint(path, ck)
-    with np.load(path) as data:
-        assert sorted(data.files) == sorted(
-            ["format_version", "input_dim", "hidden_layers", "width", "seed", "epoch",
-             "params"])
-    back = load_checkpoint(path)
-    assert back.config == cfg
-    assert back.seed == 7 and back.epoch == 12
-    assert np.array_equal(back.params, ck.params)
-
-
-def test_checkpoint_of_another_format_version_is_rejected(tmp_path):
-    cfg = NetConfig(2, 2, 4)
-    path = tmp_path / "teacher.npz"
-    save_checkpoint(path, Checkpoint(cfg, seed=7, epoch=12, params=init_params(cfg, 7)))
-    with np.load(path) as data:
-        fields = dict(data)
-    fields["format_version"] = CHECKPOINT_FORMAT_VERSION - 1
-    np.savez(path, **fields)
-    with pytest.raises(ValueError, match="unsupported checkpoint format version 1"):
-        load_checkpoint(path)
 
 
 def test_train_linearized_fixed_point():

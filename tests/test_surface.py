@@ -1,5 +1,6 @@
-"""Guards on the public surface: the shipped configs, the demos and the
-package's own module boundaries.
+"""Guards on the public surface: the shipped configs, the demos, the
+package's own module boundaries and public names that nothing in the lab
+reads.
 
 The configs and demos are not exercised end to end by the suite (they take
 minutes), so these checks catch a renamed field or a deleted function that
@@ -175,3 +176,45 @@ def test_students_are_built_from_the_runners_pieces():
     files = sorted((ROOT / "tests").glob("*.py")) + DEMOS
     assert [f for path in files if path.name != "test_network.py" for f in calls(path)] == []
     assert calls(ROOT / "tests" / "test_network.py")  # the guard sees the calls it allows
+
+
+# public names that no other module, demo or benchmark file reads, each with
+# the test that keeps it
+UNREACHED_BY_THE_LAB = {
+    "DistillTargets": "test_train_linearized_distill_objective_reaches_effective_logits",
+    "distill_loss": "the finite-difference reference of loss_gradient",
+    "effective_logit_closed_t1": "the independent oracle of criterion 1",
+    "cos_alpha_g": "the independent oracle of criterion 3",
+    "inefficiency_of_norm_law": "the injected power-law oracle of criterion 6",
+    "feature_dot": "perfbench/tracer.py rebinds it by name (ROADMAP item 1)",
+    "weighted_feature_sum": "perfbench/tracer.py rebinds it by name (ROADMAP item 1)",
+}
+
+
+def test_every_public_name_is_reached():
+    # a public top-level name of the package must be read somewhere in the
+    # package (the re-exports of __init__.py aside), in a demo or in the
+    # benchmark harness; a name only tests read is surface nothing in the
+    # lab uses
+    def defined(path):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+    def read(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                yield getattr(node, "id", None) or node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name.rsplit(".", 1)[-1]
+
+    harness = [p for p in sorted((ROOT / "perfbench").glob("*.py"))
+               if not p.name.startswith("test_")]
+    readers = [p for p in MODULES if p.name != "__init__.py"] + DEMOS + harness
+    reached = {name for path in readers for name in read(path)}
+    unreached = {name for path in MODULES for name in defined(path)
+                 if not name.startswith("_") and name not in reached}
+    assert unreached == set(UNREACHED_BY_THE_LAB)

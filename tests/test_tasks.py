@@ -121,7 +121,7 @@ def test_flip_labels_validates_probability():
 
 def _toy_checkpoint(seed=0):
     cfg = NetConfig(2, 2, 8)
-    return Checkpoint(cfg, seed=seed, epoch=0, params=init_params(cfg, seed))
+    return Checkpoint(cfg, epoch=0, params=init_params(cfg, seed))
 
 
 def test_teacher_labels_scaling():
