@@ -27,31 +27,20 @@ the derived seed that initialized the network on ntk-check's per-repeat
 hard-label-effect rows, whose streams derive from the root seed in the
 manifest and that index.
 
-Per-record seeds derive from the root seed and the record's own grid
-coordinates (see :func:`ntkdistill.metrics.unit_rng`), so units may be
-dispatched concurrently without affecting results.  Inefficiency still keys
-its streams by task, distill and grid index, so inserting a grid point there
-moves other rows.
-
-Each runner is a thin composition of private pieces:
-
-* ``_emitter`` — the row emitter and the run's one clock: fills experiment,
-  config hash, the default seed and ``wall_ms`` of every record, and ``rho``
-  and ``T`` from the distill point it is given;
-* ``_teacher_checkpoints`` — the one teacher training, returned as
-  ``{epoch: Checkpoint}``; each runner wraps only what it reads (the perfect
-  teacher as a :class:`~ntkdistill.tasks.LabelSource`, hard-label-effect's
-  ground truth as a bare network);
-* ``_train_oracles`` — the one online-batch oracle run of the linearized
-  student on a list of target functions, trained in lockstep on one batch
-  stream, returning one weight change per target;
-* ``_perfect_teacher`` and ``_perfect_teacher_repeat`` — risk, angle-dist
-  and zero-norm's teacher with its distilled targets, then per repeat the
-  initialization, the zero-function weight change and the distill points'
-  oracles, which share one batch stream and train in lockstep;
-* ``_angle_curves`` — the angle pass of risk and angle-dist: one Monte Carlo
-  draw, the NTK diagonal and the teacher evaluated on it once, and one
-  survival curve per distill point.
+Each kind (``_KINDS``) is ``setup(cfg)``, the plain data its units share
+(teacher checkpoints, label sources, ntk-check's inputs and target Gram);
+``units(cfg)``, the unit keys in row order (``(dp, z_t)``, ``(width,
+rep)``, ``(task, dp)``, ``(d, dp)`` for angle-dist, and the repeat index for
+risk, hard-label-effect and zero-norm's one repeat); and ``unit(cfg,
+shared, key)``, the key's rows as ``(values, dp, coords)`` groups, with no
+record and no clock.  ntk-check's ``finish`` adds the rows that span units.
+:func:`run` alone maps units over ``--threads`` and stamps and writes their
+rows in key order (risk's run repeat -> distill point -> n), keeping every
+row of the units before a failing one.  Per-record seeds derive from the
+root seed and the record's own grid coordinates (see
+:func:`ntkdistill.metrics.unit_rng`), so units may run on any thread.
+Inefficiency still keys its streams by task, distill and grid index, so
+inserting a grid point there moves other rows.
 
 Lockstep oracles evaluate the teacher and every distill point's
 effective-logit solve once per chunk of about 1,024 rows, not once per step
@@ -59,9 +48,7 @@ effective-logit solve once per chunk of about 1,024 rows, not once per step
 describes the chunks).  Each (repeat, n) point of the risk study likewise
 shares, across distill points, its training sample's sweep and Gram
 factorization, its Monte Carlo inputs, the teacher's logits on them and the
-student's sweep over them (``_risk_point``).  The risk runner works repeat
-by repeat, and still writes its rows in distill point -> repeat -> n order,
-including when a later repeat fails.
+student's sweep over them (``_risk_point``).
 
 ``wall_ms`` is the wall time since the run's previous ``emit`` call (or its
 start), split evenly over the rows of the call, so the column sums to the
@@ -76,12 +63,19 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .distillation import DistillParams, UnboundedSolutionError, saturated_effective_logits
+from .distillation import (
+    DistillParams,
+    UnboundedSolutionError,
+    correction_logit,
+    saturated_effective_logits,
+)
+from .hardlabel import correction_projection, hard_label_derivative
 from .kernel import analytic_ntk_diag, analytic_ntk_gram, empirical_ntk_diag, empirical_ntk_gram
 from .linalg import DegenerateVectorError, KernelMatrix, SingularKernelError
 from .metrics import (
@@ -167,7 +161,7 @@ class TeacherRecipe:
     def __post_init__(self):
         # a bad schedule or label scale fails the config, not the run
         self.train_config(self.epochs)
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ValueError("seed must be an integer >= 0")
         if not self.temperature > 0:
             raise ValueError("temperature must be positive")
@@ -245,7 +239,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(
             f"experiment: got {kind!r}, expected one of {', '.join(EXPERIMENT_KINDS)}"
         )
-    if not isinstance(data.get("seed"), int) or data["seed"] < 0:
+    if type(data.get("seed")) is not int or data["seed"] < 0:
         raise ConfigError("seed: required integer >= 0")
     if "net" not in data:
         raise ConfigError("net: required")
@@ -283,6 +277,16 @@ def _validate_fields(cfg: ExperimentConfig) -> None:
     """Cross-field checks, so that a config a run would reject fails here
     with exit 1 and no output: each kind's required fields (no runner falls
     back to a default for one) and task dims that match every network."""
+    # a field annotated as an integer (or a list of them) that reads JSON
+    # true or 4.5 would run as 1 or 4 while the manifest says otherwise
+    parts = [("", cfg), ("net.", cfg.net), ("teacher_net.", cfg.teacher_net),
+             ("teacher.", cfg.teacher), ("oracle.", cfg.oracle)]
+    for prefix, part in parts + [(f"tasks[{i}].", t) for i, t in enumerate(cfg.tasks)]:
+        for f in fields(part) if part is not None else ():
+            value = getattr(part, f.name)
+            if f.type in ("int", "list[int]", "tuple[int, ...]") and any(
+                    type(v) is not int for v in (value if f.type != "int" else [value])):
+                raise ConfigError(f"{prefix}{f.name}: must be an integer")
     for message, ok in [
         ("repeats: must be >= 1", cfg.repeats >= 1),
         ("n_grid: entries must be >= 1", all(n >= 1 for n in cfg.n_grid)),
@@ -299,9 +303,12 @@ def _validate_fields(cfg: ExperimentConfig) -> None:
         ("width_grid: must not be empty", len(cfg.width_grid) > 0),
         ("width_grid: entries must be >= 1", all(w >= 1 for w in cfg.width_grid)),
         ("norm_grid: must not be empty", len(cfg.norm_grid) > 0),
-        # a diag_ratio divides by norm**2, and a negative norm's row would
-        # hold the ratio of its absolute value
-        ("norm_grid: entries must be > 0", all(v > 0 for v in cfg.norm_grid)),
+        # a diag_ratio divides by norm**2, a negative norm's row would hold
+        # the ratio of its absolute value and an infinite one's is not finite
+        ("norm_grid: entries must be finite and > 0", all(0 < v < np.inf for v in cfg.norm_grid)),
+        # without an oracle step a weight change is zero, and its norm divides
+        ("oracle.epochs: must be >= 1 for this experiment", cfg.oracle.epochs >= 1
+         or cfg.experiment in ("effective-logits", "ntk-check", "inefficiency")),
         ("kernel_inputs: must be >= 1", cfg.kernel_inputs >= 1),
         ("extra_points: must be >= 1", cfg.extra_points >= 1),
     ]:
@@ -410,35 +417,32 @@ def _pmap(fn, items, threads: int):
         yield from pool.map(fn, items)
 
 
-# --- the four pieces the runners are composed of ---------------------------
+# --- the pieces the kinds are composed of -----------------------------------
 
 
 def _emitter(cfg: ExperimentConfig):
     """The row emitter of one run, whose clock starts when it is made.
 
-    ``emit({value_name: value, ...}, dp, **coords)`` returns one RunRecord
-    per pair, all sharing ``coords``; it fills the experiment and the config
-    hash, the root seed unless ``coords`` names a ``seed``, and ``rho`` and
-    ``T`` from the distill point ``dp`` (left empty without one).  Each call
-    stamps its rows with the wall time since the previous call, split evenly
-    over them; worker threads share the clock under a lock.
-    """
+    ``emit(groups)`` returns a RunRecord per ``value_name: value`` pair of
+    each ``(values, dp, coords)`` group, with the experiment, the config
+    hash, the group's ``coords``, the root seed unless ``coords`` names a
+    ``seed``, and ``rho`` and ``T`` from ``dp`` unless it is None.  Each call
+    stamps its rows with the time since the previous call, split evenly."""
     h = cfg.hash()
-    lock = threading.Lock()
     last = time.perf_counter()
 
-    def emit(values: dict, dp: DistillParams | None = None, **coords) -> list[RunRecord]:
+    def emit(groups) -> list[RunRecord]:
         nonlocal last
-        coords.setdefault("seed", cfg.seed)
-        if dp is not None:
-            coords.update(rho=dp.soft_ratio, T=dp.temperature)
-        with lock:
-            now = time.perf_counter()
-            wall_ms = (now - last) * 1e3 / len(values)
-            last = now
-        return [RunRecord(experiment=cfg.experiment, config_hash=h, value_name=name,
-                          value=value, wall_ms=wall_ms, **coords)
-                for name, value in values.items()]
+        records = [
+            RunRecord(experiment=cfg.experiment, config_hash=h, value_name=name, value=value,
+                      **{"seed": cfg.seed, **coords},
+                      **({} if dp is None else {"rho": dp.soft_ratio, "T": dp.temperature}))
+            for values, dp, coords in groups for name, value in values.items()]
+        now = time.perf_counter()
+        for record in records:
+            record.wall_ms = (now - last) * 1e3 / len(records)
+        last = now
+        return records
 
     return emit
 
@@ -476,59 +480,60 @@ def _memo_last(fn):
     return memo
 
 
-# --- experiment implementations -------------------------------------------
+# --- the seven kinds --------------------------------------------------------
 
 
-def _run_effective_logits(cfg: ExperimentConfig, threads: int, records: list) -> None:
-    emit = _emitter(cfg)
-    for dp in cfg.distill:
-        for z_t in cfg.z_t_grid:
-            for y_g in (0.0, 1.0):
-                val, sat = saturated_effective_logits(z_t, y_g, dp)
-                records.extend(emit({f"z_s_eff_y{int(y_g)}": float(val)}, dp, beta=float(z_t),
-                                    flag="saturated" if sat else ""))
+def _effective_logits_unit(cfg: ExperimentConfig, shared, key) -> list[tuple]:
+    dp, z_t = key
+    solved = [saturated_effective_logits(z_t, y_g, dp) for y_g in (0.0, 1.0)]
+    return [({f"z_s_eff_y{y_g}": float(val)}, dp,
+             {"beta": float(z_t), "flag": "saturated" if sat else ""})
+            for y_g, (val, sat) in enumerate(solved)]
 
 
-def _run_ntk_check(cfg: ExperimentConfig, threads: int, records: list) -> None:
-    emit = _emitter(cfg)
+# each thread draws its ntk-check units' parameters into one buffer (269 MB
+# at width 4096), grown to the largest p so far; the smaller buffer is
+# released before the larger one is allocated
+_DRAWS = threading.local()
+
+
+def _ntk_check_setup(cfg: ExperimentConfig):
+    """The kernel inputs and their analytic Gram, which reads the depth and
+    the input dimension, not the width."""
     x = unit_rng(cfg.seed, 0).normal(scale=INPUT_SCALE,
                                      size=(cfg.kernel_inputs, cfg.net.input_dim))
-    # the analytic Gram reads the depth and the input dimension, not the width
-    target = analytic_ntk_gram(cfg.net, x).entries
-    target_norm = np.linalg.norm(target)
-    # each worker thread draws its units' parameters into one buffer (269 MB
-    # at width 4096), grown to the largest p so far; the smaller buffer is
-    # released before the larger one is allocated
-    local = threading.local()
+    return x, analytic_ntk_gram(cfg.net, x).entries
 
-    def params_of(net, seed):
-        p = param_count(net)
-        if getattr(local, "buf", None) is None or local.buf.size < p:
-            local.buf = None
-            local.buf = np.empty(p)
-        return init_params(net, seed, out=local.buf[:p])
 
-    def one(width_rep):
-        width, rep = width_rep
-        net = replace(cfg.net, width=width)
-        seed = int(unit_rng(cfg.seed, 1, width, rep).integers(2**63))
-        gram = empirical_ntk_gram(net, params_of(net, seed), x).entries
-        err = float(np.linalg.norm(gram - target) / target_norm)
-        return emit({"frob_rel_err": err}, seed=seed, n=width)
+def _ntk_check_unit(cfg: ExperimentConfig, shared, key) -> list[tuple]:
+    x, target = shared
+    width, rep = key
+    net = replace(cfg.net, width=width)
+    seed = int(unit_rng(cfg.seed, 1, width, rep).integers(2**63))
+    p = param_count(net)
+    if getattr(_DRAWS, "buf", None) is None or _DRAWS.buf.size < p:
+        _DRAWS.buf = None
+        _DRAWS.buf = np.empty(p)
+    gram = empirical_ntk_gram(net, init_params(net, seed, out=_DRAWS.buf[:p]), x).entries
+    err = float(np.linalg.norm(gram - target) / np.linalg.norm(target))
+    return [({"frob_rel_err": err}, None, {"seed": seed, "n": width})]
 
-    units = [(w, r) for w in cfg.width_grid for r in range(cfg.repeats)]
-    for chunk in _pmap(one, units, threads):
-        records.extend(chunk)
-    for width in cfg.width_grid:
-        errs = [r.value for r in records if r.value_name == "frob_rel_err" and r.n == width]
-        records.extend(emit({"frob_rel_err_mean": float(np.mean(errs))}, n=width))
-    # kernel-diagonal growth against the squared input norm; K(x, x) depends
-    # only on |x|, so each norm sits on the first input axis
+
+def _ntk_check_finish(cfg: ExperimentConfig, shared, results) -> list[tuple]:
+    """The rows that span units: each width's mean error, then the growth of
+    the kernel diagonal against the squared input norm.  K(x, x) depends
+    only on |x|, so each norm sits on the first input axis."""
+    _DRAWS.buf = None  # the run's own thread releases its draw buffer
+    errs = [(coords["n"], values["frob_rel_err"])
+            for groups in results for values, _, coords in groups]
+    groups = [({"frob_rel_err_mean": float(np.mean([e for n, e in errs if n == width]))},
+               None, {"n": width}) for width in cfg.width_grid]
     for norm in cfg.norm_grid:
         point = np.zeros((1, cfg.net.input_dim))
         point[0, 0] = norm
         ratio = float(analytic_ntk_diag(cfg.net, point)[0] / norm**2)
-        records.extend(emit({"diag_ratio": ratio}, beta=float(norm)))
+        groups.append(({"diag_ratio": ratio}, None, {"beta": float(norm)}))
+    return groups
 
 
 def distilled_target_fn(task: Task, dp: DistillParams):
@@ -544,46 +549,26 @@ def distilled_target_fn(task: Task, dp: DistillParams):
     return fn
 
 
-def _run_inefficiency(cfg: ExperimentConfig, threads: int, records: list) -> None:
-    emit = _emitter(cfg)
-    dps: list[DistillParams | None] = list(cfg.distill) or [None]
-
-    def one(unit):
-        ti, task_spec, di, dp = unit
-        task = Task(task_spec)
-        targets = distilled_target_fn(task, dp) if dp is not None else None
-        curve = data_inefficiency(
-            task,
-            cfg.net,
-            cfg.n_grid,
-            cfg.repeats,
-            root_seed=int(unit_rng(cfg.seed, ti, di).integers(2**63)),
-            targets=targets,
-            extra_points=cfg.extra_points,
-        )
-        is_mix = task_spec.kind in ("mixture", "flipped-mixture")
-        saturated = "saturated" if dp is not None and dp.soft_ratio == 0.0 else ""
-        out = []
-        for j, n in enumerate(curve.ns):
-            out.extend(emit(
-                {"inefficiency": float(curve.inefficiency[j]),
-                 "log_mean_norm": float(curve.log_mean_norm[j])},
-                dp,
-                n=int(n),
-                q=task_spec.modes if is_mix else None,
-                p_flip=task_spec.p_flip if task_spec.kind == "flipped-mixture" else None,
-                flag=";".join(filter(None, ("unreliable" if curve.unreliable[j] else "",
-                                            saturated))),
-            ))
-        return out
-
-    units = [
-        (ti, spec, di, dp)
-        for ti, spec in enumerate(cfg.tasks)
-        for di, dp in enumerate(dps)
+def _inefficiency_unit(cfg: ExperimentConfig, shared, key) -> list[tuple]:
+    ti, task_spec, di, dp = key
+    task = Task(task_spec)
+    targets = distilled_target_fn(task, dp) if dp is not None else None
+    curve = data_inefficiency(task, cfg.net, cfg.n_grid, cfg.repeats,
+                              root_seed=int(unit_rng(cfg.seed, ti, di).integers(2**63)),
+                              targets=targets, extra_points=cfg.extra_points)
+    is_mix = task_spec.kind in ("mixture", "flipped-mixture")
+    saturated = "saturated" if dp is not None and dp.soft_ratio == 0.0 else ""
+    return [
+        ({"inefficiency": float(curve.inefficiency[j]),
+          "log_mean_norm": float(curve.log_mean_norm[j])},
+         dp,
+         {"n": int(n),
+          "q": task_spec.modes if is_mix else None,
+          "p_flip": task_spec.p_flip if task_spec.kind == "flipped-mixture" else None,
+          "flag": ";".join(filter(None, ("unreliable" if curve.unreliable[j] else "",
+                                         saturated)))})
+        for j, n in enumerate(curve.ns)
     ]
-    for chunk in _pmap(one, units, threads):
-        records.extend(chunk)
 
 
 def student_closed_form(net: NetConfig, params0, x, targets) -> list[np.ndarray]:
@@ -600,27 +585,26 @@ def _distilled_targets(label, dps):
     logits of the label source's teacher logits and hard labels.  A memo
     shares one teacher evaluation per input set, so the lockstep oracles,
     which each evaluate their own targets, evaluate the teacher once per
-    chunk, and closed-form students fit on one sample once."""
+    chunk, and closed-form students fit on one sample once.  The memo is
+    unlocked, so each unit builds its own."""
     teacher = _memo_last(lambda x: (label.logits(x), label.hard(x)))
     return [lambda x, rng=None, dp=dp: saturated_effective_logits(*teacher(x), dp)[0]
             for dp in dps]
 
 
 def _perfect_teacher(cfg: ExperimentConfig):
-    """The perfect-teacher setup of risk, angle-dist and zero-norm:
-    ``(sampler, label, targets)``.  The first task's input sampler; the final
-    checkpoint of a teacher trained on that task, with the recipe's logit
-    reduction and the task's own labels as ground truth; and the distilled
-    target function of each distill point."""
+    """The shared setup of risk, angle-dist and zero-norm: ``(task,
+    label)``, the first task and the final checkpoint of a teacher trained on
+    it, with the recipe's logit reduction and the task's own labels as
+    ground truth."""
     task = Task(cfg.tasks[0])
     epochs = cfg.teacher.epochs
     ckpt = _teacher_checkpoints(cfg, task, cfg.teacher.seed, epochs, [epochs])[epochs]
-    label = LabelSource(ckpt, cfg.teacher.reduction, task.target_logits)
-    return task.sample_inputs, label, _distilled_targets(label, cfg.distill)
+    return task, LabelSource(ckpt, cfg.teacher.reduction, task.target_logits)
 
 
 def _perfect_teacher_repeat(cfg: ExperimentConfig, sampler, targets, rep: int):
-    """Repeat ``rep`` of a perfect-teacher runner: ``(params0, delta_zero,
+    """Repeat ``rep`` of a perfect-teacher kind: ``(params0, delta_zero,
     deltas_star)``.  ``params0`` comes from ``unit_rng(seed, 90, rep)``, the
     zero-function oracle (one run serves every distill point) from
     ``unit_rng(seed, 91 + rep, 2)``, and the distill points' lockstep
@@ -632,20 +616,22 @@ def _perfect_teacher_repeat(cfg: ExperimentConfig, sampler, targets, rep: int):
     return params0, delta_zero, deltas_star
 
 
-def _angle_curves(cfg: ExperimentConfig, sampler, label, params0, delta_zero, deltas_star,
-                  rng, betas):
-    """``angle_distribution`` of each distill point in turn, lazily, on one
-    draw of ``cfg.samples`` Monte Carlo inputs from ``rng``.  The NTK
-    diagonal at ``params0`` and the teacher's logits and hard labels are
-    evaluated on those inputs once; only the effective-logit solve and
-    |dw_* - dw_z| are per distill point."""
+def _angle_inputs(cfg: ExperimentConfig, sampler, label, params0, rng):
+    """The angle pass's inputs, shared by every distill point's curve:
+    ``cfg.samples`` Monte Carlo inputs drawn from ``rng``, and the NTK
+    diagonal at ``params0`` and the teacher's logits and hard labels on
+    them."""
     x = sampler(cfg.samples, rng)
-    diag = empirical_ntk_diag(cfg.net, params0, x)
-    z_t, y_t = label.logits(x), label.hard(x)
-    for dp, delta_star in zip(cfg.distill, deltas_star):
-        norm = float(np.linalg.norm(delta_star - delta_zero))
-        yield angle_distribution(lambda _: saturated_effective_logits(z_t, y_t, dp)[0],
-                                 lambda _: diag, norm, lambda m, _: x, cfg.samples, rng, betas)
+    return x, empirical_ntk_diag(cfg.net, params0, x), label.logits(x), label.hard(x)
+
+
+def _angle_curve(cfg: ExperimentConfig, inputs, dp, norm: float, betas):
+    """``angle_distribution`` of distill point ``dp`` on ``_angle_inputs``,
+    with ``norm`` = |dw_* - dw_z|; only the effective-logit solve is its
+    own."""
+    x, diag, z_t, y_t = inputs
+    return angle_distribution(lambda _: saturated_effective_logits(z_t, y_t, dp)[0],
+                              lambda _: diag, norm, lambda m, _: x, cfg.samples, None, betas)
 
 
 def _risk_point(cfg: ExperimentConfig, params0, sampler, label, targets, rep: int, n: int,
@@ -681,55 +667,56 @@ def _risk_point(cfg: ExperimentConfig, params0, sampler, label, targets, rep: in
     return point
 
 
-def _run_risk(cfg: ExperimentConfig, threads: int, records: list) -> None:
-    emit = _emitter(cfg)
-    sampler, label, targets = _perfect_teacher(cfg)
-    # rows[d][rep] are written in distill -> repeat -> n order, also when a
-    # later repeat fails
-    rows = [[[] for _ in range(cfg.repeats)] for _ in cfg.distill]
-    try:
-        for rep in range(cfg.repeats):
-            params0, delta_zero, deltas_star = _perfect_teacher_repeat(cfg, sampler, targets, rep)
-            curves = list(_angle_curves(cfg, sampler, label, params0, delta_zero, deltas_star,
-                                        unit_rng(cfg.seed, 92, rep), None))
-            risks = [[] for _ in cfg.distill]
-            for n in cfg.n_grid:
-                point = _risk_point(cfg, params0, sampler, label, targets, rep, n,
-                                    deltas_star, delta_zero)
-                for d, (dp, curve, (a_n, est)) in enumerate(zip(cfg.distill, curves, point)):
-                    rows[d][rep].extend(emit(
-                        {"empirical_risk": est.risk, "risk_std_error": est.std_error,
-                         "risk_bound": risk_bound(curve, a_n), "alpha_n": a_n},
-                        dp, seed=rep, n=int(n)))
-                    risks[d].append(max(est.risk, 1.0 / cfg.samples))
-            for d, dp in enumerate(cfg.distill):
-                slope = fit_power_law(cfg.n_grid, risks[d])
-                rows[d][rep].extend(emit({"risk_slope": slope}, dp, seed=rep))
-    finally:
-        records.extend(row for per_dp in rows for per_rep in per_dp for row in per_rep)
+def _risk_unit(cfg: ExperimentConfig, shared, rep: int) -> list[tuple]:
+    """One repeat: its angle curves, every grid point, and each distill
+    point's ``risk_slope`` over the grid, in distill point -> n order."""
+    task, label = shared
+    sampler, targets = task.sample_inputs, _distilled_targets(label, cfg.distill)
+    params0, delta_zero, deltas_star = _perfect_teacher_repeat(cfg, sampler, targets, rep)
+    inputs = _angle_inputs(cfg, sampler, label, params0, unit_rng(cfg.seed, 92, rep))
+    curves = [_angle_curve(cfg, inputs, dp, float(np.linalg.norm(delta_star - delta_zero)), None)
+              for dp, delta_star in zip(cfg.distill, deltas_star)]
+    points = [_risk_point(cfg, params0, sampler, label, targets, rep, n, deltas_star, delta_zero)
+              for n in cfg.n_grid]
+    groups = []
+    for d, (dp, curve) in enumerate(zip(cfg.distill, curves)):
+        for n, point in zip(cfg.n_grid, points):
+            a_n, est = point[d]
+            groups.append(({"empirical_risk": est.risk, "risk_std_error": est.std_error,
+                            "risk_bound": risk_bound(curve, a_n), "alpha_n": a_n},
+                           dp, {"seed": rep, "n": int(n)}))
+        risks = [max(point[d][1].risk, 1.0 / cfg.samples) for point in points]
+        groups.append(({"risk_slope": fit_power_law(cfg.n_grid, risks)}, dp, {"seed": rep}))
+    return groups
 
 
-def _run_angle_dist(cfg: ExperimentConfig, threads: int, records: list) -> None:
-    emit = _emitter(cfg)
-    sampler, label, targets = _perfect_teacher(cfg)
-    params0, delta_zero, deltas_star = _perfect_teacher_repeat(cfg, sampler, targets, 0)
-    curves = _angle_curves(cfg, sampler, label, params0, delta_zero, deltas_star,
-                           unit_rng(cfg.seed, 95), default_beta_grid(cfg.beta_points))
-    # each distill point's rows are written before the next curve is computed
-    for dp, curve in zip(cfg.distill, curves):
-        for beta, p in zip(curve.betas, curve.survival):
-            records.extend(emit({"survival": float(p)}, dp, beta=float(beta)))
+def _angle_dist_setup(cfg: ExperimentConfig):
+    """What every distill point's curve reads: the angle pass's inputs and,
+    from repeat 0's oracles, each distill point's |dw_* - dw_z|."""
+    task, label = _perfect_teacher(cfg)
+    sampler = task.sample_inputs
+    params0, delta_zero, deltas_star = _perfect_teacher_repeat(
+        cfg, sampler, _distilled_targets(label, cfg.distill), 0)
+    return (_angle_inputs(cfg, sampler, label, params0, unit_rng(cfg.seed, 95)),
+            [float(np.linalg.norm(delta_star - delta_zero)) for delta_star in deltas_star])
 
 
-def _run_zero_norm(cfg: ExperimentConfig, threads: int, records: list) -> None:
-    emit = _emitter(cfg)
+def _angle_dist_unit(cfg: ExperimentConfig, shared, key) -> list[tuple]:
+    inputs, norms = shared
+    d, dp = key
+    curve = _angle_curve(cfg, inputs, dp, norms[d], default_beta_grid(cfg.beta_points))
+    return [({"survival": float(p)}, dp, {"beta": float(beta)})
+            for beta, p in zip(curve.betas, curve.survival)]
+
+
+def _zero_norm_unit(cfg: ExperimentConfig, shared, rep: int) -> list[tuple]:
+    task, label = shared
     [dp] = cfg.distill
-    sampler, _, targets = _perfect_teacher(cfg)
-    _, delta_zero, [delta_star] = _perfect_teacher_repeat(cfg, sampler, targets, 0)
-    norm_star = float(np.linalg.norm(delta_star))
-    norm_zero = float(np.linalg.norm(delta_zero))
-    records.extend(emit({"norm_oracle": norm_star, "norm_zero": norm_zero,
-                         "norm_ratio": norm_zero / norm_star}, dp))
+    _, delta_zero, [delta_star] = _perfect_teacher_repeat(
+        cfg, task.sample_inputs, _distilled_targets(label, cfg.distill), rep)
+    norm_star, norm_zero = (float(np.linalg.norm(d)) for d in (delta_star, delta_zero))
+    return [({"norm_oracle": norm_star, "norm_zero": norm_zero,
+              "norm_ratio": norm_zero / norm_star}, dp, {})]
 
 
 class _SignTask:
@@ -743,66 +730,78 @@ class _SignTask:
         return (self.logits_fn(x) > 0).astype(float)
 
 
-def _run_hard_label_effect(cfg: ExperimentConfig, threads: int, records: list) -> None:
-    from .distillation import correction_logit
-    from .hardlabel import correction_projection, hard_label_derivative
-
-    emit = _emitter(cfg)
-    recipe = cfg.teacher
-    temp = recipe.temperature
-    base = Task(cfg.tasks[0])
-    sampler = base.sample_inputs
-    # the ground truth is itself a trained network, fit long on the base
-    # task's labels; the swept teacher trains on that network's signs, and
-    # its early-stopped checkpoints are the imperfect teachers
-    epochs = recipe.epochs
+def _hard_label_setup(cfg: ExperimentConfig):
+    """``(base, gt, teachers)``: the base task; the ground truth, itself a
+    trained network fit long on the base task's labels; and the imperfect
+    teachers, ``[(epoch, LabelSource), ...]``, the early-stopped checkpoints
+    of a teacher trained on the ground truth's signs.  Only the swept
+    teachers' logits are read, so they carry no ground truth."""
+    recipe, base, epochs = cfg.teacher, Task(cfg.tasks[0]), cfg.teacher.epochs
     gt = _teacher_checkpoints(cfg, base, recipe.seed, epochs, [epochs])[epochs]
+    swept = _teacher_checkpoints(
+        cfg, _SignTask(base, lambda x: forward(gt.config, gt.params, x)), recipe.seed + 1,
+        max(recipe.stop_epochs), list(recipe.stop_epochs))
+    return base, gt, [(epoch, LabelSource(ckpt, recipe.reduction))
+                      for epoch, ckpt in sorted(swept.items()) if epoch > 0]
+
+
+def _hard_label_unit(cfg: ExperimentConfig, shared, rep: int) -> list[tuple]:
+    base, gt, teachers = shared
+    temp = cfg.teacher.temperature
     gt_fn = lambda x: forward(gt.config, gt.params, x)
-    swept = _teacher_checkpoints(cfg, _SignTask(base, gt_fn), recipe.seed + 1,
-                                 max(recipe.stop_epochs), list(recipe.stop_epochs))
-    # only the swept teachers' logits are read, so they carry no ground truth
-    teachers = [(epoch, LabelSource(ckpt, recipe.reduction))
-                for epoch, ckpt in sorted(swept.items()) if epoch > 0]
-
-    for rep in range(cfg.repeats):
-        params0 = init_params(cfg.net, unit_rng(cfg.seed, 80, rep))
-        # ground-truth oracle norm from one online run on the true targets
-        [delta_g] = _train_oracles(cfg, params0, [gt_fn], sampler, unit_rng(cfg.seed, 81, rep))
-        norm_wg = float(np.linalg.norm(delta_g))
-        for n in cfg.n_grid:
-            x = sampler(int(n), unit_rng(cfg.seed, 82, rep, n))
-            # one sweep of x gives both the initial logits and the Gram; one
-            # ground-truth evaluation gives dz_g and the hard labels y_g that
-            # every swept teacher is corrected with
-            sweep = Sweep(cfg.net, params0, x)
-            z0 = sweep.logits
-            gram = KernelMatrix(sweep.gram())
-            z_g = gt_fn(x)
-            dz_g = z_g - z0
-            y_g = (z_g > 0).astype(float)
-            for epoch, label in teachers:
-                z_t = label.logits(x)
-                dz_t = z_t - z0
-                dz_h = correction_logit(z_t, y_g, temp)
-                proj = correction_projection(gram, dz_g, dz_t, dz_h)
-                deriv = hard_label_derivative(gram, dz_t, proj, norm_wg)
-                records.extend(emit(
-                    {"projection": proj, "derivative": deriv,
-                     "projection_sign": float(np.sign(proj))},
-                    seed=rep, n=int(n), T=temp, epoch=epoch))
+    params0 = init_params(cfg.net, unit_rng(cfg.seed, 80, rep))
+    # ground-truth oracle norm from one online run on the true targets
+    [delta_g] = _train_oracles(cfg, params0, [gt_fn], base.sample_inputs,
+                               unit_rng(cfg.seed, 81, rep))
+    norm_wg = float(np.linalg.norm(delta_g))
+    groups = []
+    for n in cfg.n_grid:
+        x = base.sample_inputs(int(n), unit_rng(cfg.seed, 82, rep, n))
+        # one sweep of x gives both the initial logits and the Gram; one
+        # ground-truth evaluation gives dz_g and the hard labels y_g that
+        # every swept teacher is corrected with
+        sweep = Sweep(cfg.net, params0, x)
+        z0 = sweep.logits
+        gram = KernelMatrix(sweep.gram())
+        z_g = gt_fn(x)
+        dz_g = z_g - z0
+        y_g = (z_g > 0).astype(float)
+        for epoch, label in teachers:
+            z_t = label.logits(x)
+            dz_t = z_t - z0
+            dz_h = correction_logit(z_t, y_g, temp)
+            proj = correction_projection(gram, dz_g, dz_t, dz_h)
+            deriv = hard_label_derivative(gram, dz_t, proj, norm_wg)
+            groups.append(({"projection": proj, "derivative": deriv,
+                            "projection_sign": float(np.sign(proj))},
+                           None, {"seed": rep, "n": int(n), "T": temp, "epoch": epoch}))
+    return groups
 
 
-_RUNNERS = {
-    "effective-logits": _run_effective_logits,
-    "ntk-check": _run_ntk_check,
-    "inefficiency": _run_inefficiency,
-    "risk": _run_risk,
-    "angle-dist": _run_angle_dist,
-    "hard-label-effect": _run_hard_label_effect,
-    "zero-norm": _run_zero_norm,
+# each kind as (setup, units, unit, finish): run() makes the shared data
+# with setup(cfg), maps unit(cfg, shared, key) over the keys units(cfg) lists
+# and writes their rows in key order, then those of finish(cfg, shared,
+# results) if the kind has one
+_KINDS = {
+    "effective-logits": (lambda cfg: None,
+                         lambda cfg: [(dp, z_t) for dp in cfg.distill for z_t in cfg.z_t_grid],
+                         _effective_logits_unit, None),
+    "ntk-check": (_ntk_check_setup,
+                  lambda cfg: [(w, rep) for w in cfg.width_grid for rep in range(cfg.repeats)],
+                  _ntk_check_unit, _ntk_check_finish),
+    "inefficiency": (lambda cfg: None,
+                     lambda cfg: [(ti, spec, di, dp) for ti, spec in enumerate(cfg.tasks)
+                                  for di, dp in enumerate(cfg.distill or [None])],
+                     _inefficiency_unit, None),
+    "risk": (_perfect_teacher, lambda cfg: range(cfg.repeats), _risk_unit, None),
+    "angle-dist": (_angle_dist_setup, lambda cfg: list(enumerate(cfg.distill)), _angle_dist_unit,
+                   None),
+    "hard-label-effect": (_hard_label_setup, lambda cfg: range(cfg.repeats), _hard_label_unit,
+                          None),
+    "zero-norm": (_perfect_teacher, lambda cfg: [0], _zero_norm_unit, None),
 }
 
-EXPERIMENT_KINDS = tuple(_RUNNERS)
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run(
@@ -827,19 +826,19 @@ def run(
     out = out_dir or cfg.out
     os.makedirs(out, exist_ok=True)
 
-    errors: list[str] = []
-    records: list[RunRecord] = []
+    setup, units, unit, finish = _KINDS[cfg.experiment]
+    errors, records, emit = [], [], _emitter(cfg)
     try:
-        _RUNNERS[cfg.experiment](cfg, threads, records)
+        shared = setup(cfg)
+        results = []
+        for groups in _pmap(partial(unit, cfg, shared), units(cfg), threads):
+            results.append(groups)
+            records.extend(emit(groups))
+        if finish is not None:
+            records.extend(emit(finish(cfg, shared, results)))
         status = 0
-    except (
-        SingularKernelError,
-        FloatingPointError,
-        np.linalg.LinAlgError,
-        DivergenceError,
-        UnboundedSolutionError,
-        DegenerateVectorError,
-    ) as exc:
+    except (SingularKernelError, FloatingPointError, np.linalg.LinAlgError, DivergenceError,
+            UnboundedSolutionError, DegenerateVectorError) as exc:
         errors.append(f"{type(exc).__name__}: {exc}")
         status = 2
 

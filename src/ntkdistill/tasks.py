@@ -120,7 +120,7 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}; choose from {TASK_KINDS}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ValueError("seed must be an integer >= 0")
         if self.modes < 1:
             raise ValueError("modes must be >= 1")

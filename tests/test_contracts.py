@@ -11,12 +11,23 @@ from ntkdistill.experiments import CSV_COLUMNS, run
 from test_pipeline import SMOKE_CASES, _csv_without_wall_ms, _tiny_fig2_config
 
 
-@pytest.mark.parametrize("kind", list(SMOKE_CASES))
-def test_threads_leave_every_output_unchanged(tmp_path, kind):
+@pytest.mark.parametrize(
+    "kind, extra",
+    [pytest.param(kind, extra, id=kind) for kind, extra in SMOKE_CASES.items()] + [
+        # the smoke cases give each of these kinds a single unit
+        pytest.param("risk", SMOKE_CASES["risk"] | {"repeats": 2}, id="risk-two-repeats"),
+        pytest.param("angle-dist",
+                     {**SMOKE_CASES["angle-dist"],
+                      "distill": SMOKE_CASES["angle-dist"]["distill"]
+                      + [{"soft_ratio": 1.0, "temperature": 2.0}]},
+                     id="angle-dist-two-distill-points"),
+    ],
+)
+def test_threads_leave_every_output_unchanged(tmp_path, kind, extra):
     # --threads 2 writes the CSV of --threads 1 byte for byte, wall_ms
     # aside, and the same manifest
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_tiny_fig2_config(kind, **SMOKE_CASES[kind])))
+    path.write_text(json.dumps(_tiny_fig2_config(kind, **extra)))
     outputs = []
     for threads in (1, 2):
         status, (csv_path, manifest_path) = run(path, out_dir=tmp_path / str(threads),

@@ -296,7 +296,7 @@ def test_failing_unit_keeps_the_rows_of_the_units_before_it(
 def test_failing_unit_keeps_the_rows_of_the_units_before_it_in_serial_runners(
     tmp_path, monkeypatch, kind
 ):
-    # the same contract for the runners that ignore --threads; each failing
+    # the same contract for three more kinds, at one thread; each failing
     # unit is picked by the key its rows carry
     import ntkdistill.experiments as exp
     from test_pipeline import SMOKE_CASES, _tiny_fig2_config
@@ -343,45 +343,6 @@ def test_failing_unit_keeps_the_rows_of_the_units_before_it_in_serial_runners(
     _assert_failing_unit_keeps_earlier_rows(tmp_path, _tiny_fig2_config(kind, **extra), inject)
 
 
-def test_emitter_clock_survives_interleaved_threads(monkeypatch):
-    # emit reads the clock and moves its mark under one lock, so however
-    # threads interleave, no stamp is negative and the stamps sum to the
-    # emitter's lifetime.  This clock ticks once per read and then yields to
-    # the other threads, so an unlocked read-and-move would interleave and
-    # stamp some interval twice or below zero
-    import itertools
-    import sys
-    import types
-    from concurrent.futures import ThreadPoolExecutor
-
-    import ntkdistill.experiments as exp
-
-    ticks = itertools.count()
-
-    def perf_counter():
-        tick = next(ticks)
-        time.sleep(0)
-        return float(tick)
-
-    monkeypatch.setattr(exp, "time", types.SimpleNamespace(perf_counter=perf_counter))
-    calls, workers = 200, 8
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        emit = exp._emitter(parse_config(MINIMAL))  # tick 0
-
-        def work(_):
-            return [r.wall_ms for _ in range(calls) for r in emit({"a": 1.0, "b": 2.0})]
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stamps = [w for chunk in pool.map(work, range(workers), timeout=60) for w in chunk]
-    finally:
-        sys.setswitchinterval(switch)
-    # one tick (1e3 ms) per call, split over its two rows
-    assert len(stamps) == 2 * calls * workers
-    assert min(stamps) >= 0 and sum(stamps) == 1e3 * calls * workers
-
-
 @pytest.mark.parametrize("threads", [0, -1, (os.cpu_count() or 1) + 1])
 def test_cli_rejects_threads_out_of_range(tmp_path, capsys, monkeypatch, threads):
     # exit 1 with a message before any work: no run, no worker thread, no
@@ -417,15 +378,18 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_partial_failure_keeps_completed_rows(tmp_path, monkeypatch):
+    # the first unit hands over one row, the second raises
     import ntkdistill.experiments as exp
     from ntkdistill.linalg import SingularKernelError
 
-    def exploding(cfg, threads, records):
-        records.append(exp.RunRecord(experiment=cfg.experiment, config_hash=cfg.hash(),
-                                     seed=cfg.seed, value_name="before_crash", value=1.0))
-        raise SingularKernelError("synthetic failure")
+    setup, units, _, finish = exp._KINDS["effective-logits"]
 
-    monkeypatch.setitem(exp._RUNNERS, "effective-logits", exploding)
+    def exploding(cfg, shared, key):
+        if key != units(cfg)[0]:
+            raise SingularKernelError("synthetic failure")
+        return [({"before_crash": 1.0}, None, {})]
+
+    monkeypatch.setitem(exp._KINDS, "effective-logits", (setup, units, exploding, finish))
     path = write_config(tmp_path, MINIMAL)
     status, paths = run(path, out_dir=tmp_path / "out")
     assert status == 2
@@ -558,6 +522,22 @@ def _without(data, key):
         (_with_teacher(seed=-1), "teacher"),
         (TINY_RISK | {"tasks": [TINY_RISK["tasks"][0] | {"seed": 1.5}]}, "tasks[0]"),
         (_with_teacher(seed=2.5), "teacher"),
+        (MINIMAL | {"seed": True}, "seed"),
+        (TINY_RISK | {"tasks": [TINY_RISK["tasks"][0] | {"seed": True}]}, "tasks[0]"),
+        (_with_teacher(seed=True), "teacher"),
+        (TINY_RISK | {"repeats": True}, "repeats"),
+        (TINY_RISK | {"net": TINY_RISK["net"] | {"width": True}}, "net.width"),
+        (TINY_HARD_LABEL | {"teacher_net": TINY_HARD_LABEL["teacher_net"] | {"input_dim": 2.0}},
+         "teacher_net.input_dim"),
+        (TINY_RISK | {"n_grid": [4.5, 8, 16]}, "n_grid"),
+        (TINY_NTK_CHECK | {"width_grid": [16, True]}, "width_grid"),
+        (TINY_RISK | {"oracle": TINY_RISK["oracle"] | {"epochs": 0}}, "oracle.epochs"),
+        (TINY_ANGLE | {"oracle": TINY_ANGLE["oracle"] | {"epochs": 0}}, "oracle.epochs"),
+        (ORACLE_COMMON | {"experiment": "zero-norm", "distill": TINY_RISK["distill"][:1],
+                          "oracle": {"epochs": 0, "batch_size": 8}}, "oracle.epochs"),
+        (TINY_HARD_LABEL | {"oracle": TINY_HARD_LABEL["oracle"] | {"epochs": 0}},
+         "oracle.epochs"),
+        (TINY_NTK_CHECK | {"norm_grid": [float("inf")]}, "norm_grid"),
     ],
     ids=["repeated-n", "teacher-rate", "oracle-rate", "teacher-temperature",
          "teacher-reduction", "no-modes", "effective-logits-no-distill",
@@ -566,7 +546,11 @@ def _without(data, key):
          "no-beta-points", "zero-norm-grid-entry", "negative-norm", "empty-z-t-grid",
          "empty-width-and-norm-grids", "empty-norm-grid", "risk-two-n", "stop-epoch-zero",
          "negative-stop-epoch", "negative-root-seed", "negative-task-seed",
-         "negative-teacher-seed", "fractional-task-seed", "fractional-teacher-seed"],
+         "negative-teacher-seed", "fractional-task-seed", "fractional-teacher-seed",
+         "boolean-root-seed", "boolean-task-seed", "boolean-teacher-seed", "boolean-repeats",
+         "boolean-net-width", "fractional-teacher-net-input-dim", "fractional-n-grid-entry",
+         "boolean-width-grid-entry", "risk-no-oracle-epochs", "angle-dist-no-oracle-epochs",
+         "zero-norm-no-oracle-epochs", "hard-label-no-oracle-epochs", "infinite-norm"],
 )
 def test_validate_rejects_what_a_run_would_reject(tmp_path, capsys, data, field):
     # each of the first six, and the no-kernel-inputs and no-extra-points
@@ -582,7 +566,12 @@ def test_validate_rejects_what_a_run_would_reject(tmp_path, capsys, data, field)
     # ran to a header-only CSV and a negative one was dropped unsaid; a
     # negative root, task or teacher seed, or a fractional task or teacher
     # seed, died in SeedSequence with a traceback and an empty output
-    # directory
+    # directory.  A JSON true for an integer ran as 1 with true in the
+    # manifest (the root seed) or died with a TypeError (a network field), a
+    # fractional n ran as its floor while the manifest kept the fraction, no
+    # oracle epochs trained the teacher and then died dividing by a zero
+    # weight change, and an infinite norm ran to exit 0 with a non-finite
+    # diag_ratio
     assert main(["validate", "--config", str(write_config(tmp_path, data))]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
@@ -820,9 +809,10 @@ def test_nan_teacher_logit_in_an_oracle_chunk_exits_numerical(tmp_path, monkeypa
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_risk_divergence_in_second_repeat_keeps_first_repeat_rows(tmp_path, monkeypatch):
-    # the risk runner works repeat by repeat; a repeat that diverges leaves
-    # every row of the repeats before it, for every distill point, in the
-    # distill -> repeat -> n order of a successful run
+    # each risk unit is one repeat, and its rows run distill point -> n; a
+    # repeat that diverges leaves every row of the repeats before it, for
+    # every distill point, in the repeat -> distill point -> n order of a
+    # successful run
     import ntkdistill.experiments as exp
 
     path = write_config(tmp_path, TINY_RISK)
@@ -930,6 +920,11 @@ def test_monte_carlo_passes_stay_small():
 
     point = peak_mb(lambda: exp._risk_point(cfg, params0, task.sample_inputs, label, targets,
                                             0, 128, deltas_star, delta_zero))
-    angles = peak_mb(lambda: list(exp._angle_curves(
-        cfg, task.sample_inputs, label, params0, delta_zero, deltas_star, rng, None)))
+
+    def angle_pass():
+        inputs = exp._angle_inputs(cfg, task.sample_inputs, label, params0, rng)
+        return [exp._angle_curve(cfg, inputs, dp, np.linalg.norm(delta_star - delta_zero), None)
+                for dp, delta_star in zip(cfg.distill, deltas_star)]
+
+    angles = peak_mb(angle_pass)
     assert point < 16 and angles < 16, (point, angles)

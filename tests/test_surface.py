@@ -159,6 +159,24 @@ def test_only_the_emitter_reads_the_clock():
     assert readers == ["_emitter"]
 
 
+def test_only_run_maps_units_and_emits_rows():
+    # row order, --threads and the rows kept on failure live in one place:
+    # no kind's pieces call the unit map or the row emitter themselves
+    tree = ast.parse((ROOT / "src" / "ntkdistill" / "experiments.py").read_text())
+
+    def calls(node, name):
+        return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == name
+                   for n in ast.walk(node))
+
+    callers = {name: [node.name for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and calls(node, name)]
+               for name in ("_pmap", "_emitter")}
+    assert callers == {"_pmap": ["run"], "_emitter": ["run"]}
+    # nor does a module-level statement, such as the table of kinds
+    assert not any(calls(node, name) for node in tree.body
+                   if not isinstance(node, ast.FunctionDef) for name in callers)
+
+
 def test_students_are_built_from_the_runners_pieces():
     # tests and demos build a student as the runners do, from Sweep,
     # row_blocks and student_closed_form; the two per-call wrappers are
