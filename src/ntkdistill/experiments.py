@@ -59,7 +59,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -221,11 +223,51 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _type_problem(annotation: str, value) -> str | None:
+    """What makes ``value`` unfit for a field annotated ``annotation`` (a
+    string, as the annotations of this package are), or None.  Integers
+    reject JSON true and fractions, which would run as 1 or as their floor
+    while the manifest says otherwise; floats reject true and non-finite
+    values; a list field rejects a bare value."""
+    if annotation.endswith(" | None"):
+        if value is None:
+            return None
+        annotation = annotation.removesuffix(" | None")
+    if annotation.startswith(("list[", "tuple[")):
+        if not isinstance(value, (list, tuple)):
+            return "must be a list"
+        entry = annotation[annotation.index("[") + 1:].split(",")[0].rstrip("]")
+        return next(filter(None, (_type_problem(entry, v) for v in value)), None)
+    if annotation == "int" and type(value) is not int:
+        return "must be an integer"
+    if annotation == "float":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return "must be a number"
+        # NaN fails the comparison; so does an integer too large for a float
+        if not abs(value) <= sys.float_info.max:
+            return "must be finite"
+    if annotation == "str" and not isinstance(value, str):
+        return "must be a string"
+    return None
+
+
 def _build(name: str, cls, data: dict):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name}: must be an object")
+    try:
+        inspect.signature(cls).bind(**data)
+    except TypeError as exc:
+        raise ConfigError(f"{name}: unknown or missing field ({exc})") from exc
     try:
         return cls(**data)
     except TypeError as exc:
-        raise ConfigError(f"{name}: unknown or missing field ({exc})") from exc
+        # the keywords bind, so a check in __post_init__ met a value of the
+        # wrong type, such as a string where it compares a number
+        for f in fields(cls):
+            problem = _type_problem(f.type, data[f.name]) if f.name in data else None
+            if problem:
+                raise ConfigError(f"{name}.{f.name}: {problem}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
@@ -249,6 +291,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         if key not in known:
             raise ConfigError(f"{key}: unknown field")
 
+    for key in ("distill", "tasks"):
+        if not isinstance(data.get(key, []), list):
+            raise ConfigError(f"{key}: must be a list")
     kwargs = dict(data)
     kwargs["net"] = _build("net", NetConfig, data["net"])
     if data.get("teacher_net"):
@@ -261,9 +306,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         _build(f"tasks[{i}]", TaskSpec, t) for i, t in enumerate(data.get("tasks", []))
     ]
     if "teacher" in data:
-        teacher = dict(data["teacher"])
-        if "stop_epochs" in teacher:
-            teacher["stop_epochs"] = tuple(teacher["stop_epochs"])
+        teacher = data["teacher"]
+        if isinstance(teacher, dict) and isinstance(teacher.get("stop_epochs"), list):
+            teacher = teacher | {"stop_epochs": tuple(teacher["stop_epochs"])}
         kwargs["teacher"] = _build("teacher", TeacherRecipe, teacher)
     if "oracle" in data:
         kwargs["oracle"] = _build("oracle", OracleRecipe, data["oracle"])
@@ -275,18 +320,18 @@ def parse_config(data: dict) -> ExperimentConfig:
 
 def _validate_fields(cfg: ExperimentConfig) -> None:
     """Cross-field checks, so that a config a run would reject fails here
-    with exit 1 and no output: each kind's required fields (no runner falls
+    with exit 1 and no output: every field's type by its annotation
+    (:func:`_type_problem`), each kind's required fields (no runner falls
     back to a default for one) and task dims that match every network."""
-    # a field annotated as an integer (or a list of them) that reads JSON
-    # true or 4.5 would run as 1 or 4 while the manifest says otherwise
     parts = [("", cfg), ("net.", cfg.net), ("teacher_net.", cfg.teacher_net),
              ("teacher.", cfg.teacher), ("oracle.", cfg.oracle)]
-    for prefix, part in parts + [(f"tasks[{i}].", t) for i, t in enumerate(cfg.tasks)]:
+    parts += [(f"tasks[{i}].", t) for i, t in enumerate(cfg.tasks)]
+    parts += [(f"distill[{i}].", p) for i, p in enumerate(cfg.distill)]
+    for prefix, part in parts:
         for f in fields(part) if part is not None else ():
-            value = getattr(part, f.name)
-            if f.type in ("int", "list[int]", "tuple[int, ...]") and any(
-                    type(v) is not int for v in (value if f.type != "int" else [value])):
-                raise ConfigError(f"{prefix}{f.name}: must be an integer")
+            problem = _type_problem(f.type, getattr(part, f.name))
+            if problem:
+                raise ConfigError(f"{prefix}{f.name}: {problem}")
     for message, ok in [
         ("repeats: must be >= 1", cfg.repeats >= 1),
         ("n_grid: entries must be >= 1", all(n >= 1 for n in cfg.n_grid)),
@@ -303,9 +348,9 @@ def _validate_fields(cfg: ExperimentConfig) -> None:
         ("width_grid: must not be empty", len(cfg.width_grid) > 0),
         ("width_grid: entries must be >= 1", all(w >= 1 for w in cfg.width_grid)),
         ("norm_grid: must not be empty", len(cfg.norm_grid) > 0),
-        # a diag_ratio divides by norm**2, a negative norm's row would hold
-        # the ratio of its absolute value and an infinite one's is not finite
-        ("norm_grid: entries must be finite and > 0", all(0 < v < np.inf for v in cfg.norm_grid)),
+        # a diag_ratio divides by norm**2, and a negative norm's row would
+        # hold the ratio of its absolute value
+        ("norm_grid: entries must be > 0", all(v > 0 for v in cfg.norm_grid)),
         # without an oracle step a weight change is zero, and its norm divides
         ("oracle.epochs: must be >= 1 for this experiment", cfg.oracle.epochs >= 1
          or cfg.experiment in ("effective-logits", "ntk-check", "inefficiency")),

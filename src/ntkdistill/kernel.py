@@ -28,7 +28,10 @@ layer on a tile while the tile is in cache, with the pair norms broadcast
 from the layer's diagonal.  Each tile goes into the Gram together with its
 transpose.  That is exact because each step is symmetric entrywise, and
 every entry takes the same IEEE operations in the same order whichever tile
-holds it.
+holds it.  The tiles are written back into S itself, so the Gram costs no
+second n x n buffer: tile i0:i1 reads only S[i0:i1, i0:] and S[i0:, i0:i1],
+which is exactly the region it writes, and every later tile reads only rows
+and columns from i1 on, which no earlier tile has written.
 
 At finite width the same object is the Gram matrix of the parameter
 gradients; ``empirical_ntk_gram`` and ``empirical_ntk_diag`` read it off a
@@ -106,14 +109,15 @@ def analytic_ntk_diag(cfg: NetConfig, x: np.ndarray) -> np.ndarray:
 def analytic_ntk_gram(cfg: NetConfig, x: np.ndarray) -> KernelMatrix:
     """Entrywise analytic kernel over a batch of inputs, built in tiles."""
     batch = as_batch(cfg, x)
-    s = (batch @ batch.T) / cfg.input_dim + 1.0
+    s = batch @ batch.T
+    s /= cfg.input_dim
+    s += 1.0
     n = s.shape[0]
     # each tile starts from the symmetrized 0.5 (S + S^T); that exact
     # symmetry is what lets a tile's transpose stand for its mirror image,
     # since every step maps (i, j) and (j, i) alike
     d = np.diagonal(s)
     _, diags = _arc_cosine(cfg, 0.5 * (d + d), np.empty((4, n)))
-    gram = np.empty((n, n))
     flat = np.empty((5, max(_TILE_ENTRIES, n)))
     i0 = 0
     while i0 < n:
@@ -125,10 +129,10 @@ def analytic_ntk_gram(cfg: NetConfig, x: np.ndarray) -> KernelMatrix:
         np.add(s[i0:i1, i0:], s[i0:, i0:i1].T, out=tile)
         np.multiply(0.5, tile, out=tile)
         k, _ = _arc_cosine(cfg, tile, work, diags, slice(i0, i1), slice(i0, n))
-        gram[i0:i1, i0:] = k
-        gram[i0:, i0:i1] = k.T
+        s[i0:i1, i0:] = k
+        s[i0:, i0:i1] = k.T
         i0 = i1
-    return KernelMatrix(gram)
+    return KernelMatrix(s)
 
 
 def empirical_ntk_gram(cfg: NetConfig, params: np.ndarray, x: np.ndarray) -> KernelMatrix:

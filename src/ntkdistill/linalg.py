@@ -45,7 +45,10 @@ class KernelMatrix:
     threads.  The Cholesky factor of ``entries + jitter_used * I`` is computed
     lazily on first solve and cached; ``jitter_used`` starts at ``jitter`` and
     escalates by factors of 10 (up to ``JITTER_RETRIES`` times) if the
-    factorization fails.
+    factorization fails.  It is factored in place in one Fortran-ordered
+    copy that is ``entries + jitter * I`` bit for bit, written afresh for
+    each jitter tried, so a factorization holds the entries and one more
+    n x n array.
     """
 
     def __init__(self, entries: np.ndarray, jitter: float | None = None):
@@ -53,7 +56,8 @@ class KernelMatrix:
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"kernel matrix must be square, got {entries.shape}")
         # the largest magnitude is non-finite exactly when some entry is
-        scale = np.max(np.abs(entries))
+        # (max and min propagate NaN, and need no n x n temporary)
+        scale = max(entries.max(), -entries.min())
         if not np.isfinite(scale):
             raise ValueError("kernel matrix has non-finite entries")
         bits = entries.view(np.uint64)
@@ -107,10 +111,14 @@ class KernelMatrix:
         """Lower-triangular factor L with L L^T = entries + jitter_used * I."""
         if self._chol is None:
             jitter = self.jitter
-            eye = np.eye(self.n)
+            jittered = np.empty((self.n, self.n), order="F")
             for attempt in range(JITTER_RETRIES + 1):
+                # entries + jitter * I bit for bit: + 0.0 turns -0.0 into
+                # +0.0 off the diagonal, as the product's zeros do
+                np.add(self._entries, 0.0, out=jittered)
+                np.fill_diagonal(jittered, np.diagonal(self._entries) + jitter)
                 try:
-                    self._chol = cholesky(self._entries + jitter * eye, lower=True)
+                    self._chol = cholesky(jittered, lower=True, overwrite_a=True)
                     self._jitter_used = jitter
                     break
                 except np.linalg.LinAlgError:

@@ -61,6 +61,32 @@ def inefficiency_of_norm_law(norm_law, ns) -> np.ndarray:
     )
 
 
+def _unit_norms(cfg: NetConfig, x: np.ndarray, dz: np.ndarray, n: int):
+    """|dw_n| on the first n of the inputs ``x``, and the mean |dw_{n+1}|
+    over the remaining ones as the (n+1)th point.  The Gram and the base
+    factor live only in this call, so they are freed before the next unit
+    draws its inputs and its student initialization."""
+    # the full Gram is checked once; its leading block shares it
+    gram = analytic_ntk_gram(cfg, x)
+    base = gram.leading(n)
+    # one view, so kernel_inner half-solves it once
+    head = dz[:n]
+    base_sq = max(kernel_inner(base, head, head), 0.0)
+    # Schur-complement increment of each candidate (n+1)th point, reusing the
+    # base factorization and its jitter
+    cross = gram.entries[:n, n:]
+    solved_cross = base.solve(cross)
+    u = base.solve(head)
+    resid = dz[n:] - cross.T @ u
+    schur = (
+        np.diag(gram.entries[n:, n:])
+        + base.jitter_used
+        - np.einsum("ij,ij->j", cross, solved_cross)
+    )
+    inc = resid**2 / np.maximum(schur, np.finfo(float).tiny)
+    return np.sqrt(base_sq), np.mean(np.sqrt(base_sq + inc))
+
+
 def data_inefficiency(
     task,
     cfg: NetConfig,
@@ -87,6 +113,10 @@ def data_inefficiency(
     20% of its repeats skipped is flagged unreliable.  ``targets`` overrides
     the task's target function (same (x, rng) signature), which is how
     distilled effective logits are swept.
+
+    At its peak a unit holds two (n + extra_points)^2-sized arrays, the Gram
+    and one Cholesky factor, and it releases both before the next unit
+    starts.
     """
     ns = np.asarray(ns, dtype=int)
     if np.any(np.diff(ns) <= 0):
@@ -113,26 +143,9 @@ def data_inefficiency(
             if task.subtract_init:
                 dz = dz - forward(cfg, init_params(cfg, rng), x)
             try:
-                # the full Gram is checked once; its leading block shares it
-                gram = analytic_ntk_gram(cfg, x)
-                base = gram.leading(n)
-                # one view, so kernel_inner half-solves it once
-                head = dz[:n]
-                base_sq = max(kernel_inner(base, head, head), 0.0)
-                # Schur-complement increment of each candidate (n+1)th point,
-                # reusing the base factorization and its jitter
-                cross = gram.entries[:n, n:]
-                solved_cross = base.solve(cross)
-                u = base.solve(head)
-                resid = dz[n:] - cross.T @ u
-                schur = (
-                    np.diag(gram.entries[n:, n:])
-                    + base.jitter_used
-                    - np.einsum("ij,ij->j", cross, solved_cross)
-                )
-                inc = resid**2 / np.maximum(schur, np.finfo(float).tiny)
-                norms_n.append(np.sqrt(base_sq))
-                norms_next.append(np.mean(np.sqrt(base_sq + inc)))
+                norm_n, norm_next = _unit_norms(cfg, x, dz, n)
+                norms_n.append(norm_n)
+                norms_next.append(norm_next)
             except SingularKernelError:
                 skipped[i] += 1
         if norms_n:

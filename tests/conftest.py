@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,27 @@ def mixture_teacher():
         checkpoint_epochs=[16384],
     )[-1]
     return task, ckpt
+
+
+@pytest.fixture
+def traced_peak():
+    """``peak(f)`` calls ``f()`` and returns its result and the most bytes
+    it held at once beyond what was held before the call, as tracemalloc
+    counts them; numpy reports its array buffers to tracemalloc."""
+    def peak(f):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = f()
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return peak
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -538,6 +538,22 @@ def _without(data, key):
         (TINY_HARD_LABEL | {"oracle": TINY_HARD_LABEL["oracle"] | {"epochs": 0}},
          "oracle.epochs"),
         (TINY_NTK_CHECK | {"norm_grid": [float("inf")]}, "norm_grid"),
+        (ORACLE_COMMON | {"experiment": "inefficiency", "n_grid": 8}, "n_grid"),
+        (MINIMAL | {"z_t_grid": 0.5}, "z_t_grid"),
+        (TINY_NTK_CHECK | {"width_grid": 16}, "width_grid"),
+        (TINY_NTK_CHECK | {"norm_grid": 10.0}, "norm_grid"),
+        (MINIMAL | {"distill": MINIMAL["distill"][0]}, "distill"),
+        (TINY_RISK | {"tasks": TINY_RISK["tasks"][0]}, "tasks"),
+        (TINY_HARD_LABEL | {"teacher": TINY_HARD_LABEL["teacher"] | {"stop_epochs": 8}},
+         "teacher.stop_epochs"),
+        (TINY_HARD_LABEL | {"teacher": TINY_HARD_LABEL["teacher"] | {"reduction": float("inf")}},
+         "teacher.reduction"),
+        (TINY_RISK | {"tasks": [TINY_RISK["tasks"][0] | {"amplitude": float("nan")}]},
+         "tasks[0].amplitude"),
+        (TINY_RISK | {"distill": [{"soft_ratio": 1.0, "temperature": float("inf")}]},
+         "distill[0].temperature"),
+        (TINY_HARD_LABEL | {"teacher": TINY_HARD_LABEL["teacher"] | {"reduction": 10**400}},
+         "teacher.reduction"),
     ],
     ids=["repeated-n", "teacher-rate", "oracle-rate", "teacher-temperature",
          "teacher-reduction", "no-modes", "effective-logits-no-distill",
@@ -550,7 +566,10 @@ def _without(data, key):
          "boolean-root-seed", "boolean-task-seed", "boolean-teacher-seed", "boolean-repeats",
          "boolean-net-width", "fractional-teacher-net-input-dim", "fractional-n-grid-entry",
          "boolean-width-grid-entry", "risk-no-oracle-epochs", "angle-dist-no-oracle-epochs",
-         "zero-norm-no-oracle-epochs", "hard-label-no-oracle-epochs", "infinite-norm"],
+         "zero-norm-no-oracle-epochs", "hard-label-no-oracle-epochs", "infinite-norm",
+         "bare-n-grid", "bare-z-t-grid", "bare-width-grid", "bare-norm-grid", "bare-distill",
+         "bare-tasks", "bare-stop-epochs", "infinite-teacher-reduction", "nan-task-amplitude",
+         "infinite-distill-temperature", "huge-integer-teacher-reduction"],
 )
 def test_validate_rejects_what_a_run_would_reject(tmp_path, capsys, data, field):
     # each of the first six, and the no-kernel-inputs and no-extra-points
@@ -571,9 +590,36 @@ def test_validate_rejects_what_a_run_would_reject(tmp_path, capsys, data, field)
     # fractional n ran as its floor while the manifest kept the fraction, no
     # oracle epochs trained the teacher and then died dividing by a zero
     # weight change, and an infinite norm ran to exit 0 with a non-finite
-    # diag_ratio
+    # diag_ratio.  A list field given as a bare value crashed validate with
+    # a TypeError.  An infinite teacher reduction died in hard-label-effect
+    # with an OverflowError, a NaN amplitude trained the teacher on NaN
+    # targets and ran to exit 0, and an infinite distill temperature ran to
+    # exit 0 through numpy RuntimeWarnings; an integer too large for a
+    # float is no finite float either
     assert main(["validate", "--config", str(write_config(tmp_path, data))]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (TINY_RISK | {"tasks": [TINY_RISK["tasks"][0] | {"modes": "3"}]},
+         "tasks[0].modes: must be an integer"),
+        (_with_teacher(learning_rate="0.01"), "teacher.learning_rate: must be a number"),
+        (TINY_RISK | {"tasks": [TINY_RISK["tasks"][0] | {"mode": 3}]},
+         "tasks[0]: unknown or missing field"),
+        (TINY_RISK | {"net": {"input_dim": 2, "width": 8}}, "net: unknown or missing field"),
+        (TINY_RISK | {"oracle": 6}, "oracle: must be an object"),
+        (MINIMAL | {"out": 3}, "out: must be a string"),
+    ],
+    ids=["string-modes", "string-teacher-rate", "misspelt-task-field", "missing-net-field",
+         "bare-oracle", "numeric-out"],
+)
+def test_config_errors_tell_a_wrong_type_from_a_wrong_name(tmp_path, capsys, data, message):
+    # a value of the wrong type used to fail a comparison in __post_init__
+    # and read as "unknown or missing field", like a misspelt key
+    assert main(["validate", "--config", str(write_config(tmp_path, data))]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 def test_negative_seed_override_is_a_config_error(tmp_path, capsys):

@@ -171,6 +171,15 @@ def test_gram_bitwise_equals_full_matrix_recursion(d, n, scale, tile_entries, ze
     assert np.array_equal(gram, gram.T)
 
 
+def test_gram_holds_two_arrays_at_its_peak(traced_peak):
+    # the tiles are written back into S, so the build holds S and the
+    # KernelMatrix's copy of it, not a second Gram buffer besides
+    cfg = NetConfig(1, 5, 256)
+    xs = np.random.default_rng(544).normal(size=(544, 1))
+    _, peak = traced_peak(lambda: analytic_ntk_gram(cfg, xs))
+    assert peak <= 2.5 * 544**2 * 8
+
+
 def test_gram_single_input():
     cfg = NetConfig(2, 2, 4)
     x = np.array([[0.5, -1.0]])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ntkdistill.linalg import (
     DegenerateVectorError,
@@ -165,6 +166,39 @@ def test_leading_block_is_bitwise_a_fresh_matrix_of_the_block(n):
     assert np.array_equal(bits(block.solve(b)), bits(fresh.solve(b)))
     assert np.array_equal(bits(block.cholesky()), bits(fresh.cholesky()))
     assert block.jitter_used == fresh.jitter_used
+
+
+def _signed_zero_spd():
+    m = random_spd(6, np.random.default_rng(14))
+    m = np.triu(m) + np.triu(m, 1).T
+    m[0, 3] = m[3, 0] = -0.0
+    return KernelMatrix(m)
+
+
+def _escalating_psd():
+    # rank 2 in 7 dimensions: zero jitter fails, so the jitter escalates
+    a = np.random.default_rng(15).standard_normal((7, 2))
+    return KernelMatrix(np.triu(a @ a.T) + np.triu(a @ a.T, 1).T, jitter=0.0)
+
+
+@pytest.mark.parametrize("make, escalates", [(_signed_zero_spd, False), (_escalating_psd, True)],
+                         ids=["signed-zeros", "jitter-escalation"])
+def test_cholesky_is_bitwise_the_factor_of_the_jittered_entries(make, escalates):
+    # the in-place factor of the jittered copy equals scipy's factor of
+    # entries + jitter_used * I bit for bit, signed zeros included
+    k = make()
+    factor = k.cholesky()
+    expect = scipy.linalg.cholesky(k.entries + k.jitter_used * np.eye(k.n), lower=True)
+    assert np.array_equal(factor.view(np.uint64), expect.view(np.uint64))
+    assert (k.jitter_used > k.jitter) == escalates
+
+
+def test_cholesky_holds_one_more_array_at_its_peak(traced_peak):
+    # the jittered copy is factored in place: no identity matrix, no sum
+    # and no copy inside scipy
+    k = KernelMatrix(random_spd(544, np.random.default_rng(16)))
+    _, peak = traced_peak(k.cholesky)
+    assert peak <= 1.25 * 544**2 * 8
 
 
 @pytest.mark.parametrize("n", [0, 6])

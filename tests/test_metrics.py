@@ -148,6 +148,20 @@ def test_data_inefficiency_half_solves_each_unit_once(monkeypatch):
     assert np.all(np.isfinite(curve.inefficiency))
 
 
+def test_data_inefficiency_holds_two_grams_at_its_peak(traced_peak):
+    # a unit holds its Gram and one factor at its peak and frees both
+    # before the next unit draws, so a second repeat adds nothing
+    task = Task(TaskSpec(kind="mixture", dim=1, modes=10, seed=7))
+    cfg = NetConfig(1, 5, 256)
+    peaks = [
+        traced_peak(lambda: data_inefficiency(task, cfg, [512], repeats=r, root_seed=99,
+                                              extra_points=32))[1]
+        for r in (1, 2)
+    ]
+    assert peaks[1] <= 2.5 * 544**2 * 8
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
 def test_nested_norms_nondecreasing():
     # the weight change is a projection onto a growing span
     task = Task(TaskSpec(kind="mixture", modes=5, seed=3))
