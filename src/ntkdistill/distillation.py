@@ -18,13 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 # Initial bracket half-width for the root search, and the saturation value
 # reported for pure hard labels (where the minimizer runs off to infinity).
 _Z_MAX_BASE = 30.0
 # iteration cap of the Newton solve, a backstop far above the ~20 it takes
 _MAX_ITER = 200
+# scipy.special.expit, once the first call of expit has imported it
+_expit = None
+
+
+def expit(x):
+    """``scipy.special.expit``, imported on the first call and kept: Newton
+    iterations and training steps call it too often for an import each."""
+    global _expit
+    if _expit is None:
+        from scipy.special import expit as _expit
+    return _expit(x)
 
 
 class UnboundedSolutionError(ValueError):

@@ -536,30 +536,29 @@ def _effective_logits_unit(cfg: ExperimentConfig, shared, key) -> list[tuple]:
             for y_g, (val, sat) in enumerate(solved)]
 
 
-# each thread draws its ntk-check units' parameters into one buffer (269 MB
-# at width 4096), grown to the largest p so far; the smaller buffer is
-# released before the larger one is allocated
-_DRAWS = threading.local()
-
-
 def _ntk_check_setup(cfg: ExperimentConfig):
-    """The kernel inputs and their analytic Gram, which reads the depth and
-    the input dimension, not the width."""
+    """The kernel inputs, their analytic Gram, which reads the depth and the
+    input dimension, not the width, and the run's draw buffers.
+
+    Each thread draws its units' parameters into one buffer (269 MB at
+    width 4096), grown to the largest p so far; the smaller buffer is
+    released before the larger one is allocated.  The buffers belong to the
+    run's shared data, so they go when the run ends, failed or not."""
     x = unit_rng(cfg.seed, 0).normal(scale=INPUT_SCALE,
                                      size=(cfg.kernel_inputs, cfg.net.input_dim))
-    return x, analytic_ntk_gram(cfg.net, x).entries
+    return x, analytic_ntk_gram(cfg.net, x).entries, threading.local()
 
 
 def _ntk_check_unit(cfg: ExperimentConfig, shared, key) -> list[tuple]:
-    x, target = shared
+    x, target, draws = shared
     width, rep = key
     net = replace(cfg.net, width=width)
     seed = int(unit_rng(cfg.seed, 1, width, rep).integers(2**63))
     p = param_count(net)
-    if getattr(_DRAWS, "buf", None) is None or _DRAWS.buf.size < p:
-        _DRAWS.buf = None
-        _DRAWS.buf = np.empty(p)
-    gram = empirical_ntk_gram(net, init_params(net, seed, out=_DRAWS.buf[:p]), x).entries
+    if getattr(draws, "buf", None) is None or draws.buf.size < p:
+        draws.buf = None
+        draws.buf = np.empty(p)
+    gram = empirical_ntk_gram(net, init_params(net, seed, out=draws.buf[:p]), x).entries
     err = float(np.linalg.norm(gram - target) / np.linalg.norm(target))
     return [({"frob_rel_err": err}, None, {"seed": seed, "n": width})]
 
@@ -568,7 +567,6 @@ def _ntk_check_finish(cfg: ExperimentConfig, shared, results) -> list[tuple]:
     """The rows that span units: each width's mean error, then the growth of
     the kernel diagonal against the squared input norm.  K(x, x) depends
     only on |x|, so each norm sits on the first input axis."""
-    _DRAWS.buf = None  # the run's own thread releases its draw buffer
     errs = [(coords["n"], values["frob_rel_err"])
             for groups in results for values, _, coords in groups]
     groups = [({"frob_rel_err_mean": float(np.mean([e for n, e in errs if n == width]))},

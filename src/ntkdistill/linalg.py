@@ -3,12 +3,17 @@
 Everything downstream (kernel norms, inner products, angle metrics) funnels
 through the Cholesky factorization of a jittered Gram matrix, so the policy
 for conditioning lives here and nowhere else.
+
+scipy.linalg, whose import is most of the package's start-up time, is
+imported by the first call of the thin wrappers ``cholesky``, ``cho_solve``
+and ``solve_triangular``, so a run that factors no Gram never loads it.
+``KernelMatrix`` calls them through this module's globals, so a caller may
+rebind them (to count factorizations, say).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 # Relative jitter added to the diagonal before factorization, as a fraction
 # of the mean diagonal scale trace(K)/n.  Near-duplicate samples make Gram
@@ -21,6 +26,24 @@ DEFAULT_JITTER_SCALE = 1e-8
 JITTER_RETRIES = 3
 
 SYMMETRY_RTOL = 1e-10
+
+
+def cholesky(a, **kwargs):
+    """``scipy.linalg.cholesky``, imported on the first call."""
+    import scipy.linalg
+    return scipy.linalg.cholesky(a, **kwargs)
+
+
+def cho_solve(factor, b):
+    """``scipy.linalg.cho_solve``, imported on the first call."""
+    import scipy.linalg
+    return scipy.linalg.cho_solve(factor, b)
+
+
+def solve_triangular(a, b, **kwargs):
+    """``scipy.linalg.solve_triangular``, imported on the first call."""
+    import scipy.linalg
+    return scipy.linalg.solve_triangular(a, b, **kwargs)
 
 
 class SingularKernelError(np.linalg.LinAlgError):

@@ -79,13 +79,18 @@ steps) stay whole.
 The block is 128 rows because a block's temporaries are then reused from
 the heap instead of faulting in fresh pages.  At the risk study's width of
 128, a block of B rows allocates about eight (B, 128) temporaries of
-B kB each.  glibc hands heap memory above its trim threshold back to the
-kernel on free, and that threshold starts low in a fresh process, so with
-larger blocks every block faults its temporaries in again: a 10,000-row,
-two-weight-change student sweep took about 12.5k minor faults with
-1,024-row blocks, 11.9k with 512 and 11.3k with 256, and at most 150 with
-128 (glibc 2.36, in a fresh interpreter after one warm-up sweep).  Blocks
-of 128 rows were also no slower per sweep.
+B kB each.  glibc serves an allocation above its mmap threshold (128 kB in
+a fresh process) with a fresh mapping, and hands heap memory above its trim
+threshold back to the kernel on free, so with low thresholds every block
+faults its temporaries in again.  Freeing a mapped chunk raises both
+thresholds, to that chunk's size and twice it (mallopt(3)), so this module
+frees one untouched 16 MB array at import: blocks of up to 16 MB then come
+from the heap and stay there.  scipy's import used to do that as a side
+effect; without the warm-up a 10,000-row, two-weight-change student sweep
+in a fresh interpreter took about 10k minor faults at width 128, 22k at 256
+and 47k at 512, and with it none (glibc 2.36, after one warm-up sweep).
+Larger blocks faulted more before the warm-up (about 12.5k with 1,024-row
+blocks at width 128) and were no faster per sweep.
 
 ``train_linearized`` trains a list of objectives in lockstep on one sweep
 per step, each objective with its own weight change and Adam state.  It
@@ -109,13 +114,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
-from .distillation import DistillParams, loss_gradient
+from .distillation import DistillParams, expit, loss_gradient
 
 # rows per sweep of a blocked batch evaluation (see row_blocks, and the
 # module docstring for why 128)
 _BLOCK_ROWS = 128
+
+# the allocator warm-up (see the module docstring): a 16 MB array, never
+# written, so none of its pages is faulted in, freed at once
+_WARM_UP = np.empty(2 * 1024 * 1024)
+del _WARM_UP
 
 # rows of batches drawn ahead per target evaluation of train_linearized; a
 # constant of its own, so the block size does not change how often targets
@@ -282,17 +291,20 @@ class Sweep:
         return out
 
     def vjp(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_i coeffs[i] * phi(x_i), assembled layer by layer."""
+        """sum_i coeffs[i] * phi(x_i), each layer's piece written into its
+        span of one length-p vector."""
+        spans, count = _layout(self.cfg)
         scales = _scales(self.cfg)[0]
         c = np.asarray(coeffs, dtype=float)
-        pieces = []
-        for l, dl in enumerate(self.deltas):
+        out = np.empty(count)
+        for (w_shape, w0, b0, b1), dl, a, scale in zip(spans, self.deltas, self.acts, scales):
             wd = (dl * c[:, None]).T
-            pieces.append((wd @ self.acts[l]).ravel() * scales[l])
-            pieces.append(wd.sum(axis=1))
-        pieces.append((c @ self.acts[-1]) * scales[-1])
-        pieces.append(np.array([c.sum()]))
-        return np.concatenate(pieces)
+            np.multiply(wd @ a, scale, out=out[w0:b0].reshape(w_shape))
+            np.sum(wd, axis=1, out=out[b0:b1])
+        _, w0, b0, _ = spans[-1]
+        np.multiply(c @ self.acts[-1], scales[-1], out=out[w0:b0])
+        out[b0] = c.sum()
+        return out
 
     def gram(self) -> np.ndarray:
         """The tangent Gram phi(x_i) . phi(x_j) of the rows, (n, n)."""
@@ -395,15 +407,28 @@ class _Adam:
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
         self.t = 0
+        self._work = (np.empty(dim), np.empty(dim))
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """One Adam update of ``params`` in place, through two work vectors:
+        the IEEE operations of the one-expression form, in its order."""
         c, b1, b2 = self.cfg, self.beta1, self.beta2
+        w, u = self._work
         self.t += 1
-        self.m = b1 * self.m + (1 - b1) * grad
-        self.v = b2 * self.v + (1 - b2) * grad**2
-        m_hat = self.m / (1 - b1**self.t)
-        v_hat = self.v / (1 - b2**self.t)
-        return params - c.rate_at(self.t) * m_hat / (np.sqrt(v_hat) + c.adam_eps)
+        np.multiply(grad, 1 - b1, out=w)
+        self.m *= b1
+        self.m += w
+        np.multiply(grad, grad, out=w)
+        w *= 1 - b2
+        self.v *= b2
+        self.v += w
+        np.divide(self.m, 1 - b1**self.t, out=w)
+        np.divide(self.v, 1 - b2**self.t, out=u)
+        np.sqrt(u, out=u)
+        u += c.adam_eps
+        w *= c.rate_at(self.t)
+        w /= u
+        params -= w
 
 
 @dataclass(frozen=True)
@@ -445,7 +470,7 @@ def train_teacher(
             if not np.all(np.isfinite(sweep.logits)):
                 raise DivergenceError(f"teacher logits non-finite at epoch {epoch}")
         coeffs = (expit(sweep.logits) - y) / len(y)
-        params = adam.step(params, sweep.vjp(coeffs))
+        adam.step(params, sweep.vjp(coeffs))
         if epoch in wanted:
             checkpoints.append(Checkpoint(cfg, epoch, params.copy()))
     return checkpoints
@@ -573,6 +598,6 @@ def train_linearized(
             coeffs = obj.grad(z, values[j], rows) / len(z)
             grad = sweep.vjp(coeffs)
             grad_norms[j] = float(np.linalg.norm(grad))
-            deltas[j] = adams[j].step(deltas[j], grad)
+            adams[j].step(deltas[j], grad)
 
     return [TrainResult(delta, norm) for delta, norm in zip(deltas, grad_norms)]

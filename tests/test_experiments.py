@@ -3,6 +3,7 @@ import json
 import os
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -228,6 +229,27 @@ def test_ntk_check_smoke_is_byte_identical_at_one_and_two_threads(tmp_path, monk
     for i, (thread, out) in enumerate(draws):
         for other, other_out in draws[i + 1:]:
             assert thread == other or not np.shares_memory(out, other_out)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failed_ntk_check_run_keeps_no_draw_buffer(tmp_path, monkeypatch, threads):
+    # the draw buffers belong to the run: one that fails before its last
+    # unit releases them as a finished one does (at width 4096 a buffer
+    # holds 269 MB)
+    import ntkdistill.experiments as exp
+    from test_pipeline import SMOKE_CASES, _tiny_fig2_config
+
+    buffers = []
+
+    def injected(net, seed, out=None):
+        buffers.append(weakref.ref(out.base))
+        raise FloatingPointError("injected")
+
+    path = write_config(tmp_path, _tiny_fig2_config("ntk-check", **SMOKE_CASES["ntk-check"]))
+    monkeypatch.setattr(exp, "init_params", injected)
+    status, _ = run(path, out_dir=tmp_path / "out", threads=threads)
+    assert status == 2
+    assert buffers and all(buf() is None for buf in buffers)
 
 
 def _assert_failing_unit_keeps_earlier_rows(tmp_path, data, inject, threads=1):

@@ -248,7 +248,8 @@ class _WhereSweep(Sweep):
     value, 0.0)``, and every affine step one expression, as before the
     passes went in place.  ``tangent`` is an independent forward tangent
     pass (two matmuls per hidden layer), the reference for the one tangent
-    form the library keeps, ``jvp``."""
+    form the library keeps, ``jvp``; ``vjp`` concatenates the layers'
+    pieces, as before they were written into one vector."""
 
     def __init__(self, cfg, params, x):
         self.cfg = cfg
@@ -282,6 +283,18 @@ class _WhereSweep(Sweep):
                     v = deltas[l] @ layers[l][0] * (1.0 / np.sqrt(m))
             self._deltas = deltas
         return self._deltas
+
+    def vjp(self, coeffs):
+        c = np.asarray(coeffs, dtype=float)
+        d, m = self.cfg.input_dim, self.cfg.width
+        pieces = []
+        for l, dl in enumerate(self.deltas):
+            wd = (dl * c[:, None]).T
+            pieces.append((wd @ self.acts[l]).ravel() * (1.0 / np.sqrt(d if l == 0 else m)))
+            pieces.append(wd.sum(axis=1))
+        pieces.append((c @ self.acts[-1]) * (1.0 / np.sqrt(m)))
+        pieces.append(np.array([c.sum()]))
+        return np.concatenate(pieces)
 
     def tangent(self, delta):
         cfg = self.cfg
@@ -390,9 +403,10 @@ def test_row_blocks_are_bitwise_one_sweep_on_the_inefficiency_net(n):
 # faults of the counted sweep
 _FAULT_PROBE = """
 import resource
+import sys
 import numpy as np
 from ntkdistill.network import NetConfig, init_params, row_blocks
-cfg = NetConfig(2, 2, 128)
+cfg = NetConfig(2, 2, int(sys.argv[1]))
 rng = np.random.default_rng(0)
 p = init_params(cfg, 1)
 x = rng.normal(size=(10000, 2))
@@ -401,24 +415,29 @@ sweep = lambda: row_blocks(cfg, p, x, lambda s: np.stack([s.logits + s.jvp(d) fo
 sweep()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 sweep()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,
+      any(name.split(".")[0] == "scipy" for name in sys.modules))
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
                     reason="counts the page faults of glibc's allocator on Linux")
-def test_monte_carlo_sweep_faults_in_no_fresh_pages():
+@pytest.mark.parametrize("width", [128, 256, 512])
+def test_monte_carlo_sweep_faults_in_no_fresh_pages(width):
     # each block's temporaries must come back from the heap, not from the
-    # kernel: on glibc 2.36, 1,024- and 256-row blocks took about 12.5k and
-    # 11.3k minor faults per sweep, as glibc returned the pages and faulted
-    # them in again.  The probe runs in a fresh interpreter, since glibc
-    # raises its trim threshold after large frees, so the allocations of
-    # earlier tests in this process would hide the churn
+    # kernel.  With glibc's thresholds as a fresh process starts, 128-row
+    # blocks took about 10k, 22k and 47k minor faults per sweep at these
+    # widths, as glibc returned the pages and faulted them in again; the
+    # network module's allocator warm-up raises the thresholds.  The probe
+    # runs in a fresh interpreter without scipy: scipy's import raises them
+    # as a side effect, and so would the large frees of earlier tests here
     env = dict(os.environ, PYTHONPATH=str(Path(ntkdistill.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+    probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(width)], env=env,
                            capture_output=True, text=True, check=True, timeout=120)
-    assert int(probe.stdout) < 2000
+    faults, scipy_loaded = probe.stdout.split()
+    assert scipy_loaded == "False"
+    assert int(faults) < 2000
 
 
 @pytest.mark.parametrize("bias_factor", [0.0, 1.0])
@@ -465,6 +484,40 @@ class _ToyTask:
 
     def hard_labels(self, x, rng=None):
         return (x[:, 0] + x[:, 1] > 0).astype(float)
+
+
+class _ExpressionAdam(_Adam):
+    """Reference: the Adam step as one expression per line, each allocating
+    its result, as before the step went in place."""
+
+    def step(self, params, grad):
+        c, b1, b2 = self.cfg, self.beta1, self.beta2
+        self.t += 1
+        self.m = b1 * self.m + (1 - b1) * grad
+        self.v = b2 * self.v + (1 - b2) * grad**2
+        m_hat = self.m / (1 - b1**self.t)
+        v_hat = self.v / (1 - b2**self.t)
+        return params - c.rate_at(self.t) * m_hat / (np.sqrt(v_hat) + c.adam_eps)
+
+
+@pytest.mark.parametrize("final_learning_rate", [None, 1e-4])
+def test_adam_step_is_bitwise_the_expression_step(final_learning_rate):
+    # the in-place step performs the expressions' operations in their order,
+    # so parameters and moments keep every bit through a decaying schedule,
+    # with signed zeros, subnormal and large gradient entries
+    tc = TrainConfig(learning_rate=0.01, batch_size=1, epochs=30,
+                     final_learning_rate=final_learning_rate)
+    rng = np.random.default_rng(31)
+    params = rng.normal(size=64)
+    adam, ref = _Adam(params.size, tc), _ExpressionAdam(params.size, tc)
+    want = params.copy()
+    for _ in range(tc.epochs):
+        grad = rng.normal(size=params.size) * 10.0 ** rng.integers(-8, 8, size=params.size)
+        grad[:4] = [0.0, -0.0, 5e-324, -1e150]
+        adam.step(params, grad)
+        want = ref.step(want, grad)
+        for got, expect in ((params, want), (adam.m, ref.m), (adam.v, ref.v)):
+            assert np.array_equal(_bits(got), _bits(expect))
 
 
 def test_train_teacher_zero_epochs_returns_init():
@@ -608,7 +661,7 @@ def _per_step_reference(cfg, params0, objectives, tc, sampler, rng):
             coeffs = obj.grad(z, obj.evaluate(sweep.acts[0]), slice(None)) / len(z)
             grad = sweep.vjp(coeffs)
             norms[j] = float(np.linalg.norm(grad))
-            deltas[j] = adams[j].step(deltas[j], grad)
+            adams[j].step(deltas[j], grad)
     return deltas, norms
 
 
