@@ -59,13 +59,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import inspect
 import json
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -174,27 +173,6 @@ class TeacherRecipe:
         return TrainConfig(self.learning_rate, self.batch_size, epochs)
 
 
-@dataclass(frozen=True)
-class OracleRecipe:
-    """Online-batch training schedule for the oracle weight changes."""
-
-    epochs: int = 3000
-    learning_rate: float = 0.003
-    batch_size: int = 128
-    final_learning_rate: float | None = None
-
-    def __post_init__(self):
-        self.train_config()  # a bad schedule fails the config, not the run
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            final_learning_rate=self.final_learning_rate,
-        )
-
-
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -207,7 +185,7 @@ class ExperimentConfig:
     repeats: int = 5
     out: str = "results"
     teacher: TeacherRecipe = field(default_factory=TeacherRecipe)
-    oracle: OracleRecipe = field(default_factory=OracleRecipe)
+    oracle: TrainConfig = field(default_factory=TrainConfig)
     z_t_grid: list[float] = field(default_factory=lambda: list(np.linspace(-5, 5, 21)))
     width_grid: list[int] = field(default_factory=lambda: [64, 256, 1024, 4096])
     kernel_inputs: int = 16
@@ -251,88 +229,77 @@ def _type_problem(annotation: str, value) -> str | None:
     return None
 
 
-def _build(name: str, cls, data: dict):
+# the config parts, by the names their fields' annotations give them
+_PARTS = {cls.__name__: cls for cls in
+          (ExperimentConfig, NetConfig, TaskSpec, DistillParams, TeacherRecipe, TrainConfig)}
+
+
+def _field_value(path: str, annotation: str, value):
+    """A JSON value as the field annotated ``annotation`` takes it: a config
+    part, or a list of them, built by :func:`_build` under ``path``; a tuple
+    for a tuple field; anything else as it is, for the part's type check."""
+    name = annotation.removesuffix(" | None")
+    entry = name.removeprefix("list[").removesuffix("]")
+    if value is None and name != annotation:
+        return None
+    if name in _PARTS:
+        return _build(path, _PARTS[name], value)
+    if entry in _PARTS:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: must be a list")
+        return [_build(f"{path}[{i}]", _PARTS[entry], v) for i, v in enumerate(value)]
+    if name.startswith("tuple[") and isinstance(value, list):
+        return tuple(value)
+    return value
+
+
+def _build(path: str, cls, data):
+    """``cls`` from the JSON object ``data``, named ``path`` in errors (empty
+    at the top level).  Every key must be a field and every field without a
+    default given.  A check in ``__post_init__`` that fails names the part;
+    otherwise a value unfit for its annotation (:func:`_type_problem`) names
+    its field."""
+    where, prefix = path or "config", f"{path}." if path else ""
     if not isinstance(data, dict):
-        raise ConfigError(f"{name}: must be an object")
+        raise ConfigError(f"{where}: must be an object")
+    specs = {f.name: f for f in fields(cls)}
+    required = {n for n, f in specs.items()
+                if f.default is MISSING and f.default_factory is MISSING}
+    wrong = (set(data) - set(specs)) | (required - set(data))
+    if wrong:
+        raise ConfigError(f"{where}: unknown or missing field ({', '.join(sorted(wrong))})")
+    kwargs = {k: _field_value(prefix + k, specs[k].type, v) for k, v in data.items()}
+    problems = [f"{prefix}{k}: {problem}" for k, v in kwargs.items()
+                if (problem := _type_problem(specs[k].type, v))]
     try:
-        inspect.signature(cls).bind(**data)
-    except TypeError as exc:
-        raise ConfigError(f"{name}: unknown or missing field ({exc})") from exc
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        # the keywords bind, so a check in __post_init__ met a value of the
-        # wrong type, such as a string where it compares a number
-        for f in fields(cls):
-            problem = _type_problem(f.type, data[f.name]) if f.name in data else None
-            if problem:
-                raise ConfigError(f"{name}.{f.name}: {problem}") from exc
-        raise ConfigError(f"{name}: {exc}") from exc
+        part = cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
+    except TypeError as exc:
+        # a check in __post_init__ met a value of the wrong type, such as a
+        # string where it compares a number
+        raise ConfigError(problems[0] if problems else f"{where}: {exc}") from exc
+    if problems:
+        raise ConfigError(problems[0])
+    return part
 
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from parsed JSON."""
-    if not isinstance(data, dict):
-        raise ConfigError("top level: expected an object")
-    kind = data.get("experiment")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(
-            f"experiment: got {kind!r}, expected one of {', '.join(EXPERIMENT_KINDS)}"
-        )
-    if type(data.get("seed")) is not int or data["seed"] < 0:
-        raise ConfigError("seed: required integer >= 0")
-    if "net" not in data:
-        raise ConfigError("net: required")
-
-    known = set(ExperimentConfig.__dataclass_fields__)
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown field")
-
-    for key in ("distill", "tasks"):
-        if not isinstance(data.get(key, []), list):
-            raise ConfigError(f"{key}: must be a list")
-    kwargs = dict(data)
-    kwargs["net"] = _build("net", NetConfig, data["net"])
-    if data.get("teacher_net"):
-        kwargs["teacher_net"] = _build("teacher_net", NetConfig, data["teacher_net"])
-    kwargs["distill"] = [
-        _build(f"distill[{i}]", DistillParams, p)
-        for i, p in enumerate(data.get("distill", []))
-    ]
-    kwargs["tasks"] = [
-        _build(f"tasks[{i}]", TaskSpec, t) for i, t in enumerate(data.get("tasks", []))
-    ]
-    if "teacher" in data:
-        teacher = data["teacher"]
-        if isinstance(teacher, dict) and isinstance(teacher.get("stop_epochs"), list):
-            teacher = teacher | {"stop_epochs": tuple(teacher["stop_epochs"])}
-        kwargs["teacher"] = _build("teacher", TeacherRecipe, teacher)
-    if "oracle" in data:
-        kwargs["oracle"] = _build("oracle", OracleRecipe, data["oracle"])
-
-    cfg = _build("config", ExperimentConfig, kwargs)
+    cfg = _build("", ExperimentConfig, data)
     _validate_fields(cfg)
     return cfg
 
 
 def _validate_fields(cfg: ExperimentConfig) -> None:
     """Cross-field checks, so that a config a run would reject fails here
-    with exit 1 and no output: every field's type by its annotation
-    (:func:`_type_problem`), each kind's required fields (no runner falls
-    back to a default for one) and task dims that match every network."""
-    parts = [("", cfg), ("net.", cfg.net), ("teacher_net.", cfg.teacher_net),
-             ("teacher.", cfg.teacher), ("oracle.", cfg.oracle)]
-    parts += [(f"tasks[{i}].", t) for i, t in enumerate(cfg.tasks)]
-    parts += [(f"distill[{i}].", p) for i, p in enumerate(cfg.distill)]
-    for prefix, part in parts:
-        for f in fields(part) if part is not None else ():
-            problem = _type_problem(f.type, getattr(part, f.name))
-            if problem:
-                raise ConfigError(f"{prefix}{f.name}: {problem}")
+    with exit 1 and no output: value ranges, each kind's required fields (no
+    runner falls back to a default for one) and task dims that match every
+    network."""
     for message, ok in [
+        (f"experiment: got {cfg.experiment!r}, expected one of {', '.join(EXPERIMENT_KINDS)}",
+         cfg.experiment in EXPERIMENT_KINDS),
+        ("seed: must be >= 0", cfg.seed >= 0),
         ("repeats: must be >= 1", cfg.repeats >= 1),
         ("n_grid: entries must be >= 1", all(n >= 1 for n in cfg.n_grid)),
         ("n_grid: must be strictly increasing", list(cfg.n_grid) == sorted(set(cfg.n_grid))),
@@ -507,7 +474,7 @@ def _train_oracles(cfg: ExperimentConfig, params0: np.ndarray, target_fns, sampl
     on one batch stream; returns the weight changes in the same order."""
     results = train_linearized(
         cfg.net, params0, [SquaredTargets(fn) for fn in target_fns],
-        cfg.oracle.train_config(), sampler=sampler, rng=rng,
+        cfg.oracle, sampler=sampler, rng=rng,
     )
     return [r.delta for r in results]
 
@@ -880,7 +847,9 @@ def run(
         if finish is not None:
             records.extend(emit(finish(cfg, shared, results)))
         status = 0
-    except (SingularKernelError, FloatingPointError, np.linalg.LinAlgError, DivergenceError,
+    # ArithmeticError takes non-finite effective-logit inputs and an
+    # overflowing correction logit
+    except (SingularKernelError, ArithmeticError, np.linalg.LinAlgError, DivergenceError,
             UnboundedSolutionError, DegenerateVectorError) as exc:
         errors.append(f"{type(exc).__name__}: {exc}")
         status = 2

@@ -372,13 +372,13 @@ class TrainConfig:
     ``final_learning_rate`` turns on an exponential decay from
     ``learning_rate`` down to that value across the epoch budget; online
     runs need it so the stochastic-update random walk freezes instead of
-    inflating the weight-change norm without bound.
+    inflating the weight-change norm without bound.  The defaults are the
+    oracle schedule of an experiment config that sets none.
     """
 
-    learning_rate: float
-    batch_size: int
-    epochs: int
-    adam_eps: float = 1e-8
+    learning_rate: float = 0.003
+    batch_size: int = 128
+    epochs: int = 3000
     final_learning_rate: float | None = None
 
     def __post_init__(self):
@@ -401,6 +401,7 @@ class TrainConfig:
 class _Adam:
     beta1 = 0.9
     beta2 = 0.999
+    eps = 1e-8
 
     def __init__(self, dim: int, cfg: TrainConfig):
         self.cfg = cfg
@@ -425,7 +426,7 @@ class _Adam:
         np.divide(self.m, 1 - b1**self.t, out=w)
         np.divide(self.v, 1 - b2**self.t, out=u)
         np.sqrt(u, out=u)
-        u += c.adam_eps
+        u += self.eps
         w *= c.rate_at(self.t)
         w /= u
         params -= w
@@ -588,7 +589,7 @@ def train_linearized(
     params0 = np.asarray(params0, dtype=float)
     deltas = [np.zeros(param_count(cfg)) for _ in objectives]
     adams = [_Adam(delta.size, train_cfg) for delta in deltas]
-    grad_norms = [0.0] * len(objectives)
+    grads = [np.zeros(1)] * len(objectives)
 
     for sweep, values, rows in _steps(cfg, params0, objectives, train_cfg, sampler, rng):
         for j, obj in enumerate(objectives):
@@ -596,8 +597,8 @@ def train_linearized(
             if not np.all(np.isfinite(z)):
                 raise DivergenceError("linearized logits became non-finite")
             coeffs = obj.grad(z, values[j], rows) / len(z)
-            grad = sweep.vjp(coeffs)
-            grad_norms[j] = float(np.linalg.norm(grad))
-            adams[j].step(deltas[j], grad)
+            grads[j] = sweep.vjp(coeffs)
+            adams[j].step(deltas[j], grads[j])
 
-    return [TrainResult(delta, norm) for delta, norm in zip(deltas, grad_norms)]
+    # only the last step's gradient is reported, so its norm is taken once
+    return [TrainResult(delta, float(np.linalg.norm(grad))) for delta, grad in zip(deltas, grads)]

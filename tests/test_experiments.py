@@ -252,11 +252,12 @@ def test_failed_ntk_check_run_keeps_no_draw_buffer(tmp_path, monkeypatch, thread
     assert buffers and all(buf() is None for buf in buffers)
 
 
-def _assert_failing_unit_keeps_earlier_rows(tmp_path, data, inject, threads=1):
+def _assert_failing_unit_keeps_earlier_rows(tmp_path, data, inject, threads=1,
+                                            error="FloatingPointError"):
     """Run ``data`` whole, then again after ``inject(full_rows)`` has made
-    one unit fail and returned the index of that unit's first row: the
-    failed run exits 2 and keeps exactly the rows before that index, in
-    order, under an incomplete manifest."""
+    one unit fail with ``error("injected")`` and returned the index of that
+    unit's first row: the failed run exits 2 and keeps exactly the rows
+    before that index, in order, under an incomplete manifest."""
     path = write_config(tmp_path, data)
     status, paths = run(path, out_dir=tmp_path / "full", threads=threads)
     assert status == 0
@@ -270,7 +271,7 @@ def _assert_failing_unit_keeps_earlier_rows(tmp_path, data, inject, threads=1):
     with open(paths[1]) as fh:
         manifest = json.load(fh)
     assert manifest["incomplete"] and manifest["records"] == len(kept)
-    assert manifest["errors"] == ["FloatingPointError: injected"]
+    assert manifest["errors"] == [f"{error}: injected"]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -312,6 +313,39 @@ def test_failing_unit_keeps_the_rows_of_the_units_before_it(
 
     _assert_failing_unit_keeps_earlier_rows(
         tmp_path, _tiny_fig2_config(kind, **SMOKE_CASES[kind]), inject, threads)
+
+
+def test_overflowing_correction_logit_keeps_the_rows_of_the_units_before_it(
+    tmp_path, monkeypatch
+):
+    # an OverflowError from correction_logit (|z_t / T| > 500, reached by a
+    # teacher learning rate of 1.5) used to escape run() with a traceback,
+    # exit 1 and an empty output directory; it is a numerical failure.  The
+    # second repeat fails, picked by the key of its training sample's stream
+    import ntkdistill.experiments as exp
+    from test_pipeline import SMOKE_CASES, _tiny_fig2_config
+
+    original_rng, original_logit = exp.unit_rng, exp.correction_logit
+    failing = threading.Event()
+
+    def keyed_rng(root_seed, *key):
+        if key[:2] == (82, 1):
+            failing.set()
+        return original_rng(root_seed, *key)
+
+    def overflowing(z_t, y_g, temperature):
+        if failing.is_set():
+            raise OverflowError("injected")
+        return original_logit(z_t, y_g, temperature)
+
+    def inject(full):
+        monkeypatch.setattr(exp, "unit_rng", keyed_rng)
+        monkeypatch.setattr(exp, "correction_logit", overflowing)
+        return next(i for i, r in enumerate(full) if r["seed"] == "1")
+
+    _assert_failing_unit_keeps_earlier_rows(
+        tmp_path, _tiny_fig2_config("hard-label-effect", **SMOKE_CASES["hard-label-effect"]),
+        inject, error="OverflowError")
 
 
 @pytest.mark.parametrize("kind", ["effective-logits", "angle-dist", "hard-label-effect"])
@@ -576,6 +610,8 @@ def _without(data, key):
          "distill[0].temperature"),
         (TINY_HARD_LABEL | {"teacher": TINY_HARD_LABEL["teacher"] | {"reduction": 10**400}},
          "teacher.reduction"),
+        *[(TINY_HARD_LABEL | {"teacher_net": falsy}, "teacher_net")
+          for falsy in ({}, False, 0, [])],
     ],
     ids=["repeated-n", "teacher-rate", "oracle-rate", "teacher-temperature",
          "teacher-reduction", "no-modes", "effective-logits-no-distill",
@@ -591,7 +627,8 @@ def _without(data, key):
          "zero-norm-no-oracle-epochs", "hard-label-no-oracle-epochs", "infinite-norm",
          "bare-n-grid", "bare-z-t-grid", "bare-width-grid", "bare-norm-grid", "bare-distill",
          "bare-tasks", "bare-stop-epochs", "infinite-teacher-reduction", "nan-task-amplitude",
-         "infinite-distill-temperature", "huge-integer-teacher-reduction"],
+         "infinite-distill-temperature", "huge-integer-teacher-reduction",
+         "empty-teacher-net", "false-teacher-net", "zero-teacher-net", "list-teacher-net"],
 )
 def test_validate_rejects_what_a_run_would_reject(tmp_path, capsys, data, field):
     # each of the first six, and the no-kernel-inputs and no-extra-points
@@ -617,7 +654,8 @@ def test_validate_rejects_what_a_run_would_reject(tmp_path, capsys, data, field)
     # with an OverflowError, a NaN amplitude trained the teacher on NaN
     # targets and ran to exit 0, and an infinite distill temperature ran to
     # exit 0 through numpy RuntimeWarnings; an integer too large for a
-    # float is no finite float either
+    # float is no finite float either.  A falsy teacher_net slipped past
+    # the parse and crashed validate and every run with a TypeError
     assert main(["validate", "--config", str(write_config(tmp_path, data))]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 

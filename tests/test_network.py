@@ -497,7 +497,7 @@ class _ExpressionAdam(_Adam):
         self.v = b2 * self.v + (1 - b2) * grad**2
         m_hat = self.m / (1 - b1**self.t)
         v_hat = self.v / (1 - b2**self.t)
-        return params - c.rate_at(self.t) * m_hat / (np.sqrt(v_hat) + c.adam_eps)
+        return params - c.rate_at(self.t) * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 @pytest.mark.parametrize("final_learning_rate", [None, 1e-4])
@@ -573,7 +573,7 @@ def test_train_linearized_fixed_point():
     assert res.grad_norm == 0.0
 
 
-def test_train_linearized_matches_kernel_solve():
+def test_train_linearized_matches_kernel_solve(monkeypatch):
     # gradient training on fixed data lands on the kernel-solve interpolant
     cfg = NetConfig(2, 2, 128)
     p0 = init_params(cfg, 5)
@@ -585,9 +585,10 @@ def test_train_linearized_matches_kernel_solve():
     gram = empirical_ntk_gram(cfg, p0, x)
     delta_solve = weighted_feature_sum(cfg, p0, x, gram.solve(targets - z0))
 
-    # a dominant adam_eps makes the update effectively momentum gradient
+    # a dominant Adam epsilon makes the update effectively momentum gradient
     # descent: span-preserving, so it converges to the kernel interpolant
-    tc = TrainConfig(learning_rate=5.0, batch_size=n, epochs=8000, adam_eps=30.0)
+    monkeypatch.setattr(_Adam, "eps", 30.0)
+    tc = TrainConfig(learning_rate=5.0, batch_size=n, epochs=8000)
     [res] = train_linearized(cfg, p0, [SquaredTargets(targets)], tc,
                              sampler=lambda m, _: x, rng=rng)
     assert res.grad_norm <= 1e-4

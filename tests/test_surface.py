@@ -20,10 +20,7 @@ from pathlib import Path
 import pytest
 
 from ntkdistill.cli import main
-from ntkdistill.distillation import DistillParams
-from ntkdistill.experiments import ExperimentConfig, OracleRecipe, TeacherRecipe
-from ntkdistill.network import NetConfig
-from ntkdistill.tasks import TaskSpec
+from ntkdistill.experiments import _PARTS, ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "ntkdistill").glob("*.py"))
@@ -95,7 +92,7 @@ def test_configs_and_demos_found():
 # fields that no shipped, smoke or workload config sets, each with the path
 # that keeps it
 UNSET_BY_CONFIGS = {
-    ("OracleRecipe", "final_learning_rate"): "demos/imperfect_teacher_demo.py sets it",
+    ("TrainConfig", "final_learning_rate"): "demos/imperfect_teacher_demo.py sets it",
 }
 
 
@@ -110,22 +107,16 @@ def _lab_configs():
 
 def test_every_config_field_is_set_by_a_config():
     # a field, top-level or nested, that no config the lab runs sets is an
-    # option nothing in the lab uses
+    # option nothing in the lab uses; the parts are the config walk's own
+    from test_contracts import config_parts
+
     used = defaultdict(set)
     for data in _lab_configs():
-        used[ExperimentConfig] |= set(data)
-        for net in (data.get("net"), data.get("teacher_net")):
-            used[NetConfig] |= set(net or {})
-        for task in data.get("tasks", []):
-            used[TaskSpec] |= set(task)
-        for point in data.get("distill", []):
-            used[DistillParams] |= set(point)
-        used[TeacherRecipe] |= set(data.get("teacher", {}))
-        used[OracleRecipe] |= set(data.get("oracle", {}))
+        for cls, _, part in config_parts(ExperimentConfig, data):
+            used[cls] |= set(part)
     unset = {
         (cls.__name__, name)
-        for cls in (ExperimentConfig, NetConfig, TaskSpec, DistillParams, TeacherRecipe,
-                    OracleRecipe)
+        for cls in _PARTS.values()
         for name in cls.__dataclass_fields__
         if name not in used[cls]
     }
