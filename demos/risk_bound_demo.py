@@ -31,11 +31,11 @@ task = Task(TaskSpec(kind="mixture", dim=2, modes=6, amplitude=2.0, seed=11))
 
 print("Training the teacher (a few seconds)...")
 teacher_net = NetConfig(input_dim=2, hidden_layers=3, width=64)
-ckpt = train_teacher(
+params = train_teacher(
     teacher_net, task, TrainConfig(0.01, 256, 4096), seed=5,
     checkpoint_epochs=[4096],
-)[-1]
-label = LabelSource(ckpt, reduction=0.3, ground_truth=task.target_logits)
+)[4096]
+label = LabelSource(teacher_net, params, reduction=0.3, ground_truth=task.target_logits)
 sampler = task.sample_inputs
 
 student_net = NetConfig(input_dim=2, hidden_layers=2, width=128)

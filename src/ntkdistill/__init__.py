@@ -2,7 +2,7 @@
 
 The package splits into small, composable layers:
 
-* :mod:`~ntkdistill.linalg` — jittered SPD solves, kernel inner products, angles;
+* :mod:`~ntkdistill.linalg` — jittered SPD solves and whitening, angles;
 * :mod:`~ntkdistill.network` — NTK-parameterized ReLU stacks and
   :class:`~ntkdistill.network.Sweep`, the linearization at a parameter vector
   (logits, jvp, vjp, tangent Gram and diagonal), plus Adam training of
@@ -15,10 +15,10 @@ The package splits into small, composable layers:
 * :mod:`~ntkdistill.tasks` — synthetic targets (Gaussian mixtures, flip noise,
   the zero function, random labels), each described by one ``TaskSpec``, the
   shared N(0, 5^2) input law, and ``LabelSource``, which turns a trained
-  teacher's checkpoint into teacher logits and hard labels;
+  teacher's parameter vector into teacher logits and hard labels;
 * :mod:`~ntkdistill.metrics` — data inefficiency, angle distributions,
   transfer risk and its bound, power-law fits;
-* :mod:`~ntkdistill.hardlabel` — imperfect-teacher corrections;
+* :mod:`~ntkdistill.hardlabel` — imperfect-teacher corrections on whitened vectors;
 * :mod:`~ntkdistill.experiments` / :mod:`~ntkdistill.cli` — the seeded,
   config-driven experiment runner.
 """
@@ -47,7 +47,6 @@ from .linalg import (
     KernelMatrix,
     SingularKernelError,
     acute_angle,
-    kernel_inner,
 )
 from .metrics import (
     AngleCurve,
@@ -60,7 +59,6 @@ from .metrics import (
     risk_bound,
 )
 from .network import (
-    Checkpoint,
     NetConfig,
     Sweep,
     TrainConfig,

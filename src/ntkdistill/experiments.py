@@ -28,7 +28,7 @@ hard-label-effect rows, whose streams derive from the root seed in the
 manifest and that index.
 
 Each kind (``_KINDS``) is ``setup(cfg)``, the plain data its units share
-(teacher checkpoints, label sources, ntk-check's inputs and target Gram);
+(teacher label sources, ntk-check's inputs and target Gram);
 ``units(cfg)``, the unit keys in row order (``(dp, z_t)``, ``(width,
 rep)``, ``(task, dp)``, ``(d, dp)`` for angle-dist, and the repeat index for
 risk, hard-label-effect and zero-norm's one repeat); and ``unit(cfg,
@@ -60,6 +60,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import sys
 import threading
 import time
@@ -459,15 +460,6 @@ def _emitter(cfg: ExperimentConfig):
     return emit
 
 
-def _teacher_checkpoints(cfg: ExperimentConfig, task, seed: int, epochs: int, checkpoints):
-    """Train ``cfg.teacher_net or cfg.net`` with the teacher recipe on the
-    task's hard labels; returns ``{epoch: Checkpoint}`` for the checkpoints
-    (epoch 0, the initialization, included)."""
-    ckpts = train_teacher(cfg.teacher_net or cfg.net, task, cfg.teacher.train_config(epochs),
-                          seed=seed, checkpoint_epochs=checkpoints)
-    return {c.epoch: c for c in ckpts}
-
-
 def _train_oracles(cfg: ExperimentConfig, params0: np.ndarray, target_fns, sampler, rng):
     """Online-batch oracle runs of the linearized student at ``params0``, one
     per squared-loss target function ``target_fns[i](x)``, trained in lockstep
@@ -604,13 +596,13 @@ def _distilled_targets(label, dps):
 
 def _perfect_teacher(cfg: ExperimentConfig):
     """The shared setup of risk, angle-dist and zero-norm: ``(task,
-    label)``, the first task and the final checkpoint of a teacher trained on
+    label)``, the first task and the final parameters of a teacher trained on
     it, with the recipe's logit reduction and the task's own labels as
     ground truth."""
-    task = Task(cfg.tasks[0])
-    epochs = cfg.teacher.epochs
-    ckpt = _teacher_checkpoints(cfg, task, cfg.teacher.seed, epochs, [epochs])[epochs]
-    return task, LabelSource(ckpt, cfg.teacher.reduction, task.target_logits)
+    task, recipe, net = Task(cfg.tasks[0]), cfg.teacher, cfg.teacher_net or cfg.net
+    params = train_teacher(net, task, recipe.train_config(recipe.epochs), recipe.seed,
+                           [recipe.epochs])[recipe.epochs]
+    return task, LabelSource(net, params, recipe.reduction, task.target_logits)
 
 
 def _perfect_teacher_repeat(cfg: ExperimentConfig, sampler, targets, rep: int):
@@ -741,24 +733,23 @@ class _SignTask:
 
 
 def _hard_label_setup(cfg: ExperimentConfig):
-    """``(base, gt, teachers)``: the base task; the ground truth, itself a
-    trained network fit long on the base task's labels; and the imperfect
-    teachers, ``[(epoch, LabelSource), ...]``, the early-stopped checkpoints
-    of a teacher trained on the ground truth's signs.  Only the swept
+    """``(base, gt_fn, teachers)``: the base task; the ground truth, the
+    unreduced logits of the perfect teacher fit on the base task's labels;
+    and the imperfect teachers, ``[(epoch, LabelSource), ...]``, a teacher
+    trained on the ground truth's signs at each stop epoch.  Only the swept
     teachers' logits are read, so they carry no ground truth."""
-    recipe, base, epochs = cfg.teacher, Task(cfg.tasks[0]), cfg.teacher.epochs
-    gt = _teacher_checkpoints(cfg, base, recipe.seed, epochs, [epochs])[epochs]
-    swept = _teacher_checkpoints(
-        cfg, _SignTask(base, lambda x: forward(gt.config, gt.params, x)), recipe.seed + 1,
-        max(recipe.stop_epochs), list(recipe.stop_epochs))
-    return base, gt, [(epoch, LabelSource(ckpt, recipe.reduction))
-                      for epoch, ckpt in sorted(swept.items()) if epoch > 0]
+    recipe, (base, truth) = cfg.teacher, _perfect_teacher(cfg)
+    gt_fn = lambda x: forward(truth.net, truth.params, x)
+    swept = train_teacher(truth.net, _SignTask(base, gt_fn),
+                          recipe.train_config(max(recipe.stop_epochs)), recipe.seed + 1,
+                          recipe.stop_epochs)
+    return base, gt_fn, [(epoch, LabelSource(truth.net, params, recipe.reduction))
+                         for epoch, params in swept.items()]
 
 
 def _hard_label_unit(cfg: ExperimentConfig, shared, rep: int) -> list[tuple]:
-    base, gt, teachers = shared
+    base, gt_fn, teachers = shared
     temp = cfg.teacher.temperature
-    gt_fn = lambda x: forward(gt.config, gt.params, x)
     params0 = init_params(cfg.net, unit_rng(cfg.seed, 80, rep))
     # ground-truth oracle norm from one online run on the true targets
     [delta_g] = _train_oracles(cfg, params0, [gt_fn], base.sample_inputs,
@@ -768,20 +759,20 @@ def _hard_label_unit(cfg: ExperimentConfig, shared, rep: int) -> list[tuple]:
     for n in cfg.n_grid:
         x = base.sample_inputs(int(n), unit_rng(cfg.seed, 82, rep, n))
         # one sweep of x gives both the initial logits and the Gram; one
-        # ground-truth evaluation gives dz_g and the hard labels y_g that
+        # ground-truth evaluation gives w_g and the hard labels y_g that
         # every swept teacher is corrected with
         sweep = Sweep(cfg.net, params0, x)
         z0 = sweep.logits
         gram = KernelMatrix(sweep.gram())
         z_g = gt_fn(x)
-        dz_g = z_g - z0
+        w_g = gram.half_solve(z_g - z0)
         y_g = (z_g > 0).astype(float)
         for epoch, label in teachers:
             z_t = label.logits(x)
-            dz_t = z_t - z0
-            dz_h = correction_logit(z_t, y_g, temp)
-            proj = correction_projection(gram, dz_g, dz_t, dz_h)
-            deriv = hard_label_derivative(gram, dz_t, proj, norm_wg)
+            w_t = gram.half_solve(z_t - z0)
+            w_h = gram.half_solve(correction_logit(z_t, y_g, temp))
+            proj = correction_projection(w_g, w_t, w_h)
+            deriv = hard_label_derivative(w_t, proj, norm_wg)
             groups.append(({"projection": proj, "derivative": deriv,
                             "projection_sign": float(np.sign(proj))},
                            None, {"seed": rep, "n": int(n), "T": temp, "epoch": epoch}))
@@ -826,15 +817,16 @@ def run(
     run incomplete.  Exit codes: 0 success, 1 config error, 2 numerical
     failure.
     """
-    import os
-
     cfg = load_config(config_path)
     if seed is not None:
         if seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {seed}")
         cfg.seed = int(seed)
     out = out_dir or cfg.out
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: {exc}") from exc
 
     setup, units, unit, finish = _KINDS[cfg.experiment]
     errors, records, emit = [], [], _emitter(cfg)

@@ -1,8 +1,11 @@
 """Dense SPD linear algebra and vector geometry for kernel computations.
 
 Everything downstream (kernel norms, inner products, angle metrics) funnels
-through the Cholesky factorization of a jittered Gram matrix, so the policy
-for conditioning lives here and nowhere else.
+through the Cholesky factorization K = L L^T of a jittered Gram matrix, so
+the policy for conditioning lives here and nowhere else.  A kernel inner
+product a^T K^{-1} b is the dot product of the whitened vectors L^{-1} a and
+L^{-1} b (``KernelMatrix.half_solve``); callers whiten each vector once and
+take as many dot products of it as they need.
 
 scipy.linalg, whose import is most of the package's start-up time, is
 imported by the first call of the thin wrappers ``cholesky``, ``cho_solve``
@@ -167,31 +170,18 @@ class KernelMatrix:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve (entries + jitter_used * I) v = b for one or many right-hand sides."""
         b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.n:
-            raise ValueError(f"right-hand side has length {b.shape[0]}, expected {self.n}")
+        if b.shape[:1] != (self.n,):
+            raise ValueError(f"right-hand side has shape {b.shape}, expected {self.n} rows")
         return cho_solve((self.cholesky(), True), b)
 
     def half_solve(self, b: np.ndarray) -> np.ndarray:
-        """L^{-1} b, the 'whitened' coordinates of b."""
+        """L^{-1} b, the 'whitened' coordinates of b: a^T K^{-1} b is the dot
+        product of the whitened a and b, so it is exactly symmetric in (a, b)
+        and non-negative for a == b."""
         b = np.asarray(b, dtype=float)
+        if b.shape[:1] != (self.n,):
+            raise ValueError(f"right-hand side has shape {b.shape}, expected {self.n} rows")
         return solve_triangular(self.cholesky(), b, lower=True)
-
-
-def kernel_inner(kernel: KernelMatrix, a: np.ndarray, b: np.ndarray) -> float:
-    """Kernel inner product a^T K^{-1} b.
-
-    Computed as (L^{-1}a) . (L^{-1}b) so that the result is exactly symmetric
-    in (a, b) and nonnegative for a == b.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (kernel.n,) or b.shape != (kernel.n,):
-        raise ValueError(
-            f"vectors must have shape ({kernel.n},), got {a.shape} and {b.shape}"
-        )
-    wa = kernel.half_solve(a)
-    wb = wa if b is a else kernel.half_solve(b)
-    return float(wa @ wb)
 
 
 def acute_angle(u: np.ndarray, v: np.ndarray) -> float:

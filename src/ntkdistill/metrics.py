@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import analytic_ntk_gram
-from .linalg import SingularKernelError, acute_angle, kernel_inner
+from .linalg import SingularKernelError, acute_angle
 from .network import NetConfig, forward, init_params
 
 
@@ -69,9 +69,9 @@ def _unit_norms(cfg: NetConfig, x: np.ndarray, dz: np.ndarray, n: int):
     # the full Gram is checked once; its leading block shares it
     gram = analytic_ntk_gram(cfg, x)
     base = gram.leading(n)
-    # one view, so kernel_inner half-solves it once
     head = dz[:n]
-    base_sq = max(kernel_inner(base, head, head), 0.0)
+    w = base.half_solve(head)
+    base_sq = max(float(w @ w), 0.0)
     # Schur-complement increment of each candidate (n+1)th point, reusing the
     # base factorization and its jitter
     cross = gram.entries[:n, n:]

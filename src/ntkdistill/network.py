@@ -432,35 +432,26 @@ class _Adam:
         params -= w
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    """A network's parameters at one epoch of its training."""
-
-    config: NetConfig
-    epoch: int
-    params: np.ndarray
-
-
 def train_teacher(
     cfg: NetConfig,
     task,
     train_cfg: TrainConfig,
     seed: int,
     checkpoint_epochs: list[int],
-) -> list[Checkpoint]:
+) -> dict[int, np.ndarray]:
     """Adam on binary cross-entropy against the task's hard labels.
 
-    Returns the initialization (epoch 0), then a checkpoint at each epoch of
-    ``checkpoint_epochs`` within the budget, in epoch order.  A fresh batch
-    is drawn every epoch.
+    Returns ``{epoch: params}``, a copy of the parameter vector at each epoch
+    of ``checkpoint_epochs`` within the budget, in epoch order; epoch 0 is the
+    initialization, and an epoch that is not asked for is not kept.  A fresh
+    batch is drawn every epoch.
     """
     ss = np.random.SeedSequence(seed)
     init_rng, data_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     params = init_params(cfg, init_rng)
 
-    wanted = {e for e in checkpoint_epochs if 0 < e <= train_cfg.epochs}
-
-    checkpoints = [Checkpoint(cfg, 0, params.copy())]
+    wanted = set(checkpoint_epochs)
+    kept = {0: params.copy()} if 0 in wanted else {}
     adam = _Adam(params.size, train_cfg)
     for epoch in range(1, train_cfg.epochs + 1):
         x = task.sample_inputs(train_cfg.batch_size, data_rng)
@@ -473,8 +464,8 @@ def train_teacher(
         coeffs = (expit(sweep.logits) - y) / len(y)
         adam.step(params, sweep.vjp(coeffs))
         if epoch in wanted:
-            checkpoints.append(Checkpoint(cfg, epoch, params.copy()))
-    return checkpoints
+            kept[epoch] = params.copy()
+    return kept
 
 
 def _target_values(target, x: np.ndarray):

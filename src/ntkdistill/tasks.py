@@ -6,8 +6,8 @@ the constant zero function, and per-sample random logits.  Inputs are always
 drawn i.i.d. N(0, INPUT_SCALE^2) per coordinate.  One :class:`TaskSpec`
 describes every task, a mixture's shape included, and :class:`Task` realizes
 it.  Teacher networks are not tasks: a run trains its teachers on a task,
-and :class:`LabelSource` turns each checkpoint into teacher logits and hard
-labels.
+and :class:`LabelSource` turns a teacher's parameter vector into teacher
+logits and hard labels.
 
 All generators are deterministic functions of (seed, draw index): realizing
 a spec twice from the same seed, or evaluating a noisy target twice with
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Checkpoint, forward
+from .network import NetConfig, forward
 
 TASK_KINDS = ("mixture", "flipped-mixture", "zero", "random-labels")
 
@@ -70,16 +70,18 @@ def realize_mixture(spec: TaskSpec, rng: np.random.Generator) -> Mixture:
     return Mixture(amplitudes, centers, widths)
 
 
-@dataclass(frozen=True)
+# compared and hashed by identity: the generated forms would compare arrays
+@dataclass(frozen=True, eq=False)
 class LabelSource:
     """Teacher logits and ground-truth hard labels.
 
-    Teacher logits are the checkpoint network's outputs scaled by the
-    reduction factor; hard labels come from the sign of an independent
-    ground-truth function.
+    Teacher logits are the outputs of the network ``net`` at the parameter
+    vector ``params``, scaled by the reduction factor; hard labels come from
+    the sign of an independent ground-truth function.
     """
 
-    checkpoint: Checkpoint
+    net: NetConfig
+    params: np.ndarray
     reduction: float
     ground_truth: object = None
 
@@ -88,9 +90,7 @@ class LabelSource:
             raise ValueError("reduction factor must be positive")
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        return self.reduction * forward(
-            self.checkpoint.config, self.checkpoint.params, x
-        )
+        return self.reduction * forward(self.net, self.params, x)
 
     def hard(self, x: np.ndarray) -> np.ndarray:
         if self.ground_truth is None:

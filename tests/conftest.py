@@ -9,16 +9,17 @@ from ntkdistill.tasks import Task, TaskSpec
 
 @pytest.fixture(scope="session")
 def mixture_teacher():
-    """``(task, checkpoint)``: the 6-mode mixture task and the 3x64 teacher
-    trained long on its hard labels (seed 5, 16,384 epochs).  It is trained
-    once per session; each user wraps the checkpoint in its own
-    ``LabelSource``."""
+    """``(task, net, params)``: the 6-mode mixture task, and the 3x64 teacher
+    network and its parameters trained long on the task's hard labels (seed
+    5, 16,384 epochs).  It is trained once per session; each user wraps the
+    parameters in its own ``LabelSource``."""
     task = Task(TaskSpec(kind="mixture", dim=2, modes=6, amplitude=2.0, seed=11))
-    ckpt = train_teacher(
-        NetConfig(2, 3, 64), task, TrainConfig(0.01, 256, 16384), seed=5,
+    net = NetConfig(2, 3, 64)
+    params = train_teacher(
+        net, task, TrainConfig(0.01, 256, 16384), seed=5,
         checkpoint_epochs=[16384],
-    )[-1]
-    return task, ckpt
+    )[16384]
+    return task, net, params
 
 
 @pytest.fixture

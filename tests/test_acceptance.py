@@ -29,7 +29,7 @@ from ntkdistill.kernel import (
     empirical_ntk_diag,
     empirical_ntk_gram,
 )
-from ntkdistill.linalg import KernelMatrix, kernel_inner
+from ntkdistill.linalg import KernelMatrix
 from ntkdistill.metrics import (
     alpha_n,
     angle_distribution,
@@ -75,8 +75,8 @@ def linear_student(net, params0, delta):
 def confident_teacher(mixture_teacher):
     """The perfect-teacher reference: the session's network trained long on
     mixture labels, at reduction 0.3."""
-    task, ckpt = mixture_teacher
-    return LabelSource(ckpt, reduction=0.3, ground_truth=task.target_logits)
+    task, net, params = mixture_teacher
+    return LabelSource(net, params, reduction=0.3, ground_truth=task.target_logits)
 
 
 # ------------------------------------------------------------ criterion 1
@@ -150,18 +150,19 @@ def test_criterion_3_hard_label_derivative_numerics():
         y = (rng.random(n) < 0.7).astype(float)
         dz_g = rng.normal(scale=2.0, size=n)
         temp = float(rng.choice([1.0, 2.0]))
-        norm = np.sqrt(kernel_inner(k, dz_g, dz_g)) * 1.5
+        w_g, w_t = k.half_solve(dz_g), k.half_solve(z_t)
+        norm = np.sqrt(w_g @ w_g) * 1.5
         # the derivative is the projection rescaled, so the finite
         # difference checks both, and the projection's sign with them
-        proj = correction_projection(k, dz_g, z_t, correction_logit(z_t, y, temp))
-        deriv = hard_label_derivative(k, z_t, proj, norm)
+        proj = correction_projection(w_g, w_t, k.half_solve(correction_logit(z_t, y, temp)))
+        deriv = hard_label_derivative(w_t, proj, norm)
         hi = cos_alpha_g(
-            k, dz_g,
-            np.array([_solve_root(z, yy, 1 - h, temp) for z, yy in zip(z_t, y)]), norm,
+            w_g,
+            k.half_solve([_solve_root(z, yy, 1 - h, temp) for z, yy in zip(z_t, y)]), norm,
         )
         lo = cos_alpha_g(
-            k, dz_g,
-            np.array([_solve_root(z, yy, 1 + h, temp) for z, yy in zip(z_t, y)]), norm,
+            w_g,
+            k.half_solve([_solve_root(z, yy, 1 + h, temp) for z, yy in zip(z_t, y)]), norm,
         )
         fd = (hi - lo) / (2 * h)
         if abs(fd) < 1e-6:
@@ -448,14 +449,14 @@ def test_criterion_10_hard_label_sign_flip():
     teacher_net = NetConfig(2, 2, 64)
     student = NetConfig(2, 2, 128)
     mixture = Task(TaskSpec(kind="mixture", dim=2, modes=6, amplitude=2.0, seed=11))
-    gt_ckpt = train_teacher(
+    gt_params = train_teacher(
         teacher_net, mixture, TrainConfig(0.01, 256, 16384), seed=5,
         checkpoint_epochs=[16384],
-    )[-1]
-    gt_fn = lambda x: forward(teacher_net, gt_ckpt.params, x)
+    )[16384]
+    gt_fn = lambda x: forward(teacher_net, gt_params, x)
 
     stops = [16, 64, 256, 1024, 4096, 16384, 32768]
-    checkpoints = train_teacher(
+    teachers = train_teacher(
         teacher_net, _SignTask(mixture, gt_fn), TrainConfig(0.01, 256, 32768), seed=6,
         checkpoint_epochs=stops,
     )
@@ -485,16 +486,15 @@ def test_criterion_10_hard_label_sign_flip():
         student_acc = np.mean((hard_student > 0) == gt_sign)
 
         track = []
-        for ckpt in checkpoints:
-            if ckpt.epoch == 0:
-                continue
-            label = LabelSource(ckpt, reduction, ground_truth=gt_fn)
+        w_g = gram.half_solve(dz_g)
+        for epoch, params in teachers.items():
+            label = LabelSource(teacher_net, params, reduction, ground_truth=gt_fn)
             z_t = label.logits(x)
             proj = correction_projection(
-                gram, dz_g, z_t - z0, correction_logit(z_t, y_g, temp)
+                w_g, gram.half_solve(z_t - z0), gram.half_solve(correction_logit(z_t, y_g, temp))
             )
             teacher_acc = np.mean((label.logits(probe) > 0) == gt_sign)
-            track.append((ckpt.epoch, teacher_acc, proj))
+            track.append((epoch, teacher_acc, proj))
 
         signs = [p > 0 for _, _, p in track]
         crossed = signs[0] and not signs[-1]

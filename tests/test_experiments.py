@@ -433,6 +433,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["validate", "--config", str(bad)]) == 1
 
 
+def test_out_that_cannot_be_created_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # an --out naming an existing file exits 1 with a config error on stderr
+    # before any work starts, not with a traceback
+    import ntkdistill.experiments as exp
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(exp, "train_teacher", no_work)
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    path = write_config(tmp_path, TINY_HARD_LABEL)
+    assert main(["hard-label-effect", "--config", str(path), "--out", str(afile)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out: ")
+    assert "Traceback" not in err
+    assert afile.read_text() == "kept"
+
+
 def test_partial_failure_keeps_completed_rows(tmp_path, monkeypatch):
     # the first unit hands over one row, the second raises
     import ntkdistill.experiments as exp
@@ -995,7 +1014,7 @@ def test_monte_carlo_passes_stay_small():
     import tracemalloc
 
     import ntkdistill.experiments as exp
-    from ntkdistill.network import Checkpoint, init_params
+    from ntkdistill.network import init_params
     from ntkdistill.tasks import LabelSource, Task
 
     cfg = parse_config({
@@ -1009,8 +1028,8 @@ def test_monte_carlo_passes_stay_small():
         "n_grid": [32, 64, 128], "repeats": 1, "samples": 10_000,
     })
     task = Task(cfg.tasks[0])
-    teacher = Checkpoint(cfg.teacher_net, 0, init_params(cfg.teacher_net, 5))
-    label = LabelSource(teacher, 0.3, task.target_logits)
+    label = LabelSource(cfg.teacher_net, init_params(cfg.teacher_net, 5), 0.3,
+                        task.target_logits)
     targets = exp._distilled_targets(label, cfg.distill)
     params0, delta_zero, _ = exp._perfect_teacher_repeat(cfg, task.sample_inputs, targets, 0)
     rng = np.random.default_rng(0)

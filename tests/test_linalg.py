@@ -7,7 +7,6 @@ from ntkdistill.linalg import (
     KernelMatrix,
     SingularKernelError,
     acute_angle,
-    kernel_inner,
 )
 
 
@@ -49,14 +48,14 @@ def test_solve_residual(n):
 
 def test_inner_identity_kernel():
     k = KernelMatrix(np.eye(2), jitter=0.0)
-    a = np.array([3.0, 4.0])
-    assert kernel_inner(k, a, a) == pytest.approx(25.0)
+    w = k.half_solve(np.array([3.0, 4.0]))
+    assert w @ w == pytest.approx(25.0)
 
 
 def test_inner_diagonal():
     k = KernelMatrix(np.diag([4.0, 1.0]), jitter=0.0)
-    a = np.array([2.0, 0.0])
-    assert kernel_inner(k, a, a) == pytest.approx(1.0)
+    w = k.half_solve(np.array([2.0, 0.0]))
+    assert w @ w == pytest.approx(1.0)
 
 
 def test_inner_matches_explicit_inverse():
@@ -66,9 +65,10 @@ def test_inner_matches_explicit_inverse():
     a = rng.standard_normal(6)
     b = rng.standard_normal(6)
     expected = a @ np.linalg.inv(m) @ b
-    assert kernel_inner(k, a, b) == pytest.approx(expected, rel=1e-8)
+    wa, wb = k.half_solve(a), k.half_solve(b)
+    assert wa @ wb == pytest.approx(expected, rel=1e-8)
     # symmetry is exact by construction
-    assert kernel_inner(k, a, b) == kernel_inner(k, b, a)
+    assert wa @ wb == wb @ wa
 
 
 def test_inner_self_equals_whitened_norm():
@@ -80,8 +80,18 @@ def test_inner_self_equals_whitened_norm():
     from scipy.linalg import solve_triangular
 
     w = solve_triangular(lo, a, lower=True)
-    assert kernel_inner(k, a, a) == pytest.approx(w @ w, rel=1e-9)
-    assert kernel_inner(k, a, a) >= 0
+    wa = k.half_solve(a)
+    assert wa @ wa == pytest.approx(w @ w, rel=1e-9)
+    assert wa @ wa >= 0
+
+
+@pytest.mark.parametrize("b", [np.ones(2), np.ones(4), np.ones((2, 3)), 1.0],
+                         ids=["short", "long", "short-rows", "scalar"])
+def test_solves_reject_a_right_hand_side_of_the_wrong_length(b):
+    k = KernelMatrix(np.eye(3), jitter=0.0)
+    for solve in (k.solve, k.half_solve):
+        with pytest.raises(ValueError, match="right-hand side has shape"):
+            solve(b)
 
 
 def test_default_jitter_scales_with_trace():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ntkdistill.kernel import analytic_ntk_gram
-from ntkdistill.linalg import KernelMatrix, kernel_inner
+from ntkdistill.linalg import KernelMatrix
 from ntkdistill.metrics import (
     AngleCurve,
     angle_distribution,
@@ -22,9 +22,10 @@ from ntkdistill.tasks import Task, TaskSpec
 
 def test_weight_change_norm_trivial():
     k = KernelMatrix(np.eye(2), jitter=0.0)
-    dz = np.array([3.0, 4.0])
-    assert np.sqrt(kernel_inner(k, dz, dz)) == pytest.approx(5.0)
-    assert kernel_inner(k, np.zeros(2), np.zeros(2)) == 0.0
+    w = k.half_solve(np.array([3.0, 4.0]))
+    assert np.sqrt(w @ w) == pytest.approx(5.0)
+    w0 = k.half_solve(np.zeros(2))
+    assert w0 @ w0 == 0.0
 
 
 def test_weight_change_norm_matches_feature_space():
@@ -38,7 +39,8 @@ def test_weight_change_norm_matches_feature_space():
     gram = KernelMatrix(sweep.gram(), jitter=0.0)
     f = np.stack([sweep.vjp(unit) for unit in np.eye(len(x))])
     delta = f.T @ gram.solve(dz)
-    assert np.sqrt(kernel_inner(gram, dz, dz)) == pytest.approx(
+    w = gram.half_solve(dz)
+    assert np.sqrt(w @ w) == pytest.approx(
         np.linalg.norm(delta), rel=1e-6
     )
 
@@ -75,9 +77,10 @@ def test_data_inefficiency_matches_manual_computation():
     full = analytic_ntk_gram(cfg, x)
     base = KernelMatrix(full.entries[:8, :8])
     aug = KernelMatrix(full.entries, jitter=base.jitter_used)
+    w_aug, w_base = aug.half_solve(dz), base.half_solve(dz[:8])
     expect = 8 * (
-        np.log(np.sqrt(kernel_inner(aug, dz, dz)))
-        - np.log(np.sqrt(kernel_inner(base, dz[:8], dz[:8])))
+        np.log(np.sqrt(w_aug @ w_aug))
+        - np.log(np.sqrt(w_base @ w_base))
     )
     assert curve.inefficiency[0] == pytest.approx(expect, rel=1e-6)
     assert curve.skipped[0] == 0 and not curve.unreliable[0]
@@ -132,8 +135,8 @@ def test_data_inefficiency_checks_each_gram_once(monkeypatch):
 
 
 def test_data_inefficiency_half_solves_each_unit_once(monkeypatch):
-    # the base norm dz^T K^{-1} dz half-solves dz once: kernel_inner reuses
-    # the solve only when both arguments are one object
+    # the base norm dz^T K^{-1} dz half-solves dz once and dots the
+    # whitened vector with itself
     calls = []
     original = KernelMatrix.half_solve
 
@@ -174,7 +177,8 @@ def test_nested_norms_nondecreasing():
     norms = []
     for n in (16, 32, 64, 128):
         sub = KernelMatrix(gram.entries[:n, :n])
-        norms.append(np.sqrt(kernel_inner(sub, dz[:n], dz[:n])))
+        w = sub.half_solve(dz[:n])
+        norms.append(np.sqrt(w @ w))
     for small, big in zip(norms, norms[1:]):
         assert big >= small * (1 - 1e-6)
 

@@ -11,7 +11,6 @@ import pytest
 import ntkdistill
 from ntkdistill.kernel import empirical_ntk_diag, empirical_ntk_gram
 from ntkdistill.network import (
-    Checkpoint,
     DistillTargets,
     DivergenceError,
     NetConfig,
@@ -520,11 +519,30 @@ def test_adam_step_is_bitwise_the_expression_step(final_learning_rate):
             assert np.array_equal(_bits(got), _bits(expect))
 
 
+def _teacher_init(cfg, seed):
+    """The initialization ``train_teacher`` draws for ``seed``."""
+    return init_params(cfg, np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0]))
+
+
 def test_train_teacher_zero_epochs_returns_init():
     tc = TrainConfig(learning_rate=0.01, batch_size=16, epochs=0)
-    ckpts = train_teacher(NetConfig(2, 2, 16), _ToyTask(), tc, seed=0, checkpoint_epochs=[])
-    assert len(ckpts) == 1 and ckpts[0].epoch == 0
-    assert np.array_equal(ckpts[0].params, init_params(NetConfig(2, 2, 16), np.random.default_rng(np.random.SeedSequence(0).spawn(2)[0])))
+    kept = train_teacher(NetConfig(2, 2, 16), _ToyTask(), tc, seed=0, checkpoint_epochs=[0])
+    assert list(kept) == [0]
+    assert np.array_equal(kept[0], _teacher_init(NetConfig(2, 2, 16), 0))
+
+
+def test_train_teacher_keeps_only_the_requested_epochs():
+    # epoch 0 is kept only when asked for, an epoch past the budget never,
+    # and each kept vector is a copy that later steps leave alone
+    cfg, tc = NetConfig(2, 2, 16), TrainConfig(learning_rate=0.01, batch_size=16, epochs=10)
+    kept = train_teacher(cfg, _ToyTask(), tc, seed=4, checkpoint_epochs=[7, 3, 12])
+    assert list(kept) == [3, 7]
+    assert not np.array_equal(kept[3], kept[7])
+    with_init = train_teacher(cfg, _ToyTask(), tc, seed=4, checkpoint_epochs=[0, 7])
+    assert list(with_init) == [0, 7]
+    assert np.array_equal(with_init[0], _teacher_init(cfg, 4))
+    assert np.array_equal(with_init[7], kept[7])
+    assert train_teacher(cfg, _ToyTask(), tc, seed=4, checkpoint_epochs=[]) == {}
 
 
 def test_train_teacher_deterministic():
@@ -532,17 +550,17 @@ def test_train_teacher_deterministic():
     epochs = [1, 2, 4, 8, 16, 20]
     a = train_teacher(NetConfig(2, 2, 16), _ToyTask(), tc, seed=3, checkpoint_epochs=epochs)
     b = train_teacher(NetConfig(2, 2, 16), _ToyTask(), tc, seed=3, checkpoint_epochs=epochs)
-    assert [c.epoch for c in a] == [0] + epochs
-    assert [c.epoch for c in a] == [c.epoch for c in b]
-    for ca, cb in zip(a, b):
-        assert np.array_equal(ca.params, cb.params)
+    assert list(a) == epochs
+    assert list(a) == list(b)
+    for epoch in a:
+        assert np.array_equal(a[epoch], b[epoch])
 
 
 def test_train_teacher_learns_separable_task():
     cfg = NetConfig(2, 2, 32)
     tc = TrainConfig(learning_rate=0.01, batch_size=128, epochs=2000)
-    ckpts = train_teacher(cfg, _ToyTask(), tc, seed=1, checkpoint_epochs=[2000])
-    final = ckpts[-1].params
+    kept = train_teacher(cfg, _ToyTask(), tc, seed=1, checkpoint_epochs=[2000])
+    final = kept[2000]
     rng = np.random.default_rng(99)
     x = rng.normal(scale=5.0, size=(2000, 2))
     y = (x[:, 0] + x[:, 1] > 0).astype(float)

@@ -36,8 +36,8 @@ STUDENT = NetConfig(2, 2, 128)
 def oracle_setup(mixture_teacher):
     """Teacher plus unreduced-scale oracle runs (the regime where the zero
     weight change is small relative to the oracle's)."""
-    task, ckpt = mixture_teacher
-    label = LabelSource(ckpt, reduction=1.0, ground_truth=task.target_logits)
+    task, net, params = mixture_teacher
+    label = LabelSource(net, params, reduction=1.0, ground_truth=task.target_logits)
     params0 = init_params(STUDENT, 7)
     dp = DistillParams(1.0, 10.0)
 
@@ -219,6 +219,26 @@ def test_runner_smoke(tmp_path, kind, extra):
     with open(paths[0], newline="") as fh:
         wall_ms = [float(row["wall_ms"]) for row in csv.DictReader(fh)]
     assert min(wall_ms) >= 0 and sum(wall_ms) <= elapsed_ms
+
+
+def test_hard_label_effect_whitens_each_vector_once(tmp_path, monkeypatch):
+    # per (repeat, n): the ground truth's logit difference once, and each
+    # swept teacher's logit and correction differences once, however many
+    # kernel inner products read them
+    calls = []
+    original = KernelMatrix.half_solve
+
+    def counting(self, b):
+        calls.append(1)
+        return original(self, b)
+
+    monkeypatch.setattr(KernelMatrix, "half_solve", counting)
+    extra = SMOKE_CASES["hard-label-effect"]
+    status, paths = _run_smoke("hard-label-effect", extra, tmp_path)
+    assert status == 0
+    teachers = len(extra["teacher"]["stop_epochs"])
+    assert len(calls) == extra["repeats"] * len(extra["n_grid"]) * (1 + 2 * teachers) == 10
+    _assert_matches_golden(paths[0], "hard-label-effect")
 
 
 def test_perfect_teacher_is_the_final_checkpoint(tmp_path):

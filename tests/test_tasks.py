@@ -3,7 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from ntkdistill.network import Checkpoint, NetConfig, forward, init_params
+from ntkdistill.network import NetConfig, forward, init_params
 from ntkdistill.tasks import (
     CENTER_SPREAD,
     INPUT_SCALE,
@@ -119,29 +119,37 @@ def test_flip_labels_validates_probability():
             TaskSpec(kind="flipped-mixture", p_flip=p_flip)
 
 
-def _toy_checkpoint(seed=0):
+def _toy_teacher(seed=0):
     cfg = NetConfig(2, 2, 8)
-    return Checkpoint(cfg, epoch=0, params=init_params(cfg, seed))
+    return cfg, init_params(cfg, seed)
 
 
 def test_teacher_labels_scaling():
-    ck = _toy_checkpoint()
+    net, params = _toy_teacher()
     x = np.random.default_rng(1).normal(size=(12, 2))
-    raw = forward(ck.config, ck.params, x)
-    src1 = LabelSource(ck, reduction=1.0)
-    src2 = LabelSource(ck, reduction=2.0)
+    raw = forward(net, params, x)
+    src1 = LabelSource(net, params, reduction=1.0)
+    src2 = LabelSource(net, params, reduction=2.0)
     assert np.allclose(src1.logits(x), raw)
     assert np.allclose(src2.logits(x), 2.0 * raw)
 
 
 def test_teacher_hard_labels_from_ground_truth():
-    ck = _toy_checkpoint()
-    src = LabelSource(ck, 1.0, ground_truth=lambda x: x[:, 0] - 1.0)
+    net, params = _toy_teacher()
+    src = LabelSource(net, params, 1.0, ground_truth=lambda x: x[:, 0] - 1.0)
     x = np.array([[2.0, 0.0], [0.0, 0.0]])
     assert np.array_equal(src.hard(x), [1.0, 0.0])
-    bare = LabelSource(ck, 1.0)
+    bare = LabelSource(net, params, 1.0)
     with pytest.raises(ValueError):
         bare.hard(x)
+
+
+def test_label_sources_compare_and_hash_by_identity():
+    # a source holds a parameter vector, which has no truth value to compare by
+    net, params = _toy_teacher()
+    src = LabelSource(net, params, 1.0)
+    assert src == src and src != LabelSource(net, params, 1.0)
+    assert {src: 1}[src] == 1
 
 
 def test_task_kinds_and_validation():
