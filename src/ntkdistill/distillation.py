@@ -24,17 +24,13 @@ import numpy as np
 _Z_MAX_BASE = 30.0
 # iteration cap of the Newton solve, a backstop far above the ~20 it takes
 _MAX_ITER = 200
-# scipy.special.expit, once the first call of expit has imported it
-_expit = None
 
 
 def expit(x):
-    """``scipy.special.expit``, imported on the first call and kept: Newton
-    iterations and training steps call it too often for an import each."""
-    global _expit
-    if _expit is None:
-        from scipy.special import expit as _expit
-    return _expit(x)
+    """The logistic sigmoid 1 / (1 + exp(-x)) of an array or a scalar.
+    exp(-x) overflows to inf below about x = -709, which gives exactly 0.0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 class UnboundedSolutionError(ValueError):

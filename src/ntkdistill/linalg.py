@@ -7,11 +7,12 @@ product a^T K^{-1} b is the dot product of the whitened vectors L^{-1} a and
 L^{-1} b (``KernelMatrix.half_solve``); callers whiten each vector once and
 take as many dot products of it as they need.
 
-scipy.linalg, whose import is most of the package's start-up time, is
-imported by the first call of the thin wrappers ``cholesky``, ``cho_solve``
-and ``solve_triangular``, so a run that factors no Gram never loads it.
-``KernelMatrix`` calls them through this module's globals, so a caller may
-rebind them (to count factorizations, say).
+The factorization and the substitutions run on numpy alone, by blocks of
+``_BLOCK`` columns (Golub and Van Loan, *Matrix Computations*, ch. 4): the
+off-diagonal work is matrix products, and each diagonal block is factored by
+``np.linalg.cholesky`` and solved against by ``np.linalg.solve``.
+``KernelMatrix`` factors through this module's global ``cholesky``, so a
+caller may rebind it (to count factorizations, say).
 """
 
 from __future__ import annotations
@@ -31,22 +32,51 @@ JITTER_RETRIES = 3
 SYMMETRY_RTOL = 1e-10
 
 
-def cholesky(a, **kwargs):
-    """``scipy.linalg.cholesky``, imported on the first call."""
-    import scipy.linalg
-    return scipy.linalg.cholesky(a, **kwargs)
+# Columns per block: wide enough that the off-diagonal work runs as matrix
+# products, narrow enough that a diagonal block's own solves stay cheap.
+_BLOCK = 64
 
 
-def cho_solve(factor, b):
-    """``scipy.linalg.cho_solve``, imported on the first call."""
-    import scipy.linalg
-    return scipy.linalg.cho_solve(factor, b)
+def _blocks(n: int):
+    return [(j, min(j + _BLOCK, n)) for j in range(0, n, _BLOCK)]
 
 
-def solve_triangular(a, b, **kwargs):
-    """``scipy.linalg.solve_triangular``, imported on the first call."""
-    import scipy.linalg
-    return scipy.linalg.solve_triangular(a, b, **kwargs)
+def cholesky(entries: np.ndarray, jitter: float) -> np.ndarray:
+    """Lower-triangular L with L L^T = entries + jitter * I, left-looking by
+    column blocks into one new array.  Raises ``np.linalg.LinAlgError`` when
+    a jittered diagonal block is not positive definite."""
+    n = entries.shape[0]
+    lo = np.zeros((n, n))
+    for j, e in _blocks(n):
+        panel = lo[j:, j:e]
+        panel[...] = entries[j:, j:e]
+        if j:
+            panel -= lo[j:, :j] @ lo[j:e, :j].T
+        diag = panel[:e - j]
+        diag[np.diag_indices(e - j)] += jitter
+        diag[...] = np.linalg.cholesky(diag)
+        if e < n:
+            panel[e - j:] = np.linalg.solve(diag, panel[e - j:].T).T
+    return lo
+
+
+def _forward(lo: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """L^{-1} y in place, block by block from the top."""
+    for j, e in _blocks(len(y)):
+        if j:
+            y[j:e] -= lo[j:e, :j] @ y[:j]
+        y[j:e] = np.linalg.solve(lo[j:e, j:e], y[j:e])
+    return y
+
+
+def _back(lo: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """L^{-T} y in place, block by block from the bottom."""
+    n = len(y)
+    for j, e in reversed(_blocks(n)):
+        if e < n:
+            y[j:e] -= lo[e:, j:e].T @ y[e:]
+        y[j:e] = np.linalg.solve(lo[j:e, j:e].T, y[j:e])
+    return y
 
 
 class SingularKernelError(np.linalg.LinAlgError):
@@ -71,10 +101,9 @@ class KernelMatrix:
     threads.  The Cholesky factor of ``entries + jitter_used * I`` is computed
     lazily on first solve and cached; ``jitter_used`` starts at ``jitter`` and
     escalates by factors of 10 (up to ``JITTER_RETRIES`` times) if the
-    factorization fails.  It is factored in place in one Fortran-ordered
-    copy that is ``entries + jitter * I`` bit for bit, written afresh for
-    each jitter tried, so a factorization holds the entries and one more
-    n x n array.
+    factorization fails.  Each attempt writes its factor into one new array
+    straight from the entries, with no jittered copy, so a factorization
+    holds the entries and one more n x n array.
     """
 
     def __init__(self, entries: np.ndarray, jitter: float | None = None):
@@ -137,14 +166,9 @@ class KernelMatrix:
         """Lower-triangular factor L with L L^T = entries + jitter_used * I."""
         if self._chol is None:
             jitter = self.jitter
-            jittered = np.empty((self.n, self.n), order="F")
             for attempt in range(JITTER_RETRIES + 1):
-                # entries + jitter * I bit for bit: + 0.0 turns -0.0 into
-                # +0.0 off the diagonal, as the product's zeros do
-                np.add(self._entries, 0.0, out=jittered)
-                np.fill_diagonal(jittered, np.diagonal(self._entries) + jitter)
                 try:
-                    self._chol = cholesky(jittered, lower=True, overwrite_a=True)
+                    self._chol = cholesky(self._entries, jitter)
                     self._jitter_used = jitter
                     break
                 except np.linalg.LinAlgError:
@@ -169,19 +193,20 @@ class KernelMatrix:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve (entries + jitter_used * I) v = b for one or many right-hand sides."""
-        b = np.asarray(b, dtype=float)
+        b = np.array(b, dtype=float)
         if b.shape[:1] != (self.n,):
             raise ValueError(f"right-hand side has shape {b.shape}, expected {self.n} rows")
-        return cho_solve((self.cholesky(), True), b)
+        lo = self.cholesky()
+        return _back(lo, _forward(lo, b))
 
     def half_solve(self, b: np.ndarray) -> np.ndarray:
         """L^{-1} b, the 'whitened' coordinates of b: a^T K^{-1} b is the dot
         product of the whitened a and b, so it is exactly symmetric in (a, b)
         and non-negative for a == b."""
-        b = np.asarray(b, dtype=float)
+        b = np.array(b, dtype=float)
         if b.shape[:1] != (self.n,):
             raise ValueError(f"right-hand side has shape {b.shape}, expected {self.n} rows")
-        return solve_triangular(self.cholesky(), b, lower=True)
+        return _forward(self.cholesky(), b)
 
 
 def acute_angle(u: np.ndarray, v: np.ndarray) -> float:

@@ -69,19 +69,17 @@ def _unit_norms(cfg: NetConfig, x: np.ndarray, dz: np.ndarray, n: int):
     # the full Gram is checked once; its leading block shares it
     gram = analytic_ntk_gram(cfg, x)
     base = gram.leading(n)
-    head = dz[:n]
-    w = base.half_solve(head)
+    # one forward substitution whitens dz and every candidate's cross column;
+    # the base norm and each candidate's rank-1 Schur update, on the base
+    # factorization and its jitter, are dot products of whitened columns
+    whitened = base.half_solve(np.column_stack([dz[:n], gram.entries[:n, n:]]))
+    w, cross = whitened[:, 0], whitened[:, 1:]
     base_sq = max(float(w @ w), 0.0)
-    # Schur-complement increment of each candidate (n+1)th point, reusing the
-    # base factorization and its jitter
-    cross = gram.entries[:n, n:]
-    solved_cross = base.solve(cross)
-    u = base.solve(head)
-    resid = dz[n:] - cross.T @ u
+    resid = dz[n:] - cross.T @ w
     schur = (
         np.diag(gram.entries[n:, n:])
         + base.jitter_used
-        - np.einsum("ij,ij->j", cross, solved_cross)
+        - np.einsum("ij,ij->j", cross, cross)
     )
     inc = resid**2 / np.maximum(schur, np.finfo(float).tiny)
     return np.sqrt(base_sq), np.mean(np.sqrt(base_sq + inc))

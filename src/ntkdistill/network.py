@@ -85,10 +85,10 @@ threshold back to the kernel on free, so with low thresholds every block
 faults its temporaries in again.  Freeing a mapped chunk raises both
 thresholds, to that chunk's size and twice it (mallopt(3)), so this module
 frees one untouched 16 MB array at import: blocks of up to 16 MB then come
-from the heap and stay there.  scipy's import used to do that as a side
-effect; without the warm-up a 10,000-row, two-weight-change student sweep
-in a fresh interpreter took about 10k minor faults at width 128, 22k at 256
-and 47k at 512, and with it none (glibc 2.36, after one warm-up sweep).
+from the heap and stay there.  Without the warm-up a 10,000-row,
+two-weight-change student sweep in a fresh interpreter took about 10k minor
+faults at width 128, 22k at 256 and 47k at 512, and with it none (glibc
+2.36, after one warm-up sweep).
 Larger blocks faulted more before the warm-up (about 12.5k with 1,024-row
 blocks at width 128) and were no faster per sweep.
 

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from ntkdistill import distillation
 from ntkdistill.distillation import (
     DistillParams,
     UnboundedSolutionError,
@@ -15,6 +18,20 @@ from ntkdistill.distillation import (
     saturated_effective_logits,
     z_max,
 )
+
+
+def test_expit_matches_scipy_without_warnings():
+    # numpy's exp in scipy's formula: equal to rounding, exactly 0 and 1 at
+    # the ends, and the overflow of exp(-x) below about -709 stays silent
+    x = np.linspace(-800.0, 800.0, 160_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = distillation.expit(x)
+        ends = [distillation.expit(v) for v in (-800.0, 800.0, -800, 0.5)]
+    want = expit(x)
+    assert np.allclose(got, want, rtol=1e-15, atol=0)
+    assert ends[:3] == [0.0, 1.0, 0.0]
+    assert np.ndim(ends[3]) == 0 and ends[3] == pytest.approx(expit(0.5), rel=1e-15)
 
 
 def test_loss_minimized_at_matched_logits():

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from ntkdistill.linalg import (
+    DEFAULT_JITTER_SCALE,
     DegenerateVectorError,
     KernelMatrix,
     SingularKernelError,
@@ -77,9 +78,7 @@ def test_inner_self_equals_whitened_norm():
     k = KernelMatrix(m)
     a = rng.standard_normal(8)
     lo = np.linalg.cholesky(m + k.jitter_used * np.eye(8))
-    from scipy.linalg import solve_triangular
-
-    w = solve_triangular(lo, a, lower=True)
+    w = scipy.linalg.solve_triangular(lo, a, lower=True)
     wa = k.half_solve(a)
     assert wa @ wa == pytest.approx(w @ w, rel=1e-9)
     assert wa @ wa >= 0
@@ -193,19 +192,42 @@ def _escalating_psd():
 
 @pytest.mark.parametrize("make, escalates", [(_signed_zero_spd, False), (_escalating_psd, True)],
                          ids=["signed-zeros", "jitter-escalation"])
-def test_cholesky_is_bitwise_the_factor_of_the_jittered_entries(make, escalates):
-    # the in-place factor of the jittered copy equals scipy's factor of
-    # entries + jitter_used * I bit for bit, signed zeros included
+def test_cholesky_is_the_factor_of_the_jittered_entries(make, escalates):
+    # the blocked factor agrees with LAPACK's factor of entries + jitter_used
+    # * I, scipy's as the oracle; zero jitter fails on the rank-2 matrix and
+    # its first escalation, the default jitter, succeeds, as with scipy
     k = make()
     factor = k.cholesky()
     expect = scipy.linalg.cholesky(k.entries + k.jitter_used * np.eye(k.n), lower=True)
-    assert np.array_equal(factor.view(np.uint64), expect.view(np.uint64))
+    assert np.allclose(factor, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+    assert np.array_equal(factor, np.tril(factor))
+    default = DEFAULT_JITTER_SCALE * float(np.trace(k.entries)) / k.n
+    assert k.jitter_used == (default if escalates else k.jitter)
     assert (k.jitter_used > k.jitter) == escalates
 
 
+# sizes on either side of the 64-column blocks, and several blocks
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 544])
+@pytest.mark.parametrize("columns", [None, 3], ids=["vector", "matrix"])
+def test_blocked_solves_match_lapack_substitutions(n, columns):
+    rng = np.random.default_rng(n)
+    k = KernelMatrix(random_spd(n, rng))
+    lo = k.cholesky()
+    b = rng.standard_normal(n if columns is None else (n, columns))
+    half = k.half_solve(b)
+    full = k.solve(b)
+    assert half.shape == full.shape == b.shape
+    expect = scipy.linalg.solve_triangular(lo, b, lower=True)
+    assert np.allclose(half, expect, rtol=1e-12, atol=1e-13 * np.abs(expect).max())
+    expect = scipy.linalg.cho_solve((lo, True), b)
+    assert np.allclose(full, expect, rtol=1e-12, atol=1e-13 * np.abs(expect).max())
+    assert np.allclose(lo @ lo.T, k.entries + k.jitter_used * np.eye(n), rtol=0,
+                       atol=1e-13 * np.abs(k.entries).max())
+
+
 def test_cholesky_holds_one_more_array_at_its_peak(traced_peak):
-    # the jittered copy is factored in place: no identity matrix, no sum
-    # and no copy inside scipy
+    # the factor is written block by block straight from the entries: no
+    # identity matrix, no jittered copy
     k = KernelMatrix(random_spd(544, np.random.default_rng(16)))
     _, peak = traced_peak(k.cholesky)
     assert peak <= 1.25 * 544**2 * 8

@@ -140,67 +140,54 @@ def test_modules_import_no_private_names(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_modules_import_scipy_only_inside_functions(path):
-    # scipy's import is most of the package's start-up time, so it is loaded
-    # by the first call that needs it (a factorization, a solve, a sigmoid),
-    # never at module level
-    tree = ast.parse(path.read_text())
-    inside = {id(node) for fn in ast.walk(tree)
-              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-              for node in ast.walk(fn)}
-    at_module_level = [
-        node.lineno for node in ast.walk(tree)
-        if id(node) not in inside and (
-            isinstance(node, ast.Import)
-            and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
-            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+    # nor inside them: the package runs on numpy alone, so no module imports
+    # scipy at all; scipy is only the tests' oracle
+    imported = [
+        node.lineno for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
     ]
-    assert not at_module_level
+    assert not imported
 
 
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
-loaded = lambda: sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-report = {}
-import ntkdistill
-report["import"] = loaded()
 from ntkdistill import cli, linalg
 from ntkdistill.experiments import run
-*configs, ntk_check, inefficiency, out = sys.argv[1:]
+configs, smoke, out = json.loads(sys.argv[1])
 with contextlib.redirect_stdout(io.StringIO()):
-    report["validate"] = [cli.main(["validate", "--config", path]) for path in configs]
-report["validate_loaded"] = loaded()
-report["ntk_check"] = run(ntk_check, out_dir=out + "/ntk")[0]
-report["ntk_check_loaded"] = loaded()
+    report = {"validate": [cli.main(["validate", "--config", path]) for path in configs]}
 calls = []
 factor = linalg.cholesky
 linalg.cholesky = lambda *args, **kwargs: calls.append(1) or factor(*args, **kwargs)
-report["inefficiency"] = run(inefficiency, out_dir=out + "/ineff")[0]
+report["runs"] = {kind: run(path, out_dir=out + "/" + kind)[0] for kind, path in smoke.items()}
 report["factorizations"] = len(calls)
+report["scipy"] = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 print(json.dumps(report))
 """
 
 
-def test_only_factorizing_runs_load_scipy(tmp_path):
-    # in a fresh interpreter, importing the package, validating every
-    # shipped config and a whole ntk-check run load no scipy module; an
-    # inefficiency run still factors its Grams through linalg.cholesky, the
-    # name the benchmark's tracer rebinds to count factorizations
+def test_runs_load_no_scipy(tmp_path):
+    # in one fresh interpreter, validating every shipped config and a smoke
+    # run of every kind load no scipy module; the runs still factor their
+    # Grams through linalg.cholesky, the name the benchmark's tracer rebinds
+    # to count factorizations
     from test_pipeline import SMOKE_CASES, _tiny_fig2_config
 
-    smoke = []
-    for kind in ("ntk-check", "inefficiency"):
-        smoke.append(tmp_path / f"{kind}.json")
-        smoke[-1].write_text(json.dumps(_tiny_fig2_config(kind, **SMOKE_CASES[kind])))
+    smoke = {}
+    for kind, extra in SMOKE_CASES.items():
+        smoke[kind] = str(tmp_path / f"{kind}.json")
+        Path(smoke[kind]).write_text(json.dumps(_tiny_fig2_config(kind, **extra)))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    probe = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, *map(str, CONFIGS), *map(str, smoke),
-         str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, check=True, timeout=300)
+    args = json.dumps([list(map(str, CONFIGS)), smoke, str(tmp_path / "out")])
+    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, args],
+                           env=env, capture_output=True, text=True, check=True, timeout=300)
     report = json.loads(probe.stdout)
-    assert report["import"] == report["validate_loaded"] == report["ntk_check_loaded"] == []
+    assert report["scipy"] == []
     assert report["validate"] == [0] * len(CONFIGS)
-    assert report["ntk_check"] == report["inefficiency"] == 0
+    assert report["runs"] == dict.fromkeys(SMOKE_CASES, 0)
     assert report["factorizations"] > 0
 
 
