@@ -18,7 +18,7 @@ import argparse
 import os
 import sys
 
-from .experiments import EXPERIMENT_KINDS, ConfigError, run, validate
+from .experiments import EXPERIMENT_KINDS, ConfigError, load_config, run, validate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,8 +51,6 @@ def main(argv=None) -> int:
         cpus = os.cpu_count() or 1
         if not 1 <= args.threads <= cpus:
             raise ConfigError(f"--threads must be between 1 and {cpus}, got {args.threads}")
-        from .experiments import load_config
-
         cfg = load_config(args.config)
         if cfg.experiment != args.command:
             raise ConfigError(

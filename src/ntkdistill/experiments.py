@@ -27,16 +27,14 @@ the derived seed that initialized the network on ntk-check's per-repeat
 hard-label-effect rows, whose streams derive from the root seed in the
 manifest and that index.
 
-Each kind (``_KINDS``) is ``setup(cfg)``, the plain data its units share
-(teacher label sources, ntk-check's inputs and target Gram);
-``units(cfg)``, the unit keys in row order (``(dp, z_t)``, ``(width,
-rep)``, ``(task, dp)``, ``(d, dp)`` for angle-dist, and the repeat index for
-risk, hard-label-effect and zero-norm's one repeat); and ``unit(cfg,
+Each kind is a ``_Kind`` in ``_KINDS``: ``setup(cfg)``, the plain data its
+units share; ``units(cfg)``, the unit keys in row order; ``unit(cfg,
 shared, key)``, the key's rows as ``(values, dp, coords)`` groups, with no
-record and no clock.  ntk-check's ``finish`` adds the rows that span units.
-:func:`run` alone maps units over ``--threads`` and stamps and writes their
-rows in key order (risk's run repeat -> distill point -> n), keeping every
-row of the units before a failing one.  Per-record seeds derive from the
+record and no clock; the fields it ``requires`` as ``(path, test, problem)``;
+its ``cost(cfg)`` terms; and ntk-check's ``finish``, the rows that span
+units.  :func:`run` alone maps units over ``--threads`` and stamps and
+writes their rows in key order (risk's run repeat -> distill point -> n),
+keeping every row of the units before a failing one.  Per-record seeds derive from the
 root seed and the record's own grid coordinates (see
 :func:`ntkdistill.metrics.unit_rng`), so units may run on any thread.
 Inefficiency still keys its streams by task, distill and grid index, so
@@ -61,12 +59,15 @@ import csv
 import hashlib
 import json
 import os
+import re
 import sys
 import threading
 import time
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -169,6 +170,10 @@ class TeacherRecipe:
             raise ValueError("temperature must be positive")
         if not self.reduction > 0:
             raise ValueError("reduction must be positive")
+        if not all(e >= 1 for e in self.stop_epochs):
+            raise ValueError("stop_epochs: entries must be >= 1")
+        if list(self.stop_epochs) != sorted(set(self.stop_epochs)):
+            raise ValueError("stop_epochs: must be strictly increasing")
 
     def train_config(self, epochs: int) -> TrainConfig:
         return TrainConfig(self.learning_rate, self.batch_size, epochs)
@@ -194,6 +199,41 @@ class ExperimentConfig:
     samples: int = 10_000
     beta_points: int = 65
     extra_points: int = 1
+
+    def __post_init__(self):
+        """Value ranges, the fields the kind requires (no unit falls back to a
+        default for one) and task dims that match every network, so that a
+        config a run would reject fails to build; each error names a field."""
+        if self.experiment not in _KINDS:
+            raise ConfigError(f"experiment: got {self.experiment!r}, "
+                              f"expected one of {', '.join(_KINDS)}")
+        for path, ok, problem in [
+            ("seed", self.seed >= 0, "must be >= 0"),
+            ("repeats", self.repeats >= 1, "must be >= 1"),
+            ("n_grid", all(n >= 1 for n in self.n_grid), "entries must be >= 1"),
+            ("n_grid", list(self.n_grid) == sorted(set(self.n_grid)),
+             "must be strictly increasing"),
+            ("samples", self.samples >= 1, "must be >= 1"),
+            ("beta_points", self.beta_points >= 1, "must be >= 1"),
+            ("z_t_grid", len(self.z_t_grid) > 0, "must not be empty"),
+            ("width_grid", len(self.width_grid) > 0, "must not be empty"),
+            ("width_grid", all(w >= 1 for w in self.width_grid), "entries must be >= 1"),
+            ("norm_grid", len(self.norm_grid) > 0, "must not be empty"),
+            # a diag_ratio divides by norm**2, and a negative norm's row would
+            # hold the ratio of its absolute value
+            ("norm_grid", all(v > 0 for v in self.norm_grid), "entries must be > 0"),
+            ("kernel_inputs", self.kernel_inputs >= 1, "must be >= 1"),
+            ("extra_points", self.extra_points >= 1, "must be >= 1"),
+            *((path, ok(attrgetter(path)(self)), problem)
+              for path, ok, problem in _KINDS[self.experiment].requires),
+        ]:
+            if not ok:
+                raise ConfigError(f"{path}: {problem}")
+        for i, task in enumerate(self.tasks):
+            for name, net in (("net", self.net), ("teacher_net", self.teacher_net)):
+                if net is not None and task.dim != net.input_dim:
+                    raise ConfigError(
+                        f"tasks[{i}].dim: {task.dim} differs from {name}.input_dim {net.input_dim}")
 
     def hash(self) -> str:
         # the output location is not part of the experiment's identity
@@ -257,9 +297,10 @@ def _field_value(path: str, annotation: str, value):
 def _build(path: str, cls, data):
     """``cls`` from the JSON object ``data``, named ``path`` in errors (empty
     at the top level).  Every key must be a field and every field without a
-    default given.  A check in ``__post_init__`` that fails names the part;
-    otherwise a value unfit for its annotation (:func:`_type_problem`) names
-    its field."""
+    default given.  A failed check in ``__post_init__`` names the part, or
+    the field its message starts with (``stop_epochs: ...``); a value unfit
+    for its annotation (:func:`_type_problem`) names its field, and comes
+    before any check but one that names the part."""
     where, prefix = path or "config", f"{path}." if path else ""
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: must be an object")
@@ -274,12 +315,12 @@ def _build(path: str, cls, data):
                 if (problem := _type_problem(specs[k].type, v))]
     try:
         part = cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    except TypeError as exc:
-        # a check in __post_init__ met a value of the wrong type, such as a
-        # string where it compares a number
-        raise ConfigError(problems[0] if problems else f"{where}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        named = re.split(r"[:.[]", str(exc), maxsplit=1)[0] in specs
+        if problems and (named or isinstance(exc, TypeError)):
+            # the check met a value of the wrong type (a string it compares)
+            raise ConfigError(problems[0]) from exc
+        raise ConfigError(f"{prefix}{exc}" if named else f"{where}: {exc}") from exc
     if problems:
         raise ConfigError(problems[0])
     return part
@@ -287,63 +328,7 @@ def _build(path: str, cls, data):
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from parsed JSON."""
-    cfg = _build("", ExperimentConfig, data)
-    _validate_fields(cfg)
-    return cfg
-
-
-def _validate_fields(cfg: ExperimentConfig) -> None:
-    """Cross-field checks, so that a config a run would reject fails here
-    with exit 1 and no output: value ranges, each kind's required fields (no
-    runner falls back to a default for one) and task dims that match every
-    network."""
-    for message, ok in [
-        (f"experiment: got {cfg.experiment!r}, expected one of {', '.join(EXPERIMENT_KINDS)}",
-         cfg.experiment in EXPERIMENT_KINDS),
-        ("seed: must be >= 0", cfg.seed >= 0),
-        ("repeats: must be >= 1", cfg.repeats >= 1),
-        ("n_grid: entries must be >= 1", all(n >= 1 for n in cfg.n_grid)),
-        ("n_grid: must be strictly increasing", list(cfg.n_grid) == sorted(set(cfg.n_grid))),
-        # risk_slope fits a power law to the whole grid
-        ("n_grid: risk takes at least 3 points",
-         cfg.experiment != "risk" or len(cfg.n_grid) >= 3),
-        ("teacher.stop_epochs: entries must be >= 1", all(e >= 1 for e in cfg.teacher.stop_epochs)),
-        ("teacher.stop_epochs: must be strictly increasing",
-         list(cfg.teacher.stop_epochs) == sorted(set(cfg.teacher.stop_epochs))),
-        ("samples: must be >= 1", cfg.samples >= 1),
-        ("beta_points: must be >= 1", cfg.beta_points >= 1),
-        ("z_t_grid: must not be empty", len(cfg.z_t_grid) > 0),
-        ("width_grid: must not be empty", len(cfg.width_grid) > 0),
-        ("width_grid: entries must be >= 1", all(w >= 1 for w in cfg.width_grid)),
-        ("norm_grid: must not be empty", len(cfg.norm_grid) > 0),
-        # a diag_ratio divides by norm**2, and a negative norm's row would
-        # hold the ratio of its absolute value
-        ("norm_grid: entries must be > 0", all(v > 0 for v in cfg.norm_grid)),
-        # without an oracle step a weight change is zero, and its norm divides
-        ("oracle.epochs: must be >= 1 for this experiment", cfg.oracle.epochs >= 1
-         or cfg.experiment in ("effective-logits", "ntk-check", "inefficiency")),
-        ("kernel_inputs: must be >= 1", cfg.kernel_inputs >= 1),
-        ("extra_points: must be >= 1", cfg.extra_points >= 1),
-    ]:
-        if not ok:
-            raise ConfigError(message)
-    kind = cfg.experiment
-    needs_task = {"inefficiency", "risk", "angle-dist", "hard-label-effect", "zero-norm"}
-    if kind in needs_task and not cfg.tasks:
-        raise ConfigError("tasks: at least one task required for this experiment")
-    if kind in ("risk", "angle-dist", "effective-logits") and not cfg.distill:
-        raise ConfigError("distill: at least one (soft_ratio, temperature) required")
-    if kind in ("risk", "inefficiency", "hard-label-effect") and not cfg.n_grid:
-        raise ConfigError("n_grid: required for this experiment")
-    if kind == "zero-norm" and len(cfg.distill) != 1:
-        raise ConfigError(f"distill: zero-norm takes exactly one point, got {len(cfg.distill)}")
-    if kind == "hard-label-effect" and not cfg.teacher.stop_epochs:
-        raise ConfigError("teacher.stop_epochs: required for this experiment")
-    for i, task in enumerate(cfg.tasks):
-        for name, net in (("net", cfg.net), ("teacher_net", cfg.teacher_net)):
-            if net is not None and task.dim != net.input_dim:
-                raise ConfigError(
-                    f"tasks[{i}].dim: {task.dim} differs from {name}.input_dim {net.input_dim}")
+    return _build("", ExperimentConfig, data)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -358,59 +343,50 @@ def load_config(path) -> ExperimentConfig:
 
 
 def estimate_cost(cfg: ExperimentConfig) -> float:
-    """Rough flop count of the work that dominates a run, the sum of
+    """Rough flop count of the work that dominates a run, its kind's ``cost`` terms:
 
     * kernel solves: n^3 per grid point, repeat, task and distill point;
     * ntk-check's empirical Grams: kernel inputs x parameters per width and
-      repeat, plus 40 per parameter for drawing the initialization: a normal
-      draw takes about 22 ns, which the shipped configs' 1.7-2.1e9 estimated
-      flop per measured second price at about 40 flop;
+      repeat, plus 40 per parameter for drawing the initialization.  A
+      normal draw takes about 16 ns (214.9M in 3.44 s in the traced ntk-wide
+      benchmark workload on a 2-vCPU VM); the price of 40 flop dates from
+      22 ns and is kept so that no ntk-check estimate moves;
     * teacher Adam steps: epochs x teacher parameters x batch;
     * oracle Adam steps: epochs x objectives x repeats x parameters x batch;
     * Monte Carlo passes: samples x parameters per pass, of the student
       (NTK diagonal, linearized student) and of the teacher (its logits).
     """
-    kind = cfg.experiment
-    if kind == "ntk-check":
-        return float(sum((cfg.kernel_inputs + 40) * param_count(replace(cfg.net, width=w))
-                         for w in cfg.width_grid) * cfg.repeats)
-    cost = sum(float(n) ** 3 for n in cfg.n_grid) * cfg.repeats
-    cost *= max(len(cfg.tasks), 1) * max(len(cfg.distill), 1)
-    k, grid = len(cfg.distill), len(cfg.n_grid)
-    # per trained kind: (oracle objectives per repeat, oracle repeats,
-    # student Monte Carlo passes, teacher Monte Carlo passes)
-    shape = {
-        "risk": (k + 1, cfg.repeats, cfg.repeats * (1 + grid * k), cfg.repeats * (1 + grid)),
-        "angle-dist": (k + 1, 1, 1, 1),
-        "zero-norm": (2, 1, 0, 0),
-        "hard-label-effect": (1, cfg.repeats, 0, 0),
-    }.get(kind)
-    if shape is None:
-        return cost
-    objectives, repeats, student_passes, teacher_passes = shape
-    recipe, oracle = cfg.teacher, cfg.oracle
+    return sum(_KINDS[cfg.experiment].cost(cfg))
+
+
+def _solve_cost(cfg: ExperimentConfig) -> float:
+    return (sum(float(n) ** 3 for n in cfg.n_grid) * cfg.repeats
+            * (max(len(cfg.tasks), 1) * max(len(cfg.distill), 1)))
+
+
+def _trained_cost(cfg: ExperimentConfig, teacher_epochs: int, objectives: int, repeats: int,
+                  student_passes: int = 0, teacher_passes: int = 0) -> tuple:
+    """The terms of a kind that trains a teacher for ``teacher_epochs``,
+    ``objectives`` oracles in each of ``repeats`` and the Monte Carlo passes."""
     p, p_teacher = param_count(cfg.net), param_count(cfg.teacher_net or cfg.net)
-    teacher_epochs = recipe.epochs
-    if kind == "hard-label-effect":  # the ground truth, then the early-stopped sweep
-        teacher_epochs += max(recipe.stop_epochs)
-    cost += float(teacher_epochs) * p_teacher * recipe.batch_size
-    cost += float(oracle.epochs) * objectives * repeats * p * oracle.batch_size
-    cost += float(cfg.samples) * (student_passes * p + teacher_passes * p_teacher)
-    return cost
+    return (_solve_cost(cfg),
+            float(teacher_epochs) * p_teacher * cfg.teacher.batch_size,
+            float(cfg.oracle.epochs) * objectives * repeats * p * cfg.oracle.batch_size,
+            float(cfg.samples) * (student_passes * p + teacher_passes * p_teacher))
 
 
 def validate(path) -> str:
     """Schema and cross-field checks without executing; returns a report."""
     cfg = load_config(path)
+    cost = estimate_cost(cfg)
     lines = [
         f"experiment: {cfg.experiment}",
         f"config hash: {cfg.hash()}",
         f"root seed: {cfg.seed}",
         f"tasks: {len(cfg.tasks)}, distill points: {len(cfg.distill)}, "
         f"n grid: {cfg.n_grid or '-'}, repeats: {cfg.repeats}",
+        f"estimated cost: {cost:.2e} flop",
     ]
-    cost = estimate_cost(cfg)
-    lines.append(f"estimated cost: {cost:.2e} flop")
     if cost > COST_BUDGET:
         lines.append(
             f"WARNING: estimated cost exceeds the desk budget ({COST_BUDGET:.0e}); "
@@ -779,27 +755,55 @@ def _hard_label_unit(cfg: ExperimentConfig, shared, rep: int) -> list[tuple]:
     return groups
 
 
-# each kind as (setup, units, unit, finish): run() makes the shared data
-# with setup(cfg), maps unit(cfg, shared, key) over the keys units(cfg) lists
-# and writes their rows in key order, then those of finish(cfg, shared,
-# results) if the kind has one
+_TASKS = ("tasks", bool, "at least one task required for this experiment")
+_DISTILL = ("distill", bool, "at least one (soft_ratio, temperature) required")
+_N_GRID = ("n_grid", bool, "required for this experiment")
+# without an oracle step a weight change is zero, and its norm divides
+_ORACLE_EPOCHS = ("oracle.epochs", lambda e: e >= 1, "must be >= 1 for this experiment")
+
+_Kind = namedtuple("_Kind", "setup units unit requires cost finish", defaults=[None])
 _KINDS = {
-    "effective-logits": (lambda cfg: None,
-                         lambda cfg: [(dp, z_t) for dp in cfg.distill for z_t in cfg.z_t_grid],
-                         _effective_logits_unit, None),
-    "ntk-check": (_ntk_check_setup,
-                  lambda cfg: [(w, rep) for w in cfg.width_grid for rep in range(cfg.repeats)],
-                  _ntk_check_unit, _ntk_check_finish),
-    "inefficiency": (lambda cfg: None,
-                     lambda cfg: [(ti, spec, di, dp) for ti, spec in enumerate(cfg.tasks)
-                                  for di, dp in enumerate(cfg.distill or [None])],
-                     _inefficiency_unit, None),
-    "risk": (_perfect_teacher, lambda cfg: range(cfg.repeats), _risk_unit, None),
-    "angle-dist": (_angle_dist_setup, lambda cfg: list(enumerate(cfg.distill)), _angle_dist_unit,
-                   None),
-    "hard-label-effect": (_hard_label_setup, lambda cfg: range(cfg.repeats), _hard_label_unit,
-                          None),
-    "zero-norm": (_perfect_teacher, lambda cfg: [0], _zero_norm_unit, None),
+    "effective-logits": _Kind(
+        lambda cfg: None, lambda cfg: [(dp, z_t) for dp in cfg.distill for z_t in cfg.z_t_grid],
+        _effective_logits_unit, (_DISTILL,), lambda cfg: (_solve_cost(cfg),)),
+    "ntk-check": _Kind(
+        _ntk_check_setup,
+        lambda cfg: [(w, rep) for w in cfg.width_grid for rep in range(cfg.repeats)],
+        _ntk_check_unit, (),
+        lambda cfg: (float(sum((cfg.kernel_inputs + 40) * param_count(replace(cfg.net, width=w))
+                               for w in cfg.width_grid) * cfg.repeats),),
+        _ntk_check_finish),
+    "inefficiency": _Kind(
+        lambda cfg: None,
+        lambda cfg: [(ti, spec, di, dp) for ti, spec in enumerate(cfg.tasks)
+                     for di, dp in enumerate(cfg.distill or [None])],
+        _inefficiency_unit, (_TASKS, _N_GRID), lambda cfg: (_solve_cost(cfg),)),
+    # risk_slope fits a power law to the whole grid; Monte Carlo passes on
+    # the angle inputs and on each n's, the student's per distill point
+    "risk": _Kind(
+        _perfect_teacher, lambda cfg: range(cfg.repeats), _risk_unit,
+        (_TASKS, _DISTILL, ("n_grid", lambda g: len(g) >= 3, "risk takes at least 3 points"),
+         _ORACLE_EPOCHS),
+        lambda cfg: _trained_cost(
+            cfg, cfg.teacher.epochs, len(cfg.distill) + 1, cfg.repeats,
+            cfg.repeats * (1 + len(cfg.n_grid) * len(cfg.distill)),
+            cfg.repeats * (1 + len(cfg.n_grid)))),
+    "angle-dist": _Kind(
+        _angle_dist_setup, lambda cfg: list(enumerate(cfg.distill)), _angle_dist_unit,
+        (_TASKS, _DISTILL, _ORACLE_EPOCHS),
+        lambda cfg: _trained_cost(cfg, cfg.teacher.epochs, len(cfg.distill) + 1, 1, 1, 1)),
+    # the ground truth's teacher, then the early-stopped sweep
+    "hard-label-effect": _Kind(
+        _hard_label_setup, lambda cfg: range(cfg.repeats), _hard_label_unit,
+        (_TASKS, _N_GRID, ("teacher.stop_epochs", bool, "required for this experiment"),
+         _ORACLE_EPOCHS),
+        lambda cfg: _trained_cost(cfg, cfg.teacher.epochs + max(cfg.teacher.stop_epochs), 1,
+                                  cfg.repeats)),
+    "zero-norm": _Kind(
+        _perfect_teacher, lambda cfg: [0], _zero_norm_unit,
+        (_TASKS, ("distill", lambda d: len(d) == 1, "zero-norm takes exactly one point"),
+         _ORACLE_EPOCHS),
+        lambda cfg: _trained_cost(cfg, cfg.teacher.epochs, 2, 1)),
 }
 
 EXPERIMENT_KINDS = tuple(_KINDS)
@@ -819,25 +823,23 @@ def run(
     """
     cfg = load_config(config_path)
     if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {seed}")
-        cfg.seed = int(seed)
+        cfg = replace(cfg, seed=int(seed))
     out = out_dir or cfg.out
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"out: {exc}") from exc
 
-    setup, units, unit, finish = _KINDS[cfg.experiment]
+    kind = _KINDS[cfg.experiment]
     errors, records, emit = [], [], _emitter(cfg)
     try:
-        shared = setup(cfg)
+        shared = kind.setup(cfg)
         results = []
-        for groups in _pmap(partial(unit, cfg, shared), units(cfg), threads):
+        for groups in _pmap(partial(kind.unit, cfg, shared), kind.units(cfg), threads):
             results.append(groups)
             records.extend(emit(groups))
-        if finish is not None:
-            records.extend(emit(finish(cfg, shared, results)))
+        if kind.finish is not None:
+            records.extend(emit(kind.finish(cfg, shared, results)))
         status = 0
     # ArithmeticError takes non-finite effective-logit inputs and an
     # overflowing correction logit

@@ -224,9 +224,9 @@ class Sweep:
     (n, input_dim) batch ``x`` (see the module docstring).
 
     ``acts[0]`` is the input batch; ``acts[l]`` for l >= 1 are post-ReLU
-    activations; ``masks[l]`` are the ReLU derivative masks of layer l + 1's
-    pre-activations; ``deltas[l]`` is the per-sample gradient of the logit
-    with respect to pre-activation h^(l+1).
+    activations, positive exactly where the pre-activation is; ``deltas[l]``
+    is the per-sample gradient of the logit with respect to pre-activation
+    h^(l+1).
 
     Construction runs the forward sweep only.  ``deltas`` comes from the
     reverse sweep, which runs on first access and is then kept, so callers
@@ -242,13 +242,11 @@ class Sweep:
 
         self.layers = layers
         self.acts = [x]
-        self.masks = []
         a = x
         for (w, b), scale in zip(layers[:-1], scales):
             h = a @ w.T
             h *= scale
             h += b
-            self.masks.append(h > 0)
             a = np.maximum(h, 0.0, out=h)
             self.acts.append(a)
         w_out, b_out = layers[-1]
@@ -265,10 +263,10 @@ class Sweep:
             return self._deltas
         layers, scales = self.layers, _scales(self.cfg)[0]
         n = self.acts[0].shape[0]
-        deltas = [None] * len(self.masks)
+        deltas = [None] * self.cfg.hidden_layers
         v = np.broadcast_to(layers[-1][0] * scales[-1], (n, self.cfg.width))
-        for l in range(len(self.masks) - 1, -1, -1):
-            deltas[l] = _relu_grad(v, self.masks[l])
+        for l in range(self.cfg.hidden_layers - 1, -1, -1):
+            deltas[l] = _relu_grad(v, self.acts[l + 1] > 0)
             if l > 0:
                 v = deltas[l] @ layers[l][0]
                 v *= scales[l]

@@ -1,18 +1,22 @@
 """The README's run contracts as properties of every experiment kind, on the
 seven smoke configs of ``test_pipeline.py``."""
 
+import ast
 import copy
 import csv
 import json
 import math
-from dataclasses import fields
+import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
+import ntkdistill.experiments as exp
 from ntkdistill.cli import main
 from ntkdistill.experiments import (
-    _PARTS, CSV_COLUMNS, ConfigError, ExperimentConfig, run, validate)
+    _KINDS, _PARTS, CSV_COLUMNS, EXPERIMENT_KINDS, ConfigError, ExperimentConfig, parse_config,
+    run, validate)
 from ntkdistill.metrics import default_beta_grid
 from test_pipeline import SMOKE_CASES, _csv_without_wall_ms, _tiny_fig2_config
 
@@ -97,9 +101,108 @@ def test_grid_extension_keeps_every_old_row(tmp_path, kind, extra, is_new, refit
     assert kept == [r for r in old if r["value_name"] not in refit]
 
 
+ROOT = Path(__file__).parents[1]
+
+
+def _recording(part, path, reads):
+    """A copy of the config part ``part`` that adds ``path + name`` to
+    ``reads`` whenever its field ``name`` is read; the parts it holds are
+    recording copies too, each list entry under its list's path."""
+    names = {f.name for f in fields(part)}
+
+    def getattribute(self, name):
+        if name in names:
+            reads.add(path + name)
+        return object.__getattribute__(self, name)
+
+    copied = copy.copy(part)
+    for f in fields(part):
+        value = getattr(part, f.name)
+        if is_dataclass(value):
+            value = _recording(value, f"{path}{f.name}.", reads)
+        elif isinstance(value, list) and any(map(is_dataclass, value)):
+            value = [_recording(v, f"{path}{f.name}.", reads) for v in value]
+        object.__setattr__(copied, f.name, value)
+    cls = type(part)
+    object.__setattr__(copied, "__class__",
+                       type(cls.__name__, (cls,), {"__getattribute__": getattribute}))
+    return copied
+
+
+# run() reads these of every config, whatever its kind: the kind, the root
+# seed of every row and the output directory
+RUN_READS = {"experiment", "seed", "out"}
+# a field that a kind's shipped configs set but its pieces never read, and why
+UNREAD = {
+    **{(kind, "teacher.temperature"):
+       "only hard-label-effect's correction logit reads it; the configs and the "
+       "risk-oracle benchmark workload still set it, and dropping it there moves "
+       "config_hash, so it waits on the benchmark change that re-records that workload"
+       for kind in ("risk", "angle-dist", "zero-norm")},
+    ("effective-logits", "net"):
+        "every config must set net, and effective-logits solves each logit on its "
+        "own, with no network",
+}
+
+
+@pytest.mark.parametrize("kind", list(SMOKE_CASES))
+def test_each_kind_reads_what_it_requires_and_what_its_configs_set(kind):
+    # the kind's pieces run on its smoke config through a copy that records
+    # each field path read; every field the kind requires is read, and a
+    # field the kind's shipped configs and benchmark workloads set goes
+    # unread only if UNREAD names it (its children are not listed again)
+    reads = set()
+    cfg = _recording(parse_config(_tiny_fig2_config(kind, **SMOKE_CASES[kind])), "", reads)
+    pieces = _KINDS[kind]
+    shared = pieces.setup(cfg)
+    results = [pieces.unit(cfg, shared, key) for key in pieces.units(cfg)]
+    if pieces.finish is not None:
+        pieces.finish(cfg, shared, results)
+    assert {path for path, _, _ in pieces.requires} <= reads
+    reads |= RUN_READS
+    configs = [json.loads(p.read_text()) for p in sorted(ROOT.glob("configs/*.json"))
+               + sorted(ROOT.glob("perfbench/workloads/*.json"))]
+    # the path of every key those configs set, list entries under their
+    # list's path
+    set_paths = {".".join(p for p in path + (key,) if isinstance(p, str))
+                 for data in configs if data["experiment"] == kind
+                 for _, path, part in config_parts(ExperimentConfig, data) for key in part}
+    assert set_paths
+    unread = {path for path in set_paths - reads if path.rpartition(".")[0] in reads | {""}}
+    assert unread == {path for k, path in UNREAD if k == kind}
+
+
+def test_no_kind_name_outside_the_kinds_table():
+    # what a kind requires, costs and runs sits in its _KINDS entry, so no
+    # other string literal of the module names a kind.  The one literal
+    # allowed is a CSV value_name that happens to be a kind's name
+    tree = ast.parse(Path(exp.__file__).read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["_KINDS"])
+    keys = {id(key) for key in table.keys}
+    named = [(getattr(top, "name", None), node.value) for top in tree.body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value in EXPERIMENT_KINDS and id(node) not in keys]
+    assert named == [("_inefficiency_unit", "inefficiency")]
+
+
+def test_readme_requires_table_names_each_kinds_required_fields():
+    readme = (ROOT / "README.md").read_text()
+    lines = readme.split("| kind | requires |", 1)[1].splitlines()[2:]
+    rows = {}
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        _, kind, requires, _ = line.split("|")
+        rows[kind.strip().strip("`")] = set(re.findall(r"`([^`]+)`", requires))
+    assert rows == {kind: {path for path, _, _ in entry.requires}
+                    for kind, entry in _KINDS.items()}
+
+
 def test_readme_lists_the_csv_columns():
     # the README's column block is the schema's, RunRecord's fields in order
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     block = readme.split("### Outputs", 1)[1].split("```")[1]
     assert tuple(block.replace(",", " ").split()) == CSV_COLUMNS
 

@@ -457,14 +457,14 @@ def test_partial_failure_keeps_completed_rows(tmp_path, monkeypatch):
     import ntkdistill.experiments as exp
     from ntkdistill.linalg import SingularKernelError
 
-    setup, units, _, finish = exp._KINDS["effective-logits"]
+    kind = exp._KINDS["effective-logits"]
 
     def exploding(cfg, shared, key):
-        if key != units(cfg)[0]:
+        if key != kind.units(cfg)[0]:
             raise SingularKernelError("synthetic failure")
         return [({"before_crash": 1.0}, None, {})]
 
-    monkeypatch.setitem(exp._KINDS, "effective-logits", (setup, units, exploding, finish))
+    monkeypatch.setitem(exp._KINDS, "effective-logits", kind._replace(unit=exploding))
     path = write_config(tmp_path, MINIMAL)
     status, paths = run(path, out_dir=tmp_path / "out")
     assert status == 2
@@ -552,6 +552,42 @@ def test_estimate_cost_counts_adam_steps():
     longer_teacher = TINY_RISK | {"teacher": TINY_RISK["teacher"] | {"epochs": 16}}
     assert cost(longer_teacher) > cost(TINY_RISK)
     assert cost(MINIMAL, epochs=6000) == cost(MINIMAL) == estimate_cost(parse_config(MINIMAL))
+
+
+# validate's estimate of every shipped config, benchmark workload and smoke
+# config, recorded before the cost terms moved into each kind's _KINDS entry;
+# the benchmark prints it beside run_s, so it must not drift unsaid
+RECORDED_COSTS = {
+    "configs/angle_dist.json": 71353785408.0,
+    "configs/effective_logits.json": 0.0,
+    "configs/hard_label_effect.json": 99246608384.0,
+    "configs/inefficiency_modes.json": 21793996800.0,
+    "configs/inefficiency_soft_ratio.json": 13076398080.0,
+    "configs/ntk_check.json": 10030577760.0,
+    "configs/risk.json": 178687362128.0,
+    "configs/zero_norm.json": 105708945408.0,
+    "perfbench/workloads/ineff-analytic.json": 3269099520.0,
+    "perfbench/workloads/ntk-wide.json": 12036693312.0,
+    "perfbench/workloads/risk-oracle.json": 8203425824.0,
+    "smoke/risk": 11267776.0,
+    "smoke/angle-dist": 9436704.0,
+    "smoke/zero-norm": 8827904.0,
+    "smoke/hard-label-effect": 11654144.0,
+    "smoke/effective-logits": 0.0,
+    "smoke/ntk-check": 437368.0,
+    "smoke/inefficiency": 36864.0,
+}
+
+
+def test_estimate_cost_keeps_its_recorded_values():
+    from test_pipeline import SMOKE_CASES, _tiny_fig2_config
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    costs = {name: estimate_cost(load_config(os.path.join(root, name)))
+             for name in RECORDED_COSTS if not name.startswith("smoke/")}
+    costs |= {f"smoke/{kind}": estimate_cost(parse_config(_tiny_fig2_config(kind, **extra)))
+              for kind, extra in SMOKE_CASES.items()}
+    assert costs == RECORDED_COSTS
 
 
 def _with_teacher(**fields):
