@@ -9,7 +9,7 @@ hard labels carry any weight.
 
 import numpy as np
 
-from ntkdistill import DistillParams, effective_logit, effective_logits, label_smoothing_logit
+from ntkdistill import DistillParams, effective_logits, label_smoothing_logit
 
 z_grid = np.array([-4.0, -2.0, -1.0, -0.3, 0.3, 1.0, 2.0, 4.0])
 
@@ -27,7 +27,8 @@ print("logit away from zero, toward a cut-off at the boundary jump.\n")
 print("Boundary jump z(0+) - z(0-) by soft ratio (T = 5):")
 for rho in (0.9, 0.5, 0.2, 0.05):
     dp = DistillParams(soft_ratio=rho, temperature=5.0)
-    jump = effective_logit(1e-9, 1, dp) - effective_logit(-1e-9, 0, dp)
+    z_right, z_left = effective_logits([1e-9, -1e-9], [1, 0], dp)
+    jump = z_right - z_left
     print(f"  rho {rho:4.2f}: jump {jump:6.3f}")
 print()
 

@@ -29,12 +29,10 @@ from .distillation import (
     DistillParams,
     correction_logit,
     distill_loss,
-    effective_logit,
     effective_logit_closed_t1,
     effective_logits,
     label_smoothing_logit,
     loss_gradient,
-    saturated_effective_logits,
 )
 from .kernel import (
     analytic_ntk_diag,

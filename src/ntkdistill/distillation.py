@@ -8,7 +8,8 @@ a plain cross-entropy against the hard label,
 and an over-parameterized student drives each training logit to the unique
 stationary point of this per-sample loss.  That root, the effective student
 logit, is what this module solves for (by safeguarded Newton, entry by
-entry; see :func:`effective_logits`), together with its closed form at
+entry, and saturated at +/- z_max for pure hard labels, where it diverges;
+see :func:`effective_logits`), together with its closed form at
 T = 1, the label-smoothing limit, and the first-order response to mixing in
 hard labels near the pure-soft end.
 """
@@ -119,9 +120,11 @@ def _finite_inputs(z_t, y_g) -> tuple[np.ndarray, np.ndarray]:
 def effective_logits(z_t, y_g, params: DistillParams) -> np.ndarray:
     """Vectorized root of loss_gradient in z_s, by safeguarded Newton.
 
-    The residual is continuous and strictly increasing for rho > 0, so the
-    bracket [-z_max, z_max] (grown geometrically if it does not straddle the
-    root) pins the root.  Each entry then runs Newton's iteration from its
+    At rho = 0 (pure hard labels) the root runs off to infinity, and each
+    entry saturates at sign(2 y_g - 1) * z_max(T) instead.  Otherwise the
+    residual is continuous and strictly increasing, so the bracket
+    [-z_max, z_max] (grown geometrically if it does not straddle the root)
+    pins the root.  Each entry then runs Newton's iteration from its
     teacher logit clipped to the bracket, which is the exact root at
     rho = 1.  Every residual evaluation narrows the entry's bracket, and a
     Newton step that does not land strictly inside it is replaced by the
@@ -144,12 +147,9 @@ def effective_logits(z_t, y_g, params: DistillParams) -> np.ndarray:
     root uncertain by about 1e-16 / slope, some 1e-10 at |z| ~ 15 with
     rho = 0.5, T = 1, and any point of that band is an equally valid answer.
     """
-    if params.soft_ratio == 0.0:
-        raise UnboundedSolutionError(
-            "pure hard labels (soft_ratio = 0) drive the student logit to "
-            "+/- infinity; use saturated_effective_logits for a clamped value"
-        )
     z_t, y_g = _finite_inputs(z_t, y_g)
+    if params.soft_ratio == 0.0:
+        return np.sign(2.0 * y_g - 1.0) * z_max(params.temperature)
     shape = z_t.shape
     z_t = z_t.ravel()
     y_g = y_g.ravel()
@@ -195,25 +195,6 @@ def effective_logits(z_t, y_g, params: DistillParams) -> np.ndarray:
             )
     out[idx] = z
     return out.reshape(shape)
-
-
-def effective_logit(z_t: float, y_g: float, params: DistillParams) -> float:
-    """Scalar effective student logit for one (teacher logit, hard label) pair."""
-    return float(effective_logits(z_t, y_g, params))
-
-
-def saturated_effective_logits(z_t, y_g, params: DistillParams):
-    """Effective logits with the rho = 0 divergence clamped to +/- z_max.
-
-    Returns (values, saturated) where ``saturated`` flags entries that were
-    substituted rather than solved.  Non-finite inputs raise
-    FloatingPointError, as in :func:`effective_logits`.
-    """
-    z_t, y_g = _finite_inputs(z_t, y_g)
-    if params.soft_ratio == 0.0:
-        values = np.sign(2.0 * y_g - 1.0) * z_max(params.temperature)
-        return values, np.ones(values.shape, dtype=bool)
-    return effective_logits(z_t, y_g, params), np.zeros(z_t.shape, dtype=bool)
 
 
 def effective_logit_closed_t1(z_t, y_g, soft_ratio: float):

@@ -76,7 +76,7 @@ from .distillation import (
     DistillParams,
     UnboundedSolutionError,
     correction_logit,
-    saturated_effective_logits,
+    effective_logits,
 )
 from .hardlabel import correction_projection, hard_label_derivative
 from .kernel import analytic_ntk_diag, analytic_ntk_gram, empirical_ntk_diag, empirical_ntk_gram
@@ -465,10 +465,10 @@ def _memo_last(fn):
 
 def _effective_logits_unit(cfg: ExperimentConfig, shared, key) -> list[tuple]:
     dp, z_t = key
-    solved = [saturated_effective_logits(z_t, y_g, dp) for y_g in (0.0, 1.0)]
-    return [({f"z_s_eff_y{y_g}": float(val)}, dp,
-             {"beta": float(z_t), "flag": "saturated" if sat else ""})
-            for y_g, (val, sat) in enumerate(solved)]
+    flag = "saturated" if dp.soft_ratio == 0.0 else ""
+    return [({f"z_s_eff_y{y_g}": float(effective_logits(z_t, y_g, dp))}, dp,
+             {"beta": float(z_t), "flag": flag})
+            for y_g in range(2)]
 
 
 def _ntk_check_setup(cfg: ExperimentConfig):
@@ -521,8 +521,7 @@ def distilled_target_fn(task: Task, dp: DistillParams):
     def fn(x, rng=None):
         z_t = task.target_logits(x, rng)
         y_g = (np.asarray(z_t) > 0).astype(float)
-        vals, _ = saturated_effective_logits(z_t, y_g, dp)
-        return vals
+        return effective_logits(z_t, y_g, dp)
 
     return fn
 
@@ -566,7 +565,7 @@ def _distilled_targets(label, dps):
     chunk, and closed-form students fit on one sample once.  The memo is
     unlocked, so each unit builds its own."""
     teacher = _memo_last(lambda x: (label.logits(x), label.hard(x)))
-    return [lambda x, rng=None, dp=dp: saturated_effective_logits(*teacher(x), dp)[0]
+    return [lambda x, rng=None, dp=dp: effective_logits(*teacher(x), dp)
             for dp in dps]
 
 
@@ -608,7 +607,7 @@ def _angle_curve(cfg: ExperimentConfig, inputs, dp, norm: float, betas):
     with ``norm`` = |dw_* - dw_z|; only the effective-logit solve is its
     own."""
     x, diag, z_t, y_t = inputs
-    return angle_distribution(lambda _: saturated_effective_logits(z_t, y_t, dp)[0],
+    return angle_distribution(lambda _: effective_logits(z_t, y_t, dp),
                               lambda _: diag, norm, lambda m, _: x, cfg.samples, None, betas)
 
 
@@ -756,6 +755,11 @@ def _hard_label_unit(cfg: ExperimentConfig, shared, rep: int) -> list[tuple]:
 
 
 _TASKS = ("tasks", bool, "at least one task required for this experiment")
+# the kinds that train a teacher train it on tasks[0] and read no other task
+_ONE_TASK = ("tasks", lambda ts: len(ts) == 1, "exactly one task required for this experiment")
+# LabelSource.hard reads the teacher task's labels without a noise stream
+_NOISELESS_TASK = ("tasks", lambda ts: all(t.kind in ("mixture", "zero") for t in ts),
+                   "the teacher's task must be of kind mixture or zero for this experiment")
 _DISTILL = ("distill", bool, "at least one (soft_ratio, temperature) required")
 _N_GRID = ("n_grid", bool, "required for this experiment")
 # without an oracle step a weight change is zero, and its norm divides
@@ -782,26 +786,27 @@ _KINDS = {
     # the angle inputs and on each n's, the student's per distill point
     "risk": _Kind(
         _perfect_teacher, lambda cfg: range(cfg.repeats), _risk_unit,
-        (_TASKS, _DISTILL, ("n_grid", lambda g: len(g) >= 3, "risk takes at least 3 points"),
-         _ORACLE_EPOCHS),
+        (_ONE_TASK, _NOISELESS_TASK, _DISTILL,
+         ("n_grid", lambda g: len(g) >= 3, "risk takes at least 3 points"), _ORACLE_EPOCHS),
         lambda cfg: _trained_cost(
             cfg, cfg.teacher.epochs, len(cfg.distill) + 1, cfg.repeats,
             cfg.repeats * (1 + len(cfg.n_grid) * len(cfg.distill)),
             cfg.repeats * (1 + len(cfg.n_grid)))),
     "angle-dist": _Kind(
         _angle_dist_setup, lambda cfg: list(enumerate(cfg.distill)), _angle_dist_unit,
-        (_TASKS, _DISTILL, _ORACLE_EPOCHS),
+        (_ONE_TASK, _NOISELESS_TASK, _DISTILL, _ORACLE_EPOCHS),
         lambda cfg: _trained_cost(cfg, cfg.teacher.epochs, len(cfg.distill) + 1, 1, 1, 1)),
     # the ground truth's teacher, then the early-stopped sweep
     "hard-label-effect": _Kind(
         _hard_label_setup, lambda cfg: range(cfg.repeats), _hard_label_unit,
-        (_TASKS, _N_GRID, ("teacher.stop_epochs", bool, "required for this experiment"),
+        (_ONE_TASK, _N_GRID, ("teacher.stop_epochs", bool, "required for this experiment"),
          _ORACLE_EPOCHS),
         lambda cfg: _trained_cost(cfg, cfg.teacher.epochs + max(cfg.teacher.stop_epochs), 1,
                                   cfg.repeats)),
     "zero-norm": _Kind(
         _perfect_teacher, lambda cfg: [0], _zero_norm_unit,
-        (_TASKS, ("distill", lambda d: len(d) == 1, "zero-norm takes exactly one point"),
+        (_ONE_TASK, _NOISELESS_TASK,
+         ("distill", lambda d: len(d) == 1, "zero-norm takes exactly one point"),
          _ORACLE_EPOCHS),
         lambda cfg: _trained_cost(cfg, cfg.teacher.epochs, 2, 1)),
 }

@@ -18,6 +18,7 @@ from ntkdistill.experiments import (
     _KINDS, _PARTS, CSV_COLUMNS, EXPERIMENT_KINDS, ConfigError, ExperimentConfig, parse_config,
     run, validate)
 from ntkdistill.metrics import default_beta_grid
+from ntkdistill.tasks import TASK_KINDS
 from test_pipeline import SMOKE_CASES, _csv_without_wall_ms, _tiny_fig2_config
 
 
@@ -187,6 +188,23 @@ def test_no_kind_name_outside_the_kinds_table():
     assert named == [("_inefficiency_unit", "inefficiency")]
 
 
+@pytest.mark.parametrize("kind", ["risk", "angle-dist", "zero-norm", "hard-label-effect"])
+def test_teacher_kinds_take_one_task_and_read_its_labels_without_noise(kind):
+    # these kinds train their teacher on tasks[0], so a second task would be
+    # ignored; risk, angle-dist and zero-norm read that task's labels with
+    # no rng, which a noisy kind needs.  Hard-label-effect reads no labels
+    base = _tiny_fig2_config(kind, **SMOKE_CASES[kind])
+    bad = [[], base["tasks"] * 2]
+    if kind != "hard-label-effect":
+        bad += [[base["tasks"][0] | {"kind": "flipped-mixture", "p_flip": 0.3}],
+                [base["tasks"][0] | {"kind": "random-labels"}]]
+    for tasks in bad:
+        with pytest.raises(ConfigError, match=r"^tasks: "):
+            parse_config(base | {"tasks": tasks})
+    for task_kind in ("mixture", "zero"):
+        parse_config(base | {"tasks": [base["tasks"][0] | {"kind": task_kind}]})
+
+
 def test_readme_requires_table_names_each_kinds_required_fields():
     readme = (ROOT / "README.md").read_text()
     lines = readme.split("| kind | requires |", 1)[1].splitlines()[2:]
@@ -258,6 +276,20 @@ def _mutations(data, path):
     return MUTATIONS
 
 
+def _whole_mutations(data):
+    """``(name, config)`` mutations of more than one field: each task's kind
+    set to each other task kind, with a ``p_flip`` where the kind needs one,
+    and a second task where the config has one."""
+    for i, task in enumerate(data["tasks"]):
+        for kind in TASK_KINDS:
+            if kind != task["kind"]:
+                flip = {"p_flip": 0.3} if kind == "flipped-mixture" else {}
+                tasks = data["tasks"][:i] + [task | {"kind": kind} | flip] + data["tasks"][i + 1:]
+                yield f"tasks.{i}.kind = {kind!r}", data | {"tasks": tasks}
+    if len(data["tasks"]) == 1:
+        yield "tasks = two tasks", data | {"tasks": data["tasks"] * 2}
+
+
 def _cell(value):
     return repr(value) if isinstance(value, float) else str(value)
 
@@ -327,16 +359,17 @@ def _contract_break(tmp_path, capsys, kind, data, out):
 @pytest.mark.parametrize("kind", list(SMOKE_CASES))
 def test_validate_and_run_agree_on_every_field_mutation(tmp_path, capsys, kind):
     # the mutation table: each field of the smoke config, top-level or
-    # nested, set to each mutation.  Either validate raises a ConfigError and
-    # the run exits 1 before making its output directory, or validate passes
-    # and the run exits 0 or 2 with a manifest, finite or flagged values and
-    # rows whose coordinates the manifest's config holds
+    # nested, set to each mutation, and the whole-task mutations.  Either
+    # validate raises a ConfigError and the run exits 1 before making its
+    # output directory, or validate passes and the run exits 0 or 2 with a
+    # manifest, finite or flagged values and rows whose coordinates the
+    # manifest's config holds
     base = _tiny_fig2_config(kind, **SMOKE_CASES[kind])
+    mutated = [(f"{'.'.join(map(str, path))} = {value!r}", _mutated(base, path, value))
+               for path in _field_paths(base) for value in _mutations(base, path)]
     breaks = []
-    for path in _field_paths(base):
-        for i, value in enumerate(_mutations(base, path)):
-            out = tmp_path / f"{'.'.join(map(str, path))}-{i}"
-            problem = _contract_break(tmp_path, capsys, kind, _mutated(base, path, value), out)
-            if problem:
-                breaks.append(f"{'.'.join(map(str, path))} = {value!r}: {problem}")
+    for i, (name, data) in enumerate(mutated + list(_whole_mutations(base))):
+        problem = _contract_break(tmp_path, capsys, kind, data, tmp_path / f"out-{i}")
+        if problem:
+            breaks.append(f"{name}: {problem}")
     assert not breaks, "\n".join(breaks)

@@ -10,12 +10,10 @@ from ntkdistill.distillation import (
     UnboundedSolutionError,
     correction_logit,
     distill_loss,
-    effective_logit,
     effective_logit_closed_t1,
     effective_logits,
     label_smoothing_logit,
     loss_gradient,
-    saturated_effective_logits,
     z_max,
 )
 
@@ -83,15 +81,15 @@ def test_gradient_trivial_and_limits():
 def test_effective_logit_pure_soft_identity():
     for temp in (1.0, 5.0, 10.0):
         p = DistillParams(soft_ratio=1.0, temperature=temp)
-        assert effective_logit(1.7, 1, p) == pytest.approx(1.7, abs=1e-10)
+        assert float(effective_logits(1.7, 1, p)) == pytest.approx(1.7, abs=1e-10)
 
 
 def test_effective_logit_known_roots():
     p = DistillParams(soft_ratio=0.5, temperature=1.0)
-    assert effective_logit(0.0, 1, p) == pytest.approx(np.log(3.0), abs=1e-9)
+    assert float(effective_logits(0.0, 1, p)) == pytest.approx(np.log(3.0), abs=1e-9)
     p = DistillParams(soft_ratio=0.4, temperature=1.0)
     # logit of 0.4*sigmoid(-2) + 0.6 = 0.647681...
-    assert effective_logit(-2.0, 1, p) == pytest.approx(0.6088620157608744, abs=1e-9)
+    assert float(effective_logits(-2.0, 1, p)) == pytest.approx(0.6088620157608744, abs=1e-9)
 
 
 def test_effective_logit_residual_small():
@@ -102,7 +100,7 @@ def test_effective_logit_residual_small():
         p = DistillParams(soft_ratio=rho, temperature=temp)
         z_t = rng.normal(scale=5.0)
         y = float(rng.integers(0, 2))
-        root = effective_logit(z_t, y, p)
+        root = float(effective_logits(z_t, y, p))
         assert abs(loss_gradient(root, z_t, y, p)) <= 1e-12
 
 
@@ -125,15 +123,31 @@ def test_closed_t1_trivial_and_bound():
         effective_logit_closed_t1(0.0, 1, 0.0)
 
 
-def test_pure_hard_raises_and_saturates():
-    p = DistillParams(soft_ratio=0.0, temperature=1.0)
-    with pytest.raises(UnboundedSolutionError):
-        effective_logit(0.5, 1, p)
-    vals, flags = saturated_effective_logits([0.5, -0.5], [1.0, 0.0], p)
-    assert np.all(flags)
-    assert np.allclose(vals, [z_max(1.0), -z_max(1.0)])
-    vals, flags = saturated_effective_logits(0.5, 1.0, DistillParams(0.5, 1.0))
-    assert not flags.any()
+def test_pure_hard_labels_saturate_at_z_max():
+    # at rho = 0 the root diverges, and every entry is the clamp
+    # sign(2 y - 1) * z_max(T), bit for bit, whatever the teacher logit
+    z_t = np.linspace(-40.0, 40.0, 33)[:, None]
+    y = np.array([0.0, 1.0])
+    for temp in (0.5, 1.0, 2.0, 10.0, 37.5):
+        got = effective_logits(z_t, y, DistillParams(0.0, temp))
+        clamp = np.sign(2.0 * np.broadcast_to(y, got.shape) - 1.0) * z_max(temp)
+        assert got.shape == (33, 2)
+        assert np.array_equal(got, clamp)
+        assert np.all(got[:, 1] == max(30.0, 30.0 * temp))
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+def test_effective_logits_keep_the_broadcast_shape(rho):
+    p = DistillParams(rho, 2.0)
+    assert np.shape(effective_logits(0.5, 1.0, p)) == ()
+    assert effective_logits([0.5, -1.0, 2.0], 1.0, p).shape == (3,)
+    assert effective_logits(0.5, [0.0, 1.0], p).shape == (2,)
+    grid = effective_logits(np.array([[0.5], [-1.0], [2.0]]), [0.0, 1.0], p)
+    assert grid.shape == (3, 2)
+    # each entry is its own scalar solve
+    for i, z_t in enumerate((0.5, -1.0, 2.0)):
+        for j, y in enumerate((0.0, 1.0)):
+            assert grid[i, j] == float(effective_logits(z_t, y, p))
 
 
 def test_monotone_in_teacher_and_label():
@@ -153,7 +167,7 @@ def test_amplification_when_teacher_correct():
         p = DistillParams(soft_ratio=rho, temperature=5.0)
         for z_t in (-3.0, -0.4, 0.4, 3.0):
             y = 1.0 if z_t > 0 else 0.0
-            z_eff = effective_logit(z_t, y, p)
+            z_eff = float(effective_logits(z_t, y, p))
             assert abs(z_eff) > abs(z_t)
             assert np.sign(z_eff) == np.sign(z_t)
 
@@ -163,7 +177,7 @@ def test_pointwise_correction_bound():
     for rho in (0.2, 0.5, 0.8):
         p = DistillParams(soft_ratio=rho, temperature=1.0)
         for z_t in np.linspace(-20, 20, 41):
-            z_eff = effective_logit(z_t, 1, p)
+            z_eff = float(effective_logits(z_t, 1, p))
             assert expit(z_eff) >= 1 - rho - 1e-9
             if rho <= 0.5:
                 assert z_eff > 0
@@ -175,7 +189,7 @@ def test_split_positive_and_widens():
     jumps = []
     for rho in (0.9, 0.5, 0.2):
         p = DistillParams(soft_ratio=rho, temperature=temp)
-        jump = effective_logit(eps, 1, p) - effective_logit(-eps, 0, p)
+        jump = float(effective_logits(eps, 1, p)) - float(effective_logits(-eps, 0, p))
         assert jump > 0
         jumps.append(jump)
     assert jumps == sorted(jumps)  # widens as rho decreases
@@ -183,10 +197,10 @@ def test_split_positive_and_widens():
 
 def test_cutoff_shape_at_small_rho():
     p = DistillParams(soft_ratio=0.05, temperature=5.0)
-    threshold = effective_logit(1e-9, 1, p)
+    threshold = float(effective_logits(1e-9, 1, p))
     for z_t in np.linspace(-4, 4, 33):
         y = 1.0 if z_t > 0 else 0.0
-        assert abs(effective_logit(z_t, y, p)) >= threshold - 1e-6
+        assert abs(float(effective_logits(z_t, y, p))) >= threshold - 1e-6
 
 
 def test_correction_logit_values():
@@ -302,7 +316,7 @@ def test_linearization_error_is_second_order():
     for h in (1e-2, 1e-3):
         p = DistillParams(soft_ratio=1 - h, temperature=temp)
         approx = z_t + h * correction_logit(z_t, y, temp)
-        errs.append(abs(effective_logit(z_t, y, p) - approx))
+        errs.append(abs(float(effective_logits(z_t, y, p)) - approx))
     ratio = errs[0] / errs[1]
     assert 10 ** (p_ref - 0.4) <= ratio <= 10 ** (p_ref + 0.4)
 
@@ -332,9 +346,6 @@ def test_params_validation():
 def test_non_finite_inputs_fail_loudly(z_t, y_g):
     # a non-finite input must raise, not come back as a made-up root beside
     # the solved entries, also on the saturated rho = 0 path
-    for rho in (0.5, 1.0):
+    for rho in (0.0, 0.5, 1.0):
         with pytest.raises(FloatingPointError):
             effective_logits(z_t, y_g, DistillParams(rho, 10.0))
-    for rho in (0.0, 0.5):
-        with pytest.raises(FloatingPointError):
-            saturated_effective_logits(z_t, y_g, DistillParams(rho, 10.0))

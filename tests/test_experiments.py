@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ntkdistill.cli import main
-from ntkdistill.distillation import DistillParams, effective_logit, z_max
+from ntkdistill.distillation import DistillParams, effective_logits, z_max
 from ntkdistill.experiments import (
     CSV_COLUMNS,
     ConfigError,
@@ -111,7 +111,7 @@ def test_effective_logits_run_matches_solver(tmp_path):
             assert row["flag"] == "saturated"
             assert abs(float(row["value"])) == z_max(temp)
         else:
-            expect = effective_logit(z_t, y, DistillParams(rho, temp))
+            expect = float(effective_logits(z_t, y, DistillParams(rho, temp)))
             assert float(row["value"]) == pytest.approx(expect, abs=1e-9)
 
 
@@ -360,27 +360,27 @@ def test_failing_unit_keeps_the_rows_of_the_units_before_it_in_serial_runners(
     extra = SMOKE_CASES[kind]
     if kind == "effective-logits":
         # the unit (rho 0, z_t -0.5): the second distill point's second logit
-        original = exp.saturated_effective_logits
+        original = exp.effective_logits
 
         def injected(z_t, y, dp):
             if dp.soft_ratio == 0.0 and z_t == -0.5:
                 raise FloatingPointError("injected")
             return original(z_t, y, dp)
 
-        name, failing = "saturated_effective_logits", {"rho": "0.0", "beta": "-0.5"}
+        name, failing = "effective_logits", {"rho": "0.0", "beta": "-0.5"}
     elif kind == "angle-dist":
         # the curve of a second distill point, rho 1, at its effective-logit
         # solve on the 400 Monte Carlo inputs (the oracle chunks hold 1,024
         # or 512 rows)
         extra = extra | {"distill": extra["distill"] + [{"soft_ratio": 1.0, "temperature": 2.0}]}
-        original = exp.saturated_effective_logits
+        original = exp.effective_logits
 
         def injected(z_t, y, dp):
             if dp.soft_ratio == 1.0 and len(z_t) == _tiny_fig2_config(kind)["samples"]:
                 raise FloatingPointError("injected")
             return original(z_t, y, dp)
 
-        name, failing = "saturated_effective_logits", {"rho": "1.0"}
+        name, failing = "effective_logits", {"rho": "1.0"}
     else:
         # the unit (repeat 1, n 32), by the key of its training sample's stream
         original = exp.unit_rng

@@ -28,7 +28,7 @@ from ntkdistill.network import (
     weighted_feature_sum,
 )
 from ntkdistill.network import _BLOCK_ROWS, _TARGET_CHUNK_ROWS, _Adam
-from ntkdistill.distillation import DistillParams, saturated_effective_logits
+from ntkdistill.distillation import DistillParams, effective_logits
 
 
 CFG = NetConfig(input_dim=2, hidden_layers=3, width=8)
@@ -619,8 +619,6 @@ def test_train_linearized_matches_kernel_solve(monkeypatch):
 
 
 def test_train_linearized_distill_objective_reaches_effective_logits():
-    from ntkdistill.distillation import effective_logits
-
     cfg = NetConfig(2, 2, 64)
     p0 = init_params(cfg, 2)
     rng = np.random.default_rng(2)
@@ -643,15 +641,13 @@ def test_lockstep_objectives_match_separate_runs():
     # k objectives trained in lockstep share each step's batch and sweep but
     # keep their own weight change and Adam state: bitwise the k separate
     # runs on identically seeded rngs, a saturated rho = 0 target included
-    from ntkdistill.distillation import saturated_effective_logits
-
     cfg = NetConfig(2, 2, 16)
     p0 = init_params(cfg, 3)
     teacher = init_params(cfg, 4)
     z_t = lambda x: 0.3 * forward(cfg, teacher, x)
     hard = lambda x: (x[:, 0] > 0).astype(float)
     objectives = [
-        SquaredTargets(lambda x, dp=dp: saturated_effective_logits(z_t(x), hard(x), dp)[0])
+        SquaredTargets(lambda x, dp=dp: effective_logits(z_t(x), hard(x), dp))
         for dp in (DistillParams(1.0, 10.0), DistillParams(0.5, 10.0), DistillParams(0.0, 10.0))
     ]
     objectives.append(DistillTargets(DistillParams(0.7, 2.0), z_t, hard))
@@ -692,7 +688,7 @@ def _chunk_objectives():
     z_t = lambda x: 0.3 * forward(teacher_cfg, teacher, x)
     hard = lambda x: (x[:, 0] > 0).astype(float)
     objectives = [
-        SquaredTargets(lambda x, dp=dp: saturated_effective_logits(z_t(x), hard(x), dp)[0])
+        SquaredTargets(lambda x, dp=dp: effective_logits(z_t(x), hard(x), dp))
         for dp in (DistillParams(1.0, 10.0), DistillParams(0.5, 10.0), DistillParams(0.0, 10.0))
     ]
     objectives += [SquaredTargets(lambda x: np.sin(x[:, 0]) * x[:, 1]),
@@ -777,7 +773,7 @@ def test_non_finite_teacher_logit_in_a_later_step_raises():
         return z
 
     obj = SquaredTargets(
-        lambda x: saturated_effective_logits(teacher(x), 1.0, DistillParams(0.5, 2.0))[0])
+        lambda x: effective_logits(teacher(x), 1.0, DistillParams(0.5, 2.0)))
     tc = TrainConfig(learning_rate=0.01, batch_size=128, epochs=12)
     with pytest.raises(FloatingPointError):
         train_linearized(cfg, p0, [obj], tc, sampler=_sampler, rng=np.random.default_rng(1))
