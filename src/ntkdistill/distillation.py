@@ -47,9 +47,9 @@ class DistillParams:
 
     def __post_init__(self):
         if not 0.0 <= self.soft_ratio <= 1.0:
-            raise ValueError(f"soft_ratio must be in [0, 1], got {self.soft_ratio}")
+            raise ValueError(f"soft_ratio: must be in [0, 1], got {self.soft_ratio}")
         if not self.temperature > 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+            raise ValueError(f"temperature: must be positive, got {self.temperature}")
 
 
 def z_max(temperature: float) -> float:

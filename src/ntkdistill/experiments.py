@@ -59,7 +59,6 @@ import csv
 import hashlib
 import json
 import os
-import re
 import sys
 import threading
 import time
@@ -165,11 +164,11 @@ class TeacherRecipe:
         # a bad schedule or label scale fails the config, not the run
         self.train_config(self.epochs)
         if type(self.seed) is not int or self.seed < 0:
-            raise ValueError("seed must be an integer >= 0")
+            raise ValueError("seed: must be an integer >= 0")
         if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+            raise ValueError("temperature: must be positive")
         if not self.reduction > 0:
-            raise ValueError("reduction must be positive")
+            raise ValueError("reduction: must be positive")
         if not all(e >= 1 for e in self.stop_epochs):
             raise ValueError("stop_epochs: entries must be >= 1")
         if list(self.stop_epochs) != sorted(set(self.stop_epochs)):
@@ -242,65 +241,52 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _type_problem(annotation: str, value) -> str | None:
-    """What makes ``value`` unfit for a field annotated ``annotation`` (a
-    string, as the annotations of this package are), or None.  Integers
-    reject JSON true and fractions, which would run as 1 or as their floor
-    while the manifest says otherwise; floats reject true and non-finite
-    values; a list field rejects a bare value."""
-    if annotation.endswith(" | None"):
-        if value is None:
-            return None
-        annotation = annotation.removesuffix(" | None")
-    if annotation.startswith(("list[", "tuple[")):
-        if not isinstance(value, (list, tuple)):
-            return "must be a list"
-        entry = annotation[annotation.index("[") + 1:].split(",")[0].rstrip("]")
-        return next(filter(None, (_type_problem(entry, v) for v in value)), None)
-    if annotation == "int" and type(value) is not int:
-        return "must be an integer"
-    if annotation == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return "must be a number"
-        # NaN fails the comparison; so does an integer too large for a float
-        if not abs(value) <= sys.float_info.max:
-            return "must be finite"
-    if annotation == "str" and not isinstance(value, str):
-        return "must be a string"
-    return None
-
-
 # the config parts, by the names their fields' annotations give them
 _PARTS = {cls.__name__: cls for cls in
           (ExperimentConfig, NetConfig, TaskSpec, DistillParams, TeacherRecipe, TrainConfig)}
 
 
 def _field_value(path: str, annotation: str, value):
-    """A JSON value as the field annotated ``annotation`` takes it: a config
-    part, or a list of them, built by :func:`_build` under ``path``; a tuple
-    for a tuple field; anything else as it is, for the part's type check."""
+    """A JSON value as the field annotated ``annotation`` (a string, as the
+    annotations of this package are) takes it, or a ``ConfigError`` that
+    names ``path``: a config part built by :func:`_build`, a list or tuple
+    of checked entries (a part as ``path[i]``, a scalar under the list's
+    path), or the checked value as it is.  Integers reject JSON true and
+    fractions, which would run as 1 or as their floor while the manifest
+    says otherwise; floats reject true and non-finite values; a list field
+    rejects a bare value."""
     name = annotation.removesuffix(" | None")
-    entry = name.removeprefix("list[").removesuffix("]")
     if value is None and name != annotation:
         return None
     if name in _PARTS:
         return _build(path, _PARTS[name], value)
-    if entry in _PARTS:
-        if not isinstance(value, list):
+    if name.startswith(("list[", "tuple[")):
+        if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: must be a list")
-        return [_build(f"{path}[{i}]", _PARTS[entry], v) for i, v in enumerate(value)]
-    if name.startswith("tuple[") and isinstance(value, list):
-        return tuple(value)
+        entry = name[name.index("[") + 1:].split(",")[0].rstrip("]")
+        entries = [_field_value(f"{path}[{i}]" if entry in _PARTS else path, entry, v)
+                   for i, v in enumerate(value)]
+        return tuple(entries) if name.startswith("tuple[") else entries
+    if name == "int" and type(value) is not int:
+        raise ConfigError(f"{path}: must be an integer")
+    if name == "float":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{path}: must be a number")
+        # NaN fails the comparison; so does an integer too large for a float
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{path}: must be finite")
+    if name == "str" and not isinstance(value, str):
+        raise ConfigError(f"{path}: must be a string")
     return value
 
 
 def _build(path: str, cls, data):
     """``cls`` from the JSON object ``data``, named ``path`` in errors (empty
     at the top level).  Every key must be a field and every field without a
-    default given.  A failed check in ``__post_init__`` names the part, or
-    the field its message starts with (``stop_epochs: ...``); a value unfit
-    for its annotation (:func:`_type_problem`) names its field, and comes
-    before any check but one that names the part."""
+    default given.  Each value is checked against its field's annotation in
+    the object's key order (:func:`_field_value`), so the first unfit value
+    names its field; only then does ``__post_init__`` check the ranges,
+    whose messages start with their own field (``stop_epochs: ...``)."""
     where, prefix = path or "config", f"{path}." if path else ""
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: must be an object")
@@ -311,19 +297,10 @@ def _build(path: str, cls, data):
     if wrong:
         raise ConfigError(f"{where}: unknown or missing field ({', '.join(sorted(wrong))})")
     kwargs = {k: _field_value(prefix + k, specs[k].type, v) for k, v in data.items()}
-    problems = [f"{prefix}{k}: {problem}" for k, v in kwargs.items()
-                if (problem := _type_problem(specs[k].type, v))]
     try:
-        part = cls(**kwargs)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        named = re.split(r"[:.[]", str(exc), maxsplit=1)[0] in specs
-        if problems and (named or isinstance(exc, TypeError)):
-            # the check met a value of the wrong type (a string it compares)
-            raise ConfigError(problems[0]) from exc
-        raise ConfigError(f"{prefix}{exc}" if named else f"{where}: {exc}") from exc
-    if problems:
-        raise ConfigError(problems[0])
-    return part
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -333,12 +310,14 @@ def parse_config(data: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        # JSON text is UTF-8 (RFC 8259), whatever the locale
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    # a byte that is not UTF-8, or nesting deeper than the decoder's stack
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError(f"config file: {exc}") from exc
     return parse_config(data)
 
 
@@ -384,7 +363,7 @@ def validate(path) -> str:
         f"config hash: {cfg.hash()}",
         f"root seed: {cfg.seed}",
         f"tasks: {len(cfg.tasks)}, distill points: {len(cfg.distill)}, "
-        f"n grid: {cfg.n_grid or '-'}, repeats: {cfg.repeats}",
+        f"n grid: {cfg.n_grid or '-'}, units: {len(_KINDS[cfg.experiment].units(cfg))}",
         f"estimated cost: {cost:.2e} flop",
     ]
     if cost > COST_BUDGET:

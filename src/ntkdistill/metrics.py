@@ -31,7 +31,11 @@ def unit_rng(root_seed: int, *key: int) -> np.random.Generator:
     """Record-keyed generator: one independent stream per (root, key) tuple.
 
     Streams depend only on their own key, so adding grid points or changing
-    the dispatch order never perturbs existing results.
+    the dispatch order never perturbs existing results.  Two uses that
+    request one key share its stream: risk's angle inputs ``(92, rep)``
+    replay repeat 1's distill oracles ``(91 + 1, 1)`` at rep 1 and its
+    zero-function oracle ``(91 + 1, 2)`` at rep 2.  A key with trailing
+    zeros, up to four words with the root, is the key without them.
     """
     return np.random.default_rng(np.random.SeedSequence([int(root_seed), *map(int, key)]))
 

@@ -145,8 +145,9 @@ class NetConfig:
     width: int
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.hidden_layers < 1 or self.width < 1:
-            raise ValueError("input_dim, hidden_layers and width must be >= 1")
+        for name in ("input_dim", "hidden_layers", "width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1")
 
 
 @lru_cache(maxsize=None)
@@ -381,13 +382,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be >= 1 and epochs >= 0")
+            raise ValueError("learning_rate: must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size: must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs: must be >= 0")
         if self.final_learning_rate is not None and not (
             0 < self.final_learning_rate <= self.learning_rate
         ):
-            raise ValueError("final_learning_rate must be in (0, learning_rate]")
+            raise ValueError("final_learning_rate: must be in (0, learning_rate]")
 
     def rate_at(self, epoch: int) -> float:
         if self.final_learning_rate is None or self.epochs <= 1:

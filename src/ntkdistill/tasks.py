@@ -119,15 +119,15 @@ class TaskSpec:
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
-            raise ValueError(f"unknown task kind {self.kind!r}; choose from {TASK_KINDS}")
+            raise ValueError(f"kind: unknown task kind {self.kind!r}; choose from {TASK_KINDS}")
         if type(self.seed) is not int or self.seed < 0:
-            raise ValueError("seed must be an integer >= 0")
+            raise ValueError("seed: must be an integer >= 0")
         if self.modes < 1:
-            raise ValueError("modes must be >= 1")
+            raise ValueError("modes: must be >= 1")
         if self.width is not None and self.width <= 0:
-            raise ValueError("width must be positive")
+            raise ValueError("width: must be positive")
         if not 0.0 <= self.p_flip <= 0.5:
-            raise ValueError(f"p_flip must be in [0, 0.5], got {self.p_flip}")
+            raise ValueError(f"p_flip: must be in [0, 0.5], got {self.p_flip}")
 
 
 class Task:

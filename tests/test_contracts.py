@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import ntkdistill.experiments as exp
+import ntkdistill.metrics as metrics
 from ntkdistill.cli import main
 from ntkdistill.experiments import (
     _KINDS, _PARTS, CSV_COLUMNS, EXPERIMENT_KINDS, ConfigError, ExperimentConfig, parse_config,
@@ -173,6 +174,62 @@ def test_each_kind_reads_what_it_requires_and_what_its_configs_set(kind):
     assert unread == {path for k, path in UNREAD if k == kind}
 
 
+@pytest.mark.parametrize("kind", list(SMOKE_CASES))
+def test_validate_reports_the_units_a_run_maps(tmp_path, monkeypatch, kind):
+    # validate prints how many units run() maps over --threads; it used to
+    # print repeats, which angle-dist, zero-norm and effective-logits never
+    # read
+    calls = []
+    pieces = _KINDS[kind]
+    monkeypatch.setitem(_KINDS, kind, pieces._replace(
+        unit=lambda *args: calls.append(args[2]) or pieces.unit(*args)))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_tiny_fig2_config(kind, **SMOKE_CASES[kind])))
+    [units] = re.findall(r"\bunits: (\d+)", validate(path))
+    assert run(path, out_dir=tmp_path / "out")[0] == 0
+    assert int(units) == len(calls) > 0
+
+
+# the streams that one run requests more than once, by kind, each named by
+# the key after the root seed that first asks for it, and why.  Fixing them
+# moves risk numbers and the risk-oracle benchmark references, so the fix
+# waits on a benchmark change that re-records them; it empties this table
+SHARED_STREAMS = {
+    "risk": {
+        (92, 1): "repeat 1's angle inputs, (92, rep), are the first rows of its "
+                 "lockstep distill oracles' batches, (91 + rep, 1)",
+        (92, 2): "repeat 2's angle inputs, (92, rep), replay repeat 1's zero-function "
+                 "oracle stream, (91 + rep, 2)",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "kind, extra, shared",
+    [pytest.param(kind, extra, set(), id=kind) for kind, extra in SMOKE_CASES.items()]
+    + [pytest.param("risk", SMOKE_CASES["risk"] | {"repeats": 3}, set(SHARED_STREAMS["risk"]),
+                    id="risk-three-repeats")],
+)
+def test_a_run_requests_each_random_stream_once(tmp_path, monkeypatch, kind, extra, shared):
+    # every unit_rng call that experiments and metrics make is recorded.  A
+    # key with trailing zeros, up to four words with the root seed, gives
+    # the key's stream, so streams are told apart by their state, not by
+    # their key
+    requested, unit_rng = {}, metrics.unit_rng
+
+    def spy(root_seed, *key):
+        rng = unit_rng(root_seed, *key)
+        requested.setdefault(tuple(rng.bit_generator.seed_seq.generate_state(4)), []).append(key)
+        return rng
+
+    for module in (exp, metrics):
+        monkeypatch.setattr(module, "unit_rng", spy)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_tiny_fig2_config(kind, **extra)))
+    assert run(path, out_dir=tmp_path / "out")[0] == 0
+    assert {keys[0] for keys in requested.values() if len(keys) > 1} == shared
+
+
 def test_no_kind_name_outside_the_kinds_table():
     # what a kind requires, costs and runs sits in its _KINDS entry, so no
     # other string literal of the module names a kind.  The one literal
@@ -316,16 +373,24 @@ def _coordinates(config):
     return allowed
 
 
-def _contract_break(tmp_path, capsys, kind, data, out):
+def _config_path(path):
+    """A field path as config errors write it: ``tasks[0].seed``."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+def _contract_break(tmp_path, capsys, kind, data, out, field=None):
     """Why ``data``, run as ``kind``, breaks the validate/run contract, or
-    None."""
+    None.  A config that ``validate`` rejects must name ``field``, or a
+    field under it, where one is given."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
     try:
         validate(path)
         valid = True
-    except ConfigError:
+    except ConfigError as exc:
         valid = False
+        if field is not None and not str(exc).startswith(tuple(field + c for c in ":.[")):
+            return f"rejected as {exc!r}, which does not name {field}"
     except Exception as exc:
         return f"validate raised {type(exc).__name__}: {exc}"
     try:
@@ -363,13 +428,17 @@ def test_validate_and_run_agree_on_every_field_mutation(tmp_path, capsys, kind):
     # validate raises a ConfigError and the run exits 1 before making its
     # output directory, or validate passes and the run exits 0 or 2 with a
     # manifest, finite or flagged values and rows whose coordinates the
-    # manifest's config holds
+    # manifest's config holds.  A rejected single-field mutation's error
+    # starts with that field's path, or with the path of a field under it
+    # (teacher = {} misses teacher.stop_epochs)
     base = _tiny_fig2_config(kind, **SMOKE_CASES[kind])
-    mutated = [(f"{'.'.join(map(str, path))} = {value!r}", _mutated(base, path, value))
+    mutated = [(f"{_config_path(path)} = {value!r}", _mutated(base, path, value),
+                _config_path(path))
                for path in _field_paths(base) for value in _mutations(base, path)]
+    whole = [(name, data, None) for name, data in _whole_mutations(base)]
     breaks = []
-    for i, (name, data) in enumerate(mutated + list(_whole_mutations(base))):
-        problem = _contract_break(tmp_path, capsys, kind, data, tmp_path / f"out-{i}")
+    for i, (name, data, field) in enumerate(mutated + whole):
+        problem = _contract_break(tmp_path, capsys, kind, data, tmp_path / f"out-{i}", field)
         if problem:
             breaks.append(f"{name}: {problem}")
     assert not breaks, "\n".join(breaks)

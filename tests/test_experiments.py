@@ -602,11 +602,12 @@ def _without(data, key):
     "data, field",
     [
         (ORACLE_COMMON | {"experiment": "inefficiency", "n_grid": [8, 8, 16]}, "n_grid"),
-        (_with_teacher(learning_rate=0.0), "teacher"),
-        (TINY_RISK | {"oracle": TINY_RISK["oracle"] | {"learning_rate": -0.003}}, "oracle"),
-        (_with_teacher(temperature=0.0), "teacher"),
-        (_with_teacher(reduction=0.0), "teacher"),
-        (TINY_RISK | {"tasks": [{"kind": "mixture", "modes": 0}]}, "tasks[0]"),
+        (_with_teacher(learning_rate=0.0), "teacher.learning_rate"),
+        (TINY_RISK | {"oracle": TINY_RISK["oracle"] | {"learning_rate": -0.003}},
+         "oracle.learning_rate"),
+        (_with_teacher(temperature=0.0), "teacher.temperature"),
+        (_with_teacher(reduction=0.0), "teacher.reduction"),
+        (TINY_RISK | {"tasks": [{"kind": "mixture", "modes": 0}]}, "tasks[0].modes"),
         (MINIMAL | {"distill": []}, "distill"),
         (ORACLE_COMMON | {"experiment": "zero-norm"}, "distill"),
         (ORACLE_COMMON | {"experiment": "zero-norm", "distill": TINY_RISK["distill"]}, "distill"),
@@ -629,13 +630,13 @@ def _without(data, key):
         (TINY_HARD_LABEL | {"teacher": TINY_HARD_LABEL["teacher"] | {"stop_epochs": [-4, 16]}},
          "teacher.stop_epochs"),
         (MINIMAL | {"seed": -3}, "seed"),
-        (TINY_RISK | {"tasks": [TINY_RISK["tasks"][0] | {"seed": -1}]}, "tasks[0]"),
-        (_with_teacher(seed=-1), "teacher"),
-        (TINY_RISK | {"tasks": [TINY_RISK["tasks"][0] | {"seed": 1.5}]}, "tasks[0]"),
-        (_with_teacher(seed=2.5), "teacher"),
+        (TINY_RISK | {"tasks": [TINY_RISK["tasks"][0] | {"seed": -1}]}, "tasks[0].seed"),
+        (_with_teacher(seed=-1), "teacher.seed"),
+        (TINY_RISK | {"tasks": [TINY_RISK["tasks"][0] | {"seed": 1.5}]}, "tasks[0].seed"),
+        (_with_teacher(seed=2.5), "teacher.seed"),
         (MINIMAL | {"seed": True}, "seed"),
-        (TINY_RISK | {"tasks": [TINY_RISK["tasks"][0] | {"seed": True}]}, "tasks[0]"),
-        (_with_teacher(seed=True), "teacher"),
+        (TINY_RISK | {"tasks": [TINY_RISK["tasks"][0] | {"seed": True}]}, "tasks[0].seed"),
+        (_with_teacher(seed=True), "teacher.seed"),
         (TINY_RISK | {"repeats": True}, "repeats"),
         (TINY_RISK | {"net": TINY_RISK["net"] | {"width": True}}, "net.width"),
         (TINY_HARD_LABEL | {"teacher_net": TINY_HARD_LABEL["teacher_net"] | {"input_dim": 2.0}},
@@ -735,6 +736,46 @@ def test_config_errors_tell_a_wrong_type_from_a_wrong_name(tmp_path, capsys, dat
     # and read as "unknown or missing field", like a misspelt key
     assert main(["validate", "--config", str(write_config(tmp_path, data))]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (MINIMAL | {"seed": "x", "net": MINIMAL["net"] | {"input_dim": 0}},
+         "seed: must be an integer"),
+        (TINY_RISK | {"net": TINY_RISK["net"] | {"input_dim": 0, "width": True}},
+         "net.width: must be an integer"),
+        (_with_teacher(learning_rate=0), "teacher.learning_rate: must be positive"),
+        (TINY_RISK | {"tasks": [TINY_RISK["tasks"][0] | {"seed": 1.5}]},
+         "tasks[0].seed: must be an integer"),
+    ],
+    ids=["seed-before-net", "type-before-range", "teacher-rate", "fractional-task-seed"],
+)
+def test_the_first_unfit_value_in_key_order_names_its_field(tmp_path, capsys, data, message):
+    # each value is checked as its field is read, in the config's key order,
+    # and a part's values before its range checks; the error used to go to
+    # a nested part's range check (net), or to the part (teacher, tasks[0])
+    assert main(["validate", "--config", str(write_config(tmp_path, data))]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "effective-logits"])
+@pytest.mark.parametrize(
+    "content",
+    [b'{"experiment": "\xff"}', b'{"a": ' * 100_000 + b"1" + b"}" * 100_000],
+    ids=["not-utf-8", "too-deep"],
+)
+def test_an_undecodable_config_file_is_a_config_error(tmp_path, capsys, command, content):
+    # a byte that is not UTF-8 used to exit with a UnicodeDecodeError
+    # traceback, and nesting deeper than the decoder's stack with a
+    # RecursionError one
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    out = ["--out", str(tmp_path / "out")] if command != "validate" else []
+    assert main([command, "--config", str(path)] + out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config file: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
