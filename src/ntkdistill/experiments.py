@@ -40,13 +40,14 @@ root seed and the record's own grid coordinates (see
 Inefficiency still keys its streams by task, distill and grid index, so
 inserting a grid point there moves other rows.
 
-Lockstep oracles evaluate the teacher and every distill point's
-effective-logit solve once per chunk of about 1,024 rows, not once per step
-(``_distilled_targets``; :func:`~ntkdistill.network.train_linearized`
-describes the chunks).  Each (repeat, n) point of the risk study likewise
-shares, across distill points, its training sample's sweep and Gram
-factorization, its Monte Carlo inputs, the teacher's logits on them and the
-student's sweep over them (``_risk_point``).
+Lockstep oracles train toward one target function, ``_distilled_targets``,
+which evaluates the teacher once and every distill point's effective-logit
+solve on it; :func:`~ntkdistill.network.train_linearized` calls it once per
+chunk of about 1,024 rows, not once per step or per objective.  Each
+(repeat, n) point of the risk study likewise computes once, for all distill
+points, the same target function on its training sample, that sample's
+sweep and Gram factorization, the teacher's logits on its Monte Carlo
+inputs and the students' sweep over them (``_risk_point``).
 
 ``wall_ms`` is the wall time since the run's previous ``emit`` call (or its
 start), split evenly over the rows of the call, so the column sums to the
@@ -415,28 +416,15 @@ def _emitter(cfg: ExperimentConfig):
     return emit
 
 
-def _train_oracles(cfg: ExperimentConfig, params0: np.ndarray, target_fns, sampler, rng):
-    """Online-batch oracle runs of the linearized student at ``params0``, one
-    per squared-loss target function ``target_fns[i](x)``, trained in lockstep
-    on one batch stream; returns the weight changes in the same order."""
-    results = train_linearized(
-        cfg.net, params0, [SquaredTargets(fn) for fn in target_fns],
-        cfg.oracle, sampler=sampler, rng=rng,
-    )
+def _train_oracles(cfg: ExperimentConfig, params0: np.ndarray, targets, sampler, rng,
+                   count: int = 1):
+    """Online-batch oracle runs of the linearized student at ``params0``:
+    ``count`` squared-loss objectives toward the ``count`` arrays that
+    ``targets(x)`` returns, trained in lockstep on one batch stream; returns
+    the weight changes in the same order."""
+    results = train_linearized(cfg.net, params0, [SquaredTargets()] * count, cfg.oracle,
+                               sampler, rng, targets)
     return [r.delta for r in results]
-
-
-def _memo_last(fn):
-    """``fn`` of an input array, recomputed only when the input differs in
-    value from the previous call's."""
-    last = []
-
-    def memo(x):
-        if not last or not np.array_equal(last[0], x):
-            last[:] = [x, fn(x)]
-        return last[1]
-
-    return memo
 
 
 # --- the seven kinds --------------------------------------------------------
@@ -480,17 +468,17 @@ def _ntk_check_unit(cfg: ExperimentConfig, shared, key) -> list[tuple]:
 def _ntk_check_finish(cfg: ExperimentConfig, shared, results) -> list[tuple]:
     """The rows that span units: each width's mean error, then the growth of
     the kernel diagonal against the squared input norm.  K(x, x) depends
-    only on |x|, so each norm sits on the first input axis."""
+    only on |x|, so each norm sits on the first input axis of one stacked
+    batch, whose diagonal the elementwise recursion computes in one call."""
     errs = [(coords["n"], values["frob_rel_err"])
             for groups in results for values, _, coords in groups]
     groups = [({"frob_rel_err_mean": float(np.mean([e for n, e in errs if n == width]))},
                None, {"n": width}) for width in cfg.width_grid]
-    for norm in cfg.norm_grid:
-        point = np.zeros((1, cfg.net.input_dim))
-        point[0, 0] = norm
-        ratio = float(analytic_ntk_diag(cfg.net, point)[0] / norm**2)
-        groups.append(({"diag_ratio": ratio}, None, {"beta": float(norm)}))
-    return groups
+    points = np.zeros((len(cfg.norm_grid), cfg.net.input_dim))
+    points[:, 0] = cfg.norm_grid
+    diag = analytic_ntk_diag(cfg.net, points)
+    return groups + [({"diag_ratio": float(k / norm**2)}, None, {"beta": float(norm)})
+                     for norm, k in zip(cfg.norm_grid, diag)]
 
 
 def distilled_target_fn(task: Task, dp: DistillParams):
@@ -537,15 +525,16 @@ def student_closed_form(net: NetConfig, params0, x, targets) -> list[np.ndarray]
 
 
 def _distilled_targets(label, dps):
-    """Distilled target functions, one per distill point: the effective
-    logits of the label source's teacher logits and hard labels.  A memo
-    shares one teacher evaluation per input set, so the lockstep oracles,
-    which each evaluate their own targets, evaluate the teacher once per
-    chunk, and closed-form students fit on one sample once.  The memo is
-    unlocked, so each unit builds its own."""
-    teacher = _memo_last(lambda x: (label.logits(x), label.hard(x)))
-    return [lambda x, rng=None, dp=dp: effective_logits(*teacher(x), dp)
-            for dp in dps]
+    """The distilled target function of the distill points ``dps``: on
+    inputs ``x`` it evaluates the label source's teacher logits and hard
+    labels once and returns every point's effective logits, in ``dps``
+    order."""
+
+    def targets(x):
+        z_t, y = label.logits(x), label.hard(x)
+        return [effective_logits(z_t, y, dp) for dp in dps]
+
+    return targets
 
 
 def _perfect_teacher(cfg: ExperimentConfig):
@@ -566,9 +555,10 @@ def _perfect_teacher_repeat(cfg: ExperimentConfig, sampler, targets, rep: int):
     ``unit_rng(seed, 91 + rep, 2)``, and the distill points' lockstep
     oracles from ``unit_rng(seed, 91 + rep, 1)``."""
     params0 = init_params(cfg.net, unit_rng(cfg.seed, 90, rep))
-    [delta_zero] = _train_oracles(cfg, params0, [lambda x: np.zeros(len(x))], sampler,
+    [delta_zero] = _train_oracles(cfg, params0, lambda x: [np.zeros(len(x))], sampler,
                                   unit_rng(cfg.seed, 91 + rep, 2))
-    deltas_star = _train_oracles(cfg, params0, targets, sampler, unit_rng(cfg.seed, 91 + rep, 1))
+    deltas_star = _train_oracles(cfg, params0, targets, sampler, unit_rng(cfg.seed, 91 + rep, 1),
+                                 len(cfg.distill))
     return params0, delta_zero, deltas_star
 
 
@@ -597,30 +587,24 @@ def _risk_point(cfg: ExperimentConfig, params0, sampler, label, targets, rep: in
 
     The n training inputs and the Monte Carlo inputs come from
     ``unit_rng(seed, 93, rep, n)`` whatever the distill point, so the
-    closed-form student's sweep and Gram factorization, the teacher on both
-    input sets and the student's sweep over the Monte Carlo inputs are
-    computed once and shared; only the targets, the solve and the tangent
-    pass are per distill point.  The student's Monte Carlo sweep runs in row
-    blocks, so no full-size sweep of the Monte Carlo inputs is ever held.
+    targets on the training inputs (``targets``, one teacher evaluation),
+    the closed-form student's sweep and Gram factorization, the teacher on
+    the Monte Carlo inputs and the students' sweep over them are computed
+    once, up front; only the solve and the tangent pass are per distill
+    point.  The students' Monte Carlo sweep runs in row blocks, so no
+    full-size sweep of the Monte Carlo inputs is ever held.
     """
     rng = unit_rng(cfg.seed, 93, rep, n)
     x = sampler(int(n), rng)
     x_mc = sampler(cfg.samples, rng)
-    deltas_hat = student_closed_form(cfg.net, params0, x, [fn(x) for fn in targets])
+    deltas_hat = student_closed_form(cfg.net, params0, x, targets(x))
     z_mc = label.logits(x_mc)
-    # the first distill point's empirical_risk sweeps the Monte Carlo inputs
-    # block by block for every distill point's student, and the others reuse
-    # it; a memo keeps that sweep inside empirical_risk, the span the
-    # benchmark's tracer times it in until the library has spans of its own
-    students = _memo_last(lambda xx: row_blocks(
-        cfg.net, params0, xx,
-        lambda sweep: np.stack([sweep.logits + sweep.jvp(delta) for delta in deltas_hat])))
-    point = []
-    for j, (delta_hat, delta_star) in enumerate(zip(deltas_hat, deltas_star)):
-        est = empirical_risk(lambda xx, j=j: students(xx)[j], lambda _: z_mc,
-                             lambda m, _: x_mc, cfg.samples, rng)
-        point.append((alpha_n(delta_hat, delta_star, delta_zero), est))
-    return point
+    z_students = row_blocks(
+        cfg.net, params0, x_mc,
+        lambda sweep: np.stack([sweep.logits + sweep.jvp(delta) for delta in deltas_hat]))
+    return [(alpha_n(delta_hat, delta_star, delta_zero),
+             empirical_risk(lambda _: z_s, lambda _: z_mc, lambda m, _: x_mc, cfg.samples, rng))
+            for delta_hat, delta_star, z_s in zip(deltas_hat, deltas_star, z_students)]
 
 
 def _risk_unit(cfg: ExperimentConfig, shared, rep: int) -> list[tuple]:
@@ -706,7 +690,7 @@ def _hard_label_unit(cfg: ExperimentConfig, shared, rep: int) -> list[tuple]:
     temp = cfg.teacher.temperature
     params0 = init_params(cfg.net, unit_rng(cfg.seed, 80, rep))
     # ground-truth oracle norm from one online run on the true targets
-    [delta_g] = _train_oracles(cfg, params0, [gt_fn], base.sample_inputs,
+    [delta_g] = _train_oracles(cfg, params0, lambda x: [gt_fn(x)], base.sample_inputs,
                                unit_rng(cfg.seed, 81, rep))
     norm_wg = float(np.linalg.norm(delta_g))
     groups = []
@@ -803,7 +787,9 @@ def run(
 
     Completed rows are kept on partial failure, and the manifest marks the
     run incomplete.  Exit codes: 0 success, 1 config error, 2 numerical
-    failure.
+    failure.  Any other exception that stops the run (an interrupt, a
+    MemoryError, an OSError in a unit) writes the same two files, then
+    propagates.
     """
     cfg = load_config(config_path)
     if seed is not None:
@@ -831,7 +817,17 @@ def run(
             UnboundedSolutionError, DegenerateVectorError) as exc:
         errors.append(f"{type(exc).__name__}: {exc}")
         status = 2
+    except BaseException as exc:
+        # a KeyboardInterrupt's message is empty
+        errors.append(f"{type(exc).__name__}: {exc}".removesuffix(": "))
+        _write_outputs(cfg, out, records, errors)
+        raise
+    return status, _write_outputs(cfg, out, records, errors)
 
+
+def _write_outputs(cfg: ExperimentConfig, out, records, errors) -> list:
+    """Write a run's CSV and manifest, incomplete if there are ``errors``;
+    returns their paths."""
     stem = os.path.join(out, cfg.experiment.replace("-", "_"))
     csv_path = stem + ".csv"
     with open(csv_path, "w", newline="") as fh:
@@ -854,4 +850,4 @@ def run(
     manifest_path = stem + "_manifest.json"
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
-    return status, [csv_path, manifest_path]
+    return [csv_path, manifest_path]

@@ -95,17 +95,19 @@ blocks at width 128) and were no faster per sweep.
 ``train_linearized`` trains a list of objectives in lockstep on one sweep
 per step, each objective with its own weight change and Adam state.  It
 draws the batches of ``ceil(_TARGET_CHUNK_ROWS / batch_size)`` steps at a
-time (its own constant of 1,024 rows, not the block size) and evaluates
-each objective's callable targets (teacher logits, hard labels, effective
-logits) once on the chunk's rows; each step then slices its own.
-That relies on a contract every target callable keeps: its value for a row
-depends only on that row.  The results equal those of evaluating each
-step's batch on its own as long as the target is computed row by row with
-the same arithmetic, which elementwise code always is.  A teacher network's
-forward sweep is too, except where the BLAS routes a small product through
-another kernel (see above): OpenBLAS does so for products of up to about
-1,200 output entries, which at width 64 means oracle batches of about 18
-rows or fewer, whose targets may then move at rounding level.
+time (its own constant of 1,024 rows, not the block size) and calls its
+one target function once on the chunk's rows; that call returns every
+objective's targets (effective logits, or teacher logits and hard labels),
+so a teacher shared by the objectives is evaluated once per chunk, and each
+step slices its own rows.  That relies on a contract every target function
+keeps: its value for a row depends only on that row.  The results equal
+those of evaluating each step's batch on its own as long as the target is
+computed row by row with the same arithmetic, which elementwise code always
+is.  A teacher network's forward sweep is too, except where the BLAS
+routes a small product through another kernel (see above): OpenBLAS does so
+for products of up to about 1,200 output entries, which at width 64 means
+oracle batches of about 18 rows or fewer, whose targets may then move at
+rounding level.
 """
 
 from __future__ import annotations
@@ -469,53 +471,24 @@ def train_teacher(
     return kept
 
 
-def _target_values(target, x: np.ndarray):
-    """A callable target's values on the rows of ``x``; fixed targets, which
-    belong to the one batch of a fixed-batch sampler, as they are."""
-    return np.asarray(target(x) if callable(target) else target)
-
-
-def _target_rows(target, values, rows: slice):
-    """One step's share of ``_target_values``: its rows of a callable's
-    values, fixed targets whole."""
-    return values[rows] if callable(target) else values
-
-
 class SquaredTargets:
-    """L2 objective 0.5 * mean((z - target)^2); targets fixed or callable.
+    """L2 objective 0.5 * mean((z - t)^2); a step's targets ``t`` are one
+    value per row."""
 
-    ``evaluate(x)`` computes the targets on a batch of rows once, and
-    ``grad(z, values, rows)`` is the loss gradient of the step whose logits
-    ``z`` belong to ``rows`` of that batch.
-    """
-
-    def __init__(self, targets):
-        self.targets = targets
-
-    def evaluate(self, x: np.ndarray):
-        return _target_values(self.targets, x)
-
-    def grad(self, z: np.ndarray, values, rows: slice) -> np.ndarray:
-        return z - _target_rows(self.targets, values, rows)
+    def grad(self, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return z - t
 
 
 class DistillTargets:
-    """Distillation objective; teacher logits and hard labels fixed or
-    callable, evaluated and sliced as in :class:`SquaredTargets`."""
+    """Distillation objective at ``params``; a step's targets are the teacher
+    logits and hard labels stacked, (2, rows)."""
 
-    def __init__(self, params: DistillParams, teacher_logits, hard_labels):
+    def __init__(self, params: DistillParams):
         self.params = params
-        self.teacher_logits = teacher_logits
-        self.hard_labels = hard_labels
 
-    def evaluate(self, x: np.ndarray):
-        return (_target_values(self.teacher_logits, x),
-                _target_values(self.hard_labels, x))
-
-    def grad(self, z: np.ndarray, values, rows: slice) -> np.ndarray:
-        z_t, y = values
-        return loss_gradient(z, _target_rows(self.teacher_logits, z_t, rows),
-                             _target_rows(self.hard_labels, y, rows), self.params)
+    def grad(self, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+        z_t, y = t
+        return loss_gradient(z, z_t, y, self.params)
 
 
 @dataclass
@@ -524,21 +497,20 @@ class TrainResult:
     grad_norm: float
 
 
-def _steps(cfg: NetConfig, params0: np.ndarray, objectives, train_cfg: TrainConfig,
-           sampler, rng):
-    """``(sweep, values, rows)`` for each step of ``train_linearized``: the
-    step's sweep, every objective's ``evaluate`` values and the step's rows
-    of them, with the targets evaluated once per chunk of steps."""
+def _steps(cfg: NetConfig, params0: np.ndarray, train_cfg: TrainConfig, sampler, rng,
+           targets):
+    """``(sweep, step_targets)`` for each step of ``train_linearized``: the
+    step's sweep and its rows of every objective's targets, with ``targets``
+    called once per chunk of steps."""
     per_chunk = -(-_TARGET_CHUNK_ROWS // train_cfg.batch_size)
     for first in range(0, train_cfg.epochs, per_chunk):
         batches = [sampler(train_cfg.batch_size, rng)
                    for _ in range(min(per_chunk, train_cfg.epochs - first))]
-        chunk = np.concatenate(batches)
-        values = [obj.evaluate(chunk) for obj in objectives]
+        values = targets(np.concatenate(batches))
         end = 0
         for batch in batches:
             start, end = end, end + len(batch)
-            yield Sweep(cfg, params0, batch), values, slice(start, end)
+            yield Sweep(cfg, params0, batch), [v[..., start:end] for v in values]
 
 
 def train_linearized(
@@ -548,6 +520,7 @@ def train_linearized(
     train_cfg: TrainConfig,
     sampler,
     rng: np.random.Generator,
+    targets,
 ) -> list[TrainResult]:
     """Gradient training of the model z(x) = f(x; w0) + delta . phi(x).
 
@@ -557,20 +530,26 @@ def train_linearized(
     result's ``grad_norm`` is the norm of its last step's gradient;
     non-convergence is never raised.
 
-    ``sampler`` is called exactly once per step, in step order, but the
-    batches of ``ceil(_TARGET_CHUNK_ROWS / batch_size)`` steps are drawn
-    ahead (``_TARGET_CHUNK_ROWS`` is 1,024 rows, so 8 steps at batch 128,
-    whatever the row-block size) and each objective's callable targets are
-    evaluated once on their concatenated rows; each step then takes its own
-    rows by slicing.
-    A target callable must therefore give each row a value that depends on
-    that row alone; it then trains exactly as it would on per-step
-    evaluations, up to the small-batch BLAS rounding noted in the module
-    docstring.  A target that raises (a non-finite teacher logit raises
+    ``targets(x)`` returns one array per objective, in order, with the rows
+    of ``x`` on its last axis: a ``SquaredTargets`` array is (rows,), a
+    ``DistillTargets`` one the teacher logits and hard labels stacked,
+    (2, rows).  ``sampler`` is called exactly once per step, in step order,
+    but the batches of ``ceil(_TARGET_CHUNK_ROWS / batch_size)`` steps are
+    drawn ahead (``_TARGET_CHUNK_ROWS`` is 1,024 rows, so 8 steps at batch
+    128, whatever the row-block size) and ``targets`` is called once on
+    their concatenated rows, however many objectives there are; each step
+    then takes its own rows by slicing.  On a fixed-batch sampler the chunk
+    holds copies of the batch, so a target function of that batch repeats
+    its values along the last axis.
+    ``targets`` must therefore give each row a value that depends on that
+    row alone; it then trains exactly as it would on per-step evaluations,
+    up to the small-batch BLAS rounding noted in the module docstring.  A
+    ``targets`` that raises (a non-finite teacher logit raises
     FloatingPointError in the effective-logit solve) does so when its chunk
     is evaluated, before the chunk's first step.
 
-    ``objectives`` is a list of objectives, and the result a list of one
+    ``objectives`` is a list of objectives, each with its loss gradient
+    ``grad(z, step_targets)``, and the result a list of one
     :class:`TrainResult` each, in the same order.  The objectives train in
     lockstep: each step draws one batch and runs one forward/reverse sweep
     that all of them share, while each keeps its own weight change and Adam
@@ -583,12 +562,12 @@ def train_linearized(
     adams = [_Adam(delta.size, train_cfg) for delta in deltas]
     grads = [np.zeros(1)] * len(objectives)
 
-    for sweep, values, rows in _steps(cfg, params0, objectives, train_cfg, sampler, rng):
+    for sweep, step_targets in _steps(cfg, params0, train_cfg, sampler, rng, targets):
         for j, obj in enumerate(objectives):
             z = sweep.logits + sweep.jvp(deltas[j])
             if not np.all(np.isfinite(z)):
                 raise DivergenceError("linearized logits became non-finite")
-            coeffs = obj.grad(z, values[j], rows) / len(z)
+            coeffs = obj.grad(z, step_targets[j]) / len(z)
             grads[j] = sweep.vjp(coeffs)
             adams[j].step(deltas[j], grads[j])
 

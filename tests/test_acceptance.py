@@ -241,8 +241,8 @@ def test_criterion_5_training_equivalence():
     solve_logits = linear_student(cfg, p0, delta_solve)(x)
 
     tc = TrainConfig(learning_rate=0.01, batch_size=n, epochs=4000)
-    [res] = train_linearized(cfg, p0, [SquaredTargets(targets)], tc,
-                             sampler=lambda m, _: x, rng=rng)
+    [res] = train_linearized(cfg, p0, [SquaredTargets()], tc, sampler=lambda m, _: x, rng=rng,
+                             targets=lambda xx: [np.tile(targets, len(xx) // n)])
     trained_logits = linear_student(cfg, p0, res.delta)(x)
 
     gap_targets = float(np.max(np.abs(trained_logits - targets)))
@@ -364,12 +364,12 @@ def test_criterion_8_risk_bound_validity():
         p0 = init_params(student, rng)
         tc = TrainConfig(0.01, 128, 3000, final_learning_rate=1e-4)
         [star] = train_linearized(
-            student, p0, [SquaredTargets(eff_fn)], tc,
-            sampler=input_sampler, rng=unit_rng(7001, t),
+            student, p0, [SquaredTargets()], tc, sampler=input_sampler,
+            rng=unit_rng(7001, t), targets=lambda x: [eff_fn(x)],
         )
         [zero] = train_linearized(
-            student, p0, [SquaredTargets(lambda x: np.zeros(len(x)))], tc,
-            sampler=input_sampler, rng=unit_rng(7002, t),
+            student, p0, [SquaredTargets()], tc, sampler=input_sampler,
+            rng=unit_rng(7002, t), targets=lambda x: [np.zeros(len(x))],
         )
         delta_star, delta_zero = star.delta, zero.delta
 

@@ -12,6 +12,7 @@ from ntkdistill.cli import main
 from ntkdistill.distillation import DistillParams, effective_logits, z_max
 from ntkdistill.experiments import (
     CSV_COLUMNS,
+    EXPERIMENT_KINDS,
     ConfigError,
     estimate_cost,
     load_config,
@@ -475,6 +476,46 @@ def test_partial_failure_keeps_completed_rows(tmp_path, monkeypatch):
     assert "synthetic failure" in manifest["errors"][0]
 
 
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_interrupted_run_keeps_the_finished_rows_and_reraises(tmp_path, monkeypatch, kind):
+    # an exception outside the numerical ones, here a KeyboardInterrupt in
+    # the last unit, still leaves the rows of the units that finished and a
+    # manifest marked incomplete that names it; then it propagates
+    import ntkdistill.experiments as exp
+    from test_pipeline import SMOKE_CASES, _tiny_fig2_config
+
+    extra = dict(SMOKE_CASES[kind])
+    # a second unit where the smoke run has one; zero-norm always has one
+    if kind == "risk":
+        extra["repeats"] = 2
+    if kind == "angle-dist":
+        extra["distill"] = extra["distill"] + [{"soft_ratio": 1.0, "temperature": 2.0}]
+    path = write_config(tmp_path, _tiny_fig2_config(kind, **extra))
+    status, paths = run(path, out_dir=tmp_path / "full")
+    assert status == 0
+    full = rows_without_wall_ms(paths[0])
+
+    spec = exp._KINDS[kind]
+    finished = []
+
+    def interrupted(cfg, shared, key):
+        if key == list(spec.units(cfg))[-1]:
+            raise KeyboardInterrupt
+        groups = spec.unit(cfg, shared, key)
+        finished.append(sum(len(values) for values, _, _ in groups))
+        return groups
+
+    monkeypatch.setitem(exp._KINDS, kind, spec._replace(unit=interrupted))
+    with pytest.raises(KeyboardInterrupt):
+        run(path, out_dir=tmp_path / "interrupted")
+    kept = rows_without_wall_ms(str(paths[0]).replace("full", "interrupted"))
+    assert kept == full[:sum(finished)]
+    assert (kept == []) == (kind == "zero-norm")
+    manifest = json.loads(open(str(paths[1]).replace("full", "interrupted")).read())
+    assert manifest["incomplete"] is True and manifest["records"] == len(kept)
+    assert manifest["errors"] == ["KeyboardInterrupt"]
+
+
 def test_estimate_cost_scales():
     cfg = parse_config(
         {
@@ -903,6 +944,47 @@ def test_mc_teacher_evaluated_once_per_initialization(
     status, _ = run(write_config(tmp_path, data), out_dir=tmp_path / "out")
     assert status == 0
     assert rows.count(data["samples"]) == expected_calls
+
+
+def test_risk_evaluates_the_teacher_once_per_input_set(tmp_path, monkeypatch):
+    # a run with two distill points evaluates the teacher's logits and hard
+    # labels once per oracle chunk, once per angle pass and once per grid
+    # point's training inputs, whatever the number of distill points, and
+    # its logits once per grid point's Monte Carlo inputs; nothing else
+    from ntkdistill.metrics import unit_rng
+    from ntkdistill.tasks import LabelSource, Task
+
+    seen = {"logits": [], "hard": []}
+    for name, original in (("logits", LabelSource.logits), ("hard", LabelSource.hard)):
+        def counting(self, x, name=name, original=original):
+            seen[name].append(np.array(x))
+            return original(self, x)
+
+        monkeypatch.setattr(LabelSource, name, counting)
+    status, _ = run(write_config(tmp_path, TINY_RISK), out_dir=tmp_path / "out")
+    assert status == 0
+
+    cfg = parse_config(TINY_RISK)
+    sampler, oracle = Task(cfg.tasks[0]).sample_inputs, cfg.oracle
+    both, logits_only = [], []
+    for rep in range(cfg.repeats):
+        # the distill oracles' 6 steps of 8 rows make one chunk
+        rng = unit_rng(cfg.seed, 91 + rep, 1)
+        both.append(np.concatenate([sampler(oracle.batch_size, rng)
+                                    for _ in range(oracle.epochs)]))
+        both.append(sampler(cfg.samples, unit_rng(cfg.seed, 92, rep)))
+        for n in cfg.n_grid:
+            rng = unit_rng(cfg.seed, 93, rep, n)
+            both.append(sampler(n, rng))
+            logits_only.append(sampler(cfg.samples, rng))
+
+    def calls(name, x):
+        return sum(xx.shape == x.shape and np.array_equal(xx, x) for xx in seen[name])
+
+    assert [calls("logits", x) for x in both + logits_only] == [1] * (len(both) + len(logits_only))
+    assert [calls("hard", x) for x in both] == [1] * len(both)
+    assert len(seen["logits"]) == len(both) + len(logits_only)
+    assert len(seen["hard"]) == len(both)
 
 
 def test_student_closed_form_sweeps_its_inputs_once(monkeypatch):

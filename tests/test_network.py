@@ -585,8 +585,8 @@ def test_train_linearized_fixed_point():
     x = rng.normal(scale=5.0, size=(8, 2))
     targets = forward(cfg, p0, x)
     tc = TrainConfig(learning_rate=0.05, batch_size=8, epochs=50)
-    [res] = train_linearized(cfg, p0, [SquaredTargets(targets)], tc,
-                             sampler=lambda m, _: x, rng=rng)
+    [res] = train_linearized(cfg, p0, [SquaredTargets()], tc, sampler=lambda m, _: x, rng=rng,
+                             targets=lambda xx: [np.tile(targets, len(xx) // len(x))])
     assert np.allclose(res.delta, 0.0)
     assert res.grad_norm == 0.0
 
@@ -607,8 +607,8 @@ def test_train_linearized_matches_kernel_solve(monkeypatch):
     # descent: span-preserving, so it converges to the kernel interpolant
     monkeypatch.setattr(_Adam, "eps", 30.0)
     tc = TrainConfig(learning_rate=5.0, batch_size=n, epochs=8000)
-    [res] = train_linearized(cfg, p0, [SquaredTargets(targets)], tc,
-                             sampler=lambda m, _: x, rng=rng)
+    [res] = train_linearized(cfg, p0, [SquaredTargets()], tc, sampler=lambda m, _: x, rng=rng,
+                             targets=lambda xx: [np.tile(targets, len(xx) // n)])
     assert res.grad_norm <= 1e-4
     trained = z0 + feature_dot(cfg, p0, res.delta, x)
     assert np.max(np.abs(trained - targets)) <= 1e-3
@@ -631,8 +631,8 @@ def test_train_linearized_distill_objective_reaches_effective_logits():
     # is tiny, so where epoch 20000 lands depended on rounding; the decay
     # freezes the iterate at the optimum
     tc = TrainConfig(learning_rate=0.2, batch_size=n, epochs=20000, final_learning_rate=2e-4)
-    [res] = train_linearized(cfg, p0, [DistillTargets(dp, z_t, y)], tc,
-                             sampler=lambda m, _: x, rng=rng)
+    [res] = train_linearized(cfg, p0, [DistillTargets(dp)], tc, sampler=lambda m, _: x, rng=rng,
+                             targets=lambda xx: [np.tile(np.stack([z_t, y]), len(xx) // n)])
     z = forward(cfg, p0, x) + feature_dot(cfg, p0, res.delta, x)
     assert np.allclose(z, effective_logits(z_t, y, dp), atol=5e-3)
 
@@ -644,36 +644,39 @@ def test_lockstep_objectives_match_separate_runs():
     cfg = NetConfig(2, 2, 16)
     p0 = init_params(cfg, 3)
     teacher = init_params(cfg, 4)
-    z_t = lambda x: 0.3 * forward(cfg, teacher, x)
-    hard = lambda x: (x[:, 0] > 0).astype(float)
-    objectives = [
-        SquaredTargets(lambda x, dp=dp: effective_logits(z_t(x), hard(x), dp))
-        for dp in (DistillParams(1.0, 10.0), DistillParams(0.5, 10.0), DistillParams(0.0, 10.0))
-    ]
-    objectives.append(DistillTargets(DistillParams(0.7, 2.0), z_t, hard))
+    dps = (DistillParams(1.0, 10.0), DistillParams(0.5, 10.0), DistillParams(0.0, 10.0))
+
+    def targets(x):
+        z_t, hard = 0.3 * forward(cfg, teacher, x), (x[:, 0] > 0).astype(float)
+        return [effective_logits(z_t, hard, dp) for dp in dps] + [np.stack([z_t, hard])]
+
+    objectives = [SquaredTargets()] * len(dps) + [DistillTargets(DistillParams(0.7, 2.0))]
     sampler = lambda n, rng: rng.normal(scale=5.0, size=(n, 2))
     tc = TrainConfig(learning_rate=0.01, batch_size=8, epochs=40)
 
-    together = train_linearized(cfg, p0, objectives, tc, sampler, np.random.default_rng(9))
+    together = train_linearized(cfg, p0, objectives, tc, sampler, np.random.default_rng(9),
+                                targets)
     assert len(together) == len(objectives)
-    for obj, res in zip(objectives, together):
-        [alone] = train_linearized(cfg, p0, [obj], tc, sampler, np.random.default_rng(9))
+    for j, (obj, res) in enumerate(zip(objectives, together)):
+        [alone] = train_linearized(cfg, p0, [obj], tc, sampler, np.random.default_rng(9),
+                                   lambda x: targets(x)[j:j + 1])
         assert np.array_equal(res.delta, alone.delta)
         assert res.grad_norm == alone.grad_norm
     assert not np.array_equal(together[0].delta, together[2].delta)
 
 
-def _per_step_reference(cfg, params0, objectives, tc, sampler, rng):
+def _per_step_reference(cfg, params0, objectives, tc, sampler, rng, targets):
     """The training loop as it ran before targets were evaluated per chunk:
-    every step evaluates every objective's targets on its own batch."""
+    every step evaluates the targets on its own batch."""
     deltas = [np.zeros(param_count(cfg)) for _ in objectives]
     adams = [_Adam(delta.size, tc) for delta in deltas]
     norms = [0.0] * len(objectives)
     for _ in range(tc.epochs):
         sweep = Sweep(cfg, params0, sampler(tc.batch_size, rng))
+        values = targets(sweep.acts[0])
         for j, obj in enumerate(objectives):
             z = sweep.logits + sweep.jvp(deltas[j])
-            coeffs = obj.grad(z, obj.evaluate(sweep.acts[0]), slice(None)) / len(z)
+            coeffs = obj.grad(z, values[j]) / len(z)
             grad = sweep.vjp(coeffs)
             norms[j] = float(np.linalg.norm(grad))
             adams[j].step(deltas[j], grad)
@@ -682,18 +685,19 @@ def _per_step_reference(cfg, params0, objectives, tc, sampler, rng):
 
 def _chunk_objectives():
     # a teacher network, its effective logits (a saturated rho = 0 point
-    # included), an elementwise target and a fixed hard label
+    # included), an elementwise target and a constant hard label; returns
+    # the student, its parameters, the objectives and their target function
     student, teacher_cfg = NetConfig(2, 2, 16), NetConfig(2, 3, 64)
     teacher = init_params(teacher_cfg, 4)
-    z_t = lambda x: 0.3 * forward(teacher_cfg, teacher, x)
-    hard = lambda x: (x[:, 0] > 0).astype(float)
-    objectives = [
-        SquaredTargets(lambda x, dp=dp: effective_logits(z_t(x), hard(x), dp))
-        for dp in (DistillParams(1.0, 10.0), DistillParams(0.5, 10.0), DistillParams(0.0, 10.0))
-    ]
-    objectives += [SquaredTargets(lambda x: np.sin(x[:, 0]) * x[:, 1]),
-                   DistillTargets(DistillParams(0.7, 2.0), z_t, 1.0)]
-    return student, init_params(student, 3), objectives
+    dps = (DistillParams(1.0, 10.0), DistillParams(0.5, 10.0), DistillParams(0.0, 10.0))
+
+    def targets(x):
+        z_t, hard = 0.3 * forward(teacher_cfg, teacher, x), (x[:, 0] > 0).astype(float)
+        return ([effective_logits(z_t, hard, dp) for dp in dps]
+                + [np.sin(x[:, 0]) * x[:, 1], np.stack([z_t, np.ones(len(x))])])
+
+    objectives = [SquaredTargets()] * (len(dps) + 1) + [DistillTargets(DistillParams(0.7, 2.0))]
+    return student, init_params(student, 3), objectives, targets
 
 
 def _sampler(n, rng):
@@ -708,9 +712,9 @@ def test_chunked_targets_are_bitwise_the_per_step_loop(batch_size, epochs, locks
     # evaluates every target once on their rows; each step's slice of those
     # values must be bitwise the per-step evaluation, and the sampler must
     # be called once per step in order, leaving the rng where it left it
-    cfg, p0, objectives = _chunk_objectives()
+    cfg, p0, objectives, targets = _chunk_objectives()
     if not lockstep:
-        objectives = objectives[1:2]
+        objectives, targets = objectives[1:2], lambda x, all_targets=targets: all_targets(x)[1:2]
     tc = TrainConfig(learning_rate=0.01, batch_size=batch_size, epochs=epochs,
                      final_learning_rate=0.001)
     calls = []
@@ -720,8 +724,8 @@ def test_chunked_targets_are_bitwise_the_per_step_loop(batch_size, epochs, locks
         return _sampler(n, rng)
 
     rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
-    got = train_linearized(cfg, p0, objectives, tc, sampler=counting, rng=rng)
-    want, norms = _per_step_reference(cfg, p0, objectives, tc, sampler=_sampler, rng=ref_rng)
+    got = train_linearized(cfg, p0, objectives, tc, sampler=counting, rng=rng, targets=targets)
+    want, norms = _per_step_reference(cfg, p0, objectives, tc, _sampler, ref_rng, targets)
     assert calls == [batch_size] * epochs
     assert rng.random() == ref_rng.random()
     for res, delta, norm in zip(got, want, norms):
@@ -731,38 +735,49 @@ def test_chunked_targets_are_bitwise_the_per_step_loop(batch_size, epochs, locks
 
 
 def test_chunk_size_comes_from_the_block_rows():
-    # the teacher sees ceil(_TARGET_CHUNK_ROWS / batch_size) batches per
-    # call, the last call the steps that remain; the chunk is its own
-    # constant, not the row-block size
-    cfg, p0, _ = _chunk_objectives()
-    rows = []
-    obj = SquaredTargets(lambda x: rows.append(len(x)) or np.zeros(len(x)))
+    # the target function sees ceil(_TARGET_CHUNK_ROWS / batch_size) batches
+    # per call, the last call the steps that remain, in one call per chunk
+    # whatever the number of objectives; the chunk is its own constant, not
+    # the row-block size
+    cfg, p0, objectives, targets = _chunk_objectives()
     tc = TrainConfig(learning_rate=0.01, batch_size=100, epochs=25)
-    train_linearized(cfg, p0, [obj], tc, sampler=_sampler, rng=np.random.default_rng(0))
     assert _TARGET_CHUNK_ROWS == 1024
     per_chunk = -(-_TARGET_CHUNK_ROWS // 100)
-    assert rows == [100 * per_chunk, 100 * per_chunk, 100 * (25 - 2 * per_chunk)]
+    for count in (1, len(objectives)):
+        rows = []
+
+        def counting(x):
+            rows.append(len(x))
+            return targets(x)[-count:]
+
+        results = train_linearized(cfg, p0, objectives[-count:], tc, _sampler,
+                                   np.random.default_rng(0), counting)
+        assert len(results) == count
+        assert rows == [100 * per_chunk, 100 * per_chunk, 100 * (25 - 2 * per_chunk)]
 
 
 def test_fixed_data_evaluates_callable_targets_once():
-    # on a sampler that returns one fixed batch, a callable and the same
-    # targets given as a fixed array train alike, and as the per-step loop
-    cfg, p0, _ = _chunk_objectives()
+    # on a sampler that returns one fixed batch, targets computed from the
+    # chunk's rows and the batch's targets repeated over its copies in the
+    # chunk train alike, and as the per-step loop
+    cfg, p0, _, _ = _chunk_objectives()
     x = _sampler(12, np.random.default_rng(5))
     fixed = lambda m, rng: x
     target = lambda xx: np.cos(xx[:, 0])
     tc = TrainConfig(learning_rate=0.01, batch_size=12, epochs=30)
-    res = train_linearized(cfg, p0, [SquaredTargets(target), SquaredTargets(np.cos(x[:, 0]))],
-                           tc, sampler=fixed, rng=np.random.default_rng(0))
+    res = train_linearized(cfg, p0, [SquaredTargets()] * 2, tc, sampler=fixed,
+                           rng=np.random.default_rng(0),
+                           targets=lambda xx: [target(xx), np.tile(target(x), len(xx) // 12)])
     assert np.array_equal(res[0].delta, res[1].delta)
-    want, _ = _per_step_reference(cfg, p0, [SquaredTargets(target)], tc, fixed, None)
+    want, _ = _per_step_reference(cfg, p0, [SquaredTargets()], tc, fixed, None,
+                                  lambda xx: [target(xx)])
     assert np.array_equal(res[0].delta, want[0])
 
 
 def test_non_finite_teacher_logit_in_a_later_step_raises():
     # one NaN teacher logit among the rows of a later chunk's step still
     # stops training at the effective-logit solve
-    cfg, p0, _ = _chunk_objectives()
+    cfg, p0, _, _ = _chunk_objectives()
     seen = []
 
     def teacher(x):
@@ -772,11 +787,12 @@ def test_non_finite_teacher_logit_in_a_later_step_raises():
             z[-1] = np.nan
         return z
 
-    obj = SquaredTargets(
-        lambda x: effective_logits(teacher(x), 1.0, DistillParams(0.5, 2.0)))
     tc = TrainConfig(learning_rate=0.01, batch_size=128, epochs=12)
     with pytest.raises(FloatingPointError):
-        train_linearized(cfg, p0, [obj], tc, sampler=_sampler, rng=np.random.default_rng(1))
+        train_linearized(cfg, p0, [SquaredTargets()], tc, sampler=_sampler,
+                         rng=np.random.default_rng(1),
+                         targets=lambda x: [effective_logits(teacher(x), 1.0,
+                                                             DistillParams(0.5, 2.0))])
     assert len(seen) == 2
 
 
@@ -784,8 +800,9 @@ def test_train_linearized_online_needs_rng():
     cfg = NetConfig(2, 2, 8)
     tc = TrainConfig(learning_rate=0.01, batch_size=4, epochs=2)
     with pytest.raises(TypeError, match="rng"):
-        train_linearized(cfg, init_params(cfg, 0), [SquaredTargets(lambda x: x[:, 0])], tc,
-                         sampler=lambda n, rng: rng.normal(size=(n, 2)))
+        train_linearized(cfg, init_params(cfg, 0), [SquaredTargets()], tc,
+                         sampler=lambda n, rng: rng.normal(size=(n, 2)),
+                         targets=lambda x: [x[:, 0]])
 
 
 def test_config_validation():

@@ -48,12 +48,12 @@ def oracle_setup(mixture_teacher):
                      final_learning_rate=1e-5)
     # separate streams, so two runs rather than one lockstep run
     [zero] = train_linearized(
-        STUDENT, params0, [SquaredTargets(lambda x: np.zeros(len(x)))], tc,
-        sampler=task.sample_inputs, rng=np.random.default_rng(1),
+        STUDENT, params0, [SquaredTargets()], tc, sampler=task.sample_inputs,
+        rng=np.random.default_rng(1), targets=lambda x: [np.zeros(len(x))],
     )
     [star] = train_linearized(
-        STUDENT, params0, [SquaredTargets(eff_fn)], tc,
-        sampler=task.sample_inputs, rng=np.random.default_rng(2),
+        STUDENT, params0, [SquaredTargets()], tc, sampler=task.sample_inputs,
+        rng=np.random.default_rng(2), targets=lambda x: [eff_fn(x)],
     )
     return task.sample_inputs, params0, eff_fn, star.delta, zero.delta
 
